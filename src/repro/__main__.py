@@ -293,7 +293,7 @@ def _build_policy(args, metrics=None):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
-    from repro.serving import AsyncServingServer, ServingServer
+    from repro.serving import ServingServer
 
     pairs = _parse_database_specs(args.databases)
     shutdown = threading.Event()
@@ -301,12 +301,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Bind the port before the (possibly long) warm-up: /livez answers
     # immediately, /readyz answers 503 until the service is attached.
-    server_cls = (
-        AsyncServingServer if args.http_impl == "async" else ServingServer
-    )
-    server = server_cls((args.host, args.port), None)
+    server = ServingServer((args.host, args.port), None)
     engine = "model" if args.model is not None else "heuristic-only"
-    print(f"listening on {server.url} [{engine}/{args.http_impl}] — warming up ...")
+    print(f"listening on {server.url} [{engine}] — warming up ...")
 
     if args.workers > 0:
         return _serve_cluster(args, pairs, server, shutdown)
@@ -344,7 +341,7 @@ def _serve_single(args, pairs, server, shutdown) -> int:
     print(f"indexes ready in {_time.perf_counter() - warm_start:.2f}s "
           f"(built={stats['build_count']} loaded={stats['load_count']})")
 
-    from repro.serving import MetricsRegistry
+    from repro.metrics import MetricsRegistry
 
     metrics = MetricsRegistry()
     tenancy = _build_tenancy(args, metrics)
@@ -411,7 +408,7 @@ def _serve_single(args, pairs, server, shutdown) -> int:
 
 def _serve_cluster(args, pairs, server, shutdown) -> int:
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.serving import MetricsRegistry
+    from repro.metrics import MetricsRegistry
 
     metrics = MetricsRegistry()
     tenancy = _build_tenancy(args, metrics)
@@ -519,13 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
-    serve.add_argument(
-        "--http-impl", default="threaded", choices=("threaded", "async"),
-        help="HTTP front door: 'threaded' = stdlib thread-per-connection "
-             "(default, battle-tested fallback); 'async' = selectors-based "
-             "non-blocking event loop (keep-alive/pipelining, slowloris "
-             "deadlines, bounded connections). Same routes either way.",
-    )
     serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="worker PROCESSES for cluster serving (sharded by database, "

@@ -61,7 +61,6 @@ from repro.analysis.graph import FunctionInfo, ProjectContext
 SOURCE_MODULES = {
     "repro.serving.routes",
     "repro.serving.http",
-    "repro.serving.async_http",
     "repro.cluster.protocol",
     "repro.model.valuenet",
 }

@@ -12,7 +12,7 @@ Entry point: :class:`ClusterService` — duck-type compatible with
 front-end serves either without changes (``repro serve --workers N``).
 """
 
-from repro.cluster.health import CircuitBreaker, ExponentialBackoff, WorkerStatus
+from repro.cluster.health import CircuitBreaker, WorkerStatus
 from repro.cluster.protocol import (
     MAX_FRAME_BYTES,
     PeerClosedError,
@@ -30,7 +30,6 @@ __all__ = [
     "CircuitBreaker",
     "ClusterConfig",
     "ClusterService",
-    "ExponentialBackoff",
     "HashRing",
     "MAX_FRAME_BYTES",
     "PeerClosedError",

@@ -1,10 +1,8 @@
 """Supervision primitives: worker states and the restart circuit breaker.
 
 Kept free of process/socket concerns so the policies are unit-testable
-with a fake clock; the supervisor composes them.  The restart delay
-schedule (:class:`ExponentialBackoff`) moved to :mod:`repro.concurrency`
-so non-cluster packages (the KB refresher) can use it without importing
-the cluster layer; it is re-exported here for compatibility.
+with a fake clock; the supervisor composes them with the restart delay
+schedule, :class:`repro.concurrency.ExponentialBackoff`.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import enum
 import time
 from collections import deque
 from collections.abc import Callable
-
-from repro.concurrency import ExponentialBackoff  # noqa: F401  (re-export)
 
 
 class WorkerStatus(enum.Enum):

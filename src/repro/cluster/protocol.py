@@ -1,22 +1,9 @@
-"""Zero-copy framed IPC between the cluster supervisor and workers.
+"""Framed IPC between the cluster supervisor and workers.
 
-Every frame on the wire is ``4-byte big-endian length || payload``.  Two
-payload encodings share that envelope, distinguished by the first
-payload byte:
-
-* **JSON** (first byte ``{`` — i.e. any ``json.dumps`` of an object):
-  the original wire format, still produced by :func:`send_frame` and by
-  :class:`FrameConnection` when the binary fast path is off.
-* **Binary fast path** (first byte ``0x00``, opt-in per sender):
-  ``0x00 || 4-byte header length || JSON header || (4-byte blob length
-  || blob bytes)*``.  Large string fields and all ``bytes`` fields are
-  lifted out of the message before JSON encoding and shipped as raw
-  length-prefixed blobs, so multi-kilobyte payloads (candidate lists,
-  encoder features, result rows) are not round-tripped through
-  ``json.dumps`` character escaping.  The header is the message with
-  each lifted field replaced by a placeholder; the receiver re-inflates
-  it.  Receivers always understand both encodings, so the fast path
-  needs no handshake — enabling it is purely a sender-side choice.
+Every frame on the wire is ``4-byte big-endian length || payload``, and
+the payload is one JSON object (``json.dumps``, UTF-8).  There is one
+encoding and no negotiation; anything else — a non-JSON payload, a
+non-object, a missing ``"type"`` — is a :class:`ProtocolError`.
 
 The object always carries a ``"type"`` field; request/response frames
 additionally carry an ``"id"`` so many requests can be in flight on one
@@ -26,8 +13,8 @@ connection and answers may arrive out of order.
 it keeps one preallocated, geometrically-grown receive buffer per
 connection (``recv_into`` on ``memoryview`` slices — no per-chunk
 ``bytes`` churn or reassembly joins) and writes each frame with a
-single gathered ``sendmsg`` syscall referencing blob ``memoryview``\\ s
-(no concatenation copy).  A reader interrupted mid-frame — EINTR, a
+single gathered ``sendmsg`` syscall (length prefix + payload, no
+concatenation copy).  A reader interrupted mid-frame — EINTR, a
 socket timeout, a one-byte-at-a-time peer — resumes cleanly on the next
 call: partial frame state lives on the connection, not the stack.
 
@@ -69,20 +56,6 @@ _LENGTH = struct.Struct("!I")
 # a protocol bug (e.g. unbounded result rows), not a legitimate message.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-# First payload byte of a binary fast-path frame.  JSON payloads always
-# start with "{" (0x7B), so the tag can never collide.
-BINARY_TAG = 0x00
-
-# Strings at least this long are shipped as raw UTF-8 blobs instead of
-# being escaped through json.dumps.  Short strings stay inline: the
-# placeholder + length prefix would cost more than the escaping.
-BLOB_THRESHOLD = 1024
-
-# Placeholder key marking a lifted field inside the binary header.  The
-# NUL prefix keeps it out of the space of real field names; encoders
-# refuse messages that happen to contain it rather than mis-decode.
-_BLOB_KEY = "\x00blob"
-
 
 class ProtocolError(ReproError):
     """Malformed or oversized frame, or a closed peer mid-frame."""
@@ -92,99 +65,12 @@ class PeerClosedError(ProtocolError):
     """The other end closed the connection at a frame boundary."""
 
 
-# ----------------------------------------------------------- blob lifting
-
-
-def _lift_blobs(value, blobs: list[bytes]):
-    """Replace large strings / all bytes in ``value`` with placeholders.
-
-    Returns the (possibly rebuilt) JSON-safe structure; lifted payloads
-    are appended to ``blobs`` in placeholder-index order.
-    """
-    if isinstance(value, str):
-        if len(value) >= BLOB_THRESHOLD:
-            blobs.append(value.encode("utf-8"))
-            return {_BLOB_KEY: [len(blobs) - 1, "s"]}
-        return value
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        blobs.append(bytes(value))
-        return {_BLOB_KEY: [len(blobs) - 1, "b"]}
-    if isinstance(value, dict):
-        if _BLOB_KEY in value:
-            raise ProtocolError("message contains the reserved blob key")
-        return {key: _lift_blobs(item, blobs) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_lift_blobs(item, blobs) for item in value]
-    return value
-
-
-def _restore_blobs(value, blobs: list[memoryview]):
-    """Inverse of :func:`_lift_blobs` over a decoded binary header."""
-    if isinstance(value, dict):
-        placeholder = value.get(_BLOB_KEY)
-        if placeholder is not None and len(value) == 1:
-            index, kind = placeholder
-            blob = blobs[index]
-            return str(blob, "utf-8") if kind == "s" else bytes(blob)
-        return {key: _restore_blobs(item, blobs) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_restore_blobs(item, blobs) for item in value]
-    return value
-
-
-def _encode_payload_views(message: dict, *, binary: bool) -> list:
-    """Encode ``message`` as a list of buffer views (without the length
-    envelope); the caller prefixes the total length and gathers them
-    into one write."""
-    if not binary:
-        return [json.dumps(message, separators=(",", ":")).encode("utf-8")]
-    blobs: list[bytes] = []
-    header = json.dumps(
-        _lift_blobs(message, blobs), separators=(",", ":")
-    ).encode("utf-8")
-    if not blobs:
-        # Nothing lifted: plain JSON is smaller and faster to decode.
-        return [header]
-    views: list = [bytes((BINARY_TAG,)) + _LENGTH.pack(len(header)), header]
-    for blob in blobs:
-        views.append(_LENGTH.pack(len(blob)))
-        views.append(memoryview(blob))
-    return views
-
-
 def _decode_payload(view) -> dict:
-    """Decode one frame payload (memoryview or bytes), either encoding."""
-    if len(view) == 0:
-        raise ProtocolError("empty frame payload")
-    view = memoryview(view)
+    """Decode one frame payload (memoryview or bytes)."""
     try:
-        if view[0] == BINARY_TAG:
-            if len(view) < 1 + _LENGTH.size:
-                raise ProtocolError("truncated binary frame header")
-            (header_len,) = _LENGTH.unpack_from(view, 1)
-            offset = 1 + _LENGTH.size
-            if offset + header_len > len(view):
-                raise ProtocolError("binary frame header exceeds payload")
-            header = json.loads(str(view[offset:offset + header_len], "utf-8"))
-            offset += header_len
-            blobs: list[memoryview] = []
-            while offset < len(view):
-                if offset + _LENGTH.size > len(view):
-                    raise ProtocolError("truncated blob length prefix")
-                (blob_len,) = _LENGTH.unpack_from(view, offset)
-                offset += _LENGTH.size
-                if offset + blob_len > len(view):
-                    raise ProtocolError("blob exceeds frame payload")
-                blobs.append(view[offset:offset + blob_len])
-                offset += blob_len
-            message = _restore_blobs(header, blobs)
-        else:
-            # str() decodes straight from the buffer — no bytes() copy.
-            message = json.loads(str(view, "utf-8"))
-    except ProtocolError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError, ValueError,
-            IndexError, TypeError) as exc:
+        # str() decodes straight from the buffer — no bytes() copy.
+        message = json.loads(str(view, "utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ProtocolError(f"invalid frame payload: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("frame must be a JSON object with a string 'type'")
@@ -194,16 +80,23 @@ def _decode_payload(view) -> dict:
 # --------------------------------------------------------- gathered writes
 
 
+def send_frame(sock: socket.socket, message: dict) -> None:
+    """Serialize ``message`` and write one length-prefixed frame (a
+    single ``sendmsg`` gather of prefix + payload in the common case)."""
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"refusing to send {len(payload)} byte frame (max {MAX_FRAME_BYTES})"
+        )
+    _sendmsg_all(sock, [_LENGTH.pack(len(payload)), payload])
+
+
 def _sendmsg_all(sock: socket.socket, views: list) -> None:
     """Write every view with as few syscalls as possible (EINTR-safe)."""
-    pending = [memoryview(v) for v in views if len(v)]
-    use_sendmsg = hasattr(sock, "sendmsg")
+    pending = [memoryview(v) for v in views]
     while pending:
         try:
-            if use_sendmsg:
-                sent = sock.sendmsg(pending)
-            else:  # pragma: no cover - platforms without sendmsg
-                sent = sock.send(pending[0])
+            sent = sock.sendmsg(pending)
         except InterruptedError:  # pragma: no cover - EINTR resume
             continue
         while sent > 0:
@@ -234,33 +127,14 @@ class FrameConnection:
     resumes exactly where the interrupted one stopped.
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        binary: bool = False,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        initial_buffer: int = 64 * 1024,
-    ):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.binary = binary
-        self.max_frame_bytes = max_frame_bytes
-        self._recv_buf = bytearray(initial_buffer)
+        self._recv_buf = bytearray(64 * 1024)
         self._recv_have = 0          # bytes of the current frame received
         self._body_len: int | None = None  # parsed length header, if any
 
-    # ------------------------------------------------------------- sending
-
     def send(self, message: dict) -> None:
-        """Serialize ``message`` and write one frame (single syscall in
-        the common case, via ``sendmsg`` gather)."""
-        payload = _encode_payload_views(message, binary=self.binary)
-        total = sum(len(v) for v in payload)
-        if total > self.max_frame_bytes:
-            raise ProtocolError(
-                f"refusing to send {total} byte frame (max {self.max_frame_bytes})"
-            )
-        _sendmsg_all(self.sock, [_LENGTH.pack(total), *payload])
+        send_frame(self.sock, message)
 
     # ----------------------------------------------------------- receiving
 
@@ -293,9 +167,9 @@ class FrameConnection:
         if self._body_len is None:
             self._fill(_LENGTH.size)
             (length,) = _LENGTH.unpack_from(self._recv_buf, 0)
-            if length > self.max_frame_bytes:
+            if length > MAX_FRAME_BYTES:
                 raise ProtocolError(
-                    f"{length} byte frame exceeds {self.max_frame_bytes}"
+                    f"{length} byte frame exceeds {MAX_FRAME_BYTES}"
                 )
             if length == 0:
                 raise ProtocolError("empty frame payload")
@@ -317,22 +191,7 @@ class FrameConnection:
             pass
 
 
-# ----------------------------------------------- one-shot module functions
-
-
-def send_frame(sock: socket.socket, message: dict, *, binary: bool = False) -> None:
-    """Serialize ``message`` and write one length-prefixed frame.
-
-    Stateless convenience for tests and one-off control messages; the
-    cluster's hot paths go through :class:`FrameConnection` instead.
-    """
-    payload = _encode_payload_views(message, binary=binary)
-    total = sum(len(v) for v in payload)
-    if total > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"refusing to send {total} byte frame (max {MAX_FRAME_BYTES})"
-        )
-    _sendmsg_all(sock, [_LENGTH.pack(total), *payload])
+# ------------------------------------------------------- one-shot reader
 
 
 def _recv_exact(sock: socket.socket, count: int, *, at_boundary: bool) -> bytearray:
@@ -356,9 +215,9 @@ def _recv_exact(sock: socket.socket, count: int, *, at_boundary: bool) -> bytear
 
 
 def recv_frame(sock: socket.socket) -> dict:
-    """Read one frame (either encoding); :class:`PeerClosedError` on
-    clean EOF.  Stateless — a timeout mid-frame loses the partial frame;
-    long-lived readers should hold a :class:`FrameConnection`."""
+    """Read one frame; :class:`PeerClosedError` on clean EOF.  Stateless
+    — a timeout mid-frame loses the partial frame; long-lived readers
+    should hold a :class:`FrameConnection`."""
     header = _recv_exact(sock, _LENGTH.size, at_boundary=True)
     (length,) = _LENGTH.unpack(bytes(header))
     if length > MAX_FRAME_BYTES:

@@ -43,8 +43,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster import protocol
-from repro.cluster.health import CircuitBreaker, ExponentialBackoff, WorkerStatus
-from repro.concurrency import make_lock, make_rlock
+from repro.cluster.health import CircuitBreaker, WorkerStatus
+from repro.concurrency import ExponentialBackoff, make_lock, make_rlock
 from repro.logs import get_logger
 from repro.cluster.router import HashRing
 from repro.cluster.worker import WorkerSpec, worker_entry
@@ -393,10 +393,7 @@ class ClusterService:
         parent, child = socket.socketpair()
         handle.incarnation += 1
         handle.sock = parent
-        # Binary fast path on by default: request frames are small, but
-        # the worker's responses (rows, candidates) ride the same class
-        # of connection, so both directions keep reusable buffers.
-        handle.conn = protocol.FrameConnection(parent, binary=True)
+        handle.conn = protocol.FrameConnection(parent)
         handle.window = threading.Semaphore(self.config.max_inflight)
         handle.status = WorkerStatus.STARTING
         handle.started_at = time.monotonic()

@@ -84,9 +84,7 @@ class WorkerProcess:
     def __init__(self, spec: WorkerSpec, sock: socket.socket):
         self.spec = spec
         self.sock = sock
-        # Binary fast path: response payloads (SQL, rows, candidate
-        # lists) skip json escaping; the supervisor auto-detects.
-        self._conn = protocol.FrameConnection(sock, binary=True)
+        self._conn = protocol.FrameConnection(sock)
         self._send_lock = make_lock(f"WorkerProcess[{spec.worker_id}]._send_lock")
         self._adopt_lock = make_lock(f"WorkerProcess[{spec.worker_id}]._adopt_lock")
         self._paths = dict(spec.databases)

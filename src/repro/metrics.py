@@ -9,9 +9,7 @@ the registry both as a Prometheus text exposition and as JSON.
 This module is a *foundation* layer: besides serving, the policy
 engine, tenancy controller, KB refresher, and cluster supervisor all
 record into the same registry, so it must sit below every one of them
-in the import layering (see ``analysis-layers.toml``).  It lived at
-``repro.serving.metrics`` until PR 10; that path remains as a
-re-export shim.
+in the import layering (see ``analysis-layers.toml``).
 """
 
 from __future__ import annotations

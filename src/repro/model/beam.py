@@ -70,7 +70,6 @@ def beam_decode(
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be positive, got {beam_size}")
-    decoder.eval()
     ops = cache if cache is not None else ReferenceOps(decoder, encoded)
 
     initial = _Hypothesis(

@@ -255,7 +255,6 @@ class ValueNetDecoder(Module):
                 loop through the memoized raw-numpy fast path.  Predictions
                 are identical with or without it.
         """
-        self.eval()
         ops = cache if cache is not None else ReferenceOps(self, encoded)
         state = ops.initial_state()
         prev = ops.start()

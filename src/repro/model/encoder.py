@@ -22,7 +22,7 @@ from repro.model.featurize import (
 )
 from repro.nn.layers import Embedding, Module
 from repro.nn.rnn import BiLSTMSummarizer
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, is_grad_enabled, stack
 from repro.nn.transformer import TransformerEncoder, sinusoidal_positions
 
 
@@ -95,7 +95,7 @@ class ValueNetEncoder(Module):
 
     def __call__(self, encoder_input: EncoderInput) -> EncodedExample:
         piece_ids = encoder_input.piece_ids
-        if self.training and self.config.word_dropout > 0:
+        if self.training and is_grad_enabled() and self.config.word_dropout > 0:
             # Word-level dropout: random pieces become [UNK] so the model
             # cannot rely purely on memorized surface forms — essential for
             # transfer to the unseen dev databases.
@@ -148,8 +148,8 @@ class ValueNetEncoder(Module):
         equal-length groups across the whole batch.  The result matches
         per-example :meth:`__call__` outputs to floating-point tolerance.
 
-        Inference-only: word dropout is not applied (run under ``eval()``
-        — the serving path does).
+        Inference-only: word dropout is not applied (run under
+        ``inference_mode()`` — the serving path does).
         """
         if not inputs:
             return []

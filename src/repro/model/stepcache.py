@@ -187,7 +187,7 @@ class StepCache:
         """One decoder step: context attention + LSTM cell, arena-backed.
 
         Mirrors ``ValueNetDecoder._step`` operation for operation
-        (dropout is identity in eval mode, so it is omitted).
+        (dropout is identity under ``inference_mode``, so it is omitted).
         """
         h, c = state
         # Bilinear context attention over the question encodings.

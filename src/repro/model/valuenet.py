@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.config import ModelConfig
 from repro.errors import ModelError
-from repro.model.decoder import DecoderStep, ValueNetDecoder
+from repro.model.decoder import ValueNetDecoder
 from repro.model.encoder import EncodedExample, ValueNetEncoder
 from repro.model.featurize import SchemaFeatureCache, featurize
 from repro.model.stepcache import StepCache
@@ -54,21 +54,15 @@ class ValueNetModel(Module):
     ) -> list[EncodedExample]:
         """Encode a micro-batch of questions over one schema at once.
 
-        Runs in eval mode under :func:`inference_mode` — one padded
-        transformer forward for the whole batch, no autograd graph.
+        Runs under :func:`inference_mode` — one padded transformer
+        forward for the whole batch, no autograd graph, no dropout.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with inference_mode():
-                inputs = [
-                    featurize(pre, schema, self.vocab, cache=self.schema_cache)
-                    for pre in pres
-                ]
-                return self.encoder.encode_batch(inputs)
-        finally:
-            if was_training:
-                self.train()
+        with inference_mode():
+            inputs = [
+                featurize(pre, schema, self.vocab, cache=self.schema_cache)
+                for pre in pres
+            ]
+            return self.encoder.encode_batch(inputs)
 
     def _column_to_table(self, schema: Schema) -> list[int | None]:
         return [
@@ -89,41 +83,24 @@ class ValueNetModel(Module):
         Used by the serving batch path: encode once per micro-batch via
         :meth:`encode_batch`, then decode per request.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with inference_mode():
-                steps = self._decode_steps(
-                    encoded, beam_size, self._column_to_table(schema)
+        column_to_table = self._column_to_table(schema)
+        with inference_mode():
+            # One StepCache per request: memoized pointer memory
+            # projections, feed embeddings and grammar masks, plus an
+            # arena for the LSTM hot loop.
+            cache = StepCache(self.decoder, encoded)
+            if beam_size > 1:
+                from repro.model.beam import beam_decode
+
+                steps = beam_decode(
+                    self.decoder, encoded, beam_size=beam_size,
+                    column_to_table=column_to_table, cache=cache,
                 )
-        finally:
-            if was_training:
-                self.train()
+            else:
+                steps = self.decoder.decode(
+                    encoded, column_to_table=column_to_table, cache=cache
+                )
         return steps_to_tree(steps, schema, pre.candidates)
-
-    def _decode_steps(
-        self,
-        encoded: EncodedExample,
-        beam_size: int,
-        column_to_table: list[int | None],
-        *,
-        use_cache: bool = True,
-    ) -> list[DecoderStep]:
-        # One StepCache per request: memoized pointer memory projections,
-        # feed embeddings and grammar masks, plus an arena for the LSTM
-        # hot loop.  Predictions are identical with or without it
-        # (``use_cache=False`` exists for the benchmark baseline).
-        cache = StepCache(self.decoder, encoded) if use_cache else None
-        if beam_size > 1:
-            from repro.model.beam import beam_decode
-
-            return beam_decode(
-                self.decoder, encoded, beam_size=beam_size,
-                column_to_table=column_to_table, cache=cache,
-            )
-        return self.decoder.decode(
-            encoded, column_to_table=column_to_table, cache=cache
-        )
 
     def loss(
         self,
@@ -154,18 +131,9 @@ class ValueNetModel(Module):
             ModelError: when decoding cannot complete (e.g. a value is
                 required but no candidates exist).
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with inference_mode():
-                encoded = self.encode(pre, schema)
-                steps = self._decode_steps(
-                    encoded, beam_size, self._column_to_table(schema)
-                )
-        finally:
-            if was_training:
-                self.train()
-        return steps_to_tree(steps, schema, pre.candidates)
+        with inference_mode():
+            encoded = self.encode(pre, schema)
+        return self.decode_encoded(encoded, pre, schema, beam_size=beam_size)
 
     # ------------------------------------------------------ optimization
 

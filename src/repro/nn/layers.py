@@ -3,7 +3,10 @@
 A tiny module system in the PyTorch style: modules register parameters
 and sub-modules simply by attribute assignment; ``named_parameters``
 walks the tree.  Training/eval mode is a flag propagated by ``train()``
-and ``eval()`` (dropout is the only mode-dependent layer).
+and ``eval()``; dropout, the only mode-dependent layer, additionally
+needs autograd on, so a forward pass under the thread-local
+:func:`~repro.nn.tensor.inference_mode` is deterministic whatever
+another thread does to the shared flag.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from repro.nn.functional import dropout
 from repro.nn.init import xavier_uniform, zeros
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor, concat, is_grad_enabled
 
 
 class Module:
@@ -143,7 +146,7 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout module (identity in eval mode)."""
+    """Inverted dropout module (identity in eval or inference mode)."""
 
     def __init__(self, rate: float, rng: np.random.Generator):
         super().__init__()
@@ -151,7 +154,8 @@ class Dropout(Module):
         self._rng = rng
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dropout(x, self.rate, training=self.training, rng=self._rng)
+        training = self.training and is_grad_enabled()
+        return dropout(x, self.rate, training=training, rng=self._rng)
 
 
 class MLP(Module):

@@ -6,7 +6,6 @@ from repro.preprocessing.hints import (
     QuestionHint,
     SchemaHint,
     SchemaHints,
-    SUPERLATIVE_KEYWORDS,
     compute_question_hints,
     compute_schema_hints,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "QuestionHint",
     "SchemaHint",
     "SchemaHints",
-    "SUPERLATIVE_KEYWORDS",
     "compute_question_hints",
     "compute_schema_hints",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.candidates.heuristics import SUPERLATIVE_KEYWORDS  # noqa: F401  (re-export)
+from repro.candidates.heuristics import SUPERLATIVE_KEYWORDS
 from repro.candidates.types import ValueCandidate
 from repro.index.inverted import InvertedIndex
 from repro.schema.model import Column, Schema, Table

@@ -4,31 +4,14 @@ The production-shaped layer over the translation pipelines: a bounded
 request queue with a micro-batching worker pool
 (:class:`TranslationService`), an LRU+TTL result cache
 (:class:`TranslationCache`), graceful degradation to the heuristic
-baseline on model failure or deadline breach, a metrics registry
-(:class:`MetricsRegistry`), and two interchangeable HTTP front-ends —
-the threaded stdlib :class:`ServingServer` and the selectors-based
-non-blocking :class:`AsyncServingServer` — sharing one route
-implementation (:mod:`repro.serving.routes`).  Start either from the
-CLI with ``repro serve --http-impl {threaded,async}``.
+baseline on model failure or deadline breach, and the HTTP front door
+(:class:`ServingServer` over the route logic in
+:mod:`repro.serving.routes`).  Start it from the CLI with ``repro
+serve``.  Metrics live in :mod:`repro.metrics`.
 """
 
-from repro.serving.async_http import AsyncServingServer
 from repro.serving.cache import CacheKey, TranslationCache, normalize_question
 from repro.serving.http import ServingRequestHandler, ServingServer
-from repro.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledCounter,
-    LabeledHistogram,
-    MetricsRegistry,
-    merge_snapshots,
-    quantile_from_snapshot,
-    render_snapshot_text,
-    series_key,
-    split_series_key,
-)
 from repro.serving.runtime import DatabaseRuntime
 from repro.serving.service import (
     QueueFullError,
@@ -41,16 +24,8 @@ from repro.serving.service import (
 )
 
 __all__ = [
-    "AsyncServingServer",
     "CacheKey",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "DatabaseRuntime",
-    "Gauge",
-    "Histogram",
-    "LabeledCounter",
-    "LabeledHistogram",
-    "MetricsRegistry",
     "QueueFullError",
     "ServeRequest",
     "ServeResponse",
@@ -61,10 +36,5 @@ __all__ = [
     "TranslationCache",
     "TranslationService",
     "UnknownDatabaseError",
-    "merge_snapshots",
     "normalize_question",
-    "quantile_from_snapshot",
-    "render_snapshot_text",
-    "series_key",
-    "split_series_key",
 ]

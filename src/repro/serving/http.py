@@ -1,4 +1,5 @@
-"""Stdlib (threaded) HTTP front-end for the translation service.
+"""The HTTP front door of the translation service (stdlib, one thread
+per connection).
 
 Endpoints (all JSON unless noted):
 
@@ -45,12 +46,9 @@ is shed (queue full, service stopping/warming, or — in cluster mode — no
 live worker for the shard).  Every 503 body carries ``"retriable": true``:
 the request was *not* processed and may safely be retried elsewhere.
 
-The actual route logic lives in :mod:`repro.serving.routes`, shared
-byte-for-byte with the selectors-based implementation in
-:mod:`repro.serving.async_http`; this module is only the
-thread-per-connection transport around it.  Pick an implementation with
-``repro serve --http-impl {threaded,async}`` (threaded remains the
-default and the fallback).
+The route logic lives in :mod:`repro.serving.routes`; this module is
+only the transport around it: request framing, ``Content-Length``
+parsing, the body size limit, keep-alive and the idle deadline.
 
 The server may be constructed before its service exists
 (``service=None``) and bound to one later via :meth:`ServingServer.attach`;
@@ -64,28 +62,30 @@ from __future__ import annotations
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serving import routes
-from repro.serving.routes import (  # noqa: F401  (re-exported, public API)
-    MAX_BODY_BYTES,
-    tenant_latency_stats,
-)
 from repro.serving.service import TranslationService
 
 
 class ServingRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serving/1.0"
     protocol_version = "HTTP/1.1"
+    # A request line too broken to carry a version still gets a status
+    # line (the stdlib default answers it HTTP/0.9-style: bare body).
+    default_request_version = "HTTP/1.0"
     # Headers and body go out in separate writes; without TCP_NODELAY the
     # second write stalls behind the peer's delayed ACK (~40 ms per
-    # response on loopback).  The async front door sets it too.
+    # response on loopback).
     disable_nagle_algorithm = True
+    # Socket timeout for every read: a client that connects and then
+    # stalls (idle keep-alive, half-sent request) is dropped instead of
+    # pinning its thread forever.
+    timeout = 75
 
     @property
     def service(self) -> TranslationService | None:
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
+        pass  # no per-request access log on stderr; /metrics has the counts
 
     def _write(self, response: routes.Response) -> None:
         self.send_response(response.status)
@@ -93,6 +93,8 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers:
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(response.body)
 
@@ -103,9 +105,11 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            # Framing is lost (the body length is unknown): answer, close.
+            self.close_connection = True
             self._write(routes.error_response(400, "bad Content-Length"))
             return
-        if length > MAX_BODY_BYTES:
+        if length > routes.MAX_BODY_BYTES:
             # Refused before reading: the connection is closed (the body
             # is still in flight), which HTTP/1.1 permits for 413.
             self.close_connection = True
@@ -130,15 +134,10 @@ class ServingServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(
-        self,
-        address: tuple[str, int],
-        service: TranslationService | None,
-        *,
-        verbose: bool = False,
+        self, address: tuple[str, int], service: TranslationService | None
     ):
         super().__init__(address, ServingRequestHandler)
         self.service = service
-        self.verbose = verbose
 
     def attach(self, service) -> None:
         """Bind a (possibly late-built) service; flips readiness wiring."""

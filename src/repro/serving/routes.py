@@ -1,22 +1,16 @@
 """Transport-agnostic HTTP route logic for the serving front door.
 
-Both front-door implementations — the threaded stdlib server and the
-selectors-based async server (``repro.serving.async_http``) — delegate
-every request to :func:`handle`, which returns a fully rendered
-:class:`Response` (status, extra headers, body bytes).  Keeping the
-logic here is what makes the two implementations *byte-identical* at the
-body level: there is exactly one piece of code that renders a 401, a
-403-policy block, or a translate payload, so the differential tests in
-``tests/test_http_differential.py`` lock equivalence instead of chasing
-two divergent copies.
-
+The HTTP transport (:mod:`repro.serving.http`) delegates every request
+to :func:`handle`, which returns a fully rendered :class:`Response`
+(status, extra headers, body bytes), so there is exactly one piece of
+code that renders a 401, a 403-policy block, or a translate payload.
 The route surface and semantics are documented in
-:mod:`repro.serving.http` (the original home of this logic).
+:mod:`repro.serving.http`.
 
-Transports remain responsible for wire-level concerns — request
+The transport remains responsible for wire-level concerns — request
 framing, Content-Length parsing, body size enforcement, keep-alive —
-but render transport-level errors through :func:`error_response` /
-:data:`BODY_TOO_LARGE` here so even those bodies match byte for byte.
+but renders its own errors through :func:`error_response` /
+:func:`body_too_large` here so every error body has one shape.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from repro.tenancy.controller import (
     RateLimitedError,
 )
 
-# One request body bound shared by both transports.
+# Largest request body the front door reads.
 MAX_BODY_BYTES = 64 * 1024
 
 _JSON = "application/json"
@@ -79,7 +73,7 @@ def error_response(
 
 
 def body_too_large() -> Response:
-    """413 for request bodies over :data:`MAX_BODY_BYTES` (both impls)."""
+    """413 for request bodies over :data:`MAX_BODY_BYTES`."""
     return error_response(413, "request body exceeds 64 KiB")
 
 
@@ -111,9 +105,8 @@ def tenant_latency_stats(service, tenant_id: str) -> dict:
 def _api_key(headers) -> str | None:
     """Extract the API key: ``Authorization: Bearer`` or ``X-API-Key``.
 
-    ``headers`` is any case-insensitive mapping with ``.get`` — the
-    stdlib ``email.message.Message`` and the async server's header view
-    both qualify.
+    ``headers`` is any case-insensitive mapping with ``.get`` (the
+    stdlib ``email.message.Message``).
     """
     auth = headers.get("Authorization") or ""
     if auth.lower().startswith("bearer "):
@@ -326,11 +319,10 @@ def handle(
     """Route one fully-read request; never raises for expected errors.
 
     ``headers`` must support case-insensitive ``.get(name)``; ``body``
-    is the complete (already de-chunked) request body, or ``None`` for
-    bodyless methods.  Wire-level failures (bad Content-Length,
-    oversized body) are the transport's to detect — render them with
-    :func:`error_response` / :func:`body_too_large` so bodies stay
-    identical across implementations.
+    is the complete request body, or ``None`` for bodyless methods.
+    Wire-level failures (bad Content-Length, oversized body) are the
+    transport's to detect and render with :func:`error_response` /
+    :func:`body_too_large`.
     """
     if method == "GET":
         return _handle_get(service, target, headers)

@@ -575,34 +575,6 @@ def test_cli_text_format_still_default(tmp_path, capsys):
 # -------------------------------------------- refactor regression coverage
 
 
-def test_metrics_shim_preserves_identity():
-    import repro.metrics as new
-    import repro.serving.metrics as old
-
-    assert old.MetricsRegistry is new.MetricsRegistry
-    assert old.Counter is new.Counter
-    assert old.render_snapshot_text is new.render_snapshot_text
-
-
-def test_exponential_backoff_reexport_preserves_identity():
-    from repro.cluster.health import ExponentialBackoff as old
-    from repro.concurrency import ExponentialBackoff as new
-
-    assert old is new
-
-
-def test_superlative_keywords_reexport_preserves_identity():
-    from repro.candidates.heuristics import SUPERLATIVE_KEYWORDS as a
-    from repro.preprocessing.hints import SUPERLATIVE_KEYWORDS as b
-    from repro.preprocessing import SUPERLATIVE_KEYWORDS as c
-
-    assert a is b is c
-    from repro.candidates.heuristics import question_word_candidates
-
-    values = [v.value for v in question_word_candidates(["the", "oldest"])]
-    assert 1 in values
-
-
 def test_watcher_snapshots_table_names_containing_quotes(tmp_path):
     from repro.evolve.watcher import snapshot_connection
 

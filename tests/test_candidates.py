@@ -15,6 +15,7 @@ from repro.candidates import (
     gender_candidates,
     month_candidates,
     ordinal_candidates,
+    question_word_candidates,
 )
 from repro.index import InvertedIndex, SimilaritySearcher, ValueLocation
 from repro.ner.types import ExtractedValue, SpanKind
@@ -43,6 +44,10 @@ class TestCandidateHeuristics:
     def test_month_wildcards(self):
         values = {c.value for c in month_candidates(span("August", SpanKind.MONTH))}
         assert "%-08-%" in values and "8/%" in values
+
+    def test_superlative_word_yields_limit_one(self):
+        values = [c.value for c in question_word_candidates(["the", "oldest"])]
+        assert 1 in values
 
 
 class TestDedupe:

@@ -19,7 +19,8 @@ from repro.cluster import (
     WorkerStatus,
     protocol,
 )
-from repro.cluster.health import CircuitBreaker, ExponentialBackoff
+from repro.cluster.health import CircuitBreaker
+from repro.concurrency import ExponentialBackoff
 from repro.serving import QueueFullError, UnknownDatabaseError
 
 
@@ -125,12 +126,9 @@ class TestProtocol:
 
 
 class TestFrameConnection:
-    def _pair(self, **kwargs):
+    def _pair(self):
         left, right = socket.socketpair()
-        return (
-            protocol.FrameConnection(left, **kwargs),
-            protocol.FrameConnection(right),
-        )
+        return protocol.FrameConnection(left), protocol.FrameConnection(right)
 
     def test_json_round_trip(self):
         sender, receiver = self._pair()
@@ -145,49 +143,39 @@ class TestFrameConnection:
             sender.close()
             receiver.close()
 
-    def test_binary_fast_path_round_trips_large_fields(self):
-        sender, receiver = self._pair(binary=True)
+    def test_large_fields_round_trip(self):
+        sender, receiver = self._pair()
         try:
-            big_sql = 'SELECT "' + "x" * 4096 + '"'          # forces a blob
             frame = protocol.response_frame(
                 9,
                 {
-                    "sql": big_sql,
-                    "rows": [[1, "a"], [2, "b" * 2048]],
-                    "raw": b"\x00\x01\xff" * 500,
+                    "sql": 'SELECT "' + "x" * 4096 + '"',
+                    "rows": [[1, "a"], [2, "b\u00e9\n" * 512]],
                     "small": "inline",
                 },
             )
-            sender.send(frame)
-            got = receiver.recv()
-            # bytes fields come back as bytes, big strings as str — the
-            # fast path must be invisible to the application layer.
-            assert got["payload"]["sql"] == big_sql
-            assert got["payload"]["raw"] == b"\x00\x01\xff" * 500
-            assert got["payload"]["rows"][1][1] == "b" * 2048
-            assert got["payload"]["small"] == "inline"
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_binary_sender_without_large_fields_emits_plain_json(self):
-        sender, receiver = self._pair(binary=True)
-        try:
-            frame = protocol.ping_frame(4)
             sender.send(frame)
             assert receiver.recv() == frame
         finally:
             sender.close()
             receiver.close()
 
-    def test_reserved_blob_key_refused(self):
-        sender, receiver = self._pair(binary=True)
+    def test_non_json_payload_rejected(self):
+        # A payload that is not a JSON object (here: a leading NUL and
+        # binary junk) is a protocol error, never a decoded message.
+        left, right = socket.socketpair()
+        conn = protocol.FrameConnection(right)
         try:
+            body = b"\x00\x00\x00\x00\x02{}"
+            left.sendall(len(body).to_bytes(4, "big") + body)
             with pytest.raises(protocol.ProtocolError):
-                sender.send({"type": "x", "payload": {"\x00blob": [0, "s"]}})
+                conn.recv()
+            left.sendall(len(body).to_bytes(4, "big") + body)
+            with pytest.raises(protocol.ProtocolError):
+                protocol.recv_frame(right)
         finally:
-            sender.close()
-            receiver.close()
+            conn.close()
+            left.close()
 
     def test_dribbled_bytes_resume_across_timeouts(self):
         # The satellite regression: a reader interrupted mid-frame
@@ -225,11 +213,13 @@ class TestFrameConnection:
             left.close()
 
     def test_back_to_back_frames_reuse_the_buffer(self):
-        sender, receiver = self._pair(binary=True)
+        sender, receiver = self._pair()
         try:
+            # Sizes cycle 1 B .. 128 KiB: past the initial buffer, so the
+            # growth path runs and later small frames reuse the grown one.
             frames = [
-                protocol.response_frame(i, {"sql": "S" * (1 << (i % 12))})
-                for i in range(32)
+                protocol.response_frame(i, {"sql": "S" * (1 << (i % 18))})
+                for i in range(36)
             ]
             def pump():
                 for frame in frames:

@@ -3,13 +3,12 @@
 The per-request :class:`StepCache` replays the decoder's hot-loop math in
 raw numpy with memoized request constants; the contract is *bitwise*
 equality of every op output and therefore prediction-identical decoding.
-Three layers of evidence:
+Two layers of evidence:
 
 * op-level — a replayed action sequence where each step's hidden state,
   pointer scores and sketch log-probs are compared exactly,
 * sequence-level — greedy and beam decoding over every dev example of a
-  synthetic corpus, cached vs uncached,
-* wiring-level — ``ValueNetModel._decode_steps(use_cache=...)`` parity.
+  synthetic corpus, cached vs uncached.
 """
 
 from __future__ import annotations
@@ -197,22 +196,6 @@ class TestSequenceIdentityOnDevSet:
 
 
 class TestModelWiring:
-    @pytest.mark.parametrize("beam_size", [1, 3])
-    def test_decode_steps_use_cache_parity(self, model, pets_db, beam_size):
-        pre = Preprocessor(pets_db).run("List the students from France")
-        encoded = model.encode(pre, pets_db.schema)
-        column_to_table = [
-            None if column.is_star() else pets_db.schema.table_index(column.table)
-            for column in pets_db.schema.all_columns()
-        ]
-        cached = _outcome(lambda: model._decode_steps(
-            encoded, beam_size, column_to_table
-        ))
-        uncached = _outcome(lambda: model._decode_steps(
-            encoded, beam_size, column_to_table, use_cache=False
-        ))
-        assert cached == uncached
-
     def test_predict_defaults_to_cached_path(self, model, pets_db):
         pre = Preprocessor(pets_db).run("How many students are there?")
         tree = model.predict(pre, pets_db.schema, beam_size=1)

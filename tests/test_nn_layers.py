@@ -23,6 +23,7 @@ from repro.nn import (
     Tensor,
     TransformerEncoder,
     cross_entropy,
+    inference_mode,
     load_module,
     save_module,
     sinusoidal_positions,
@@ -98,6 +99,17 @@ class TestModuleSystem:
 
 
 class TestLayers:
+    def test_dropout_needs_training_flag_and_autograd(self):
+        layer = Dropout(0.5, np.random.default_rng(0))
+        x = Tensor(np.ones(64))
+        assert layer.training
+        assert not np.array_equal(layer(x).data, x.data)
+        with inference_mode():
+            # Thread-local: another thread's train() cannot switch it on.
+            assert layer(x) is x
+        layer.eval()
+        assert layer(x) is x
+
     def test_linear_shapes(self):
         layer = Linear(5, 7, RNG)
         assert layer(Tensor(np.ones(5))).shape == (7,)

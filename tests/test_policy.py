@@ -34,7 +34,7 @@ from repro.policy import (
     rule_catalog,
 )
 from repro.schema import Column, ColumnType, ForeignKey, Schema, Table
-from repro.serving.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry
 
 
 def rule_ids(engine, sql, schema=None, **kwargs):

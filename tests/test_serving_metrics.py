@@ -6,11 +6,11 @@ import threading
 
 import pytest
 
-from repro.serving import MetricsRegistry
-from repro.serving.metrics import (
+from repro.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsRegistry,
     merge_snapshots,
     quantile_from_snapshot,
     render_snapshot_text,

@@ -19,15 +19,19 @@ from collections import Counter
 
 import pytest
 
+from repro.config import ModelConfig
 from repro.errors import ModelError
+from repro.model import ValueNetModel, build_vocabulary
 from repro.pipeline.timing import StageTimings
 from repro.pipeline.valuenet import TranslationResult
 from repro.serving import (
     DatabaseRuntime,
     QueueFullError,
     ServeRequest,
+    TranslationCache,
     TranslationService,
 )
+from repro.spider import CorpusConfig, generate_corpus
 
 pytestmark = pytest.mark.stress
 
@@ -214,3 +218,54 @@ def test_stress_mixed_databases_no_cross_talk(pets_db):
                 # Heuristic-primary runtime: never degraded by chaos.
                 assert not response.degraded
                 assert response.ok, response.error
+
+
+def test_concurrent_answers_equal_sequential_answers():
+    # Every database's runtime shares one model object, in training mode
+    # with dropout on (what ``ValueNetModel.load`` hands the server).
+    # Inference must not depend on that shared flag: four clients at once
+    # get, byte for byte, the SQL a single sequential client gets.
+    corpus = generate_corpus(CorpusConfig(train_per_domain=4, dev_per_domain=6))
+    try:
+        vocab = build_vocabulary(
+            [e.question for e in corpus.train],
+            [corpus.schema(d) for d in corpus.train_domains],
+            [str(v) for e in corpus.train for v in e.values],
+            vocab_size=600,
+        )
+        model = ValueNetModel(vocab, ModelConfig(
+            dim=32, num_layers=1, num_heads=2, ff_dim=48, summary_hidden=16,
+            decoder_hidden=32, pointer_hidden=24, dropout=0.3, word_dropout=0.3,
+        ))
+        assert model.training
+        runtimes = [
+            DatabaseRuntime(corpus.database(domain), model, database_id=domain)
+            for domain in corpus.dev_domains
+        ]
+
+        def run(service, out):
+            for example in corpus.dev:
+                response = service.translate(example.question, example.db_id)
+                out.append((response.engine, response.sql, response.error))
+
+        def serve(clients):
+            # ttl 0: every lookup misses, so each answer is freshly computed.
+            outs: list[list] = [[] for _ in range(clients)]
+            with TranslationService(
+                runtimes, workers=clients, cache=TranslationCache(ttl_s=0.0)
+            ) as service:
+                threads = [
+                    threading.Thread(target=run, args=(service, out)) for out in outs
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300.0)
+            return outs
+
+        [sequential] = serve(1)
+        assert sum(e == "model" for e, _, _ in sequential) >= len(corpus.dev) // 2
+        for out in serve(4):
+            assert out == sequential
+    finally:
+        corpus.close()

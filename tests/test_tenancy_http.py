@@ -17,12 +17,8 @@ import urllib.request
 
 import pytest
 
-from repro.serving import (
-    DatabaseRuntime,
-    MetricsRegistry,
-    ServingServer,
-    TranslationService,
-)
+from repro.metrics import MetricsRegistry
+from repro.serving import DatabaseRuntime, ServingServer, TranslationService
 from repro.tenancy import QuotaLedger, TenancyController, TenantRegistry
 
 ACME_KEY = "acme-secret-key-0001"
