@@ -116,8 +116,9 @@ def main() -> int:
                 DatabaseRuntime(locked_db, database_id="locked", policy=engine),
             ],
             workers=2,
-            policy=engine,
         ).start()
+        # After the corpus check above, so /metrics counts served blocks only.
+        engine.bind_metrics(service.metrics)
         server = ServingServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

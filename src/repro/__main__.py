@@ -365,7 +365,6 @@ def _serve_single(args, pairs, server, shutdown) -> int:
         ready=False,
         metrics=metrics,
         tenancy=tenancy,
-        policy=policy,
     )
     service.start()
     server.attach(service)
@@ -567,8 +566,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--policy", default=None, metavar="JSON",
-        help="SQL policy config file (enables the defense-in-depth policy "
-             "engine: blocked keywords, read-only enforcement, join "
+        help="SQL policy config file (enables the policy gate: "
+             "blocked keywords, read-only enforcement, join "
              "sanity, cost bounds; see docs/policy.md)",
     )
     serve.add_argument(

@@ -24,7 +24,15 @@ established idioms:
 
        self._backward = backward if self.requires_grad else None
 
-Scope: files under ``repro/nn/`` only.
+Scope of the closure check: files under ``repro/nn/`` only.
+
+The rule also keeps inference mode-free: a zero-argument ``.train()`` /
+``.eval()`` call flips the ``training`` bit of a model that serving
+threads share, so one request's flip lands in the middle of another's
+forward pass.  Stochastic layers already key off
+``training and is_grad_enabled()``; the only legitimate flips are the
+trainer's and ``Module``'s own recursion, so such a call anywhere else in
+the tree is a violation.
 """
 
 from __future__ import annotations
@@ -68,19 +76,48 @@ def _guarded_by_enclosing_if(ctx: FileContext, assign: ast.Assign) -> bool:
     return False
 
 
+#: The only files that may flip a module's train/eval mode.
+_MODE_FLIP_ALLOWED = {"repro/model/training.py", "repro/nn/layers.py"}
+
+
+def _is_mode_flip(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("train", "eval")
+        and not node.args
+        and not node.keywords
+    )
+
+
 class GradSafeRule(Rule):
     name = "GRAD-SAFE"
     description = (
         "every repro.nn op that allocates a backward closure must gate "
-        "on the thread-local grad flag (`requires_grad`)"
+        "on the thread-local grad flag (`requires_grad`), and only the "
+        "trainer may flip a module's train/eval mode"
     )
 
     def check_file(self, ctx: FileContext) -> list[Violation]:
-        if not ctx.logical_path.startswith("repro/nn/"):
-            return []
+        in_nn = ctx.logical_path.startswith("repro/nn/")
+        flips_allowed = ctx.logical_path in _MODE_FLIP_ALLOWED
         violations: list[Violation] = []
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Assign):
+            if not flips_allowed and _is_mode_flip(node):
+                violations.append(
+                    Violation(
+                        rule=self.name,
+                        path=ctx.logical_path,
+                        line=node.lineno,
+                        message=(
+                            f"`.{node.func.attr}()` flips the shared model's "
+                            "mode outside the trainer — inference must stay "
+                            "mode-free"
+                        ),
+                        source_line=ctx.source_line(node.lineno),
+                    )
+                )
+            if not in_nn or not isinstance(node, ast.Assign):
                 continue
             if not any(
                 isinstance(t, ast.Attribute) and t.attr == "_backward"

@@ -36,6 +36,7 @@ from repro.cluster import protocol
 from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.index.registry import IndexRegistry, set_default_registry
+from repro.metrics import MetricsRegistry
 from repro.serving.cache import TranslationCache
 from repro.serving.runtime import DatabaseRuntime
 from repro.serving.service import (
@@ -96,11 +97,14 @@ class WorkerProcess:
             from repro.model import ValueNetModel
 
             self.model = ValueNetModel.load(spec.model_path)
+        self.metrics = MetricsRegistry()  # the service's; policy blocks land here too
         self.policy = None
         if spec.policy_path is not None:
             from repro.policy import PolicyConfigStore, PolicyEngine
 
-            self.policy = PolicyEngine(PolicyConfigStore.load(spec.policy_path))
+            self.policy = PolicyEngine(
+                PolicyConfigStore.load(spec.policy_path), metrics=self.metrics
+            )
         self.service: TranslationService | None = None
         self.refresher = None  # started in warm_and_start when configured
         self._pool = ThreadPoolExecutor(
@@ -135,7 +139,7 @@ class WorkerProcess:
             allow_failure_injection=self.spec.allow_failure_injection,
             ready=False,
             allow_empty=True,  # an empty shard adopts databases on failover
-            policy=self.policy,
+            metrics=self.metrics,
         )
         self.service.start()
         self.service.mark_ready()

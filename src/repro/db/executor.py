@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.db.database import Database
@@ -29,7 +30,7 @@ def reject_multi_statement(sql: str) -> None:
     """Raise :class:`MultiStatementError` if ``sql`` holds >1 statement.
 
     The executor runs *generated* SQL, so this is the last line of
-    defense even when the policy layer is disabled or bypassed: a
+    defense even when no policy is configured: a
     statement separator outside quotes followed by anything non-blank
     (``SELECT ...; DROP TABLE ...``) is rejected outright.  A single
     trailing ``;`` is legal.  Quote-aware via :func:`_skip_quoted`, so
@@ -60,8 +61,7 @@ def execute_with_budget(
     *,
     timeout_s: float | None = None,
     max_rows: int | None = 10_000,
-    policy=None,
-    tenant_id: str | None = None,
+    check_sql: Callable[[str], None] | None = None,
 ) -> list[tuple]:
     """Execute ``sql`` under a wall-clock budget and a result-row cap.
 
@@ -79,19 +79,15 @@ def execute_with_budget(
     plain capped execute.  Multi-statement strings are always rejected
     (see :func:`reject_multi_statement`) — sqlite3 would silently run
     only the first statement, which hides injection attempts instead of
-    surfacing them.  An optional ``policy``
-    (:class:`~repro.policy.engine.PolicyEngine`) runs as the final
-    safe-execute gate right here, with whatever ``tenant_id`` context
-    the caller has.
+    surfacing them.  ``check_sql`` is the caller's policy check, already
+    bound to its routing database id and the requester's tenant
+    (:meth:`repro.serving.runtime.DatabaseRuntime.check_sql`); it runs
+    right here, between the multi-statement rejection and the database,
+    and blocks by raising.
     """
     reject_multi_statement(sql)
-    if policy is not None:
-        policy.check_sql(
-            sql,
-            database_id=database.schema.name,
-            tenant_id=tenant_id,
-            schema=database.schema,
-        )
+    if check_sql is not None:
+        check_sql(sql)
     if timeout_s is None or timeout_s <= 0:
         return database.execute(sql, max_rows=max_rows)
     connection = database.connection  # per-thread; interrupt targets it only

@@ -62,7 +62,6 @@ class _BasePipeline:
         beam_size: int = 1,
         execution_timeout_s: float | None = None,
         execution_max_rows: int | None = 100_000,
-        policy=None,
     ):
         self.model = model
         self.database = database
@@ -70,12 +69,9 @@ class _BasePipeline:
         self.builder = SqlBuilder(database.schema)
         self.beam_size = beam_size
         # Wall-clock budget + row cap for executing *generated* SQL
-        # (None timeout disables the interrupt timer).  The optional
-        # policy engine validates the SQL between synthesis and
-        # execution (see repro.policy).
+        # (None timeout disables the interrupt timer).
         self.execution_timeout_s = execution_timeout_s
         self.execution_max_rows = execution_max_rows
-        self.policy = policy
 
     def _preprocess(self, question: str, timings: StageTimings, **kwargs):
         raise NotImplementedError
@@ -212,7 +208,6 @@ class _BasePipeline:
 
         if execute:
             from repro.db.executor import execute_with_budget
-            from repro.policy.engine import PolicyViolationError
 
             start = time.perf_counter()
             try:
@@ -221,10 +216,7 @@ class _BasePipeline:
                     result.sql,
                     timeout_s=self.execution_timeout_s,
                     max_rows=self.execution_max_rows,
-                    policy=self.policy,
                 )
-            except PolicyViolationError as exc:
-                result.error = str(exc)
             except ExecutionError as exc:
                 result.error = f"execution failed: {exc}"
             timings.execution = time.perf_counter() - start

@@ -1,10 +1,11 @@
-"""Defense-in-depth SQL policy engine.
+"""SQL policy engine.
 
 An AST-level validator that runs between synthesis and execution: a rule
 registry (blocked keywords, multi-statement, read-only enforcement, join
 sanity, LIMIT and subquery-depth cost policies) with per-database and
-per-tenant config overrides.  See ``docs/policy.md`` for the rule catalog
-and the config format.
+per-tenant config overrides.  Serving consults it through one gate,
+:class:`repro.serving.runtime.DatabaseRuntime`.  See ``docs/policy.md``
+for the gate, the rule catalog and the config format.
 """
 
 from repro.policy.config import (

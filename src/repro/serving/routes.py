@@ -255,7 +255,8 @@ def _handle_translate(service, headers, body: bytes) -> Response:
         return error_response(400, f"bad request parameters: {exc}")
     if getattr(response, "policy", None) is not None:
         # Policy-blocked: a structured 4xx carrying the machine-readable
-        # rule id(s); the query was NOT executed.
+        # rule id(s).  The runtime's gate checks before it executes, so
+        # the blocked statement never reached the database.
         body_payload = response.as_dict()
         body_payload["reason"] = "policy"
         body_payload["rule_id"] = response.policy.get("rule_id")

@@ -9,20 +9,30 @@ built once and read concurrently), the neural
 the :class:`~repro.baselines.heuristic.HeuristicBaseline` used both as the
 primary engine in model-free deployments and as the degraded fallback.
 
-The neural model mutates shared state during prediction (train/eval
-flags, per-step decoder caches), so translate calls are serialized per
-runtime with a lock; different databases still run fully in parallel, and
-cache hits never take the lock.
+Inference is mode-free, so the model itself is safe to share; what a
+translate call does mutate is the pipeline's per-call beam override and
+the fallback engine's per-translate state, so translate calls are
+serialized per runtime with a lock.  Different databases still run fully
+in parallel, and cache hits never take the lock.
+
+The runtime is also the serving stack's one SQL gate.  It is the only
+holder of the :class:`~repro.policy.engine.PolicyEngine` and the only
+thing that executes: :meth:`DatabaseRuntime.execute_sql` (check, then
+run under the budget) and :meth:`DatabaseRuntime.check_sql` (check only,
+for ``execute=false`` answers) both resolve the policy config from the
+runtime's routing ``database_id`` plus the requester's tenant.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.baselines.heuristic import HeuristicBaseline
 from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.db.executor import execute_with_budget
+from repro.errors import ReproError
 from repro.model.valuenet import ValueNetModel
 from repro.pipeline.valuenet import TranslationResult, ValueNetPipeline
 from repro.preprocessing.pipeline import Preprocessor
@@ -53,11 +63,9 @@ class DatabaseRuntime:
             via ``sqlite3.Connection.interrupt`` so a pathological query
             cannot wedge a worker.
         execution_max_rows: result-row cap for executed queries.
-        policy: optional :class:`~repro.policy.engine.PolicyEngine`
-            enforced as the final safe-execute gate in
-            :meth:`execute_sql` (the service also checks earlier, with
-            tenant context — this layer catches anything that bypasses
-            it).
+        policy: optional :class:`~repro.policy.engine.PolicyEngine`;
+            :meth:`check_sql` and :meth:`execute_sql` are its only
+            callers in serving.
         dialect: default SQL dialect for responses from this database
             (requests may override per call).
     """
@@ -92,9 +100,6 @@ class DatabaseRuntime:
                 database,
                 preprocessor=self.preprocessor,
                 beam_size=beam_size,
-                execution_timeout_s=execution_timeout_s,
-                execution_max_rows=execution_max_rows,
-                policy=policy,
             )
         else:
             self.pipeline = None
@@ -130,6 +135,8 @@ class DatabaseRuntime:
 
         ``beam_size`` overrides the pipeline's configured beam for this
         call; the per-runtime lock makes the temporary override safe.
+        ``execute`` runs the SQL through :meth:`execute_sql`, never
+        inside the pipeline.
         """
         if self.pipeline is None:
             raise RuntimeError(f"runtime {self.database_id!r} has no model")
@@ -138,25 +145,24 @@ class DatabaseRuntime:
             if beam_size is not None:
                 self.pipeline.beam_size = beam_size
             try:
-                return self.pipeline.translate(question, execute=execute)
+                result = self.pipeline.translate(question)
             finally:
                 self.pipeline.beam_size = configured
+        if execute:
+            self._execute_into(result)
+        return result
 
     def translate_batch(
         self,
         questions: list[str],
         *,
-        execute: bool | list[bool] = False,
         beam_size: int | None = None,
         encode_observer=None,
     ) -> list[TranslationResult]:
         """Translate a micro-batch with one fused encoder pass.
 
-        Same contract as :meth:`translate` per question; ``execute`` may
-        be one flag per question since micro-batches group requests by
-        database and beam size only.  Pipelines without a
-        ``translate_batch`` method (e.g. test fakes) fall back to
-        sequential translate calls.
+        Translation only: the service passes each answer's SQL through
+        the gate itself, with that request's tenant.
         """
         if self.pipeline is None:
             raise RuntimeError(f"runtime {self.database_id!r} has no model")
@@ -165,20 +171,9 @@ class DatabaseRuntime:
             if beam_size is not None:
                 self.pipeline.beam_size = beam_size
             try:
-                batched = getattr(self.pipeline, "translate_batch", None)
-                if batched is not None:
-                    return batched(
-                        questions, execute=execute, encode_observer=encode_observer
-                    )
-                flags = (
-                    [bool(f) for f in execute]
-                    if isinstance(execute, (list, tuple))
-                    else [bool(execute)] * len(questions)
+                return self.pipeline.translate_batch(
+                    questions, encode_observer=encode_observer
                 )
-                return [
-                    self.pipeline.translate(question, execute=flag)
-                    for question, flag in zip(questions, flags)
-                ]
             finally:
                 self.pipeline.beam_size = configured
 
@@ -221,20 +216,33 @@ class DatabaseRuntime:
             self._graph = SchemaGraph(self.database.schema)
         return self._graph
 
-    def execute_sql(self, sql: str, *, tenant_id: str | None = None) -> list[tuple]:
-        """Execute generated SQL under the runtime's budget and row cap.
+    def check_sql(self, sql: str, *, tenant_id: str | None = None) -> None:
+        """The gate's check-only entry: raise
+        :class:`~repro.policy.engine.PolicyViolationError` when the
+        policy resolved for (routing id, ``tenant_id``) blocks ``sql``.
+        """
+        if self.policy is not None:
+            self.policy.check_sql(
+                sql,
+                database_id=self.database_id,
+                tenant_id=tenant_id,
+                schema=self.database.schema,
+                graph=self.schema_graph,
+            )
 
-        With a policy engine attached this is the final safe-execute
-        gate: the SQL is re-validated (with whatever tenant context the
-        caller has) immediately before it reaches the database.
+    def execute_sql(self, sql: str, *, tenant_id: str | None = None) -> list[tuple]:
+        """The gate's execute entry: :meth:`check_sql` for this tenant,
+        then run under the runtime's budget and row cap.
+
+        The executor rejects multi-statement strings before the check
+        and whether or not a policy is configured.
         """
         return execute_with_budget(
             self.database,
             sql,
             timeout_s=self.execution_timeout_s,
             max_rows=self.execution_max_rows,
-            policy=self.policy,
-            tenant_id=tenant_id,
+            check_sql=partial(self.check_sql, tenant_id=tenant_id),
         )
 
     def translate_fallback(
@@ -243,11 +251,19 @@ class DatabaseRuntime:
         """Run the rule-based fallback engine."""
         with self._lock:
             result = self.fallback.translate(question)
-        if execute and result.sql is not None and result.error is None:
-            start = time.perf_counter()
-            try:
-                result.rows = self.execute_sql(result.sql)
-            except Exception as exc:  # justified: result.error carries the failure to the caller
-                result.error = f"execution failed: {exc}"
-            result.timings.execution = time.perf_counter() - start
+        if execute:
+            self._execute_into(result)
         return result
+
+    def _execute_into(self, result: TranslationResult) -> None:
+        """Serve ``execute=True`` for the direct (tenant-less) translate
+        entries: run ``result.sql`` through :meth:`execute_sql` and fold
+        rows, failure and the execution timing into ``result``."""
+        if result.sql is None or result.error is not None:
+            return
+        start = time.perf_counter()
+        try:
+            result.rows = self.execute_sql(result.sql)
+        except ReproError as exc:
+            result.error = f"execution failed: {exc}"
+        result.timings.execution = time.perf_counter() - start

@@ -7,14 +7,17 @@ Request lifecycle::
     ``max_batch`` and ``batch_window_ms``) -> per request: cache lookup /
     triage -> ONE batched neural pipeline call for the whole micro-batch
     (fused encoder pass, per-request decode) -> on failure or deadline
-    breach, heuristic fallback tagged ``degraded`` -> response event set.
+    breach, heuristic fallback tagged ``degraded`` -> every answer (model,
+    heuristic, cached) through the runtime's SQL gate -> response event set.
 
 Deadline policy: a request that is already past its deadline when a
 worker picks it up skips the model entirely and is answered by the
 heuristic fallback (reason ``deadline``); a model answer that completes
 *after* the deadline is still returned (the work is already paid for) but
 tagged degraded with reason ``late``.  Model exceptions and translation
-errors fall back with reason ``model_error``.  Failure injection
+errors — including model SQL the gate allows but SQLite cannot run — fall
+back with reason ``model_error``; a policy block is final for the request
+and never falls back.  Failure injection
 (``inject_failure=True`` on a request, honored only when the service was
 built with ``allow_failure_injection``) exercises the same path for load
 tests and chaos checks.
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.concurrency import make_lock
-from repro.errors import ReproError, TranslationError
+from repro.errors import ExecutionError, ReproError, TranslationError
 from repro.pipeline.timing import STAGES
 from repro.pipeline.valuenet import TranslationResult
 from repro.policy.engine import PolicyViolationError
@@ -186,18 +189,11 @@ class TranslationService:
             the HTTP front-end consults for auth/rate/quota admission
             and the ``/tenants`` endpoints.  The service itself only
             schedules by tenant; enforcement happens at the front door.
-        policy: optional :class:`~repro.policy.engine.PolicyEngine`.
-            Every response's SQL (model, fallback, or cached) is
-            validated with the request's tenant context before it is
-            returned or executed; violations produce a structured
-            ``policy`` payload (HTTP maps it to 403) and increment the
-            tenant-labeled ``policy_blocked_total`` counter.
         max_batch: micro-batch cap per worker dequeue.
         batch_window_ms: how long a worker waits to fill a batch after
             its first request.
-        cache: result cache (one is created when omitted; pass ``None``
-            explicitly via ``cache_capacity=0`` semantics is not
-            supported — use a tiny TTL instead).
+        cache: result cache (one is created when omitted).  Caching
+            cannot be switched off; pass a cache with a tiny TTL instead.
         default_timeout_ms: deadline applied when a request has none.
         metrics: registry to record into (created when omitted).
         allow_failure_injection: honor per-request ``inject_failure``
@@ -228,7 +224,6 @@ class TranslationService:
         ready: bool = True,
         allow_empty: bool = False,
         tenancy=None,
-        policy=None,
     ):
         if not runtimes and not allow_empty:
             raise ValueError("need at least one DatabaseRuntime")
@@ -245,9 +240,6 @@ class TranslationService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.allow_failure_injection = allow_failure_injection
         self.tenancy = tenancy
-        self.policy = policy
-        if policy is not None:
-            policy.bind_metrics(self.metrics)
         self._queue = FairQueue(
             maxsize=queue_size, per_lane_limit=per_tenant_depth
         )
@@ -332,7 +324,7 @@ class TranslationService:
             "batched model calls that raised (answered by fallback)")
         self._execution_errors = m.counter(
             "serving_execution_errors_total",
-            "SQL executions of cached answers that failed")
+            "allowed SQL that failed to execute (model, heuristic or cached)")
 
     def _attach_value_search_observers(self) -> None:
         """Subscribe to every runtime's shared searcher.
@@ -344,11 +336,8 @@ class TranslationService:
         with self._runtime_lock:
             seen: set[int] = set()
             for runtime in self.runtimes.values():
-                try:
-                    searcher = runtime.searcher
-                except AttributeError:  # test fakes without a preprocessor
-                    continue
-                if searcher is None or id(searcher) in seen:
+                searcher = runtime.searcher
+                if id(searcher) in seen:
                     continue
                 seen.add(id(searcher))
                 searcher.add_observer(self._on_value_search)
@@ -439,8 +428,8 @@ class TranslationService:
             # Observer wiring shares the critical section: two concurrent
             # adoptions of runtimes sharing a searcher must not
             # double-subscribe it (that would double-count every search).
-            searcher = getattr(runtime, "searcher", None)
-            if searcher is not None and all(
+            searcher = runtime.searcher
+            if all(
                 searcher is not observed for observed in self._observed_searchers
             ):
                 searcher.add_observer(self._on_value_search)
@@ -457,15 +446,10 @@ class TranslationService:
         """
         with self._runtime_lock:
             runtime = self.runtimes.get(database_id)
-        adopt = getattr(runtime, "adopt_index", None)
-        if adopt is None:  # unknown database, or a test fake
+        if runtime is None:
             return False
-        old_searcher = adopt(entry, schema=schema)
-        invalidate = getattr(self.cache, "invalidate_database", None)
-        if invalidate is not None:
-            invalidate(database_id)
-        else:  # duck-typed cache fakes only expose clear()
-            self.cache.clear()
+        old_searcher = runtime.adopt_index(entry, schema=schema)
+        self.cache.invalidate_database(database_id)
         with self._runtime_lock:
             if any(s is old_searcher for s in self._observed_searchers):
                 self._observed_searchers = [
@@ -524,7 +508,7 @@ class TranslationService:
             )
         runtime = self.runtimes[database_id]
         if dialect is None:
-            dialect = getattr(runtime, "dialect", None)
+            dialect = runtime.dialect
         try:
             dialect_name = get_dialect(dialect).name
         except TranslationError as exc:
@@ -678,22 +662,11 @@ class TranslationService:
             cached = self.cache.get(key)
             if cached is not None:
                 self._cache_hits.inc()
-                response.sql = cached["sql"]
-                response.timings = dict(cached["timings"])
                 response.engine = "cache"
                 response.cache_hit = True
-                # Policy configs differ per tenant, so a cached answer is
-                # re-checked with THIS request's tenant context (on the
-                # canonical SQLite form, which the AST rules parse).
-                execute_sql = cached.get("execute_sql", cached["sql"])
-                blocked = self._check_policy(runtime, request, response, execute_sql)
-                if not blocked and request.execute:
-                    self._execute_rows(
-                        runtime,
-                        response,
-                        sql=execute_sql,
-                        tenant_id=request.tenant_id,
-                    )
+                # Policy configs differ per tenant, so the cached canonical
+                # SQL passes the gate again for THIS request's tenant.
+                self._answer(runtime, request, response, cached)
                 response.service_ms = 1000.0 * (time.monotonic() - picked_up)
                 self._record(response)
                 request.resolve(response)
@@ -717,7 +690,6 @@ class TranslationService:
             try:
                 results = runtime.translate_batch(
                     [entry.request.question for entry in model_entries],
-                    execute=[entry.request.execute for entry in model_entries],
                     beam_size=batch[0].beam_size,
                     encode_observer=self._observe_encode,
                 )
@@ -759,36 +731,17 @@ class TranslationService:
     ) -> None:
         request, response = entry.request, entry.response
         result = entry.result
-        if result is None and not response.degraded and not runtime.has_model:
-            # No model configured: the heuristic IS the primary engine.
-            result = runtime.translate_fallback(
-                request.question, execute=request.execute
-            )
+        if result is not None and not self._answer(runtime, request, response, result):
+            # The gate allowed the model's SQL but SQLite could not run
+            # it: same outcome as a model that produced no SQL.
+            response.degraded = True
+            response.degraded_reason = "model_error"
+        if result is None or response.degraded:
+            # Degraded, or no model configured (the heuristic IS the
+            # primary engine); its outcome supersedes the model's.
             response.engine = "heuristic"
-
-        if response.degraded:
-            result = runtime.translate_fallback(
-                request.question, execute=request.execute
-            )
-            response.engine = "heuristic"
-            response.error = result.error  # fallback outcome supersedes
-
-        assert result is not None
-        response.sql = result.sql
-        response.rows = result.rows
-        if result.error is not None:
-            response.error = result.error
-        response.timings = result.timings.as_dict()
-
-        # Policy runs on the canonical SQLite form (what would execute);
-        # only a clean query is re-rendered into the requested dialect.
-        sqlite_sql = response.sql
-        if self._check_policy(runtime, request, response, sqlite_sql):
-            response.rows = None  # discard anything executed upstream
-        elif request.dialect != DEFAULT_DIALECT and sqlite_sql is not None:
-            response.sql = self._render_for_dialect(
-                runtime, request, response, sqlite_sql
-            )
+            result = runtime.translate_fallback(request.question)
+            self._answer(runtime, request, response, result)
 
         finished = time.monotonic()
         if (
@@ -802,111 +755,64 @@ class TranslationService:
         response.service_ms = 1000.0 * (finished - picked_up)
 
         if response.ok and not response.degraded:
+            # Only the canonical SQL and the stage timings: a later hit
+            # passes them through the same tail as this answer.
             self.cache.put(
                 entry.key,
-                {
-                    "sql": response.sql,
-                    # Canonical form for re-execution and policy re-checks
-                    # on later cache hits (== sql for the SQLite dialect).
-                    "execute_sql": sqlite_sql,
-                    "timings": response.timings,
-                },
+                TranslationResult(request.question, result.sql, timings=result.timings),
             )
 
-    def _check_policy(
+    def _answer(
         self,
         runtime: DatabaseRuntime,
         request: ServeRequest,
         response: ServeResponse,
-        sql: str | None,
+        result: TranslationResult,
     ) -> bool:
-        """Validate ``sql`` for this request's tenant; True when blocked.
+        """The one tail of every answer — model, heuristic or cached.
 
-        A blocked response carries the structured violations in
-        ``response.policy`` (the HTTP layer maps it to a 403 with the
-        machine-readable rule id) and the engine counts it in the
-        tenant-labeled ``policy_blocked_total`` metric.
+        Canonical SQLite SQL -> the runtime's gate with the requester's
+        tenant (it executes when the request asked for rows) -> dialect
+        re-render of a clean answer.  A policy block is final: the
+        response carries the structured violations (HTTP maps them to a
+        403) and nothing ran.  Returns False only when allowed SQL
+        failed to execute, so the caller can decide whether to degrade.
         """
-        if self.policy is None or sql is None:
-            return False
-        database = getattr(runtime, "database", None)  # test fakes lack it
+        response.sql = sql = result.sql
+        response.error = result.error
+        response.timings = result.timings.as_dict()
+        if sql is None:
+            return True
         try:
-            self.policy.check_sql(
-                sql,
-                database_id=request.database_id,
-                tenant_id=request.tenant_id,
-                schema=database.schema if database is not None else None,
-                graph=getattr(runtime, "schema_graph", None),
-            )
+            if request.execute:
+                start = time.perf_counter()
+                try:
+                    response.rows = runtime.execute_sql(
+                        sql, tenant_id=request.tenant_id
+                    )
+                finally:
+                    response.timings["execution"] = time.perf_counter() - start
+            else:
+                runtime.check_sql(sql, tenant_id=request.tenant_id)
         except PolicyViolationError as exc:
             response.policy = exc.as_dict()
             response.error = str(exc)
             return True
-        return False
-
-    def _render_for_dialect(
-        self,
-        runtime: DatabaseRuntime,
-        request: ServeRequest,
-        response: ServeResponse,
-        sqlite_sql: str,
-    ) -> str | None:
-        """Re-render canonical SQLite SQL into the requested dialect.
-
-        Returns the rendered SQL, or ``None`` with ``response.error`` set
-        when the generated SQL cannot be re-parsed (outside our subset).
-        """
-        database = getattr(runtime, "database", None)
-        graph = getattr(runtime, "schema_graph", None)
-        if database is None or graph is None:
-            response.error = (
-                f"dialect {request.dialect!r} unavailable: runtime has no schema"
-            )
-            return None
-        from repro.sql.parser import parse_sql
-        from repro.sql.render import render_sql
-
-        try:
-            query = parse_sql(sqlite_sql, database.schema)
-            return render_sql(query, graph, request.dialect)
-        except ReproError as exc:
-            response.error = f"dialect rendering failed: {exc}"
-            return None
-
-    def _execute_rows(
-        self,
-        runtime: DatabaseRuntime,
-        response: ServeResponse,
-        *,
-        sql: str | None = None,
-        tenant_id: str | None = None,
-    ) -> None:
-        target = sql if sql is not None else response.sql
-        try:
-            if isinstance(runtime, DatabaseRuntime):
-                response.rows = runtime.execute_sql(target, tenant_id=tenant_id)
-                return
-            execute = getattr(runtime, "execute_sql", None)  # test fakes lack it
-            if execute is not None:
-                response.rows = execute(target)
-            else:
-                # Even the fake-runtime path goes through the budgeted
-                # executor: it is the one gate that unconditionally
-                # rejects multi-statement strings, and TAINT-SQL forbids
-                # handing generated SQL straight to the database.
-                from repro.db.executor import execute_with_budget
-
-                response.rows = execute_with_budget(
-                    runtime.database, target, timeout_s=None
-                )
-        except PolicyViolationError as exc:
-            # The runtime-level final gate fired (only reachable when the
-            # service itself has no engine but the runtime does).
-            response.policy = exc.as_dict()
-            response.error = str(exc)
-        except Exception as exc:
+        except ExecutionError as exc:
             self._execution_errors.inc()
             response.error = f"execution failed: {exc}"
+            return False
+        if request.dialect != DEFAULT_DIALECT:
+            from repro.sql.parser import parse_sql
+            from repro.sql.render import render_sql
+
+            try:
+                query = parse_sql(sql, runtime.database.schema)
+                response.sql = render_sql(query, runtime.schema_graph, request.dialect)
+            except ReproError as exc:  # generated SQL outside our subset
+                response.sql = None
+                response.error = f"dialect rendering failed: {exc}"
+        return True
 
     # ------------------------------------------------------------ recording
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_paths
 from repro.analysis.baseline import (
     Baseline,
@@ -233,6 +235,21 @@ def attach(out, backward):
     out._backward = backward
 """)
     assert "GRAD-SAFE" not in rules_fired(result)
+
+
+@pytest.mark.parametrize("relpath, fires", [
+    ("model/decoder.py", True),
+    ("serving/runtime.py", True),
+    ("model/training.py", False),
+    ("nn/layers.py", False),
+])
+def test_grad_safe_flags_mode_flips_outside_the_trainer(tmp_path, relpath, fires):
+    result = check_snippet(tmp_path, relpath, """\
+def run(model, trainer, samples):
+    trainer.train(samples)  # has arguments: not a mode flip
+    model.eval()
+""")
+    assert ("GRAD-SAFE" in rules_fired(result)) == fires
 
 
 # ------------------------------------------------------------ METRICS-REG

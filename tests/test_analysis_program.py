@@ -15,7 +15,6 @@ import json
 import shutil
 import sqlite3
 import time
-import types
 from pathlib import Path
 
 from repro.analysis import analyze_paths
@@ -456,13 +455,8 @@ def test_mutation_removing_policy_gate_from_executor_fails_taint(tmp_path):
     root = _mutated_copy(
         tmp_path,
         "db/executor.py",
-        """    if policy is not None:
-        policy.check_sql(
-            sql,
-            database_id=database.schema.name,
-            tenant_id=tenant_id,
-            schema=database.schema,
-        )
+        """    if check_sql is not None:
+        check_sql(sql)
 """,
         "",
     )
@@ -476,14 +470,28 @@ def test_mutation_bypassing_executor_in_service_fails_taint(tmp_path):
     root = _mutated_copy(
         tmp_path,
         "serving/service.py",
-        """                response.rows = execute_with_budget(
-                    runtime.database, target, timeout_s=None
-                )""",
-        "                response.rows = runtime.database.execute(target)",
+        """                    response.rows = runtime.execute_sql(
+                        sql, tenant_id=request.tenant_id
+                    )""",
+        "                    response.rows = runtime.database.execute(sql)",
     )
     result = analyze_paths([root])
     violations = fired(result, "TAINT-SQL")
     assert any(v.path == "repro/serving/service.py" for v in violations)
+
+
+def test_mutation_reinserting_eval_into_decode_fails_grad_safe(tmp_path):
+    root = _mutated_copy(
+        tmp_path,
+        "model/decoder.py",
+        "        ops = cache if cache is not None else ReferenceOps(self, encoded)\n"
+        "        state = ops.initial_state()\n",
+        "        self.eval()\n"
+        "        ops = cache if cache is not None else ReferenceOps(self, encoded)\n"
+        "        state = ops.initial_state()\n",
+    )
+    result = analyze_paths([root])
+    assert [v.path for v in fired(result, "GRAD-SAFE")] == ["repro/model/decoder.py"]
 
 
 def test_real_tree_has_no_whole_program_findings():
@@ -585,29 +593,3 @@ def test_watcher_snapshots_table_names_containing_quotes(tmp_path):
     [table] = snapshot.tables
     assert table.name == 'we"ird'
     assert table.row_count == 1
-
-
-def test_service_fake_runtime_path_goes_through_budgeted_executor():
-    from repro.db.database import Database
-    from repro.schema.model import Schema
-    from repro.serving.service import TranslationService
-
-    schema = Schema(name="t", tables=())
-    database = Database.create(schema)
-    runtime = types.SimpleNamespace(database=database)
-    service = types.SimpleNamespace(
-        _execution_errors=types.SimpleNamespace(inc=lambda: None)
-    )
-    response = types.SimpleNamespace(rows=None, error=None, policy=None)
-    TranslationService._execute_rows(
-        service, runtime, response, sql="SELECT 1"
-    )
-    assert response.rows == [(1,)]
-    assert response.error is None
-
-    response = types.SimpleNamespace(rows=None, error=None, policy=None)
-    TranslationService._execute_rows(
-        service, runtime, response, sql="SELECT 1; DROP TABLE x"
-    )
-    assert response.rows is None
-    assert "multiple statements" in response.error

@@ -1,4 +1,4 @@
-"""Tests for the defense-in-depth SQL policy engine.
+"""Tests for the SQL policy engine.
 
 Every rule in the registry gets a *fire* case and a *quiet twin*: a
 statement that trips the rule, and the closest legitimate statement that
@@ -425,14 +425,14 @@ class TestExecutorMultiStatementGate:
         engine = PolicyEngine()
         with pytest.raises(PolicyViolationError):
             execute_with_budget(
-                pets_db, "DELETE FROM student", policy=engine
+                pets_db, "DELETE FROM student", check_sql=engine.check_sql
             )
         assert len(pets_db.execute("SELECT name FROM student")) == 4
 
     def test_policy_gate_passes_selects(self, pets_db):
         engine = PolicyEngine()
         rows = execute_with_budget(
-            pets_db, "SELECT name FROM student", policy=engine
+            pets_db, "SELECT name FROM student", check_sql=engine.check_sql
         )
         assert len(rows) == 4
 

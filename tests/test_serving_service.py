@@ -12,8 +12,11 @@ import threading
 
 import pytest
 
+from repro.db import Database
 from repro.errors import ModelError
+from repro.metrics import MetricsRegistry
 from repro.pipeline import StageTimings, TranslationResult
+from repro.policy import PolicyConfigStore, PolicyEngine, PolicyViolationError
 from repro.serving import (
     DatabaseRuntime,
     QueueFullError,
@@ -31,12 +34,14 @@ class FakePipeline:
         self.fail = fail
         self.beam_size = 1  # runtime overrides this per request
         self.calls = 0
+        self.asked_to_execute = False
         self._lock = threading.Lock()
 
     def translate(self, question, *, execute=False, **kwargs):
         with self._lock:
             self.calls += 1
             self.seen_beam = self.beam_size
+            self.asked_to_execute |= bool(execute)
         if self.fail:
             raise ModelError("scripted failure")
         result = TranslationResult(question=question, timings=StageTimings(
@@ -44,6 +49,9 @@ class FakePipeline:
         ))
         result.sql = self.sql
         return result
+
+    def translate_batch(self, questions, *, execute=False, encode_observer=None):
+        return [self.translate(question, execute=execute) for question in questions]
 
 
 @pytest.fixture
@@ -279,3 +287,178 @@ class TestCustomCache:
             assert not response.cache_hit
         finally:
             service.stop()
+
+
+QUESTION = "How many students are there?"
+
+
+class GatedService:
+    """A real service over one pets runtime with a policy engine, plus
+    spies on the two things the gate owns: what reaches
+    ``Database.execute`` and every ``PolicyEngine.check_sql`` call."""
+
+    def __init__(self, pets_db, monkeypatch, config, *, pipeline=None,
+                 database_id="pets"):
+        self.metrics = MetricsRegistry()
+        engine = PolicyEngine(
+            PolicyConfigStore.from_dict({"version": 1, **config}),
+            metrics=self.metrics,
+        )
+        self.runtime = DatabaseRuntime(
+            pets_db, database_id=database_id, pipeline=pipeline, policy=engine
+        )
+        self.executed: list[str] = []
+        self.checks: list[tuple] = []
+        real_execute, real_check = Database.execute, PolicyEngine.check_sql
+
+        def spy_execute(db, sql, *args, **kwargs):
+            self.executed.append(sql)
+            return real_execute(db, sql, *args, **kwargs)
+
+        def spy_check(policy, sql, **kwargs):
+            self.checks.append(
+                (sql, kwargs.get("database_id"), kwargs.get("tenant_id"))
+            )
+            return real_check(policy, sql, **kwargs)
+
+        monkeypatch.setattr(Database, "execute", spy_execute)
+        monkeypatch.setattr(PolicyEngine, "check_sql", spy_check)
+        self.service = TranslationService(
+            [self.runtime], workers=1, metrics=self.metrics
+        )
+
+    def blocked_counts(self) -> dict:
+        return {
+            key: value for key, value in self.metrics.snapshot().items()
+            if key.startswith("policy_blocked_total{")
+        }
+
+
+def pipeline_for(kind: str, sql="SELECT count(*) FROM student"):
+    return {"model": FakePipeline(sql), "heuristic": None}[kind]
+
+
+class TestSqlGate:
+    """One gate, owned by the runtime: every answer is policy-checked
+    once, with the requester's tenant, before it is executed or returned."""
+
+    ACME_LOCKED = {"tenants": {"acme": {"max_tables": 0}}}
+
+    @pytest.mark.parametrize(
+        "path", ["model", "heuristic", "model_failed", "cache_hit"]
+    )
+    def test_tenant_blocked_sql_never_reaches_the_database(
+        self, pets_db, monkeypatch, path
+    ):
+        pipeline = {
+            "model": FakePipeline(),
+            "model_failed": FakePipeline(fail=True),  # degraded -> fallback
+            "heuristic": None,
+            "cache_hit": None,
+        }[path]
+        gated = GatedService(pets_db, monkeypatch, self.ACME_LOCKED, pipeline=pipeline)
+        with gated.service as service:
+            if path == "cache_hit":  # an unrestricted tenant fills the cache
+                assert service.translate(QUESTION).ok
+            response = service.translate(QUESTION, execute=True, tenant_id="acme")
+        assert response.cache_hit == (path == "cache_hit")
+        assert response.policy["rule_id"] == "max-tables"
+        assert response.rows is None
+        assert response.sql is not None
+        assert response.sql not in gated.executed
+        assert not any("student" in sql.lower() for sql in gated.executed)
+        if pipeline is not None:
+            assert not pipeline.asked_to_execute
+
+    @pytest.mark.parametrize("execute", [False, True])
+    @pytest.mark.parametrize("kind", ["model", "heuristic"])
+    def test_exactly_one_check_per_served_request(
+        self, pets_db, monkeypatch, kind, execute
+    ):
+        gated = GatedService(
+            pets_db, monkeypatch, {"default": {"read_only": True}},
+            pipeline=pipeline_for(kind), database_id="prod",
+        )
+        with gated.service as service:
+            miss = service.translate(QUESTION, execute=execute, tenant_id="acme")
+            assert gated.checks == [(miss.sql, "prod", "acme")]
+            hit = service.translate(QUESTION, execute=execute, tenant_id="zeta")
+            assert gated.checks[1:] == [(miss.sql, "prod", "zeta")]
+        assert miss.ok and hit.ok and hit.cache_hit and not miss.cache_hit
+        assert (miss.rows, hit.rows) == (([(4,)],) * 2 if execute else (None, None))
+        assert gated.executed.count(miss.sql) == (2 if execute else 0)
+        # Whoever executes records the stage: once for the miss (cached
+        # timings describe work that did not run, so hits never observe).
+        snap = gated.metrics.snapshot()
+        assert snap["serving_stage_execution_seconds"]["count"] == int(execute)
+        assert (miss.timings["execution"] > 0.0) == execute
+
+    @pytest.mark.parametrize("kind", ["model", "heuristic"])
+    def test_block_is_the_same_answer_executed_or_not(
+        self, pets_db, monkeypatch, kind
+    ):
+        gated = GatedService(
+            pets_db, monkeypatch, {"default": {"require_limit": 1}},
+            pipeline=pipeline_for(kind, "SELECT name FROM student"),
+        )
+        answers = []
+        with gated.service as service:
+            for count, execute in enumerate([False, True], start=1):
+                response = service.translate(
+                    "List the name of all students.",
+                    execute=execute, tenant_id="acme",
+                )
+                answers.append((
+                    response.policy_blocked, response.engine,
+                    response.policy["rule_id"], response.degraded, response.rows,
+                ))
+                # Counted once, under the requester's label only.
+                assert gated.blocked_counts() == {
+                    'policy_blocked_total{tenant="acme"}': count
+                }
+        assert answers[0] == answers[1] == (True, kind, "limit-required", False, None)
+        assert gated.executed == []
+
+    def test_database_override_resolves_by_routing_id(self, pets_db, monkeypatch):
+        # Routed as "prod" over a schema named "pets": the override is
+        # keyed by the routing id at both entries of the gate.
+        assert pets_db.schema.name == "pets"
+        gated = GatedService(
+            pets_db, monkeypatch, {"databases": {"prod": {"max_tables": 0}}},
+            database_id="prod",
+        )
+        sql = "SELECT count(*) FROM student"
+        with pytest.raises(PolicyViolationError):
+            gated.runtime.execute_sql(sql)
+        with pytest.raises(PolicyViolationError):
+            gated.runtime.check_sql(sql, tenant_id="acme")
+        assert gated.runtime.translate_fallback(QUESTION, execute=True).rows is None
+        assert gated.executed == []
+        with gated.service as service:
+            assert service.translate(QUESTION).policy["rule_id"] == "max-tables"
+
+    @pytest.mark.parametrize(
+        "model_sql",
+        ["SELECT nope FROM student", "SELECT 1; DROP TABLE student"],
+        ids=["unknown-column", "multi-statement"],
+    )
+    def test_model_sql_that_fails_to_execute_degrades_to_heuristic(
+        self, pets_db, monkeypatch, model_sql
+    ):
+        # The gate allows it, SQLite (or the executor's unconditional
+        # multi-statement rejection) does not: model_error, not a block.
+        permissive = {"default": {"disabled_rules": [
+            "multi-statement", "read-only", "blocked-keyword",
+        ]}}
+        gated = GatedService(
+            pets_db, monkeypatch, permissive, pipeline=FakePipeline(model_sql)
+        )
+        with gated.service as service:
+            response = service.translate(QUESTION, execute=True, tenant_id="acme")
+        assert response.degraded and response.degraded_reason == "model_error"
+        assert response.engine == "heuristic"
+        assert not response.policy_blocked
+        assert response.rows == [(4,)]
+        assert not any("DROP" in sql for sql in gated.executed)
+        assert len(pets_db.execute("SELECT name FROM student")) == 4
+        assert gated.metrics.snapshot()["serving_execution_errors_total"] == 1
