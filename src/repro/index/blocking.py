@@ -1,4 +1,4 @@
-"""Blocking for the similarity scan over database values.
+"""Blocking and batched verification for the similarity scan over values.
 
 Paper Section IV-B2: "By using smart indexes and computationally cheap
 methods for blocking/indexing, this effort can be optimized."  A naive
@@ -30,106 +30,235 @@ Distance bounds above ``q`` (where the count threshold is no longer a
 safe necessary condition) drop the q-gram filter and use the length band
 plus the bag filter, so recall is guaranteed for every configuration.
 
-Posting lists are stored as flat interleaved ``array('I')`` pairs —
-``(value index, multiplicity)`` — which keeps memory compact and makes
-the on-disk snapshot (:meth:`BlockedValuePool.state_dict`) a C-speed
-copy instead of a per-element rebuild.
+The pool is **columnar**: the strings live as one flat ``uint32``
+code-point array with offsets and lengths, and both posting indexes are
+CSR arrays (sorted unique gram keys, row pointers, value index,
+multiplicity) built in bulk by one stable argsort.  A search is therefore
+a fixed number of array operations, not a Python loop per value: the
+filter is one ``np.bincount`` over the gathered posting slices plus
+boolean masks, and :meth:`BlockedValuePool.distances` runs the banded
+Damerau-Levenshtein recurrence once across every survivor.  The scalar
+kernels in :mod:`repro.text.distance` are the reference the tests hold
+this module to.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter, defaultdict
 from collections.abc import Iterable
+from typing import NamedTuple
 
-from repro.text.ngrams import padded_qgrams
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.text.ngrams import QGRAM_PAD
 
 #: Trigrams: the classic blocking sweet spot for short-to-medium strings.
 DEFAULT_Q = 3
 
+#: The gram pad's code point.  It is 0, the smallest there is, so the pad
+#: sorts first in every alphabet and is always character id 0.
+_PAD_CODE = ord(QGRAM_PAD)
 
-def _pairs(posting: array) -> zip:
-    """Iterate an interleaved ``(index, count)`` posting array."""
-    it = iter(posting)
-    return zip(it, it)
+#: Fills code-matrix cells outside a value; equals no code point.
+_NO_CHAR = 0xFFFFFFFF
+
+
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _check_array(array: object, dtype: type | np.dtype | None) -> None:
+    """``ValueError`` unless ``array`` is a 1-d numpy array of ``dtype``
+    (``None``: any unsigned integer type)."""
+    if not isinstance(array, np.ndarray) or array.ndim != 1:
+        raise ValueError("expected a 1-d numpy array")
+    fits = array.dtype.kind == "u" if dtype is None else array.dtype == dtype
+    if not fits:
+        raise ValueError(f"unexpected array dtype {array.dtype}")
+
+
+class _Postings(NamedTuple):
+    """CSR inverted index: the postings of ``keys[r]`` are the pairs
+    ``(idx[p], mult[p])`` for ``p`` in ``ptr[r]:ptr[r + 1]``."""
+
+    keys: np.ndarray  # sorted unique gram keys
+    ptr: np.ndarray  # int64 row pointers, one more than keys
+    idx: np.ndarray  # int32 value index, ascending within a row
+    mult: np.ndarray  # occurrences of the gram in that value
+
+    @classmethod
+    def build(cls, keys: np.ndarray, owner: np.ndarray) -> "_Postings":
+        """Index one ``(gram key, owning value)`` pair per gram occurrence;
+        ``owner`` must be ascending, so a stable sort by key leaves each
+        (key, owner) run contiguous."""
+        order = np.argsort(keys, kind="stable")
+        keys, owner = keys[order], owner[order]
+        del order
+        key_starts = np.ones(keys.size, dtype=bool)
+        key_starts[1:] = keys[1:] != keys[:-1]
+        pair_starts = key_starts.copy()
+        pair_starts[1:] |= owner[1:] != owner[:-1]
+        pairs = np.flatnonzero(pair_starts)
+        mult = np.diff(pairs, append=keys.size)
+        rows = np.flatnonzero(key_starts[pairs])
+        return cls(
+            keys[pairs[rows]],
+            np.append(rows, pairs.size).astype(np.int64),
+            owner[pairs].astype(np.int32),
+            # the dtype follows the data: a clamped count would under-count
+            # min(query count, value count) and drop a true match
+            mult.astype(np.min_scalar_type(int(mult.max(initial=1)))),
+        )
+
+    def check(self, key_dtype: np.dtype, pool_size: int) -> None:
+        """Raise ``ValueError`` unless the arrays fit together (a persisted
+        state is adopted as-is, so a bad one must fail at load time, not as
+        an out-of-bounds gather in some later query)."""
+        keys, ptr, idx, mult = self
+        _check_array(keys, key_dtype)
+        _check_array(ptr, np.int64)
+        _check_array(idx, np.int32)
+        _check_array(mult, None)
+        if ptr.size != keys.size + 1 or ptr[0] != 0 or ptr[-1] != idx.size:
+            raise ValueError("row pointers do not span the postings")
+        if np.any(np.diff(ptr) <= 0) or np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("gram keys or row pointers are not increasing")
+        if mult.size != idx.size:
+            raise ValueError("one multiplicity per posting required")
+        if idx.size and (idx.min() < 0 or idx.max() >= pool_size):
+            raise ValueError("posting refers to a value outside the pool")
 
 
 class BlockedValuePool:
-    """A pool of strings indexed for cheap candidate pre-selection.
+    """A pool of strings indexed for cheap candidate pre-selection and
+    batched distance verification.
 
-    The pool stores every value once, buckets it by length, and posts its
-    padded q-gram *counts* (plus, for short values, its character counts)
-    into inverted indexes.  :meth:`candidate_indices` intersects the
-    query's profiles with the posting lists (multiset semantics, so
-    repeated grams are counted correctly) and returns only the values
-    passing the filters — a superset of the true matches that is
-    typically orders of magnitude smaller than the length band.
+    Built once, in bulk, from a list of strings (compared case-folded);
+    the strings themselves are not retained — position ``i`` of the input
+    is value index ``i`` everywhere.  :meth:`candidate_indices` intersects
+    the query's gram and character profiles with the postings (multiset
+    semantics, so repeated grams are counted correctly) and returns only
+    the values passing the filters — a superset of the true matches that
+    is typically orders of magnitude smaller than the length band;
+    :meth:`distances` then verifies all of them in one pass.
     """
 
     def __init__(self, values: Iterable[str] = (), *, q: int = DEFAULT_Q):
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
         self._q = q
+        lowered = [value.lower() for value in values]
+        count = len(lowered)
+        lengths = np.fromiter(map(len, lowered), dtype=np.int32, count=count)
+        self._lengths = lengths
+        self._offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self._offsets[1:])
+        self._codes = _code_points("".join(lowered))
+        del lowered
+        # Dense per-pool character ids keep a gram key in 32 bits for any
+        # realistic alphabet; id 0 is the pad, id ``alphabet.size`` is
+        # reserved for query characters the pool has never seen.
+        self._alphabet = np.union1d(self._codes, [_PAD_CODE]).astype(np.uint32)
+        self._key_dtype = self._pick_key_dtype()
+        ids = self._char_ids(self._codes)
+        owner = np.repeat(np.arange(count, dtype=np.int32), lengths)
+
         # Character postings cover every value short enough for the
         # q-gram threshold to be vacuous at some valid bound (k <= q).
-        self._short_cap = 1 + q * q
-        self._values: list[str] = []
-        self._lengths = array("I")
-        self._by_length: dict[int, array] = defaultdict(lambda: array("I"))
-        # gram -> interleaved (value index, multiplicity) pairs
-        self._postings: dict[str, array] = defaultdict(lambda: array("I"))
-        self._char_postings: dict[str, array] = defaultdict(lambda: array("I"))
-        for value in values:
-            self.add(value)
+        short = np.repeat(lengths <= self._short_cap, lengths)
+        self._chars = _Postings.build(ids[short], owner[short])
+        del short
 
-    def add(self, value: str) -> None:
-        """Add one value to the pool."""
-        index = len(self._values)
-        self._values.append(value)
-        lowered = value.lower()
-        length = len(lowered)
-        self._lengths.append(length)
-        self._by_length[length].append(index)
-        for gram, count in Counter(padded_qgrams(lowered, self._q)).items():
-            self._postings[gram].extend((index, count))
-        if length <= self._short_cap:
-            for char, count in Counter(lowered).items():
-                self._char_postings[char].extend((index, count))
+        # Lay every value out padded by q - 1 pad ids on both sides, key
+        # the window at every position, keep the windows inside one value.
+        pad = q - 1
+        padded = np.zeros(ids.size + 2 * pad * count, dtype=self._key_dtype)
+        padded[np.arange(ids.size) + (2 * owner.astype(np.int64) + 1) * pad] = ids
+        del ids, owner
+        windows = self._gram_keys(padded)
+        del padded
+        owner = np.repeat(np.arange(count, dtype=np.int32), lengths + pad)
+        keys = windows[np.arange(owner.size) + owner.astype(np.int64) * pad]
+        del windows
+        self._grams = _Postings.build(keys, owner)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._lengths.size
 
     @property
-    def q(self) -> int:
-        return self._q
+    def _short_cap(self) -> int:
+        return 1 + self._q * self._q
 
-    def value(self, index: int) -> str:
-        return self._values[index]
+    def _pick_key_dtype(self) -> np.dtype:
+        keyspace = (self._alphabet.size + 1) ** self._q
+        if keyspace <= 2**32:
+            return np.dtype(np.uint32)
+        if keyspace <= 2**64:
+            return np.dtype(np.uint64)
+        raise ValueError(f"q={self._q} grams over this alphabet overflow 64 bits")
+
+    def _char_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Dense character ids of ``codes`` in the gram-key dtype."""
+        alphabet = self._alphabet
+        ids = np.minimum(np.searchsorted(alphabet, codes), alphabet.size - 1)
+        return np.where(alphabet[ids] == codes, ids, alphabet.size).astype(
+            self._key_dtype
+        )
+
+    def _gram_keys(self, ids: np.ndarray) -> np.ndarray:
+        """Key of the q-gram starting at each position of ``ids``: its
+        characters read as digits in base ``alphabet.size + 1``."""
+        count = max(ids.size - self._q + 1, 0)
+        keys = np.zeros(count, dtype=self._key_dtype)
+        for shift in range(self._q):
+            keys *= self._alphabet.size + 1
+            keys += ids[shift:shift + count]
+        return keys
+
+    def _shared(self, postings: _Postings, query_keys: np.ndarray) -> np.ndarray:
+        """Per pooled value, the multiset intersection size between its
+        grams and the query's: sum over grams of min(query count, value
+        count)."""
+        keys, ptr, idx, mult = postings
+        query_keys, query_counts = np.unique(query_keys, return_counts=True)
+        rows = np.searchsorted(keys, query_keys)
+        hit = rows < keys.size  # compare only where a row exists
+        hit[hit] = keys[rows[hit]] == query_keys[hit]
+        rows, query_counts = rows[hit], query_counts[hit]
+        starts = ptr[rows]
+        sizes = ptr[rows + 1] - starts
+        ends = np.cumsum(sizes)
+        # positions of every posting of every hit row, rows back to back
+        flat = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            starts - ends + sizes, sizes
+        )
+        weights = np.minimum(mult[flat], np.repeat(query_counts, sizes))
+        return np.bincount(idx[flat], weights=weights, minlength=len(self))
 
     # ----------------------------------------------------------- filtering
 
-    def candidate_indices(self, query: str, *, max_distance: int) -> list[int]:
-        """Pool indices of values plausibly within ``max_distance``.
+    def candidate_indices(self, query: str, *, max_distance: int) -> np.ndarray:
+        """Ascending pool indices of values plausibly within ``max_distance``.
 
         The result is a superset-filter: every value whose (case-folded)
         Damerau-Levenshtein distance to ``query`` is within the bound is
         returned; values that provably cannot match are dropped without a
         distance computation.
         """
-        lowered = query.lower()
         k = max_distance
-        q = self._q
-        qlen = len(lowered)
         if k < 0:
-            return []
+            return np.empty(0, dtype=np.intp)
+        q = self._q
+        query_ids = self._char_ids(_code_points(query.lower()))
+        qlen = query_ids.size
         lo, hi = max(0, qlen - k), qlen + k
-        picked: set[int] = set()
+        lengths = self._lengths
+        longest = np.maximum(lengths, qlen)
+        in_band = (lengths >= lo) & (lengths <= hi)
 
         # Tiny strings: max(|s|,|t|) <= k can match while sharing nothing
         # at all (not even a character), so they are admitted blindly.
-        if qlen <= k:
-            for length in range(0, k + 1):
-                picked.update(self._by_length.get(length, ()))
+        picked = longest <= k
 
         if k <= q:
             # Short values (both lengths at or below the vacuous cap) can
@@ -143,48 +272,96 @@ class BlockedValuePool:
             # rest of the band blindly.
             bag_hi = min(hi, self._short_cap)
             gram_lo = -1
-            for length in range(max(lo, self._short_cap + 1), hi + 1):
-                picked.update(self._by_length.get(length, ()))
+            picked |= in_band & (lengths > self._short_cap)
 
         if bag_hi >= lo:
-            lengths = self._lengths
-            shared: dict[int, int] = defaultdict(int)
-            for char, qcount in Counter(lowered).items():
-                posting = self._char_postings.get(char)
-                if posting is None:
-                    continue
-                for index, vcount in _pairs(posting):
-                    shared[index] += min(qcount, vcount)
-            for index, count in shared.items():
-                tlen = lengths[index]
-                if lo <= tlen <= bag_hi and max(qlen, tlen) - count <= k:
-                    picked.add(index)
+            shared = self._shared(self._chars, query_ids)
+            picked |= in_band & (lengths <= bag_hi) & (longest - shared <= k)
 
         if 0 <= gram_lo <= hi:
-            lengths = self._lengths
-            threshold_base = 1 + q * k
-            shared = defaultdict(int)
-            for gram, qcount in Counter(padded_qgrams(lowered, q)).items():
-                posting = self._postings.get(gram)
-                if posting is None:
-                    continue
-                for index, vcount in _pairs(posting):
-                    shared[index] += min(qcount, vcount)
-            for index, count in shared.items():
-                tlen = lengths[index]
-                if (
-                    gram_lo <= tlen <= hi
-                    and count >= max(qlen, tlen) - threshold_base
-                ):
-                    picked.add(index)
-        return sorted(picked)
+            pad = np.zeros(q - 1, dtype=query_ids.dtype)
+            shared = self._shared(
+                self._grams, self._gram_keys(np.concatenate((pad, query_ids, pad)))
+            )
+            picked |= (
+                in_band & (lengths >= gram_lo) & (shared >= longest - (1 + q * k))
+            )
+        return np.flatnonzero(picked)
 
-    def candidates(self, query: str, *, max_distance: int) -> list[str]:
-        """Like :meth:`candidate_indices`, returning the values."""
-        return [
-            self._values[i]
-            for i in self.candidate_indices(query, max_distance=max_distance)
-        ]
+    # -------------------------------------------------------- verification
+
+    def distances(
+        self, query: str, candidates: np.ndarray, *, max_distance: int
+    ) -> np.ndarray:
+        """Damerau-Levenshtein distance (restricted, adjacent
+        transpositions) from ``query`` to each value in ``candidates``,
+        computed for all of them at once.
+
+        Same contract as :func:`repro.text.distance.damerau_levenshtein_banded`:
+        exact when the distance is ``<= max_distance``, else
+        ``max_distance + 1``.
+
+        Row ``i`` of the DP holds the ``2k + 1`` cells of the diagonal
+        band, cell ``d`` standing for column ``j = i + d - k``; each cell is
+        one contiguous vector over the candidates (arrays are laid out
+        ``[row or cell, candidate]`` so every operation streams along the
+        candidate axis).  Cells outside the band or outside the matrix hold
+        ``k + 1``: their true value is at least that, so they can never
+        lower a cell whose true value is ``<= k``, and everything above
+        ``k`` is reported as ``k + 1`` anyway.
+        """
+        k = max_distance
+        if k < 0:
+            raise ValueError(f"max_distance must be >= 0, got {max_distance}")
+        cap = k + 1
+        a = _code_points(query.lower())
+        rows = a.size
+        candidates = np.asarray(candidates, dtype=np.intp)
+        out = np.full(candidates.size, cap, dtype=np.int32)
+        lengths = self._lengths[candidates]
+        band = np.flatnonzero(np.abs(lengths - rows) <= k)
+        if rows == 0 or band.size == 0:
+            out[band] = lengths[band]  # empty query: every in-band length is <= k
+            return out
+        lengths = lengths[band]
+        count, width = band.size, 2 * k + 1
+
+        # Code matrix, one column per candidate: k filler rows, then the
+        # value's code points in |query| + k rows, filler past its end.
+        positions = np.arange(rows + k)[:, None]
+        codes = np.full((k + rows + k, count), _NO_CHAR, dtype=np.uint32)
+        inside = positions < lengths
+        starts = self._offsets[candidates[band]]
+        codes[k:][inside] = self._codes[(starts + positions)[inside]]
+        # window[i - 1, d] is the value character under cell d of row i
+        window = sliding_window_view(codes, width, axis=0).transpose(0, 2, 1)
+        a = a[:, None, None]
+        substitution = (window != a).astype(np.int32)
+        # [i - 2]: row i may close a transposition here, a[i-1] == b[j-2]
+        # and a[i-2] == b[j-1]
+        transposed = (window[:-1] == a[1:]) & (window[1:] == a[:-1])
+
+        # three rotating rows, each with a k + 1 guard cell on both sides
+        table = np.full((3, width + 2, count), cap, dtype=np.int32)
+        table[0, 1 + k:-1] = np.arange(cap)[:, None]  # D[0][j] = j for j <= k
+        scratch = np.empty((width, count), dtype=np.int32)
+        for i in range(1, rows + 1):
+            previous, current = table[(i - 1) % 3], table[i % 3, 1:-1]
+            np.add(previous[2:], 1, out=current)  # deletion
+            np.add(previous[1:-1], substitution[i - 1], out=scratch)
+            np.minimum(current, scratch, out=current)
+            if i >= 2:
+                np.add(table[(i - 2) % 3, 1:-1], 1, out=scratch)
+                np.minimum(current, scratch, out=current, where=transposed[i - 2])
+            if i <= k:
+                current[:k - i] = cap  # columns j < 0
+                current[k - i] = i  # D[i][0] = i
+            for d in range(1, width):  # insertions chain along the row
+                np.add(current[d - 1], 1, out=scratch[0])
+                np.minimum(current[d], scratch[0], out=current[d])
+        final = table[rows % 3]
+        out[band] = np.minimum(final[lengths - rows + cap, np.arange(count)], cap)
+        return out
 
     # -------------------------------------------------------- persistence
 
@@ -192,34 +369,51 @@ class BlockedValuePool:
         """Plain-structure snapshot for on-disk persistence.
 
         Arrays are shared (not copied): snapshots are taken for immediate
-        serialization, and the pool itself is append-only.
+        serialization, and the pool is immutable once built.
         """
         return {
             "q": self._q,
-            "values": self._values,
+            "codes": self._codes,
+            "offsets": self._offsets,
             "lengths": self._lengths,
-            "by_length": dict(self._by_length),
-            "postings": dict(self._postings),
-            "char_postings": dict(self._char_postings),
+            "alphabet": self._alphabet,
+            "grams": tuple(self._grams),
+            "chars": tuple(self._chars),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "BlockedValuePool":
-        """Rebuild a pool from :meth:`state_dict` without re-deriving
-        grams; posting arrays are adopted as-is (C-speed warm load)."""
-        pool = cls(q=int(state["q"]))
-        pool._values = list(state["values"])
-        pool._lengths = array("I", state["lengths"])
-        pool._by_length.update(
-            (int(length), array("I", ids))
-            for length, ids in state["by_length"].items()
-        )
-        pool._postings.update(
-            (gram, array("I", posting))
-            for gram, posting in state["postings"].items()
-        )
-        pool._char_postings.update(
-            (char, array("I", posting))
-            for char, posting in state["char_postings"].items()
-        )
+        """Adopt the arrays of a :meth:`state_dict` as they are — no gram
+        is re-derived.  Raises ``ValueError`` when they do not fit
+        together."""
+        pool = cls.__new__(cls)
+        pool._q = int(state["q"])
+        if pool._q <= 0:
+            raise ValueError(f"q must be positive, got {pool._q}")
+        pool._codes = state["codes"]
+        pool._offsets = state["offsets"]
+        pool._lengths = state["lengths"]
+        pool._alphabet = state["alphabet"]
+        _check_array(pool._codes, np.uint32)
+        _check_array(pool._offsets, np.int64)
+        _check_array(pool._lengths, np.int32)
+        _check_array(pool._alphabet, np.uint32)
+        if (
+            pool._offsets.size != pool._lengths.size + 1
+            or pool._offsets[0] != 0
+            or pool._offsets[-1] != pool._codes.size
+            or np.any(pool._lengths < 0)
+            or not np.array_equal(np.diff(pool._offsets), pool._lengths)
+        ):
+            raise ValueError("offsets, lengths and code points disagree")
+        alphabet = pool._alphabet
+        if not alphabet.size or alphabet[0] != _PAD_CODE or np.any(
+            alphabet[1:] <= alphabet[:-1]
+        ):
+            raise ValueError("alphabet must be increasing and start at the pad")
+        pool._key_dtype = pool._pick_key_dtype()
+        pool._grams = _Postings(*state["grams"])
+        pool._chars = _Postings(*state["chars"])
+        for postings in (pool._grams, pool._chars):
+            postings.check(pool._key_dtype, len(pool))
         return pool

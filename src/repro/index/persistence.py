@@ -7,13 +7,16 @@ by far the most expensive part of opening a database for translation.
 This module persists both as one bundle so benchmarks, ``repro serve``
 and eval scripts skip the rebuild entirely on warm start.
 
-The bundle is a pickle of plain builtin structures (dicts, lists, tuples,
-strings, flat ``array`` buffers — produced by the ``state_dict`` methods,
-never live domain objects)
+The bundle is a pickle of plain structures (dicts, lists, tuples, strings,
+flat ``array`` buffers and the value pool's numpy arrays, stored as they
+are — produced by the ``state_dict`` methods, never live domain objects)
 wrapped in a header carrying a format version and the database content
 fingerprint.  A mismatch on either — or any parse failure — makes
 :func:`load_bundle` return ``None`` so callers fall back to a cold build;
-a stale or corrupt cache can cost time but never correctness.
+a stale or corrupt cache can cost time but never correctness.  The pool
+validates its arrays against each other when it adopts them, so a bundle
+that unpickles but does not fit together is also rejected here rather
+than failing inside some later query.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.index.similarity import SimilaritySearcher
 
 #: Bump whenever the state_dict layout of the index, the searcher, or the
 #: blocked pool changes; old files are then rebuilt instead of misread.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGIC = "repro-index-bundle"
 

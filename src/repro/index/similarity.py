@@ -10,8 +10,10 @@ translation time, so the scan is aggressively sub-linear:
   result fans back out to every :class:`ValueLocation`;
 * **q-gram blocking** (:mod:`repro.index.blocking`) rejects nearly every
   non-match without running the distance DP;
-* the surviving candidates run the **Ukkonen-banded** O(k·n) kernel
-  (:func:`repro.text.distance.damerau_levenshtein_banded`);
+* the surviving candidates are verified **together**: one batched
+  Ukkonen-banded O(k·n) Damerau-Levenshtein pass over all of them
+  (:meth:`repro.index.blocking.BlockedValuePool.distances`), not one
+  Python call per value;
 * an **LRU memo** on the (query, distance-bound) pair absorbs the heavy
   repetition produced by n-gram span expansion within and across
   questions.
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from repro.concurrency import make_lock
 from repro.index.blocking import BlockedValuePool
 from repro.index.inverted import InvertedIndex, ValueLocation
-from repro.text.distance import damerau_levenshtein_banded
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,6 @@ class SimilaritySearcher:
         pairs live at flat positions ``offsets[i]:offsets[i+1]`` of
         ``_originals`` / ``_location_ids``.
         """
-        pool = BlockedValuePool()
         loc_table: list[ValueLocation] = []
         loc_ids: dict[ValueLocation, int] = {}
         position: dict[str, int] = {}
@@ -118,7 +118,6 @@ class SimilaritySearcher:
                 i = len(per_value)
                 position[lowered] = i
                 per_value.append([])
-                pool.add(lowered)
             lid = loc_ids.get(location)
             if lid is None:
                 lid = len(loc_table)
@@ -132,7 +131,7 @@ class SimilaritySearcher:
             originals.extend(flat[0::2])
             location_ids.extend(flat[1::2])
             offsets.append(len(originals))
-        self._pool = pool
+        self._pool = BlockedValuePool(position)  # dict order == pool index
         self._loc_table = loc_table
         self._offsets = offsets
         self._originals = originals
@@ -190,7 +189,8 @@ class SimilaritySearcher:
     def _scan(
         self, lowered: str, max_distance: int
     ) -> tuple[list[SimilarValue], int]:
-        """Score each distinct pooled string once, fan out to locations.
+        """Filter the pool, verify every survivor in one batched pass, fan
+        the matches out to their locations.
 
         Reads the pool structures without the lock: they are replaced
         wholesale (never mutated) by :meth:`_build_pool`, so a concurrent
@@ -200,20 +200,19 @@ class SimilaritySearcher:
         loc_table = self._loc_table
         offsets, originals = self._offsets, self._originals
         location_ids = self._location_ids
+        candidates = pool.candidate_indices(lowered, max_distance=max_distance)
+        distances = pool.distances(lowered, candidates, max_distance=max_distance)
+        within = distances <= max_distance
         matches: list[SimilarValue] = []
-        dp_calls = 0
-        for i in pool.candidate_indices(lowered, max_distance=max_distance):
-            dp_calls += 1
-            distance = damerau_levenshtein_banded(
-                lowered, pool.value(i), max_distance=max_distance
-            )
-            if distance <= max_distance:
-                for j in range(offsets[i], offsets[i + 1]):
-                    matches.append(SimilarValue(
-                        originals[j], loc_table[location_ids[j]], distance
-                    ))
+        for i, distance in zip(
+            candidates[within].tolist(), distances[within].tolist()
+        ):
+            for j in range(offsets[i], offsets[i + 1]):
+                matches.append(SimilarValue(
+                    originals[j], loc_table[location_ids[j]], distance
+                ))
         matches.sort(key=lambda m: (m.distance, m.value.lower(), str(m.location)))
-        return matches, dp_calls
+        return matches, len(candidates)
 
     def best_match(self, query: str, *, max_distance: int = 2) -> SimilarValue | None:
         """The single closest value, or ``None`` when nothing is in range."""
@@ -281,5 +280,7 @@ class SimilaritySearcher:
         searcher._originals = list(state["originals"])
         searcher._location_ids = array("I", state["location_ids"])
         searcher._pool = BlockedValuePool.from_state(state["pool"])
+        if len(searcher._pool) != len(searcher._offsets) - 1:
+            raise ValueError("pool and fan-out arrays disagree on the value count")
         searcher._version = index.version
         return searcher

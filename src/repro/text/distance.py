@@ -9,13 +9,16 @@ between accuracy and run time".  We implement:
 * :func:`damerau_levenshtein` — adds adjacent transpositions (the metric the
   paper uses),
 * :func:`damerau_levenshtein_banded` — Ukkonen-banded O(k·n) variant that
-  only fills the 2k+1 diagonal band; exact for distances <= k,
+  only fills the 2k+1 diagonal band; exact for distances <= k (the
+  per-pair reference for the batched kernel the value search runs,
+  :meth:`repro.index.blocking.BlockedValuePool.distances`),
 * :func:`jaro_winkler` — a normalized similarity useful for short tokens,
 * :func:`normalized_similarity` — 1 - DL/max_len convenience wrapper.
 
-All functions operate on plain strings and are pure; the candidate
-generator applies blocking (see :mod:`repro.index.blocking`) before calling
-them so the quadratic cost only hits a small candidate pool.
+All functions operate on plain strings and are pure.  The similarity scan
+over database values does not call them pair by pair: it blocks and
+verifies in bulk (see :mod:`repro.index.blocking`), and its tests hold that
+array code to the functions here.
 """
 
 from __future__ import annotations

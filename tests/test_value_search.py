@@ -4,14 +4,22 @@ The q-gram count filter and the banded distance kernel are *filters* in
 front of the reference Damerau-Levenshtein scan — correctness means they
 never drop a true match.  Every test here checks against the full DP or
 the naive all-pairs scan, so a regression in the fast path cannot hide.
+The columnar pool's array code is held to per-value references: the
+scalar kernels of :mod:`repro.text.distance` for the batched verify, and
+:func:`reference_candidates` (the filter conditions spelled out with
+``Counter`` and ``padded_qgrams``) for the filter.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
+from array import array
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
@@ -32,6 +40,7 @@ from repro.preprocessing import Preprocessor
 from repro.serving import DatabaseRuntime, TranslationService
 from repro.spider import CorpusConfig, generate_corpus
 from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
+from repro.text.ngrams import padded_qgrams
 
 
 def naive_search(index: InvertedIndex, query: str, max_distance: int):
@@ -60,6 +69,54 @@ def typo_queries(values: list[str]) -> list[str]:
             queries.append(v[:mid] + "z" + v[mid + 1:])         # substitution
         queries.append(v)
     return queries
+
+
+def pool_candidates(values: list[str], query: str, k: int) -> list[str]:
+    """The values the pool's filter lets through."""
+    pool = BlockedValuePool(values)
+    return [values[i] for i in pool.candidate_indices(query, max_distance=k)]
+
+
+def reference_candidates(values: list[str], query: str, k: int, q: int = 3) -> list[int]:
+    """The filter's conditions spelled out one value at a time: the exact
+    index list ``candidate_indices`` must return (no looser, no tighter)."""
+    query = query.lower()
+    query_grams, query_chars = Counter(padded_qgrams(query, q)), Counter(query)
+    picked = []
+    for i, value in enumerate(values):
+        value = value.lower()
+        longest = max(len(query), len(value))
+        if abs(len(query) - len(value)) > k:
+            keep = False  # length band
+        elif longest <= k:
+            keep = True  # tiny: may match sharing nothing
+        elif k <= q and longest > 1 + q * k:
+            shared = sum((query_grams & Counter(padded_qgrams(value, q))).values())
+            keep = shared >= longest - 1 - q * k  # q-gram count filter
+        elif k <= q or len(value) <= 1 + q * q:
+            shared = sum((query_chars & Counter(value)).values())
+            keep = longest - shared <= k  # bag-of-characters filter
+        else:
+            keep = True  # k > q, too long for the character postings
+        if keep:
+            picked.append(i)
+    return picked
+
+
+_SYLLABLES = (
+    "an ber cor dan el fen gor hal in jor kel lum mar nor ol per qui ran "
+    "sel tor ul ver win xan yor zel"
+).split()
+
+
+def seeded_corpus() -> tuple[list[str], list[str]]:
+    """3 000 distinct entity-like strings and 300 near-miss queries."""
+    rng = random.Random(11)
+    values: set[str] = set()
+    while len(values) < 3000:
+        values.add("".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(2, 4))))
+    ordered = sorted(values)
+    return ordered, typo_queries(ordered[::60])
 
 
 # --------------------------------------------------------------- kernels
@@ -95,9 +152,10 @@ class TestQGramPool:
         st.integers(0, 4),
     )
     @settings(max_examples=200)
+    @example(values=["a" * 300], query="a" * 299, k=1)  # gram counts past 255
+    @example(values=["a" * 299, "a" * 300 + "b"], query="a" * 300, k=2)
     def test_count_filter_never_drops_a_true_match(self, values, query, k):
-        pool = BlockedValuePool(values)
-        candidates = pool.candidates(query, max_distance=k)
+        candidates = pool_candidates(values, query, k)
         for value in values:
             if damerau_levenshtein(query.lower(), value.lower()) <= k:
                 assert value in candidates
@@ -106,14 +164,12 @@ class TestQGramPool:
         # Same-length values far in content must be dropped by the count
         # filter even though the length band admits all of them.
         values = ["abcdefgh", "ijklmnop", "qrstuvwx", "abcdefgx"]
-        pool = BlockedValuePool(values)
-        candidates = pool.candidates("abcdefgh", max_distance=1)
+        candidates = pool_candidates(values, "abcdefgh", 1)
         assert "abcdefgh" in candidates and "abcdefgx" in candidates
         assert "ijklmnop" not in candidates and "qrstuvwx" not in candidates
 
     def test_short_strings_fall_back_to_length_band(self):
-        pool = BlockedValuePool(["ab", "xy", "a", "abcdefgh"])
-        candidates = pool.candidates("ab", max_distance=2)
+        candidates = pool_candidates(["ab", "xy", "a", "abcdefgh"], "ab", 2)
         # max(|s|,|t|) <= 1 + q*k: zero shared grams required
         assert "xy" in candidates and "a" in candidates
         assert "abcdefgh" not in candidates  # outside the length band
@@ -123,8 +179,7 @@ class TestQGramPool:
         # condition.  True matches anywhere in the length band must come
         # back; the bag-of-characters bound may still prune short values.
         values = ["abcdefgh", "abcdefghijkl", "ijklmnop", "abcdefghijklmnop"]
-        pool = BlockedValuePool(values)
-        candidates = pool.candidates("abcdefgh", max_distance=4)
+        candidates = pool_candidates(values, "abcdefgh", 4)
         assert "abcdefgh" in candidates
         assert "abcdefghijkl" in candidates  # distance 4: four insertions
         # distance 8, zero shared characters: bag bound prunes it
@@ -133,14 +188,99 @@ class TestQGramPool:
         assert "abcdefghijklmnop" not in candidates
 
     def test_state_round_trip(self):
-        pool = BlockedValuePool(["France", "Francia", "Greece", "a"])
+        pool = BlockedValuePool(["France", "Francia", "Greece", "a", ""])
         restored = BlockedValuePool.from_state(
             pickle.loads(pickle.dumps(pool.state_dict()))
         )
-        for k in (0, 1, 2):
-            assert restored.candidates("france", max_distance=k) == pool.candidates(
-                "france", max_distance=k
-            )
+        assert len(restored) == len(pool) == 5
+        everything = np.arange(len(pool))
+        for query in ("france", "grece", "", "q"):
+            for k in (0, 1, 2, 4):
+                assert (
+                    restored.candidate_indices(query, max_distance=k).tolist()
+                    == pool.candidate_indices(query, max_distance=k).tolist()
+                )
+                assert (
+                    restored.distances(query, everything, max_distance=k).tolist()
+                    == pool.distances(query, everything, max_distance=k).tolist()
+                )
+
+    @given(
+        st.lists(st.text(alphabet="abcd\x00", max_size=14), max_size=25),
+        st.text(alphabet="abcdz\x00", max_size=14),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200)
+    @example(values=["a" * 300, "a" * 298 + "b"], query="a" * 299, k=2)
+    def test_filter_is_exactly_the_stated_conditions(self, values, query, k):
+        pool = BlockedValuePool(values)
+        assert pool.candidate_indices(query, max_distance=k).tolist() == (
+            reference_candidates(values, query, k)
+        )
+
+    def test_multiplicities_do_not_saturate(self):
+        # 298 copies of one trigram: a count clamped at 255 would read
+        # min(query count, value count) 42 short and drop the exact match
+        long_run = "a" * 300
+        assert pool_candidates([long_run, "b" * 300], long_run, 0) == [long_run]
+        assert pool_candidates([long_run], "a" * 299, 1) == [long_run]
+
+    def test_survivors_pinned_on_seeded_corpus(self):
+        """The retired bench's bar, as counts: the filter passes >= 5x fewer
+        values to the DP than the length band would — and exactly as many
+        as when this number was pinned, so loosening it cannot go unseen."""
+        values, queries = seeded_corpus()
+        pool = BlockedValuePool(values)
+        lengths = np.array([len(value) for value in values])
+        survivors = sum(
+            len(pool.candidate_indices(query, max_distance=2)) for query in queries
+        )
+        length_band = sum(
+            int(np.count_nonzero(np.abs(lengths - len(query)) <= 2))
+            for query in queries
+        )
+        assert (len(queries), survivors, length_band) == (300, 47_028, 478_971)
+        assert length_band >= 5 * survivors
+
+    def test_q_must_be_positive(self):
+        with pytest.raises(ValueError):
+            BlockedValuePool(["a"], q=0)
+
+
+#: text the batched kernel must get right: empty strings, repeats, adjacent
+#: transpositions, the pad character, a non-BMP code point
+_POOL_TEXT = st.text(alphabet="ab\x00é\U0001d518", max_size=10)
+#: ... and queries with characters no pooled value contains
+_QUERY_TEXT = st.text(alphabet="abz\x00é\U0001d518\U0001f600", max_size=10)
+
+
+class TestBatchedDistances:
+    @given(st.lists(_POOL_TEXT, max_size=20), _QUERY_TEXT, st.integers(0, 4))
+    @settings(max_examples=300)
+    @example(values=["", "ab", "ba", "aab", "\x00"], query="ab", k=1)
+    @example(values=["abcdef", "badcfe", "abdcef"], query="abcdef", k=3)
+    @example(values=["\U0001d518b", "b\U0001d518"], query="\U0001f600b", k=2)
+    def test_equals_scalar_kernels(self, values, query, k):
+        pool = BlockedValuePool(values)
+        got = pool.distances(query, np.arange(len(values)), max_distance=k).tolist()
+        lowered = query.lower()
+        assert got == [
+            damerau_levenshtein_banded(lowered, value.lower(), max_distance=k)
+            for value in values
+        ]
+        assert got == [
+            min(damerau_levenshtein(lowered, value.lower()), k + 1)
+            for value in values
+        ]
+
+    def test_subset_and_order_of_candidates_respected(self):
+        pool = BlockedValuePool(["france", "greece", "franc", "x" * 40])
+        assert pool.distances("france", [3, 2, 0], max_distance=2).tolist() == [3, 1, 0]
+        assert pool.distances("france", [], max_distance=2).tolist() == []
+
+    def test_rejects_negative_bound(self):
+        with pytest.raises(ValueError):
+            BlockedValuePool(["a"]).distances("a", [0], max_distance=-1)
 
 
 # -------------------------------------------------- differential searcher
@@ -185,6 +325,29 @@ class TestDifferentialAgainstNaive:
             database = spider_corpus.database(domain)
             for k in (0, 1, 2):
                 assert_search_matches_naive(database, max_distance=k)
+
+    @given(
+        st.lists(
+            st.tuples(st.text(alphabet="abcAB ", min_size=1, max_size=8),
+                      st.integers(0, 2)),
+            max_size=30,
+        ),
+        st.text(alphabet="abcAB ", max_size=8),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_equals_brute_force_oracle(self, cells, query, k):
+        """Values, locations, distances and order of ``search`` equal the
+        full DP over every pooled value, for arbitrary small indexes
+        (case variants and repeats across columns included)."""
+        index = InvertedIndex()
+        for value, column in cells:
+            index.add_value(value, ValueLocation("t", f"c{column}"))
+        searcher = SimilaritySearcher(index)
+        got = searcher.search(query, max_distance=k, max_results=10 * len(cells) + 1)
+        assert [(m.value, m.location, m.distance) for m in got] == naive_search(
+            index, query, k
+        )
 
     def test_cross_column_fanout(self):
         """A string in many columns is returned once per location."""
@@ -250,6 +413,13 @@ class TestSearcherCacheAndStaleness:
         calls = searcher.stats.dp_calls
         searcher.search("frnace")  # memo hit: no new DP work
         assert searcher.stats.dp_calls == calls
+
+    def test_dp_calls_count_the_survivors_verified(self, pets_db):
+        searcher = SimilaritySearcher(InvertedIndex.build(pets_db))
+        searcher.search("frnace", max_distance=2)
+        assert searcher.stats.dp_calls == len(
+            searcher._pool.candidate_indices("frnace", max_distance=2)
+        )
 
     def test_observer_notified(self, pets_db):
         searcher = SimilaritySearcher(InvertedIndex.build(pets_db))
@@ -332,6 +502,62 @@ class TestPersistence:
         payload = pickle.loads(path.read_bytes())
         assert payload["format_version"] == FORMAT_VERSION
         payload["format_version"] = FORMAT_VERSION + 1
+        path.write_bytes(pickle.dumps(payload))
+        assert load_bundle(path, fingerprint="fp") is None
+
+    def test_v1_bundle_returns_none(self, pets_db, tmp_path):
+        """A bundle from before the columnar pool (format 1: string list,
+        dict-of-array postings) is rebuilt, whatever version it claims."""
+        index = InvertedIndex.build(pets_db)
+        path = tmp_path / "pets.index"
+        save_bundle(
+            path, fingerprint="fp", index=index, searcher=SimilaritySearcher(index)
+        )
+        payload = pickle.loads(path.read_bytes())
+        payload["searcher"]["pool"] = {
+            "q": 3,
+            "values": ["france"],
+            "lengths": array("I", [6]),
+            "by_length": {6: array("I", [0])},
+            "postings": {"fra": array("I", [0, 1])},
+            "char_postings": {"f": array("I", [0, 1])},
+        }
+        for version in (1, FORMAT_VERSION):
+            payload["format_version"] = version
+            path.write_bytes(pickle.dumps(payload))
+            assert load_bundle(path, fingerprint="fp") is None
+
+    @pytest.mark.parametrize("damage", [
+        "ptr_past_postings", "ptr_not_monotone", "idx_wrong_dtype",
+        "idx_outside_pool", "keys_wrong_dtype", "lengths_disagree",
+        "fanout_disagrees",
+    ])
+    def test_inconsistent_arrays_return_none(self, pets_db, tmp_path, damage):
+        """A bundle that unpickles but whose arrays do not fit together is
+        rejected at load time instead of raising inside a later query."""
+        index = InvertedIndex.build(pets_db)
+        path = tmp_path / "pets.index"
+        save_bundle(
+            path, fingerprint="fp", index=index, searcher=SimilaritySearcher(index)
+        )
+        payload = pickle.loads(path.read_bytes())
+        pool = payload["searcher"]["pool"]
+        keys, ptr, idx, mult = (a.copy() for a in pool["grams"])
+        if damage == "ptr_past_postings":
+            ptr[-1] += 1
+        elif damage == "ptr_not_monotone":
+            ptr[1], ptr[2] = ptr[2], ptr[1]
+        elif damage == "idx_wrong_dtype":
+            idx = idx.astype(np.int64)
+        elif damage == "idx_outside_pool":
+            idx[0] = pool["lengths"].size
+        elif damage == "keys_wrong_dtype":
+            keys = keys.astype(np.uint64)
+        elif damage == "lengths_disagree":
+            pool["lengths"] = pool["lengths"] + 1
+        elif damage == "fanout_disagrees":
+            payload["searcher"]["offsets"] = payload["searcher"]["offsets"][:-1]
+        pool["grams"] = (keys, ptr, idx, mult)
         path.write_bytes(pickle.dumps(payload))
         assert load_bundle(path, fingerprint="fp") is None
 
@@ -436,18 +662,56 @@ class TestRegistry:
         Preprocessor(pets_db)
         assert fresh_registry.build_count == 2
 
-    def test_warm_parallel_builds(self, spider_corpus):
+    def test_warm_builds_each_database_once(self, spider_corpus):
         registry = IndexRegistry()
         databases = {
             domain: spider_corpus.database(domain)
             for domain in sorted(spider_corpus.domains)[:4]
         }
-        entries = registry.warm(databases, max_workers=4)
-        assert len(entries) == 4
+        entries = registry.warm(databases)
+        assert [entry.database_id for entry in entries] == list(databases)
         assert registry.build_count == 4
         # warm again: every entry is shared, nothing rebuilds
-        registry.warm(databases, max_workers=4)
+        registry.warm(databases)
         assert registry.build_count == 4
+        assert registry.warm(databases, only={entries[0].database_id}) == entries[:1]
+
+    def test_warm_start_from_disk_rederives_nothing(
+        self, spider_corpus, tmp_path, monkeypatch
+    ):
+        """The retired bench's "warm start >= 10x faster than cold", as
+        structure instead of a ratio: a start from the disk cache scans no
+        column and builds no pool, and answers exactly what the cold start
+        answers."""
+        calls: Counter = Counter()
+
+        def count_calls(owner, name):
+            original = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        count_calls(Database, "column_values")
+        count_calls(BlockedValuePool, "__init__")
+        databases = {
+            domain: spider_corpus.database(domain)
+            for domain in sorted(spider_corpus.domains)[:2]
+        }
+        cold = IndexRegistry(cache_dir=tmp_path).warm(databases)
+        assert [entry.source for entry in cold] == ["built", "built"]
+        assert calls["column_values"] > 0 and calls["__init__"] == 2
+
+        calls.clear()
+        warm = IndexRegistry(cache_dir=tmp_path).warm(databases)
+        assert [entry.source for entry in warm] == ["disk", "disk"]
+        assert not calls
+        for cold_entry, warm_entry in zip(cold, warm):
+            values = [value for value, _ in cold_entry.index.iter_text_values()]
+            for query in typo_queries(values[:: max(1, len(values) // 10)]):
+                assert warm_entry.searcher.search(query) == cold_entry.searcher.search(query)
 
     def test_default_registry_swap_restores(self):
         original = get_default_registry()
