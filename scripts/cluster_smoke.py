@@ -113,11 +113,7 @@ def main() -> int:
         ]
         cluster = ClusterService(
             databases,
-            config=ClusterConfig(
-                workers=2,
-                heartbeat_interval_s=0.2,
-                restart_backoff_initial_s=0.2,
-            ),
+            config=ClusterConfig(workers=2),
             verbose=True,
             cache_size=2,
             cache_ttl_s=0.001,  # effectively no result cache: real load

@@ -276,18 +276,34 @@ def _build_tenancy(args, metrics=None):
     return controller
 
 
-def _build_policy(args, metrics=None):
-    """Build the PolicyEngine for ``--policy`` (None when absent)."""
-    if args.policy is None:
-        return None
-    from repro.policy import PolicyConfigStore, PolicyEngine
+def _spec_kwargs(args) -> dict:
+    """The ``serve`` flags that shape a serving stack, as
+    :class:`~repro.cluster.worker.WorkerSpec` fields — the one mapping
+    both modes use (``ClusterService`` hands them to every worker's
+    spec; ``--kb-corpus`` is a file in-process, a directory of
+    ``worker-<id>.jsonl`` files under ``--workers``)."""
+    return dict(
+        model_path=args.model,
+        beam_size=args.beam,
+        threads=args.threads,
+        queue_size=args.queue_size,
+        per_tenant_depth=args.per_tenant_depth,
+        max_batch=args.max_batch,
+        batch_window_ms=args.batch_window_ms,
+        cache_size=args.cache_size,
+        cache_ttl_s=args.cache_ttl,
+        index_cache=args.index_cache,
+        allow_failure_injection=args.allow_injection,
+        policy_path=args.policy,
+        dialect=args.dialect,
+        kb_refresh_interval_s=args.kb_refresh_interval,
+        kb_corpus=args.kb_corpus,
+    )
 
-    engine = PolicyEngine(PolicyConfigStore.load(args.policy), metrics=metrics)
-    from repro.policy import rule_catalog
 
-    print(f"policy engine enabled: {len(rule_catalog())} rule(s), "
-          f"config at {args.policy}")
-    return engine
+def _print_endpoints(tenancy) -> None:
+    print("  endpoints: POST /translate  GET /healthz /livez /readyz /metrics"
+          + ("  GET /tenants /tenants/<id>/usage" if tenancy else ""))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -311,97 +327,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_single(args, pairs, server, shutdown) -> int:
-    import time as _time
+    """One in-process stack with every database in its shard, plus
+    tenancy and the HTTP server."""
+    from repro.cluster.worker import ServingStack, WorkerSpec
 
-    from repro.db import Database
-    from repro.serving import DatabaseRuntime, TranslationCache, TranslationService
-
-    model = None
-    if args.model is not None:
-        from repro.model import ValueNetModel
-
-        model = ValueNetModel.load(args.model)
-
-    if args.index_cache is not None:
-        from repro.index import IndexRegistry, set_default_registry
-
-        set_default_registry(IndexRegistry(cache_dir=args.index_cache))
-
-    databases = {db_id: Database.open(path) for db_id, path in pairs}
-
-    # Parallel cold builds (or warm disk loads) before taking traffic.
-    from repro.index import get_default_registry
-
-    registry = get_default_registry()
-    warm_start = _time.perf_counter()
-    # Keyed by schema name (how Preprocessor looks indexes up), not by
-    # the external routing id.
-    registry.warm(list(databases.values()))
-    stats = registry.stats()
-    print(f"indexes ready in {_time.perf_counter() - warm_start:.2f}s "
-          f"(built={stats['build_count']} loaded={stats['load_count']})")
-
-    from repro.metrics import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    tenancy = _build_tenancy(args, metrics)
-    policy = _build_policy(args, metrics)
-    runtimes = [
-        DatabaseRuntime(database, model, database_id=database_id,
-                        beam_size=args.beam, policy=policy,
-                        dialect=args.dialect)
-        for database_id, database in databases.items()
-    ]
-    service = TranslationService(
-        runtimes,
-        workers=args.threads,
-        queue_size=args.queue_size,
-        per_tenant_depth=args.per_tenant_depth,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        cache=TranslationCache(capacity=args.cache_size, ttl_s=args.cache_ttl),
+    stack = ServingStack(WorkerSpec(
+        worker_id=0,
+        databases=tuple(pairs),
+        shard=tuple(db_id for db_id, _ in pairs),
         default_timeout_ms=args.timeout_ms,
-        allow_failure_injection=args.allow_injection,
-        ready=False,
-        metrics=metrics,
-        tenancy=tenancy,
-    )
-    service.start()
-    server.attach(service)
-    service.mark_ready()
-    refresher = None
-    if args.kb_refresh_interval is not None:
-        from repro.evolve import KBRefresher
+        **_spec_kwargs(args),
+    ))
+    stats = stack.registry.stats()
+    print(f"indexes ready in {stack.warm_s:.2f}s "
+          f"(built={stats['build_count']} loaded={stats['load_count']})")
+    service = stack.service
+    service.tenancy = tenancy = _build_tenancy(args, stack.metrics)
+    if args.policy is not None:
+        from repro.policy import rule_catalog
 
-        refresher = KBRefresher(
-            registry=registry,
-            interval_s=args.kb_refresh_interval,
-            metrics=metrics,
-            corpus_path=args.kb_corpus,
-            corpus_policy=policy,
-        )
-        for database_id, database in databases.items():
-            refresher.watch(database, database_id=database_id)
-        refresher.attach_service(service)
-        refresher.start()
-        _install_sighup(refresher.trigger)
+        print(f"policy engine enabled: {len(rule_catalog())} rule(s), "
+              f"config at {args.policy}")
+    server.attach(service)
+    if stack.refresher is not None:
+        _install_sighup(stack.refresher.trigger)
         print(f"kb refresher: polling every {args.kb_refresh_interval:g}s "
               f"(force via SIGHUP or POST /admin/refresh)")
-    print(f"serving {len(runtimes)} database(s): "
+    print(f"serving {len(pairs)} database(s): "
           f"{', '.join(sorted(service.runtimes))}")
-    print("  endpoints: POST /translate  GET /healthz /livez /readyz /metrics"
-          + ("  GET /tenants /tenants/<id>/usage" if tenancy else ""))
+    _print_endpoints(tenancy)
     try:
         _serve_until_signalled(server, shutdown)
     finally:
-        if refresher is not None:
-            refresher.stop()
-        clean = service.drain(timeout=args.drain_s)
+        clean = stack.close(timeout=args.drain_s)
         print("drained cleanly" if clean else "drain timed out; stopped anyway")
         if tenancy is not None:
             tenancy.close()
-        for runtime in runtimes:
-            runtime.database.close()
     return 0
 
 
@@ -413,7 +374,6 @@ def _serve_cluster(args, pairs, server, shutdown) -> int:
     tenancy = _build_tenancy(args, metrics)
     cluster = ClusterService(
         pairs,
-        model_path=args.model,
         metrics=metrics,
         config=ClusterConfig(
             workers=args.workers,
@@ -421,20 +381,7 @@ def _serve_cluster(args, pairs, server, shutdown) -> int:
         ),
         verbose=True,
         tenancy=tenancy,
-        beam_size=args.beam,
-        threads=args.threads,
-        queue_size=args.queue_size,
-        per_tenant_depth=args.per_tenant_depth,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        cache_size=args.cache_size,
-        cache_ttl_s=args.cache_ttl,
-        index_cache=args.index_cache,
-        allow_failure_injection=args.allow_injection,
-        policy_path=args.policy,
-        dialect=args.dialect,
-        kb_refresh_interval_s=args.kb_refresh_interval,
-        kb_corpus_dir=args.kb_corpus,
+        **_spec_kwargs(args),
     )
     cluster.start()
     server.attach(cluster)
@@ -451,8 +398,7 @@ def _serve_cluster(args, pairs, server, shutdown) -> int:
     for worker_id, state in sorted(cluster.worker_states().items()):
         print(f"  worker {worker_id} (pid={state['pid']}): "
               f"shard={state['shard']}")
-    print("  endpoints: POST /translate  GET /healthz /livez /readyz /metrics"
-          + ("  GET /tenants /tenants/<id>/usage" if tenancy else ""))
+    _print_endpoints(tenancy)
     try:
         _serve_until_signalled(server, shutdown)
     finally:

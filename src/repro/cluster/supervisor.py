@@ -4,31 +4,46 @@
 :class:`~repro.serving.service.TranslationService` (``translate``,
 ``health``, ``metrics``, ``is_ready``), so the stdlib HTTP front-end
 (:class:`~repro.serving.http.ServingServer`) serves a cluster without
-changes.  Behind that surface it:
+changes.  Behind that surface it forks N worker processes (fork start
+method; each builds its own :class:`~repro.cluster.worker.ServingStack`
+and warms only its shard's indexes) and speaks the length-prefixed JSON
+protocol of :mod:`repro.cluster.protocol` to each over a socketpair.
 
-* forks N worker processes (fork start method; each worker builds its
-  own ``TranslationService`` and warms only its shard's indexes),
-* routes requests to workers by **consistent hashing** on ``db_id``
-  (:class:`~repro.cluster.router.HashRing`) so each worker's schema and
-  index caches stay hot for its shard,
-* speaks the length-prefixed JSON protocol of
-  :mod:`repro.cluster.protocol` with per-request ids, deadlines
-  propagated as remaining budgets, and a bounded in-flight **window**
-  per worker,
-* supervises: heartbeat pings with miss-based hang detection, SIGKILL +
-  automatic restart with exponential backoff, a circuit breaker that
-  stops restarting a crash-looping worker, requeue-or-fail-fast for
-  requests caught on a dead worker, and graceful drain on shutdown,
-* aggregates metrics: ``/metrics`` merges every worker's snapshot with
-  the supervisor's own counters and per-worker liveness gauges.
+**One owner per request.**  The thread that calls :meth:`ClusterService.
+translate` — the HTTP thread that accepted the request — drives it end
+to end; there is no queue and no relay thread between it and the
+worker's socket.  One attempt, in order:
+
+1. pick the worker: **consistent hashing** on ``db_id``
+   (:class:`~repro.cluster.router.HashRing`) over the routable workers,
+   so each worker's schema and index caches stay hot for its shard;
+2. be admitted: at most ``_MAX_WAITING`` callers may wait on one worker
+   beyond its in-flight window; the next one is shed at once (retriable);
+3. wait, within the request's deadline, for the worker to be ready and
+   then for one of its ``_MAX_INFLIGHT`` window slots — a request whose
+   deadline expires here is rejected without ever occupying a slot;
+4. register under the request id, send the frame with the *remaining*
+   budget, and wait for the worker's receiver thread to deliver the
+   answer.
+
+Every exit of an attempt gives back what it took (admission count,
+window slot, pending entry).  When the worker is lost under the request
+— not ready after all, send failed, died in flight (the receiver's EOF
+marks every pending entry lost) — its own caller loops once more to the
+next worker on the ring, and fails retriably if that one is lost too.
+
+Besides callers, the supervisor runs one receiver thread per worker
+incarnation and one supervise thread: heartbeat pings with miss-based
+hang detection, SIGKILL + automatic restart with exponential backoff, a
+circuit breaker that stops restarting a crash-looping worker, and
+graceful drain on shutdown (``stop`` waits for every caller inside
+``translate``).  ``/metrics`` merges every worker's snapshot with the
+supervisor's own counters and per-worker liveness gauges; ``/healthz``
+carries each worker's own health block from its latest pong.
 
 Failure semantics for one accepted request: it is either answered (200,
 possibly degraded) or rejected with a *retriable* error
-(:class:`~repro.serving.service.QueueFullError` → HTTP 503).  A request
-in flight on a worker that dies is requeued once to another live worker
-when its deadline allows; otherwise it fails fast with the retriable
-rejection.  A request whose deadline expires while still queued
-supervisor-side is rejected without ever occupying a worker slot.
+(:class:`~repro.serving.service.QueueFullError` → HTTP 503).
 """
 
 from __future__ import annotations
@@ -36,11 +51,10 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster import protocol
 from repro.cluster.health import CircuitBreaker, WorkerStatus
@@ -61,84 +75,56 @@ from repro.serving.service import (
 
 _LOG = get_logger(__name__)
 
+_MAX_INFLIGHT = 16           # request frames outstanding on one worker
+_MAX_WAITING = 128           # callers admitted beyond that; the rest shed
+_MAX_ATTEMPTS = 2            # workers one request may be tried on
+_HEARTBEAT_INTERVAL_S = 0.5
+_HEARTBEAT_MISSES = 6        # missed pongs before a kill
+_READY_TIMEOUT_S = 120.0     # warm-up budget before a kill
+
 
 @dataclass
 class ClusterConfig:
-    """Supervision and routing knobs (defaults fit tests and smoke runs)."""
+    """What a deployment chooses; supervision policy is fixed above."""
 
     workers: int = 2
-    max_inflight: int = 16            # per-worker in-flight window
-    dispatch_queue_size: int = 128    # supervisor-side bound per worker
-    heartbeat_interval_s: float = 0.5
-    heartbeat_misses: int = 6         # missed pongs before a kill
-    ready_timeout_s: float = 120.0    # warm-up budget before a kill
-    restart_backoff_initial_s: float = 0.25
-    restart_backoff_max_s: float = 10.0
-    breaker_max_failures: int = 5
-    breaker_window_s: float = 60.0
-    max_attempts: int = 2             # dispatch attempts per request
-    ring_replicas: int = 64
     default_timeout_ms: float = 10_000.0
 
 
-@dataclass
 class _Pending:
-    """One accepted request travelling through the cluster."""
+    """One attempt's wait cell: registered under the request id, resolved
+    by the worker's receiver thread, waited on by the calling thread.
+    ``done`` with neither field set means the worker was lost."""
 
-    request_id: int
-    question: str
-    database_id: str
-    beam_size: int | None
-    execute: bool
-    inject_failure: bool
-    deadline: float                    # supervisor monotonic
-    tenant_id: str | None = None
-    tenant_weight: int = 1
-    dialect: str | None = None
-    attempts: int = 0
-    excluded: set[int] = field(default_factory=set)
-    done: threading.Event = field(default_factory=threading.Event)
-    payload: dict | None = None
-    reject_reason: str | None = None
+    __slots__ = ("done", "payload", "reject_reason")
 
-    def resolve_payload(self, payload: dict) -> None:
-        self.payload = payload
-        self.done.set()
-
-    def reject(self, reason: str) -> None:
-        self.reject_reason = reason
-        self.done.set()
-
-
-_STOP = object()
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.payload: dict | None = None
+        self.reject_reason: str | None = None
 
 
 class _WorkerHandle:
     """Supervisor-side state for one worker slot (survives restarts)."""
 
-    def __init__(self, spec: WorkerSpec, config: ClusterConfig):
+    def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.config = config
         self.worker_id = spec.worker_id
         self.status = WorkerStatus.STOPPED
         self.proc: multiprocessing.process.BaseProcess | None = None
         self.sock: socket.socket | None = None
         self.conn: protocol.FrameConnection | None = None
         self.incarnation = 0
-        self.window = threading.Semaphore(config.max_inflight)
-        self.dispatch: queue.Queue = queue.Queue(maxsize=config.dispatch_queue_size)
+        # Every caller releases the slot it took, so one semaphore serves
+        # every incarnation.
+        self.window = threading.Semaphore(_MAX_INFLIGHT)
+        self.callers = 0  # guarded by: pending_lock
         self.pending: dict[int, _Pending] = {}  # guarded by: pending_lock
         self.pending_lock = make_lock(f"_WorkerHandle[{spec.worker_id}].pending_lock")
         self.send_lock = make_lock(f"_WorkerHandle[{spec.worker_id}].send_lock")
         self.ready_event = threading.Event()
-        self.backoff = ExponentialBackoff(
-            initial=config.restart_backoff_initial_s,
-            max_delay=config.restart_backoff_max_s,
-        )
-        self.breaker = CircuitBreaker(
-            max_failures=config.breaker_max_failures,
-            window_s=config.breaker_window_s,
-        )
+        self.backoff = ExponentialBackoff()
+        self.breaker = CircuitBreaker()
         self.restart_at = 0.0
         self.started_at = 0.0
         self.ready_since = 0.0
@@ -152,10 +138,10 @@ class _WorkerHandle:
     def pid(self) -> int | None:
         return self.proc.pid if self.proc is not None else None
 
-    def pending_count(self) -> int:
-        """In-flight requests on this worker (consistent read)."""
+    def load(self) -> tuple[int, int]:
+        """``(in flight, waiting)`` callers on this worker (consistent read)."""
         with self.pending_lock:
-            return len(self.pending)
+            return len(self.pending), self.callers - len(self.pending)
 
 
 class _ClusterMetrics:
@@ -194,7 +180,7 @@ class ClusterService:
         databases: ``(db_id, sqlite_path)`` pairs — cluster workers open
             databases by path, so in-memory databases cannot be served.
         model_path: saved model directory (``None`` = heuristic-only).
-        config: supervision/routing knobs.
+        config: worker count and the default request deadline.
         metrics: supervisor-local registry (created when omitted);
             worker-side serving metrics are merged in at scrape time.
         tenancy: optional :class:`~repro.tenancy.controller.TenancyController`
@@ -203,7 +189,8 @@ class ClusterService:
             identity over IPC for fair queueing and per-tenant metrics.
         spec_defaults: extra :class:`WorkerSpec` fields applied to every
             worker (threads, queue_size, per_tenant_depth, cache sizing,
-            index_cache, ...).
+            index_cache, ...).  ``kb_corpus`` names a directory here:
+            each worker appends to its own ``worker-<id>.jsonl`` in it.
     """
 
     def __init__(
@@ -230,10 +217,14 @@ class ClusterService:
             raise RuntimeError("cluster serving requires the fork start method")
         self._ctx = multiprocessing.get_context("fork")
         self.verbose = verbose
-        self.ring = HashRing(
-            range(self.config.workers), replicas=self.config.ring_replicas
-        )
+        self.ring = HashRing(range(self.config.workers))
         shards = self.ring.shards(sorted(self.database_ids))
+        # The /admin/refresh route broadcasts only when workers actually
+        # run a refresher (spec_defaults carry the interval to them).
+        self.refresh_enabled = (
+            spec_defaults.get("kb_refresh_interval_s") is not None
+        )
+        corpus_dir = spec_defaults.pop("kb_corpus", None)
         self.handles = [
             _WorkerHandle(
                 WorkerSpec(
@@ -242,25 +233,21 @@ class ClusterService:
                     shard=tuple(shards[worker_id]),
                     model_path=model_path,
                     default_timeout_ms=self.config.default_timeout_ms,
-                    max_inflight=self.config.max_inflight,
+                    kb_corpus=(
+                        os.path.join(corpus_dir, f"worker-{worker_id}.jsonl")
+                        if corpus_dir is not None else None
+                    ),
                     **spec_defaults,
-                ),
-                self.config,
+                )
             )
             for worker_id in range(self.config.workers)
         ]
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = _ClusterMetrics(self)
         self.tenancy = tenancy
-        # The /admin/refresh route broadcasts only when workers actually
-        # run a refresher (spec_defaults carry the interval to them).
-        self.refresh_enabled = (
-            spec_defaults.get("kb_refresh_interval_s") is not None
-        )
         self._ids = itertools.count(1)
         self._ping_ids = itertools.count(1)
         self._lock = make_rlock("ClusterService._lock")
-        self._threads: list[threading.Thread] = []
         self._started = False
         self._stopping = False
         # Epoch stamp is for human display only; uptime math uses the
@@ -276,7 +263,7 @@ class ClusterService:
             "cluster_expired_total",
             "requests whose deadline expired before occupying a worker slot")
         self._requeued_total = m.counter(
-            "cluster_requeued_total", "requests requeued off a dead worker")
+            "cluster_requeued_total", "requests retried off a lost worker")
         self._restarts_total = m.counter(
             "cluster_worker_restarts_total", "worker processes restarted")
         self._workers_alive = m.gauge(
@@ -300,20 +287,9 @@ class ClusterService:
         with self._lock:
             for handle in self.handles:
                 self._spawn_locked(handle)
-        for handle in self.handles:
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                args=(handle,),
-                name=f"cluster-dispatch-{handle.worker_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        supervisor = threading.Thread(
+        threading.Thread(
             target=self._supervise_loop, name="cluster-supervise", daemon=True
-        )
-        supervisor.start()
-        self._threads.append(supervisor)
+        ).start()
         return self
 
     def wait_ready(self, timeout: float = 60.0) -> bool:
@@ -337,11 +313,11 @@ class ClusterService:
         clean = True
         if drain:
             clean = self._drain(deadline)
-        for handle in self.handles:
-            handle.dispatch.put(_STOP)
         with self._lock:
             for handle in self.handles:
                 handle.status = WorkerStatus.STOPPED
+                # Wake callers waiting for a worker that will not come.
+                handle.ready_event.set()
                 if handle.conn is not None:
                     try:
                         with handle.send_lock:
@@ -359,7 +335,7 @@ class ClusterService:
                 clean = False
         with self._lock:
             for handle in self.handles:
-                self._fail_pending_locked(handle, "cluster is shutting down")
+                self._orphan_pending(handle, "cluster is shutting down")
                 if handle.sock is not None:
                     try:
                         handle.sock.close()
@@ -370,12 +346,9 @@ class ClusterService:
         return clean
 
     def _drain(self, deadline: float) -> bool:
+        """Wait for every caller inside an attempt to leave it."""
         while time.monotonic() < deadline:
-            busy = any(
-                not handle.dispatch.empty() or handle.pending_count() > 0
-                for handle in self.handles
-            )
-            if not busy:
+            if not any(sum(handle.load()) for handle in self.handles):
                 return True
             time.sleep(0.02)
         return False
@@ -394,7 +367,6 @@ class ClusterService:
         handle.incarnation += 1
         handle.sock = parent
         handle.conn = protocol.FrameConnection(parent)
-        handle.window = threading.Semaphore(self.config.max_inflight)
         handle.status = WorkerStatus.STARTING
         handle.started_at = time.monotonic()
         handle.last_pong = time.monotonic()
@@ -411,7 +383,7 @@ class ClusterService:
         handle.proc = proc
         receiver = threading.Thread(
             target=self._receive_loop,
-            args=(handle, handle.conn, handle.incarnation, handle.window),
+            args=(handle, handle.conn, handle.incarnation),
             name=f"cluster-recv-{handle.worker_id}.{handle.incarnation}",
             daemon=True,
         )
@@ -437,13 +409,14 @@ class ClusterService:
         tenant_weight: int = 1,
         dialect: str | None = None,
     ) -> ServeResponse:
-        """Route one request to its shard's worker and wait for the answer.
+        """Drive one request to its shard's worker and back, on this thread.
 
         Raises :class:`UnknownDatabaseError` for unknown databases and
         :class:`QueueFullError` for every retriable rejection (no live
-        worker, dispatch queue full, deadline expired in queue, worker
-        died with no requeue budget left).  ``dialect`` is validated at
-        the front door (ValueError -> HTTP 400) and rides the IPC frame.
+        worker, too many callers already waiting on the worker, deadline
+        expired before a slot, the worker and its one stand-in both
+        lost).  ``dialect`` is validated at the front door (ValueError ->
+        HTTP 400) and rides the IPC frame.
         """
         if dialect is not None:
             from repro.errors import TranslationError
@@ -469,30 +442,40 @@ class ClusterService:
         timeout_s = (
             timeout_ms if timeout_ms is not None else self.config.default_timeout_ms
         ) / 1000.0
-        pending = _Pending(
-            request_id=next(self._ids),
-            question=question,
-            database_id=database_id,
+        budget_s = max(0.0, timeout_s)
+        deadline = time.monotonic() + budget_s
+        frame = protocol.request_frame(
+            next(self._ids),
+            question,
+            database_id,
             beam_size=int(beam_size) if beam_size is not None else None,
             execute=bool(execute),
+            budget_s=budget_s,  # what is left of it is stamped at each send
             inject_failure=bool(inject_failure),
-            deadline=time.monotonic() + max(0.0, timeout_s),
             tenant_id=tenant_id,
             tenant_weight=max(1, int(tenant_weight)),
             dialect=dialect,
         )
-        if not self._enqueue(pending):
+        lost: set[int] = set()  # workers lost under this request
+        try:
+            while True:
+                order = self.ring.preference(database_id, self._routable(lost))
+                if not order:
+                    raise QueueFullError("no live worker for this database's shard")
+                handle = self.handles[order[0]]
+                payload = self._attempt(handle, frame, deadline, first=not lost)
+                if payload is not None:
+                    return ServeResponse.from_dict(payload)
+                lost.add(handle.worker_id)
+                if len(lost) >= _MAX_ATTEMPTS or time.monotonic() >= deadline:
+                    raise QueueFullError(
+                        f"worker {handle.worker_id} died while handling the "
+                        f"request (no retry budget left)"
+                    )
+                self._requeued_total.inc()
+        except QueueFullError:
             self._rejected_total.inc()
-            raise QueueFullError(pending.reject_reason or "no live worker")
-        self._requests_total.inc()
-        # Workers enforce the deadline; the generous cap only guards
-        # against a supervisor bug wedging the bookkeeping.
-        if not pending.done.wait(timeout=max(0.0, timeout_s) + 60.0):
-            pending.reject("internal timeout: request lost in the cluster")
-        if pending.payload is not None:
-            return ServeResponse.from_dict(pending.payload)
-        self._rejected_total.inc()
-        raise QueueFullError(pending.reject_reason or "request rejected")
+            raise
 
     def _routable(self, exclude: set[int]) -> list[int]:
         """Workers that may receive new traffic, READY ones first."""
@@ -503,8 +486,8 @@ class ClusterService:
         ]
         if ready:
             return ready
-        # No READY worker: route to ones that are coming up — the
-        # dispatcher waits for readiness within the request's deadline.
+        # No READY worker: route to ones that are coming up — the caller
+        # waits for readiness within the request's deadline.
         return [
             h.worker_id
             for h in self.handles
@@ -513,93 +496,71 @@ class ClusterService:
             and h.worker_id not in exclude
         ]
 
-    def _enqueue(self, pending: _Pending) -> bool:
-        """Place ``pending`` on its preferred worker's dispatch queue."""
-        order = self.ring.preference(
-            pending.database_id, self._routable(pending.excluded)
-        )
-        if not order:
-            pending.reject("no live worker for this database's shard")
-            return False
-        pending.attempts += 1
-        handle = self.handles[order[0]]
+    def _attempt(
+        self, handle: _WorkerHandle, frame: dict, deadline: float, *, first: bool
+    ) -> dict | None:
+        """One try on one worker: the response payload, or ``None`` when
+        the worker was lost under the request; :class:`QueueFullError`
+        when it is shed, expired or rejected by the worker.  Every exit
+        gives back what it took."""
+        with handle.pending_lock:
+            if handle.callers - len(handle.pending) >= _MAX_WAITING:
+                raise QueueFullError(
+                    f"worker {handle.worker_id} is full "
+                    f"({_MAX_WAITING} callers already waiting)"
+                )
+            handle.callers += 1
         try:
-            handle.dispatch.put_nowait(pending)
-        except queue.Full:
-            pending.reject(
-                f"worker {handle.worker_id} dispatch queue is full "
-                f"({handle.dispatch.maxsize} deep)"
-            )
-            return False
-        return True
-
-    # ----------------------------------------------------------- dispatch
-
-    def _dispatch_loop(self, handle: _WorkerHandle) -> None:
-        """Drain one worker's dispatch queue into its IPC socket."""
-        while True:
-            item = handle.dispatch.get()
-            if item is _STOP:
-                return
+            if first:
+                self._requests_total.inc()
             now = time.monotonic()
-            if now >= item.deadline:
-                # Expired while queued: reject WITHOUT occupying a slot.
-                self._expired_total.inc()
-                item.reject("deadline expired while queued for a worker")
-                continue
-            if not handle.ready_event.wait(timeout=item.deadline - now):
-                self._expired_total.inc()
-                item.reject("deadline expired waiting for a live worker")
-                continue
+            if now >= deadline:
+                raise self._expired("before reaching a worker")
+            if not handle.ready_event.wait(timeout=deadline - now):
+                raise self._expired("waiting for a live worker")
             if handle.status is not WorkerStatus.READY:
-                self._requeue(item, from_worker=handle.worker_id)
-                continue
-            window = handle.window
-            remaining = item.deadline - time.monotonic()
-            if remaining <= 0 or not window.acquire(timeout=remaining):
-                self._expired_total.inc()
-                item.reject("deadline expired waiting for a worker slot")
-                continue
+                return None
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not handle.window.acquire(timeout=remaining):
+                raise self._expired("waiting for a worker slot")
+            try:
+                return self._exchange(handle, frame, deadline)
+            finally:
+                handle.window.release()
+        finally:
             with handle.pending_lock:
-                handle.pending[item.request_id] = item
-            frame = protocol.request_frame(
-                item.request_id,
-                item.question,
-                item.database_id,
-                beam_size=item.beam_size,
-                execute=item.execute,
-                budget_s=protocol.remaining_budget_s(item.deadline),
-                inject_failure=item.inject_failure,
-                tenant_id=item.tenant_id,
-                tenant_weight=item.tenant_weight,
-                dialect=item.dialect,
-            )
+                handle.callers -= 1
+
+    def _expired(self, where: str) -> QueueFullError:
+        """The rejection of a request whose deadline ran out before it
+        held a slot (counted here)."""
+        self._expired_total.inc()
+        return QueueFullError(f"deadline expired {where}")
+
+    def _exchange(
+        self, handle: _WorkerHandle, frame: dict, deadline: float
+    ) -> dict | None:
+        """Holding a window slot: register, send, wait for the receiver."""
+        pending = _Pending()
+        with handle.pending_lock:
+            handle.pending[frame["id"]] = pending
+        try:
+            frame["budget_s"] = protocol.remaining_budget_s(deadline)
             try:
                 with handle.send_lock:
                     handle.conn.send(frame)
             except (OSError, protocol.ProtocolError):
-                with handle.pending_lock:
-                    handle.pending.pop(item.request_id, None)
-                window.release()
-                self._requeue(item, from_worker=handle.worker_id)
-
-    def _requeue(self, item: _Pending, *, from_worker: int) -> None:
-        """Requeue-or-fail-fast for a request caught on a dead worker."""
-        item.excluded.add(from_worker)
-        if item.done.is_set():
-            return
-        if (
-            item.attempts >= self.config.max_attempts
-            or time.monotonic() >= item.deadline
-        ):
-            item.reject(
-                f"worker {from_worker} died while handling the request "
-                f"(no retry budget left)"
-            )
-            return
-        self._requeued_total.inc()
-        if not self._enqueue(item):
-            pass  # _enqueue already rejected with its reason
+                return None
+            # Workers enforce the deadline; the generous cap only guards
+            # against a bug wedging the bookkeeping.
+            if not pending.done.wait(timeout=frame["budget_s"] + 60.0):
+                raise QueueFullError("internal timeout: request lost in the cluster")
+        finally:
+            with handle.pending_lock:
+                handle.pending.pop(frame["id"], None)
+        if pending.reject_reason is not None:
+            raise QueueFullError(pending.reject_reason)
+        return pending.payload  # None: the receiver's EOF marked it lost
 
     # ----------------------------------------------------------- receiving
 
@@ -608,22 +569,22 @@ class ClusterService:
         handle: _WorkerHandle,
         conn: protocol.FrameConnection,
         incarnation: int,
-        window: threading.Semaphore,
     ) -> None:
         try:
             while True:
                 frame = conn.recv()
                 kind = frame.get("type")
-                if kind == "response":
-                    item = self._pop_pending(handle, frame.get("id"))
-                    if item is not None:
-                        item.resolve_payload(frame.get("payload") or {})
-                        window.release()
-                elif kind == "reject":
-                    item = self._pop_pending(handle, frame.get("id"))
-                    if item is not None:
-                        item.reject(frame.get("reason", "worker rejected"))
-                        window.release()
+                if kind in ("response", "reject"):
+                    with handle.pending_lock:
+                        pending = handle.pending.pop(frame.get("id"), None)
+                    if pending is not None:  # else its caller already left
+                        if kind == "response":
+                            pending.payload = frame.get("payload") or {}
+                        else:
+                            pending.reject_reason = frame.get(
+                                "reason", "worker rejected"
+                            )
+                        pending.done.set()
                 elif kind == "pong":
                     handle.last_pong = time.monotonic()
                     handle.health_snapshot = frame.get("health") or {}
@@ -634,10 +595,6 @@ class ClusterService:
             pass
         finally:
             self._on_connection_lost(handle, incarnation)
-
-    def _pop_pending(self, handle: _WorkerHandle, request_id) -> _Pending | None:
-        with handle.pending_lock:
-            return handle.pending.pop(request_id, None)
 
     def _on_ready(self, handle: _WorkerHandle, incarnation: int, frame: dict) -> None:
         with self._lock:
@@ -657,7 +614,7 @@ class ClusterService:
     # --------------------------------------------------------- supervision
 
     def _on_connection_lost(self, handle: _WorkerHandle, incarnation: int) -> None:
-        """A worker's socket broke: fail over and schedule the restart."""
+        """A worker's socket broke: schedule the restart, orphan its callers."""
         with self._lock:
             if incarnation != handle.incarnation or self._stopping:
                 return
@@ -673,34 +630,28 @@ class ClusterService:
             )
             if not broken:
                 handle.restart_at = time.monotonic() + handle.backoff.next_delay()
-            with handle.pending_lock:
-                orphans = list(handle.pending.values())
-                handle.pending.clear()
             self._refresh_worker_gauges_locked()
+        # Each in-flight request's own caller wakes and tries the next
+        # worker; callers still waiting for a slot see the status.
+        orphans = self._orphan_pending(handle)
         self._log(
             f"worker {handle.worker_id} connection lost "
             f"({'circuit broken' if broken else 'restart scheduled'}, "
-            f"{len(orphans)} in flight)"
+            f"{orphans} in flight)"
         )
-        for item in orphans:
-            self._requeue(item, from_worker=handle.worker_id)
-        # Anything still queued supervisor-side re-routes as well: the
-        # dispatcher will requeue them when it sees the non-READY status,
-        # so nothing accepted is silently dropped.
 
-    def _fail_pending_locked(self, handle: _WorkerHandle, reason: str) -> None:
+    def _orphan_pending(
+        self, handle: _WorkerHandle, reject_reason: str | None = None
+    ) -> int:
+        """Wake every caller in flight on ``handle``: rejected with the
+        reason when given, else lost (its caller retries elsewhere)."""
         with handle.pending_lock:
             orphans = list(handle.pending.values())
             handle.pending.clear()
-        for item in orphans:
-            item.reject(reason)
-        while True:
-            try:
-                item = handle.dispatch.get_nowait()
-            except queue.Empty:
-                return
-            if item is not _STOP:
-                item.reject(reason)
+        for pending in orphans:
+            pending.reject_reason = reject_reason
+            pending.done.set()
+        return len(orphans)
 
     def _refresh_worker_gauges_locked(self) -> None:
         self._workers_alive.set(sum(
@@ -711,8 +662,8 @@ class ClusterService:
         ))
 
     def _supervise_loop(self) -> None:
-        interval = self.config.heartbeat_interval_s
-        hang_budget = interval * self.config.heartbeat_misses
+        interval = _HEARTBEAT_INTERVAL_S
+        hang_budget = interval * _HEARTBEAT_MISSES
         while not self._stopping:
             time.sleep(interval)
             if self._stopping:
@@ -744,7 +695,7 @@ class ClusterService:
                     if now - handle.last_pong > hang_budget:
                         self._log(
                             f"worker {handle.worker_id} missed "
-                            f"{self.config.heartbeat_misses} heartbeats; killing"
+                            f"{_HEARTBEAT_MISSES} heartbeats; killing"
                         )
                         with self._lock:
                             handle.status = WorkerStatus.UNHEALTHY
@@ -766,7 +717,7 @@ class ClusterService:
                     except (OSError, protocol.ProtocolError):
                         pass  # receiver EOF handles the fallout
                 elif status is WorkerStatus.STARTING:
-                    if now - handle.started_at > self.config.ready_timeout_s:
+                    if now - handle.started_at > _READY_TIMEOUT_S:
                         self._log(
                             f"worker {handle.worker_id} warm-up timed out; killing"
                         )
@@ -792,6 +743,7 @@ class ClusterService:
         now = time.monotonic()
         states = {}
         for handle in self.handles:
+            inflight, waiting = handle.load()
             states[str(handle.worker_id)] = {
                 "status": handle.status.value,
                 "pid": handle.pid,
@@ -801,8 +753,10 @@ class ClusterService:
                 "last_pong_age_s": (
                     round(now - handle.last_pong, 3) if handle.last_pong else None
                 ),
-                "inflight": handle.pending_count(),
-                "dispatch_depth": handle.dispatch.qsize(),
+                "inflight": inflight,
+                "waiting": waiting,
+                # The worker's own health block, as of its latest pong.
+                "service": handle.health_snapshot,
             }
         return states
 

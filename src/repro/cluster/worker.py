@@ -1,26 +1,32 @@
-"""The cluster worker process: one TranslationService behind an IPC socket.
+"""The serving stack, and the cluster worker process that wraps one.
 
-A worker is a full single-process serving stack — per-shard warmed
-:class:`~repro.index.registry.IndexRegistry`, per-database runtimes, a
-:class:`~repro.serving.service.TranslationService` with its own thread
-pool, micro-batching, cache, and metrics — minus the HTTP layer: the
-supervisor owns the listening socket and feeds the worker requests over
-one :mod:`repro.cluster.protocol` connection.
+:class:`ServingStack` is the one place a serving process is built from a
+:class:`WorkerSpec`: model → index registry → policy → databases → warm-up
+→ per-database runtimes → :class:`~repro.serving.service.TranslationService`
+→ KB refresher.  ``repro serve`` without ``--workers`` is that stack with
+every database in its shard, behind the HTTP server; a cluster worker is
+the same stack behind one :mod:`repro.cluster.protocol` connection to the
+supervisor, which owns the listening socket.
 
-Shard semantics: the worker *hosts* every database the cluster serves
-(it knows all the paths) but eagerly opens and warms only the databases
-in its ``shard``.  When the supervisor fails traffic over from a dead
-sibling, the worker adopts the foreign database lazily on first request
-— slower for that first request, but no worker pays memory or startup
-time for indexes it is not routed.
+Shard semantics: the stack *hosts* every database it is given (it knows
+all the paths) but eagerly opens and warms only the databases in its
+``shard``.  When the supervisor fails traffic over from a dead sibling,
+the worker adopts the foreign database lazily on first request — slower
+for that first request, but no worker pays memory or startup time for
+indexes it is not routed.
 
-Concurrency: a reader thread receives frames; requests are handed to a
-bounded executor (the supervisor's in-flight window keeps it from ever
-being the backlog), and every handler thread serializes its writes with
-one send lock.  Heartbeat pings are answered inline by the reader thread
-so they measure event-loop liveness, not translation throughput; a
-worker wedged hard enough to stop reading frames stops ponging and gets
-killed and restarted by the supervisor.
+Threads of a worker process: the frame loop (the process's main thread)
+plus the service's ``threads`` serving threads, plus one refresher when
+configured.  The frame loop submits each request to the service inline —
+the supervisor's in-flight window bounds what can be outstanding — and
+the serving thread that resolves a request sends its response frame;
+nobody parks waiting for an answer.  Pings are answered inline by the
+frame loop, so they measure frame-loop liveness, not translation
+throughput: a worker wedged hard enough to stop reading frames stops
+ponging and gets killed and restarted by the supervisor.  The one thing
+that may take seconds — adopting a foreign database on failover, which
+opens and indexes it — runs on a short-lived thread for exactly that
+reason.
 """
 
 from __future__ import annotations
@@ -28,19 +34,23 @@ from __future__ import annotations
 import signal
 import socket
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.cluster import protocol
 from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.index.registry import IndexRegistry, set_default_registry
 from repro.metrics import MetricsRegistry
+from repro.model.valuenet import ValueNetModel
+from repro.policy import PolicyConfigStore, PolicyEngine
 from repro.serving.cache import TranslationCache
 from repro.serving.runtime import DatabaseRuntime
 from repro.serving.service import (
     QueueFullError,
+    ServeRequest,
     ServiceStoppedError,
     TranslationService,
     UnknownDatabaseError,
@@ -49,11 +59,11 @@ from repro.serving.service import (
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to build its serving stack (picklable)."""
+    """Everything needed to build one serving stack (picklable)."""
 
     worker_id: int
     databases: tuple[tuple[str, str], ...]  # (db_id, sqlite path)
-    shard: tuple[str, ...]                  # db ids this worker owns
+    shard: tuple[str, ...]                  # db ids this stack owns
     model_path: str | None = None
     beam_size: int = 1
     threads: int = 4
@@ -65,111 +75,75 @@ class WorkerSpec:
     default_timeout_ms: float = 10_000.0
     index_cache: str | None = None
     allow_failure_injection: bool = False
-    execution_timeout_s: float | None = 5.0
-    execution_max_rows: int | None = 10_000
-    max_inflight: int = 16
     per_tenant_depth: int | None = None
     policy_path: str | None = None  # JSON policy config (see repro.policy)
     dialect: str = "sqlite"         # default response dialect
-    # Live schema evolution (see repro.evolve): poll interval for the
-    # per-worker background KB refresher (None = disabled) and an
-    # optional directory for schema-driven corpus growth (each worker
-    # writes its own shard's examples to worker-<id>.jsonl there).
+    # Live schema evolution (see repro.evolve): poll interval of the
+    # stack's background KB refresher (None = disabled) and the JSONL
+    # file its schema-driven corpus growth appends to.
     kb_refresh_interval_s: float | None = None
-    kb_corpus_dir: str | None = None
+    kb_corpus: str | None = None
 
 
-class WorkerProcess:
-    """Runtime state of one worker process (constructed *inside* it)."""
+class ServingStack:
+    """A warmed, started serving stack over one shard of the databases."""
 
-    def __init__(self, spec: WorkerSpec, sock: socket.socket):
+    def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.sock = sock
-        self._conn = protocol.FrameConnection(sock)
-        self._send_lock = make_lock(f"WorkerProcess[{spec.worker_id}]._send_lock")
-        self._adopt_lock = make_lock(f"WorkerProcess[{spec.worker_id}]._adopt_lock")
         self._paths = dict(spec.databases)
+        self._adopt_lock = make_lock(f"ServingStack[{spec.worker_id}]._adopt_lock")
         self._databases: dict[str, Database] = {}  # guarded by: _adopt_lock
         self.registry = IndexRegistry(cache_dir=spec.index_cache)
         set_default_registry(self.registry)
-        self.model = None
-        if spec.model_path is not None:
-            from repro.model import ValueNetModel
-
-            self.model = ValueNetModel.load(spec.model_path)
+        self.model = (
+            ValueNetModel.load(spec.model_path)
+            if spec.model_path is not None else None
+        )
         self.metrics = MetricsRegistry()  # the service's; policy blocks land here too
         self.policy = None
         if spec.policy_path is not None:
-            from repro.policy import PolicyConfigStore, PolicyEngine
-
             self.policy = PolicyEngine(
                 PolicyConfigStore.load(spec.policy_path), metrics=self.metrics
             )
-        self.service: TranslationService | None = None
-        self.refresher = None  # started in warm_and_start when configured
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, spec.max_inflight),
-            thread_name_prefix=f"cluster-worker-{spec.worker_id}",
-        )
-
-    # ----------------------------------------------------------- lifecycle
-
-    def warm_and_start(self) -> float:
-        """Open + warm the shard, start the service; returns warm seconds."""
         start = time.perf_counter()
-        with self._adopt_lock:
-            shard = {
-                db_id: self._open_locked(db_id)
-                for db_id in self.spec.shard
-                if db_id in self._paths
-            }
-        self.registry.warm(shard)
-        runtimes = [self._make_runtime(db_id, db) for db_id, db in shard.items()]
+        shard = {
+            db_id: self._open_locked(db_id)
+            for db_id in spec.shard
+            if db_id in self._paths
+        }
+        # Keyed by schema name (how Preprocessor looks indexes up), not
+        # by the external routing id.
+        self.registry.warm(list(shard.values()))
+        self.warm_s = time.perf_counter() - start
         self.service = TranslationService(
-            runtimes,
-            workers=self.spec.threads,
-            queue_size=self.spec.queue_size,
-            per_tenant_depth=self.spec.per_tenant_depth,
-            max_batch=self.spec.max_batch,
-            batch_window_ms=self.spec.batch_window_ms,
-            cache=TranslationCache(
-                capacity=self.spec.cache_size, ttl_s=self.spec.cache_ttl_s
-            ),
-            default_timeout_ms=self.spec.default_timeout_ms,
-            allow_failure_injection=self.spec.allow_failure_injection,
-            ready=False,
+            [self._make_runtime(db_id, db) for db_id, db in shard.items()],
+            workers=spec.threads,
+            queue_size=spec.queue_size,
+            per_tenant_depth=spec.per_tenant_depth,
+            max_batch=spec.max_batch,
+            batch_window_ms=spec.batch_window_ms,
+            cache=TranslationCache(capacity=spec.cache_size, ttl_s=spec.cache_ttl_s),
+            default_timeout_ms=spec.default_timeout_ms,
+            allow_failure_injection=spec.allow_failure_injection,
             allow_empty=True,  # an empty shard adopts databases on failover
             metrics=self.metrics,
-        )
-        self.service.start()
-        self.service.mark_ready()
-        if self.spec.kb_refresh_interval_s is not None:
-            self._start_refresher(shard)
-        return time.perf_counter() - start
+        ).start()
+        self.refresher = None
+        if spec.kb_refresh_interval_s is not None:
+            # Lazy: ~10 ms of import only a refreshing stack needs.
+            from repro.evolve import KBRefresher
 
-    def _start_refresher(self, shard: dict[str, Database]) -> None:
-        """Per-worker background KB refresher over this worker's shard."""
-        from pathlib import Path
-
-        from repro.evolve import KBRefresher
-
-        corpus_path = None
-        if self.spec.kb_corpus_dir is not None:
-            corpus_path = (
-                Path(self.spec.kb_corpus_dir)
-                / f"worker-{self.spec.worker_id}.jsonl"
+            self.refresher = KBRefresher(
+                registry=self.registry,
+                interval_s=spec.kb_refresh_interval_s,
+                metrics=self.metrics,
+                corpus_path=spec.kb_corpus,
+                corpus_policy=self.policy,
             )
-        self.refresher = KBRefresher(
-            registry=self.registry,
-            interval_s=self.spec.kb_refresh_interval_s,
-            metrics=self.service.metrics,
-            corpus_path=corpus_path,
-            corpus_policy=self.policy,
-        )
-        for db_id, database in shard.items():
-            self.refresher.watch(database, database_id=db_id)
-        self.refresher.attach_service(self.service)
-        self.refresher.start()
+            for db_id, database in shard.items():
+                self.refresher.watch(database, database_id=db_id)
+            self.refresher.attach_service(self.service)
+            self.refresher.start()
 
     def _open_locked(self, db_id: str) -> Database:
         """Open (or reuse) a hosted database; caller holds ``_adopt_lock``."""
@@ -185,27 +159,49 @@ class WorkerProcess:
             self.model,
             database_id=db_id,
             beam_size=self.spec.beam_size,
-            execution_timeout_s=self.spec.execution_timeout_s,
-            execution_max_rows=self.spec.execution_max_rows,
             policy=self.policy,
             dialect=self.spec.dialect,
         )
 
-    def _adopt(self, db_id: str) -> bool:
-        """Lazily host a database outside this worker's shard (failover)."""
+    def adopt(self, db_id: str) -> bool:
+        """Lazily host a database outside the shard (failover); False
+        when the stack was never given a path for it."""
         if db_id not in self._paths:
             return False
         with self._adopt_lock:
             if db_id in self.service.runtimes:
                 return True
             database = self._open_locked(db_id)
-            runtime = self._make_runtime(db_id, database)
-            self.service.add_runtime(runtime)
+            self.service.add_runtime(self._make_runtime(db_id, database))
         if self.refresher is not None:
             # Failover traffic keeps flowing here until the sibling is
             # back; the adopted database drifts like any other.
             self.refresher.watch(database, database_id=db_id)
         return True
+
+    def close(self, *, timeout: float) -> bool:
+        """Stop the refresher, drain the service, close the databases;
+        True when nothing accepted was abandoned."""
+        if self.refresher is not None:
+            self.refresher.stop()
+        clean = self.service.drain(timeout=timeout)
+        with self._adopt_lock:
+            databases = list(self._databases.values())
+        for database in databases:
+            database.close()
+        return clean
+
+
+class WorkerProcess:
+    """One stack behind the supervisor's socket (constructed *inside*
+    the worker process)."""
+
+    def __init__(self, spec: WorkerSpec, sock: socket.socket):
+        self.spec = spec
+        self.sock = sock
+        self._conn = protocol.FrameConnection(sock)
+        self._send_lock = make_lock(f"WorkerProcess[{spec.worker_id}]._send_lock")
+        self.stack: ServingStack | None = None  # built by run()
 
     # -------------------------------------------------------------- frames
 
@@ -213,55 +209,69 @@ class WorkerProcess:
         with self._send_lock:
             self._conn.send(frame)
 
-    def _handle_request(self, frame: dict) -> None:
+    def _submit(self, frame: dict, received: float) -> None:
+        """Hand one request frame to the service.  Runs on the frame
+        loop, or on a short-lived thread when the database must be
+        adopted first; the answer goes out from :meth:`_respond`."""
         request_id = frame["id"]
         db_id = frame.get("database_id") or ""
+        service = self.stack.service
         try:
-            if db_id not in self.service.runtimes and not self._adopt(db_id):
+            if db_id not in service.runtimes and not self.stack.adopt(db_id):
                 raise UnknownDatabaseError(f"unknown database {db_id!r}")
-            budget_s = max(0.0, float(frame.get("budget_s", 0.0)))
+            # The budget was anchored when the frame arrived: time spent
+            # adopting counts against it.
+            deadline = protocol.budget_to_deadline(
+                frame.get("budget_s", 0.0), now=received
+            )
             tenant_id = frame.get("tenant_id")
-            response = self.service.translate(
+            service.submit(
                 frame["question"],
                 db_id,
                 beam_size=frame.get("beam_size"),
                 execute=bool(frame.get("execute", False)),
-                timeout_ms=budget_s * 1000.0,
+                timeout_ms=1000.0 * protocol.remaining_budget_s(deadline),
                 inject_failure=bool(frame.get("inject_failure", False)),
                 tenant_id=str(tenant_id) if tenant_id is not None else None,
                 tenant_weight=int(frame.get("tenant_weight", 1)),
                 dialect=frame.get("dialect"),
+                on_done=partial(self._respond, request_id),
             )
-            self.send(protocol.response_frame(request_id, response.as_dict()))
         except (QueueFullError, ServiceStoppedError, UnknownDatabaseError) as exc:
-            self.send(protocol.reject_frame(request_id, str(exc)))
+            self._reject(request_id, str(exc))
+        except Exception as exc:  # justified: reject frame reports the failure upstream
+            self._reject(request_id, f"worker error: {exc}")
+
+    def _respond(self, request_id: int, request: ServeRequest) -> None:
+        """``on_done`` of every submitted request: the serving thread
+        that resolved it sends the response frame."""
+        try:
+            self.send(protocol.response_frame(request_id, request.response.as_dict()))
+        except protocol.ProtocolError as exc:  # an answer too large to frame
+            self._reject(request_id, f"worker error: {exc}")
         except OSError:  # supervisor went away; the loop will exit on EOF
             pass
-        except Exception as exc:  # justified: reject frame reports the failure upstream
-            try:
-                self.send(protocol.reject_frame(request_id, f"worker error: {exc}"))
-            except OSError:
-                pass
+
+    def _reject(self, request_id: int, reason: str) -> None:
+        try:
+            self.send(protocol.reject_frame(request_id, reason))
+        except OSError:
+            pass
 
     def _health(self) -> dict:
-        health = self.service.health() if self.service is not None else {}
+        health = self.stack.service.health()
         health["worker_id"] = self.spec.worker_id
         health["shard"] = sorted(self.spec.shard)
-        health["registry"] = self.registry.stats()
+        health["registry"] = self.stack.registry.stats()
         return health
-
-    def _metrics_snapshot(self) -> dict:
-        if self.service is None:
-            return {}
-        return self.service.metrics.snapshot()
 
     # ---------------------------------------------------------------- loop
 
     def run(self) -> int:
-        warm_s = self.warm_and_start()
+        self.stack = stack = ServingStack(self.spec)
         self.send(
             protocol.ready_frame(
-                self.spec.worker_id, warm_s, sorted(self.service.runtimes)
+                self.spec.worker_id, stack.warm_s, sorted(stack.service.runtimes)
             )
         )
         try:
@@ -272,35 +282,40 @@ class WorkerProcess:
                     break  # supervisor died or closed; exit with it
                 kind = frame.get("type")
                 if kind == "request":
-                    self._pool.submit(self._handle_request, frame)
+                    received = time.monotonic()
+                    if frame.get("database_id") in stack.service.runtimes:
+                        self._submit(frame, received)
+                    else:
+                        # Adoption opens and indexes a database (seconds);
+                        # off this loop, so pings keep being answered.
+                        threading.Thread(
+                            target=self._submit,
+                            args=(frame, received),
+                            name=f"cluster-worker-{self.spec.worker_id}-adopt",
+                            daemon=True,
+                        ).start()
                 elif kind == "ping":
                     # Answered inline: measures frame-loop liveness.
                     try:
                         self.send(protocol.pong_frame(
                             frame.get("id", 0),
                             self._health(),
-                            self._metrics_snapshot(),
+                            stack.metrics.snapshot(),
                         ))
                     except OSError:
                         break
                 elif kind == "refresh":
-                    if self.refresher is not None:
+                    if stack.refresher is not None:
                         # Async trigger: the refresher's own thread does
                         # the rebuild, so the frame loop stays responsive
                         # to pings during a refresh.
-                        self.refresher.trigger()
+                        stack.refresher.trigger()
                 elif kind == "shutdown":
                     break
         finally:
-            self._pool.shutdown(wait=True)
-            if self.refresher is not None:
-                self.refresher.stop(timeout=5.0)
-            if self.service is not None:
-                self.service.drain(timeout=5.0)
-            with self._adopt_lock:
-                databases = list(self._databases.values())
-            for database in databases:
-                database.close()
+            # Drains: every request already submitted is still answered
+            # (its serving thread sends the frame) before the socket goes.
+            stack.close(timeout=5.0)
             try:
                 self.sock.close()
             except OSError:

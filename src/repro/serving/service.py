@@ -28,10 +28,12 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.concurrency import make_lock
 from repro.errors import ExecutionError, ReproError, TranslationError
+from repro.logs import get_logger
 from repro.pipeline.timing import STAGES
 from repro.pipeline.valuenet import TranslationResult
 from repro.policy.engine import PolicyViolationError
@@ -40,6 +42,8 @@ from repro.metrics import MetricsRegistry
 from repro.serving.runtime import DatabaseRuntime
 from repro.sql.dialect import DEFAULT_DIALECT, get_dialect
 from repro.tenancy.scheduler import FairQueue, LaneBacklogFull
+
+_LOG = get_logger(__name__)
 
 
 class ServingError(ReproError):
@@ -139,7 +143,12 @@ class ServeResponse:
 
 @dataclass
 class ServeRequest:
-    """An in-flight request; ``done`` fires once ``response`` is set."""
+    """An in-flight request; ``done`` fires once ``response`` is set.
+
+    ``on_done``, when given, is then called once with the request, on
+    the serving thread that resolved it (a cluster worker sends the
+    response frame from there); what it raises is logged, not raised.
+    """
 
     question: str
     database_id: str
@@ -151,12 +160,19 @@ class ServeRequest:
     tenant_id: str | None = None
     tenant_weight: int = 1
     dialect: str = DEFAULT_DIALECT
+    on_done: Callable[["ServeRequest"], None] | None = None
     done: threading.Event = field(default_factory=threading.Event)
     response: ServeResponse | None = None
 
     def resolve(self, response: ServeResponse) -> None:
         self.response = response
         self.done.set()
+        if self.on_done is not None:
+            try:
+                self.on_done(self)
+            except Exception:
+                # The serving thread still owes its batch's other requests.
+                _LOG.exception("on_done callback failed (%s)", self.database_id)
 
 
 @dataclass
@@ -482,6 +498,7 @@ class TranslationService:
         tenant_id: str | None = None,
         tenant_weight: int = 1,
         dialect: str | None = None,
+        on_done: Callable[[ServeRequest], None] | None = None,
     ) -> ServeRequest:
         """Enqueue a request; returns immediately with the in-flight handle.
 
@@ -492,6 +509,8 @@ class TranslationService:
         instead of FIFO order.  ``dialect`` selects the SQL dialect of
         the response (``sqlite`` / ``postgres`` / ``mysql``); when
         omitted, the target database's configured default applies.
+        ``on_done`` is called once the request is resolved (see
+        :class:`ServeRequest`); a request that raises here never calls it.
         """
         if self._stopping:
             raise ServiceStoppedError("service is stopping")
@@ -529,6 +548,7 @@ class TranslationService:
             tenant_id=tenant_id,
             tenant_weight=max(1, int(tenant_weight)),
             dialect=dialect_name,
+            on_done=on_done,
         )
         try:
             self._queue.push(

@@ -170,6 +170,80 @@ class TestConcurrency:
         assert sizes == {4}
 
 
+class TestOnDone:
+    """``submit(on_done=)``: called once per resolved request, on the
+    serving thread that resolved it (a cluster worker answers from it)."""
+
+    def test_fires_exactly_once_on_every_path(self, pets_db, monkeypatch):
+        pipeline = FakePipeline()
+        calls: list = []
+        with make_model_service(
+            pets_db, pipeline, allow_failure_injection=True
+        ) as service:
+            def ask(question, **kwargs):
+                request = service.submit(question, on_done=calls.append, **kwargs)
+                assert request.done.wait(timeout=30)
+                return request
+
+            model = ask("How many students are there?")
+            hit = ask("How many students are there?")
+            fallback = ask("How many pets are there?", inject_failure=True)
+            monkeypatch.setattr(
+                service, "_process_batch_inner",
+                lambda runtime, batch: 1 / 0,  # the internal-error shield's path
+            )
+            shielded = ask("students from France")
+        assert [r.response.engine for r in (model, hit, fallback, shielded)] == [
+            "model", "cache", "heuristic", "none",
+        ]
+        assert fallback.response.degraded_reason == "injected"
+        assert "internal error" in shielded.response.error
+        # The request itself, resolved, once each, in order.
+        assert calls == [model, hit, fallback, shielded]
+
+    def test_rejected_submit_raises_and_never_calls_back(self, pets_db):
+        calls: list = []
+        service = TranslationService(  # not started: the bound is hit
+            [DatabaseRuntime(pets_db, database_id="pets")],
+            workers=1, queue_size=1,
+        )
+        service.submit("q1", on_done=calls.append)
+        with pytest.raises(QueueFullError):
+            service.submit("q2", on_done=calls.append)
+        with pytest.raises(UnknownDatabaseError):
+            service.submit("q3", "nope", on_done=calls.append)
+        assert calls == []
+
+    def test_raising_callback_strands_nobody(self, pets_db):
+        # One worker, one batch of four: the first request's callback
+        # raises on the serving thread.
+        service = TranslationService(
+            [DatabaseRuntime(pets_db, database_id="pets")],
+            workers=1, queue_size=32, max_batch=4, batch_window_ms=50.0,
+        )
+        done: list = []
+
+        def explode(request):
+            raise RuntimeError("callback bug")
+
+        requests = [
+            service.submit(
+                f"students number {i}", on_done=explode if i == 0 else done.append
+            )
+            for i in range(4)
+        ]
+        with service:
+            for request in requests:
+                assert request.done.wait(timeout=30)
+            assert {r.response.batch_size for r in requests} == {4}
+            assert done == requests[1:]
+            assert all(r.response.ok for r in requests)
+            # The serving thread survived: it still answers.
+            assert service.translate("How many students are there?").ok
+            assert service.metrics.counter(
+                "serving_internal_errors_total").value == 0
+
+
 class TestCaching:
     def test_repeat_question_hits_cache(self, heuristic_service):
         first = heuristic_service.translate("How many students are there?")
