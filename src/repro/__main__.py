@@ -288,8 +288,6 @@ def _spec_kwargs(args) -> dict:
         threads=args.threads,
         queue_size=args.queue_size,
         per_tenant_depth=args.per_tenant_depth,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
         cache_size=args.cache_size,
         cache_ttl_s=args.cache_ttl,
         index_cache=args.index_cache,
@@ -468,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--threads", type=int, default=4,
-        help="translation threads per service (per worker in cluster mode)",
+        help="serving threads per service (per worker in cluster mode); each "
+             "takes the compatible requests already queued as one batch",
     )
     serve.add_argument(
         "--drain-s", type=float, default=10.0,
@@ -476,8 +475,6 @@ def main(argv: list[str] | None = None) -> int:
              "requests after SIGTERM/SIGINT before stopping hard",
     )
     serve.add_argument("--queue-size", type=int, default=64)
-    serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--batch-window-ms", type=float, default=2.0)
     serve.add_argument("--cache-size", type=int, default=256)
     serve.add_argument("--cache-ttl", type=float, default=300.0)
     serve.add_argument(

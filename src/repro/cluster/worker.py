@@ -68,8 +68,6 @@ class WorkerSpec:
     beam_size: int = 1
     threads: int = 4
     queue_size: int = 64
-    max_batch: int = 8
-    batch_window_ms: float = 2.0
     cache_size: int = 256
     cache_ttl_s: float = 300.0
     default_timeout_ms: float = 10_000.0
@@ -120,8 +118,6 @@ class ServingStack:
             workers=spec.threads,
             queue_size=spec.queue_size,
             per_tenant_depth=spec.per_tenant_depth,
-            max_batch=spec.max_batch,
-            batch_window_ms=spec.batch_window_ms,
             cache=TranslationCache(capacity=spec.cache_size, ttl_s=spec.cache_ttl_s),
             default_timeout_ms=spec.default_timeout_ms,
             allow_failure_injection=spec.allow_failure_injection,

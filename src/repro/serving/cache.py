@@ -1,11 +1,12 @@
 """LRU + TTL result cache for translations.
 
-Keys are ``(database_id, normalized_question, beam_size, dialect)`` — the
-inputs that fully determine a translation for a fixed model — so repeated
-questions (the common interactive pattern: users iterate on phrasings and
-re-ask) skip the neural pipeline entirely.  Entries expire after a TTL so
-a re-loaded database cannot serve stale SQL forever, and the cache keeps
-hit/miss/expiration accounting for the metrics registry.
+Keys are ``(database_id, normalized_question, beam_size, dialect, index
+generation)`` — the inputs that fully determine a translation for a fixed
+model — so repeated questions (the common interactive pattern: users
+iterate on phrasings and re-ask) skip the neural pipeline entirely.
+Entries expire after a TTL so a re-loaded database cannot serve stale SQL
+forever, and the cache keeps hit/miss/expiration accounting for the
+metrics registry.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ class CacheKey:
     question: str
     beam_size: int
     dialect: str = "sqlite"
+    # DatabaseRuntime.generation when the request was triaged: an index
+    # swap moves every later request to fresh keys, so a put that raced
+    # the swap's invalidation can never be read.
+    generation: int = 0
 
     @classmethod
     def make(
@@ -39,9 +44,14 @@ class CacheKey:
         question: str,
         beam_size: int,
         dialect: str = "sqlite",
+        generation: int = 0,
     ) -> "CacheKey":
         return cls(
-            database_id, normalize_question(question), int(beam_size), str(dialect)
+            database_id,
+            normalize_question(question),
+            int(beam_size),
+            str(dialect),
+            int(generation),
         )
 
 

@@ -113,6 +113,8 @@ class DatabaseRuntime:
         self.policy = policy
         self.dialect = get_dialect(dialect).name
         self._graph: SchemaGraph | None = None
+        # Bumped by adopt_index; part of the service's cache key.
+        self.generation = 0
         self._lock = make_lock(f"DatabaseRuntime[{self.database_id}]._lock")
 
     @property
@@ -207,6 +209,7 @@ class DatabaseRuntime:
                 self.database, preprocessor=self.preprocessor
             )
             self._graph = None
+            self.generation += 1
         return old_searcher
 
     @property

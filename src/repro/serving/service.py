@@ -2,13 +2,14 @@
 
 Request lifecycle::
 
-    submit() -> bounded queue -> worker pulls a request, drains compatible
-    requests into a micro-batch (same database + beam size, bounded by
-    ``max_batch`` and ``batch_window_ms``) -> per request: cache lookup /
-    triage -> ONE batched neural pipeline call for the whole micro-batch
-    (fused encoder pass, per-request decode) -> on failure or deadline
-    breach, heuristic fallback tagged ``degraded`` -> every answer (model,
-    heuristic, cached) through the runtime's SQL gate -> response event set.
+    submit() -> bounded fair queue -> a worker takes the next request plus
+    the compatible ones queued behind it (same database + beam size, up to
+    ``max_batch``; ``FairQueue.pop_batch`` owns any wait) -> per request:
+    cache lookup / triage -> ONE batched neural pipeline call for the whole
+    micro-batch (fused encoder pass, per-request decode) -> on failure or
+    deadline breach, heuristic fallback tagged ``degraded`` -> every answer
+    (model, heuristic, cached) through the runtime's SQL gate -> response
+    event set.
 
 Deadline policy: a request that is already past its deadline when a
 worker picks it up skips the model entirely and is answered by the
@@ -30,6 +31,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.concurrency import make_lock
 from repro.errors import ExecutionError, ReproError, TranslationError
@@ -186,6 +188,7 @@ class _BatchEntry:
 
 
 _SHUTDOWN = object()
+_batch_key = attrgetter("database_id", "beam_size")  # what one encode can fuse
 
 
 class TranslationService:
@@ -206,8 +209,6 @@ class TranslationService:
             and the ``/tenants`` endpoints.  The service itself only
             schedules by tenant; enforcement happens at the front door.
         max_batch: micro-batch cap per worker dequeue.
-        batch_window_ms: how long a worker waits to fill a batch after
-            its first request.
         cache: result cache (one is created when omitted).  Caching
             cannot be switched off; pass a cache with a tiny TTL instead.
         default_timeout_ms: deadline applied when a request has none.
@@ -232,7 +233,6 @@ class TranslationService:
         queue_size: int = 64,
         per_tenant_depth: int | None = None,
         max_batch: int = 8,
-        batch_window_ms: float = 2.0,
         cache: TranslationCache | None = None,
         default_timeout_ms: float = 10_000.0,
         metrics: MetricsRegistry | None = None,
@@ -250,7 +250,6 @@ class TranslationService:
             self.runtimes[runtime.database_id] = runtime
         self.workers = workers
         self.max_batch = max(1, max_batch)
-        self.batch_window_s = max(0.0, batch_window_ms) / 1000.0
         self.cache = cache if cache is not None else TranslationCache()
         self.default_timeout_ms = default_timeout_ms
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -585,34 +584,10 @@ class TranslationService:
     # ------------------------------------------------------------- workers
 
     def _worker_loop(self) -> None:
-        pending: ServeRequest | None = None
         while True:
-            first = pending if pending is not None else self._queue.pop()
-            pending = None
-            if first is _SHUTDOWN:
+            batch = self._queue.pop_batch(self.max_batch, _batch_key)
+            if batch[0] is _SHUTDOWN:
                 return
-            batch = [first]
-            window_end = time.monotonic() + self.batch_window_s
-            while len(batch) < self.max_batch:
-                remaining = window_end - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._queue.pop(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    # Re-post for a sibling worker; finish this batch first.
-                    self._queue.push_control(_SHUTDOWN)
-                    break
-                if (
-                    nxt.database_id == first.database_id
-                    and nxt.beam_size == first.beam_size
-                ):
-                    batch.append(nxt)
-                else:
-                    pending = nxt  # seeds this worker's next batch
-                    break
             self._queue_depth.set(self._queue.qsize())
             self._process_batch(batch)
 
@@ -660,6 +635,8 @@ class TranslationService:
         """
         size = len(batch)
         picked_up = time.monotonic()
+        # Read once: an answer that straddles an index swap is put under a dead key.
+        generation = runtime.generation
         pending: list[_BatchEntry] = []
         model_entries: list[_BatchEntry] = []
         for request in batch:
@@ -678,6 +655,7 @@ class TranslationService:
                 request.question,
                 request.beam_size,
                 request.dialect,
+                generation,
             )
             cached = self.cache.get(key)
             if cached is not None:

@@ -15,6 +15,9 @@ Guarantees (locked by the property tests in ``tests/test_tenancy.py``):
   once per round; a round is at most ``sum(weights of backlogged
   lanes)`` pops.
 * **Per-lane FIFO** — items of one tenant leave in arrival order.
+* **Batches never reorder** — concatenated :meth:`pop_batch` results
+  are the order repeated :meth:`pop` gives; a batch is a single-key run
+  of it, and an item with another key is never taken out to find out.
 * **Bounded** — a global ``maxsize`` plus an optional ``per_lane_limit``
   mean one tenant cannot occupy the whole queue;
   :class:`LaneBacklogFull` (a ``queue.Full`` subclass) tells the caller
@@ -24,18 +27,23 @@ Guarantees (locked by the property tests in ``tests/test_tenancy.py``):
 A separate unbounded *control* lane carries scheduler-opaque sentinels
 (worker shutdown tokens); control items are delivered before any data
 item so a stop request cannot sit behind a tenant backlog.
+
+:meth:`pop_batch` alone decides whether a request waits for company, from
+what it observes: a consumer that had to block for its first item was
+idle and returns at once; one that found a backlog was busy while
+requests arrived, so it may linger once, up to ``_LINGER_S``, for more.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import deque
 
 from repro.concurrency import make_lock
 
 DEFAULT_LANE = "_anon"  # lane used for unauthenticated / tenant-less traffic
+_LINGER_S = 0.002  # longest a backlog consumer waits for batch companions
 
 
 class LaneBacklogFull(queue.Full):
@@ -126,26 +134,47 @@ class FairQueue:
                 self._active.rotate(-1)
             return item
 
-    def pop(self, timeout: float | None = None):
-        """Dequeue the next item per DRR; raises ``queue.Empty`` on timeout.
-
-        Control items always win over data items.
-        """
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+    def pop(self):
+        """Dequeue the next item per DRR, blocking while the queue is
+        empty.  Control items always win over data items."""
         with self._not_empty:
-            while True:
-                if self._control:
-                    return self._control.popleft()
+            while not self._control and self._size == 0:
+                self._not_empty.wait()
+            if self._control:
+                return self._control.popleft()
+            return self._pop_data_locked()
+
+    def pop_batch(self, limit: int, key) -> list:
+        """Block for the next item like :meth:`pop`, then keep taking the
+        item DRR would serve next while its ``key(item)`` equals the
+        first one's, up to ``limit`` items; an item with another key
+        stays queued for whichever consumer pops next.  A control item
+        comes back alone, and ends a batch that is being formed.
+        """
+        with self._not_empty:
+            may_linger = True
+            while not self._control and self._size == 0:
+                may_linger = False  # had to block: this consumer was idle
+                self._not_empty.wait()
+            if self._control:
+                return [self._control.popleft()]
+            batch = [self._pop_data_locked()]
+            batch_key = key(batch[0])
+            while len(batch) < limit and not self._control:
                 if self._size > 0:
-                    return self._pop_data_locked()
-                if deadline is None:
-                    self._not_empty.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._not_empty.wait(timeout=remaining):
-                    raise queue.Empty
+                    if key(self._lanes[self._active[0]][0]) != batch_key:
+                        break
+                    batch.append(self._pop_data_locked())
+                elif may_linger:
+                    may_linger = False
+                    self._not_empty.wait(timeout=_LINGER_S)
+                else:
+                    break
+            if self._size > 0 or self._control:
+                # The wake-up for what is left may have been absorbed by
+                # this consumer's linger; hand it to a blocked sibling.
+                self._not_empty.notify()
+            return batch
 
     # ---------------------------------------------------------- inspection
 

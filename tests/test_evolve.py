@@ -213,9 +213,7 @@ def _serving_stack(pets_file, *, registry=None, **refresher_kwargs):
     database = Database.open(pets_file)
     runtime = DatabaseRuntime(database, database_id="pets")
     cache = TranslationCache(capacity=64, ttl_s=300.0)
-    service = TranslationService(
-        [runtime], workers=2, batch_window_ms=1.0, cache=cache
-    ).start()
+    service = TranslationService([runtime], workers=2, cache=cache).start()
     refresher = KBRefresher(
         registry=registry, interval_s=60.0, **refresher_kwargs
     )
@@ -395,9 +393,7 @@ def swap_rig(tmp_path_factory):
     previous = set_default_registry(registry)
     database = Database.open(path)
     runtime = DatabaseRuntime(database, database_id="pets")
-    service = TranslationService(
-        [runtime], workers=2, batch_window_ms=1.0
-    ).start()
+    service = TranslationService([runtime], workers=2).start()
     refresher = KBRefresher(registry=registry, interval_s=60.0)
     refresher.watch(database, database_id="pets")
     refresher.attach_service(service)

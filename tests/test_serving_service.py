@@ -9,6 +9,8 @@ and the database underneath are the real things.
 from __future__ import annotations
 
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,9 +31,10 @@ from repro.serving import (
 class FakePipeline:
     """Scriptable stand-in for ValueNetPipeline."""
 
-    def __init__(self, sql="SELECT count(*) FROM student", fail=False):
+    def __init__(self, sql="SELECT count(*) FROM student", fail=False, delay=0.0):
         self.sql = sql
         self.fail = fail
+        self.delay = delay
         self.beam_size = 1  # runtime overrides this per request
         self.calls = 0
         self.asked_to_execute = False
@@ -44,6 +47,7 @@ class FakePipeline:
             self.asked_to_execute |= bool(execute)
         if self.fail:
             raise ModelError("scripted failure")
+        time.sleep(self.delay)
         result = TranslationResult(question=question, timings=StageTimings(
             preprocessing=0.001, encoder_decoder=0.002, postprocessing=0.0005,
         ))
@@ -58,7 +62,7 @@ class FakePipeline:
 def heuristic_service(pets_db):
     service = TranslationService(
         [DatabaseRuntime(pets_db, database_id="pets")],
-        workers=2, queue_size=32, batch_window_ms=1.0,
+        workers=2, queue_size=32,
     ).start()
     yield service
     service.stop()
@@ -159,7 +163,7 @@ class TestConcurrency:
         # Enqueue before starting so one worker drains them as a batch.
         service = TranslationService(
             [DatabaseRuntime(pets_db, database_id="pets")],
-            workers=1, queue_size=32, max_batch=4, batch_window_ms=50.0,
+            workers=1, queue_size=32, max_batch=4,
         )
         requests = [service.submit(f"students number {i}") for i in range(4)]
         service.start()
@@ -168,6 +172,26 @@ class TestConcurrency:
         service.stop()
         sizes = {request.response.batch_size for request in requests}
         assert sizes == {4}
+
+    def test_no_request_is_held_by_a_thread_that_is_not_serving_it(self, pets_db):
+        # Two threads, two queued requests that cannot share a batch: the
+        # thread that takes `slow` must leave `fast` in the queue for its
+        # idle sibling, not carry it along behind a 300 ms translation.
+        slow = DatabaseRuntime(
+            pets_db, database_id="slow", pipeline=FakePipeline(delay=0.3)
+        )
+        fast = DatabaseRuntime(pets_db, database_id="fast", pipeline=FakePipeline())
+        service = TranslationService([slow, fast], workers=2)
+        slow_request = service.submit("How many students are there?", "slow")
+        fast_request = service.submit("How many students are there?", "fast")
+        started = time.monotonic()
+        with service:
+            assert fast_request.done.wait(timeout=30)
+            fast_s = time.monotonic() - started
+            assert not slow_request.done.is_set()
+            assert slow_request.done.wait(timeout=30)
+        assert fast_s < 0.15
+        assert fast_request.response.ok and slow_request.response.ok
 
 
 class TestOnDone:
@@ -219,7 +243,7 @@ class TestOnDone:
         # raises on the serving thread.
         service = TranslationService(
             [DatabaseRuntime(pets_db, database_id="pets")],
-            workers=1, queue_size=32, max_batch=4, batch_window_ms=50.0,
+            workers=1, queue_size=32, max_batch=4,
         )
         done: list = []
 
@@ -269,6 +293,37 @@ class TestCaching:
             response = service.translate("How many students are there?")
             assert response.cache_hit
             assert pipeline.calls == 1
+
+    def test_answer_straddling_an_index_swap_is_not_cached(
+        self, pets_db, monkeypatch
+    ):
+        question = "How many students are there?"
+        pipeline = FakePipeline()
+        runtime = DatabaseRuntime(pets_db, database_id="pets", pipeline=pipeline)
+        bundle = SimpleNamespace(
+            index=runtime.preprocessor.index, searcher=runtime.searcher
+        )
+        check_sql = runtime.check_sql
+        swaps: list[bool] = []
+        with TranslationService([runtime], workers=1) as service:
+            def swap_then_check(sql, **kwargs):
+                # The answer tail: translate_batch has released the runtime
+                # lock, the cache put is still to come.
+                if not swaps:
+                    swaps.append(service.on_index_swap("pets", bundle))
+                return check_sql(sql, **kwargs)
+
+            monkeypatch.setattr(runtime, "check_sql", swap_then_check)
+            straddling = service.translate(question)
+            after_swap = service.translate(question)
+            repeat = service.translate(question)
+        assert swaps == [True]
+        assert straddling.ok and not straddling.cache_hit
+        # The old bundle's SQL was put after the swap's invalidation; no
+        # request of the new generation may read it.
+        assert after_swap.engine == "model" and not after_swap.cache_hit
+        assert repeat.cache_hit
+        assert pipeline.calls == 2
 
     def test_degraded_responses_not_cached(self, pets_db):
         pipeline = FakePipeline(fail=True)

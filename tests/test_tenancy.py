@@ -15,6 +15,7 @@ import json
 import os
 import queue
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -34,6 +35,7 @@ from repro.tenancy import (
     TenantRegistry,
     TokenBucket,
 )
+from repro.tenancy import scheduler
 from repro.tenancy.registry import _parse_config
 
 
@@ -189,11 +191,6 @@ class TestFairQueue:
     def test_lane_backlog_full_is_a_queue_full(self):
         assert issubclass(LaneBacklogFull, queue.Full)
 
-    def test_pop_timeout_raises_empty(self):
-        q = FairQueue()
-        with pytest.raises(queue.Empty):
-            q.pop(timeout=0.01)
-
     def test_control_items_win_over_data(self):
         q = FairQueue()
         q.push("a", "data")
@@ -224,21 +221,24 @@ class TestFairQueue:
             q.push("hot", i)
         got: list[int] = []
         lock = threading.Lock()
+        stop = object()
 
         def drain():
-            while True:
-                try:
-                    item = q.pop(timeout=0.2)
-                except queue.Empty:
-                    return
+            while (item := q.pop()) is not stop:
                 with lock:
                     got.append(item)
 
-        threads = [threading.Thread(target=drain) for _ in range(4)]
+        threads = [threading.Thread(target=drain, daemon=True) for _ in range(4)]
         for t in threads:
             t.start()
+        # A pop() that blocked with items queued would leave them there.
+        deadline = time.monotonic() + 10.0
+        while q.qsize() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        for _ in threads:
+            q.push_control(stop)  # control wins over data: only after the drain
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
         assert sorted(got) == list(range(200))
 
     @settings(max_examples=100)
@@ -265,6 +265,149 @@ class TestFairQueue:
             drained.setdefault(key, []).append(seq)
         assert q.empty()
         assert drained == expected
+
+
+def _item_key(item):
+    return item[-1]
+
+
+class _RecordingQueue(FairQueue):
+    """A FairQueue that records the timeout of every ``Condition.wait``
+    and signals ``waiting`` just before blocking in one."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits: list[float | None] = []
+        self.waiting = threading.Event()
+        wait = self._not_empty.wait
+
+        def recording_wait(timeout=None):
+            self.waits.append(timeout)
+            self.waiting.set()
+            return wait(timeout)
+
+        self._not_empty.wait = recording_wait
+
+    def pop_batch_in_thread(self):
+        """Run ``pop_batch`` on a thread; returns (thread, result list)."""
+        out: list = []
+        thread = threading.Thread(
+            target=lambda: out.append(self.pop_batch(8, _item_key)), daemon=True
+        )
+        thread.start()
+        return thread, out
+
+
+class TestPopBatch:
+    """``pop_batch`` forms batches without reordering, without taking
+    what it will not serve, and waits only when it found a backlog."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pushes=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(min_value=1, max_value=8),
+                st.sampled_from(["k1", "k2"]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        limit=st.integers(min_value=1, max_value=6),
+    )
+    def test_batches_are_single_key_runs_of_the_pop_order(self, pushes, limit):
+        batched, twin = FairQueue(), FairQueue()
+        for seq, (lane, weight, key) in enumerate(pushes):
+            batched.push(lane, (lane, seq, key), weight=weight)
+            twin.push(lane, (lane, seq, key), weight=weight)
+        expected = [twin.pop() for _ in pushes]
+        batches = []
+        while not batched.empty():
+            batches.append(batched.pop_batch(limit, _item_key))
+        assert [item for batch in batches for item in batch] == expected
+        for batch, following in zip(batches, batches[1:] + [[]]):
+            assert 1 <= len(batch) <= limit
+            assert len({_item_key(item) for item in batch}) == 1
+            # Maximal: a batch ends only at its limit or at another key.
+            if len(batch) < limit and following:
+                assert _item_key(following[0]) != _item_key(batch[0])
+
+    def test_item_with_another_key_stays_queued(self):
+        q = _RecordingQueue()
+        q.push("a", ("a", 0, "k1"))
+        q.push("a", ("a", 1, "k2"))
+        q.push("a", ("a", 2, "k1"))
+        assert q.pop_batch(8, _item_key) == [("a", 0, "k1")]
+        assert q.qsize() == 2 and q.backlog("a") == 2
+        assert q.waits == []  # found its answer in the queue: no wait at all
+        assert q.pop() == ("a", 1, "k2")
+
+    def test_control_item_comes_back_alone_and_first(self):
+        q = FairQueue()
+        sentinel = object()
+        q.push("a", ("a", 0, "k"))
+        q.push("a", ("a", 1, "k"))
+        q.push_control(sentinel)
+        assert q.pop_batch(8, _item_key) == [sentinel]
+        assert q.pop_batch(2, _item_key) == [("a", 0, "k"), ("a", 1, "k")]
+
+    def test_control_item_ends_a_linger_and_is_not_batched(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "_LINGER_S", 30.0)
+        q = _RecordingQueue()
+        sentinel = object()
+        q.push("a", ("a", 0, "k"))
+        thread, out = q.pop_batch_in_thread()
+        assert q.waiting.wait(timeout=10.0)  # lingering for companions
+        q.push_control(sentinel)
+        thread.join(timeout=10.0)
+        assert out == [[("a", 0, "k")]]
+        assert q.pop_batch(8, _item_key) == [sentinel]
+
+    def test_idle_consumer_returns_at_once(self):
+        q = _RecordingQueue()
+        thread, out = q.pop_batch_in_thread()
+        assert q.waiting.wait(timeout=10.0)
+        q.push("a", ("a", 0, "k"))
+        thread.join(timeout=10.0)
+        assert out == [[("a", 0, "k")]]
+        # It blocked (untimed) for its first item and never lingered.
+        assert q.waits and set(q.waits) == {None}
+
+    def test_backlog_consumer_lingers_once(self, monkeypatch):
+        q = _RecordingQueue()
+        q.push("a", ("a", 0, "k"))
+        assert q.pop_batch(8, _item_key) == [("a", 0, "k")]
+        assert q.waits == [scheduler._LINGER_S] and scheduler._LINGER_S <= 0.002
+        # A companion that arrives during the linger joins the batch; the
+        # consumer does not linger a second time for a third.
+        monkeypatch.setattr(scheduler, "_LINGER_S", 30.0)
+        q.waits.clear()
+        q.waiting.clear()
+        q.push("a", ("a", 1, "k"))
+        thread, out = q.pop_batch_in_thread()
+        assert q.waiting.wait(timeout=10.0)
+        q.push("b", ("b", 2, "k"))
+        thread.join(timeout=10.0)
+        assert out == [[("a", 1, "k"), ("b", 2, "k")]]
+        assert q.waits == [30.0]
+
+    def test_wakeup_absorbed_by_a_linger_is_passed_on(self, monkeypatch):
+        """A lingering consumer woken for an item it will not take must
+        not leave an idle sibling asleep next to a non-empty queue."""
+        monkeypatch.setattr(scheduler, "_LINGER_S", 30.0)
+        q = _RecordingQueue()
+        q.push("a", ("a", 0, "k1"))
+        lingering, lingering_out = q.pop_batch_in_thread()
+        assert q.waiting.wait(timeout=10.0)
+        q.waiting.clear()
+        idle, idle_out = q.pop_batch_in_thread()
+        assert q.waiting.wait(timeout=10.0)
+        # notify() wakes the longest waiter: the lingering consumer.
+        q.push("a", ("a", 1, "k2"))
+        lingering.join(timeout=10.0)
+        idle.join(timeout=10.0)
+        assert lingering_out == [[("a", 0, "k1")]]
+        assert idle_out == [[("a", 1, "k2")]]
 
 
 # --------------------------------------------------------------- QuotaLedger
