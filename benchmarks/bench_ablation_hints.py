@@ -13,40 +13,45 @@ import pytest
 
 from _util import print_table
 from repro.evaluation import evaluate_pipeline
-from repro.preprocessing.hints import QuestionHint, SchemaHint
+from repro.preprocessing.hints import HintedToken, QuestionHint, SchemaHint
+
+
+class HintlessPreprocessor:
+    """Wraps a preprocessor so its output carries no hints.
+
+    ``run`` / ``run_light`` forward whatever they are called with: the
+    wrapper adds nothing to the inner signatures and so cannot fall
+    behind them.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.schema = inner.schema
+        self.database = inner.database
+        self.index = inner.index
+
+    def _strip(self, pre):
+        pre.hinted_tokens = [
+            HintedToken(h.token, QuestionHint.NONE) for h in pre.hinted_tokens
+        ]
+        pre.schema_hints.table_hints = [
+            SchemaHint.NONE for _ in pre.schema_hints.table_hints
+        ]
+        pre.schema_hints.column_hints = [
+            SchemaHint.NONE for _ in pre.schema_hints.column_hints
+        ]
+        return pre
+
+    def run(self, *args, **kwargs):
+        return self._strip(self._inner.run(*args, **kwargs))
+
+    def run_light(self, *args, **kwargs):
+        return self._strip(self._inner.run_light(*args, **kwargs))
 
 
 @pytest.fixture()
 def hintless_preprocessors(bench):
     """Wrap each preprocessor so its output carries no hints."""
-
-    class HintlessPreprocessor:
-        def __init__(self, inner):
-            self._inner = inner
-            self.schema = inner.schema
-            self.database = inner.database
-            self.index = inner.index
-
-        def _strip(self, pre):
-            from repro.preprocessing.hints import HintedToken
-
-            pre.hinted_tokens = [
-                HintedToken(h.token, QuestionHint.NONE) for h in pre.hinted_tokens
-            ]
-            pre.schema_hints.table_hints = [
-                SchemaHint.NONE for _ in pre.schema_hints.table_hints
-            ]
-            pre.schema_hints.column_hints = [
-                SchemaHint.NONE for _ in pre.schema_hints.column_hints
-            ]
-            return pre
-
-        def run(self, question, timings=None):
-            return self._strip(self._inner.run(question, timings=timings))
-
-        def run_light(self, question, values):
-            return self._strip(self._inner.run_light(question, values))
-
     return {
         db_id: HintlessPreprocessor(preprocessor)
         for db_id, preprocessor in bench.preprocessors.items()

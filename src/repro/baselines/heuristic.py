@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 
 from repro.db.database import Database
-from repro.pipeline.timing import StageTimings
 from repro.pipeline.valuenet import TranslationResult
 from repro.preprocessing.hints import SchemaHint
 from repro.preprocessing.pipeline import Preprocessor
@@ -43,11 +42,8 @@ class HeuristicBaseline:
 
     def translate(self, question: str, **_ignored) -> TranslationResult:
         """Translate with rules only (gold values, if passed, are ignored)."""
-        result = TranslationResult(question=question, timings=StageTimings())
-        stage_times: dict[str, float] = {}
-        pre = self.preprocessor.run(question, timings=stage_times)
-        result.timings.preprocessing = stage_times.get("preprocessing", 0.0)
-        result.timings.value_lookup = stage_times.get("value_lookup", 0.0)
+        result = TranslationResult(question=question)
+        pre = self.preprocessor.run(question, result.timings)
         result.candidates = pre.candidates
 
         table = self._pick_table(pre)

@@ -80,8 +80,8 @@ class ValueNetModel(Module):
     ) -> SemQLNode:
         """Decode an already-encoded example into a SemQL tree.
 
-        Used by the serving batch path: encode once per micro-batch via
-        :meth:`encode_batch`, then decode per request.
+        Encode once per batch via :meth:`encode_batch`, then decode per
+        question (:meth:`predict` is that for a batch of one).
         """
         column_to_table = self._column_to_table(schema)
         with inference_mode():
@@ -131,8 +131,7 @@ class ValueNetModel(Module):
             ModelError: when decoding cannot complete (e.g. a value is
                 required but no candidates exist).
         """
-        with inference_mode():
-            encoded = self.encode(pre, schema)
+        [encoded] = self.encode_batch([pre], schema)
         return self.decode_encoded(encoded, pre, schema, beam_size=beam_size)
 
     # ------------------------------------------------------ optimization

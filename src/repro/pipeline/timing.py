@@ -1,4 +1,9 @@
-"""Per-stage timing records (paper Table II)."""
+"""Per-stage timing records (paper Table II).
+
+:class:`StageTimings` is the one timing report of a translation: the
+pre-processor, the pipeline and the serving runtime each write their
+stages into the record they are handed, and the service reads it.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,11 @@ class StageTimings:
     encoder_decoder: float = 0.0
     postprocessing: float = 0.0
     execution: float = 0.0
+    # Wall time of the fused encode this question shared, the same value
+    # on every record of the model batch (0.0 when no encode completed).
+    # Not a STAGE: each question's share is already in encoder_decoder,
+    # so total, as_dict() and the wire format do not count it.
+    encode_batch: float = 0.0
 
     @property
     def total(self) -> float:

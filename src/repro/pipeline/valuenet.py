@@ -6,15 +6,18 @@ value candidates established by extraction + generation + validation.
 supplies the set of value options (paper Section IV-A) and the rest of the
 pipeline is identical.
 
-Both record per-stage wall-clock timings (Table II) and can execute the
-synthesized SQL against the database.
+There is one translation path: a list of questions is pre-processed one
+by one, encoded in one fused pass, then decoded and post-processed one by
+one.  ``translate`` is that path for a list of one, so a batch of N and N
+single calls give the same answers.  Every stage writes its wall-clock
+seconds (Table II) into the result's :class:`StageTimings`; the beam
+width is an argument of the call, never state changed between calls.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.candidates.types import ValueCandidate
 from repro.db.database import Database
@@ -25,6 +28,12 @@ from repro.pipeline.timing import StageTimings
 from repro.postprocessing.sql_builder import SqlBuilder
 from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
 from repro.semql.tree import SemQLNode
+
+# Budget for executing generated SQL on this offline path: no wall-clock
+# budget (None arms no interrupt timer) and a generous row cap.  Serving
+# executes through DatabaseRuntime.execute_sql, with its own budget.
+_EXECUTION_TIMEOUT_S = None
+_EXECUTION_MAX_ROWS = 100_000
 
 
 @dataclass
@@ -60,153 +69,124 @@ class _BasePipeline:
         preprocessor: Preprocessor | None = None,
         *,
         beam_size: int = 1,
-        execution_timeout_s: float | None = None,
-        execution_max_rows: int | None = 100_000,
     ):
         self.model = model
         self.database = database
         self.preprocessor = preprocessor or Preprocessor(database, extractor)
         self.builder = SqlBuilder(database.schema)
         self.beam_size = beam_size
-        # Wall-clock budget + row cap for executing *generated* SQL
-        # (None timeout disables the interrupt timer).
-        self.execution_timeout_s = execution_timeout_s
-        self.execution_max_rows = execution_max_rows
 
-    def _preprocess(self, question: str, timings: StageTimings, **kwargs):
+    def _preprocess(
+        self, question: str, timings: StageTimings, **inputs
+    ) -> PreprocessedQuestion:
         raise NotImplementedError
 
-    def translate(self, question: str, *, execute: bool = False, **kwargs) -> TranslationResult:
-        """Translate ``question`` to SQL (optionally executing it)."""
-        timings = StageTimings()
-        result = TranslationResult(question=question, timings=timings)
-        try:
-            pre: PreprocessedQuestion = self._preprocess(question, timings, **kwargs)
-        except ReproError as exc:
-            result.error = f"preprocessing failed: {exc}"
-            return result
-        result.candidates = pre.candidates
+    def translate(
+        self,
+        question: str,
+        *,
+        execute: bool = False,
+        beam_size: int | None = None,
+        **inputs,
+    ) -> TranslationResult:
+        """Translate ``question`` to SQL (optionally executing it).
 
-        start = time.perf_counter()
-        try:
-            tree = self.model.predict(
-                pre, self.database.schema, beam_size=self.beam_size
-            )
-        except ReproError as exc:
-            timings.encoder_decoder = time.perf_counter() - start
-            result.error = f"decoding failed: {exc}"
-            return result
-        timings.encoder_decoder = time.perf_counter() - start
-        result.semql = tree
-        self._postprocess(result, tree, execute)
-        return result
+        ``beam_size`` defaults to the pipeline's configured beam;
+        ``inputs`` are the pre-processing inputs of this question
+        (``values=`` for ValueNet light).
+        """
+        per_question = {name: [value] for name, value in inputs.items()}
+        return self._run([question], execute, beam_size, per_question)[0]
 
     def translate_batch(
         self,
         questions: list[str],
         *,
-        execute: bool | list[bool] = False,
-        encode_observer: Callable[[float, int], None] | None = None,
-        **kwargs,
+        execute: bool = False,
+        beam_size: int | None = None,
+        **inputs,
     ) -> list[TranslationResult]:
         """Translate several questions against this database at once.
 
-        Pre-processing, decoding and post-processing stay per-question,
-        but the encoder runs *once* over the padded micro-batch — the
-        results are identical to sequential :meth:`translate` calls.
-
-        Args:
-            questions: the batch (any size, including 0 or 1).
-            execute: one flag for every question, or one flag per
-                question (micro-batches may mix execute requests).
-            encode_observer: called with ``(seconds, batch_size)`` after
-                the fused encode — the serving layer records it into the
-                ``serving_encode_batch_seconds`` histogram.
-            **kwargs: forwarded to pre-processing (see
-                :meth:`_batch_kwargs` for per-question splitting).
+        As :meth:`translate`, for any number of questions (including 0
+        or 1); each of ``inputs`` is one list with an entry per question.
+        The encoder runs once over the padded batch.
         """
-        flags = (
-            [bool(f) for f in execute]
-            if isinstance(execute, (list, tuple))
-            else [bool(execute)] * len(questions)
-        )
-        if len(flags) != len(questions):
-            raise ValueError(
-                f"{len(flags)} execute flags for {len(questions)} questions"
-            )
-        results = [
-            TranslationResult(question=question, timings=StageTimings())
-            for question in questions
-        ]
-        active: list[tuple[int, PreprocessedQuestion]] = []
-        for index, (question, result) in enumerate(zip(questions, results)):
-            try:
-                pre = self._preprocess(
-                    question, result.timings, **self._batch_kwargs(index, kwargs)
+        return self._run(questions, execute, beam_size, inputs)
+
+    def _run(
+        self,
+        questions: list[str],
+        execute: bool,
+        beam_size: int | None,
+        inputs: dict[str, list],
+    ) -> list[TranslationResult]:
+        """The one translation path.  Both public entries call it, and
+        neither calls the other: the benchmark's span wrapper counts each
+        as one ``pipeline.translate`` span."""
+        for name, per_question in inputs.items():
+            if len(per_question) != len(questions):
+                raise ValueError(
+                    f"{len(per_question)} {name} for {len(questions)} questions"
                 )
+        beam = self.beam_size if beam_size is None else beam_size
+        schema = self.database.schema
+        results = [TranslationResult(question=question) for question in questions]
+        active: list[tuple[TranslationResult, PreprocessedQuestion]] = []
+        for index, result in enumerate(results):
+            own = {name: per_question[index] for name, per_question in inputs.items()}
+            try:
+                pre = self._preprocess(result.question, result.timings, **own)
             except ReproError as exc:
                 result.error = f"preprocessing failed: {exc}"
                 continue
             result.candidates = pre.candidates
-            active.append((index, pre))
+            active.append((result, pre))
         if not active:
             return results
 
         start = time.perf_counter()
         try:
             encoded_batch = self.model.encode_batch(
-                [pre for _, pre in active], self.database.schema
+                [pre for _, pre in active], schema
             )
         except ReproError as exc:
             share = (time.perf_counter() - start) / len(active)
-            for index, _ in active:
-                results[index].timings.encoder_decoder = share
-                results[index].error = f"decoding failed: {exc}"
+            for result, _ in active:
+                result.timings.encoder_decoder = share
+                result.error = f"decoding failed: {exc}"
             return results
         encode_seconds = time.perf_counter() - start
-        if encode_observer is not None:
-            encode_observer(encode_seconds, len(active))
         # The fused encode is shared work: attribute an equal share to
         # every participating request so per-request timings stay honest.
         share = encode_seconds / len(active)
 
-        for (index, pre), encoded in zip(active, encoded_batch):
-            result = results[index]
+        for (result, pre), encoded in zip(active, encoded_batch):
+            timings = result.timings
+            timings.encode_batch = encode_seconds
             start = time.perf_counter()
             try:
-                tree = self.model.decode_encoded(
-                    encoded, pre, self.database.schema, beam_size=self.beam_size
+                result.semql = self.model.decode_encoded(
+                    encoded, pre, schema, beam_size=beam
                 )
             except ReproError as exc:
-                result.timings.encoder_decoder = (
-                    share + time.perf_counter() - start
-                )
                 result.error = f"decoding failed: {exc}"
-                continue
-            result.timings.encoder_decoder = share + time.perf_counter() - start
-            result.semql = tree
-            self._postprocess(result, tree, flags[index])
+            timings.encoder_decoder = share + time.perf_counter() - start
+            if result.semql is not None:
+                self._postprocess(result, execute)
         return results
 
-    def _batch_kwargs(self, index: int, kwargs: dict) -> dict:
-        """Split batch-level kwargs into per-question preprocess kwargs."""
-        return kwargs
-
-    def _postprocess(
-        self, result: TranslationResult, tree: SemQLNode, execute: bool
-    ) -> None:
+    def _postprocess(self, result: TranslationResult, execute: bool) -> None:
         """SemQL -> SQL (and optional execution), recording timings."""
         timings = result.timings
         start = time.perf_counter()
         try:
-            result.sql = self.builder.build(tree)
+            result.sql = self.builder.build(result.semql)
         except ReproError as exc:
-            timings.postprocessing = time.perf_counter() - start
             result.error = f"post-processing failed: {exc}"
-            return
         timings.postprocessing = time.perf_counter() - start
 
-        if execute:
+        if execute and result.sql is not None:
             from repro.db.executor import execute_with_budget
 
             start = time.perf_counter()
@@ -214,8 +194,8 @@ class _BasePipeline:
                 result.rows = execute_with_budget(
                     self.database,
                     result.sql,
-                    timeout_s=self.execution_timeout_s,
-                    max_rows=self.execution_max_rows,
+                    timeout_s=_EXECUTION_TIMEOUT_S,
+                    max_rows=_EXECUTION_MAX_ROWS,
                 )
             except ExecutionError as exc:
                 result.error = f"execution failed: {exc}"
@@ -226,33 +206,18 @@ class ValueNetPipeline(_BasePipeline):
     """The full end-to-end ValueNet system."""
 
     def _preprocess(self, question: str, timings: StageTimings) -> PreprocessedQuestion:
-        stage_times: dict[str, float] = {}
-        pre = self.preprocessor.run(question, timings=stage_times)
-        timings.preprocessing = stage_times.get("preprocessing", 0.0)
-        timings.value_lookup = stage_times.get("value_lookup", 0.0)
-        return pre
+        return self.preprocessor.run(question, timings)
 
 
 class ValueNetLightPipeline(_BasePipeline):
     """ValueNet light: gold value options are supplied by the caller.
 
-    :meth:`translate_batch` takes ``values`` as one option list *per
-    question* (``values[i]`` belongs to ``questions[i]``).
+    :meth:`translate` takes ``values``, the options of its question;
+    :meth:`translate_batch` takes one option list *per question*
+    (``values[i]`` belongs to ``questions[i]``).
     """
-
-    def translate(
-        self, question: str, *, values: list[object], execute: bool = False
-    ) -> TranslationResult:
-        return super().translate(question, execute=execute, values=values)
-
-    def _batch_kwargs(self, index: int, kwargs: dict) -> dict:
-        return {"values": kwargs["values"][index]}
 
     def _preprocess(
         self, question: str, timings: StageTimings, *, values: list[object]
     ) -> PreprocessedQuestion:
-        stage_times: dict[str, float] = {}
-        pre = self.preprocessor.run_light(question, values, timings=stage_times)
-        timings.preprocessing = stage_times.get("preprocessing", 0.0)
-        timings.value_lookup = stage_times.get("value_lookup", 0.0)
-        return pre
+        return self.preprocessor.run_light(question, values, timings)

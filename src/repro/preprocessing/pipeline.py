@@ -10,6 +10,10 @@ consumes:
 
 The same object feeds training (gold values are matched against the
 candidate list to produce pointer supervision) and inference.
+
+Stage time goes into the record the caller hands in (``timings``): this
+layer sets its two fields and does not import the record's type, which
+lives a layer above (``repro.pipeline.timing``).
 """
 
 from __future__ import annotations
@@ -120,98 +124,80 @@ class Preprocessor:
 
     # ------------------------------------------------------ ValueNet mode
 
-    def run(
-        self, question: str, timings: dict[str, float] | None = None
-    ) -> PreprocessedQuestion:
+    def run(self, question: str, timings=None) -> PreprocessedQuestion:
         """Full ValueNet pre-processing: extract, generate, validate.
 
         Args:
             question: the NL question.
-            timings: optional dict that receives per-stage wall-clock
-                seconds under ``preprocessing`` (tokenize + NER + hints)
-                and ``value_lookup`` (candidate generation + validation
-                against the database) — the split reported in the paper's
-                Table II.
+            timings: optional timing record (a
+                :class:`~repro.pipeline.timing.StageTimings`; any object
+                with the two attributes will do) whose ``preprocessing``
+                (tokenize + NER + hints) and ``value_lookup`` (candidate
+                generation + validation against the database) receive
+                wall-clock seconds — the split of the paper's Table II.
         """
-        t0 = time.perf_counter()
-        tokens = tokenize(question)
-        extracted = self._extractor.extract(question)
-        words = [token.text for token in tokens]
-        t1 = time.perf_counter()
+        return self._run(
+            question, timings, self._extractor.extract, self._search_candidates
+        )
+
+    def _search_candidates(
+        self, words: list[str], extracted: list[ExtractedValue]
+    ) -> list[ValueCandidate]:
         generated = self._generator.generate(words, extracted)
         quoted = {
             span.text.strip().lower()
             for span in extracted
             if span.kind is SpanKind.QUOTED
         }
-        candidates = self._validator.validate(generated, quoted_values=quoted)
-        t2 = time.perf_counter()
-        result = self._finish(question, tokens, candidates, extracted)
-        t3 = time.perf_counter()
-        if timings is not None:
-            timings["preprocessing"] = (t1 - t0) + (t3 - t2)
-            timings["value_lookup"] = t2 - t1
-        return result
+        return self._validator.validate(generated, quoted_values=quoted)
 
     # ------------------------------------------------ ValueNet light mode
 
     def run_light(
-        self,
-        question: str,
-        gold_values: list[object],
-        timings: dict[str, float] | None = None,
+        self, question: str, gold_values: list[object], timings=None
     ) -> PreprocessedQuestion:
         """ValueNet light pre-processing: gold values arrive as an oracle
         set of options; we only locate them in the database (the encoder
-        wants locations) and compute hints.
-
-        Args:
-            question: the NL question.
-            gold_values: the oracle value options.
-            timings: optional dict that receives per-stage wall-clock
-                seconds, split the same way :meth:`run` does —
-                ``preprocessing`` covers tokenization + hints and
-                ``value_lookup`` covers locating the supplied values in
-                the index.
+        wants locations) and compute hints.  ``timings`` is filled as in
+        :meth:`run`: ``value_lookup`` covers locating the supplied values
+        in the index.
         """
-        t0 = time.perf_counter()
-        tokens = tokenize(question)
-        t1 = time.perf_counter()
-        candidates = [
-            ValueCandidate(value, "gold") for value in gold_values
-        ]
+        return self._run(
+            question, timings, lambda _: [], lambda *_: self._locate(gold_values)
+        )
+
+    def _locate(self, gold_values: list[object]) -> list[ValueCandidate]:
         located = []
-        for candidate in candidates:
+        for value in gold_values:
+            candidate = ValueCandidate(value, "gold")
             locations = tuple(sorted(
                 self.index.lookup(candidate.value),
                 key=lambda loc: (loc.table, loc.column),
             ))
             located.append(candidate.with_locations(locations))
-        deduped = dedupe_candidates(located)
-        t2 = time.perf_counter()
-        result = self._finish(question, tokens, deduped, [])
-        t3 = time.perf_counter()
-        if timings is not None:
-            timings["preprocessing"] = (t1 - t0) + (t3 - t2)
-            timings["value_lookup"] = t2 - t1
-        return result
+        return dedupe_candidates(located)
 
     # ------------------------------------------------------------- shared
 
-    def _finish(
-        self,
-        question: str,
-        tokens: list[Token],
-        candidates: list[ValueCandidate],
-        extracted: list[ExtractedValue],
-    ) -> PreprocessedQuestion:
-        hinted = compute_question_hints(tokens, self.schema, self.index)
-        schema_hints = compute_schema_hints(tokens, self.schema, candidates)
-        return PreprocessedQuestion(
+    def _run(self, question: str, timings, extract, lookup) -> PreprocessedQuestion:
+        """The one pre-processing sequence; the two modes differ only in
+        where spans (``extract``) and candidates (``lookup``) come from."""
+        t0 = time.perf_counter()
+        tokens = tokenize(question)
+        extracted = extract(question)
+        words = [token.text for token in tokens]
+        t1 = time.perf_counter()
+        candidates = lookup(words, extracted)
+        t2 = time.perf_counter()
+        result = PreprocessedQuestion(
             question=question,
             tokens=tokens,
-            hinted_tokens=hinted,
-            schema_hints=schema_hints,
+            hinted_tokens=compute_question_hints(tokens, self.schema, self.index),
+            schema_hints=compute_schema_hints(tokens, self.schema, candidates),
             candidates=candidates,
             extracted=extracted,
         )
+        if timings is not None:
+            timings.preprocessing = (t1 - t0) + (time.perf_counter() - t2)
+            timings.value_lookup = t2 - t1
+        return result

@@ -9,11 +9,13 @@ built once and read concurrently), the neural
 the :class:`~repro.baselines.heuristic.HeuristicBaseline` used both as the
 primary engine in model-free deployments and as the degraded fallback.
 
-Inference is mode-free, so the model itself is safe to share; what a
-translate call does mutate is the pipeline's per-call beam override and
-the fallback engine's per-translate state, so translate calls are
-serialized per runtime with a lock.  Different databases still run fully
-in parallel, and cache hits never take the lock.
+Inference is mode-free and the beam width is an argument of each call,
+so a translate call mutates nothing shared.  The per-runtime lock has one
+job: it makes :meth:`DatabaseRuntime.adopt_index` atomic against an
+in-flight translation, so a batch (or a fallback answer) runs entirely
+against the old index bundle and schema or entirely against the new one.
+Different databases run fully in parallel, and cache hits never take the
+lock.
 
 The runtime is also the serving stack's one SQL gate.  It is the only
 holder of the :class:`~repro.policy.engine.PolicyEngine` and the only
@@ -40,6 +42,13 @@ from repro.schema.graph import SchemaGraph
 from repro.sql.dialect import get_dialect
 
 
+# The gate's budget for executing one generated query: wall-clock seconds
+# (enforced via ``sqlite3.Connection.interrupt``, so a pathological query
+# cannot wedge a serving thread) and a result-row cap.
+_EXECUTION_TIMEOUT_S = 5.0
+_EXECUTION_MAX_ROWS = 10_000
+
+
 class DatabaseRuntime:
     """Everything needed to serve one database.
 
@@ -50,7 +59,7 @@ class DatabaseRuntime:
             marked degraded).
         database_id: external name for routing; defaults to the schema
             name.
-        beam_size: beam width for the neural pipeline.
+        beam_size: default beam width (a translate call may pass its own).
         pipeline: pre-built pipeline override (used by tests to inject
             fakes); mutually exclusive with ``model``.
         preprocessor: pre-built preprocessor override; by default one is
@@ -58,11 +67,6 @@ class DatabaseRuntime:
             the neural pipeline, and the heuristic fallback all use the
             same :class:`~repro.index.inverted.InvertedIndex` (exactly
             one per database process-wide).
-        execution_timeout_s: wall-clock budget for executing one
-            *generated* query (``None`` disables the budget); enforced
-            via ``sqlite3.Connection.interrupt`` so a pathological query
-            cannot wedge a worker.
-        execution_max_rows: result-row cap for executed queries.
         policy: optional :class:`~repro.policy.engine.PolicyEngine`;
             :meth:`check_sql` and :meth:`execute_sql` are its only
             callers in serving.
@@ -79,8 +83,6 @@ class DatabaseRuntime:
         beam_size: int = 1,
         pipeline: ValueNetPipeline | None = None,
         preprocessor: Preprocessor | None = None,
-        execution_timeout_s: float | None = 5.0,
-        execution_max_rows: int | None = 10_000,
         policy=None,
         dialect: str = "sqlite",
     ):
@@ -103,13 +105,10 @@ class DatabaseRuntime:
             )
         else:
             self.pipeline = None
-        # The fallback engine mutates shared per-translate state, like the
-        # pipeline it stands in for.
+        # adopt_index replaces it together with the index it reads.
         self.fallback = HeuristicBaseline(  # guarded by: _lock
             database, preprocessor=self.preprocessor
         )
-        self.execution_timeout_s = execution_timeout_s
-        self.execution_max_rows = execution_max_rows
         self.policy = policy
         self.dialect = get_dialect(dialect).name
         self._graph: SchemaGraph | None = None
@@ -133,60 +132,36 @@ class DatabaseRuntime:
         execute: bool = False,
         beam_size: int | None = None,
     ) -> TranslationResult:
-        """Run the neural pipeline (requires a model).
-
-        ``beam_size`` overrides the pipeline's configured beam for this
-        call; the per-runtime lock makes the temporary override safe.
-        ``execute`` runs the SQL through :meth:`execute_sql`, never
-        inside the pipeline.
-        """
-        if self.pipeline is None:
-            raise RuntimeError(f"runtime {self.database_id!r} has no model")
-        with self._lock:
-            configured = self.pipeline.beam_size
-            if beam_size is not None:
-                self.pipeline.beam_size = beam_size
-            try:
-                result = self.pipeline.translate(question)
-            finally:
-                self.pipeline.beam_size = configured
+        """:meth:`translate_batch` of one question.  ``execute`` runs the
+        SQL through :meth:`execute_sql`, never inside the pipeline."""
+        [result] = self.translate_batch([question], beam_size=beam_size)
         if execute:
             self._execute_into(result)
         return result
 
     def translate_batch(
-        self,
-        questions: list[str],
-        *,
-        beam_size: int | None = None,
-        encode_observer=None,
+        self, questions: list[str], *, beam_size: int | None = None
     ) -> list[TranslationResult]:
-        """Translate a micro-batch with one fused encoder pass.
+        """Run the neural pipeline (requires a model) over a micro-batch,
+        with one fused encoder pass.
 
-        Translation only: the service passes each answer's SQL through
-        the gate itself, with that request's tenant.
+        ``beam_size`` is this call's beam width (default: the pipeline's
+        configured one).  Translation only: the service passes each
+        answer's SQL through the gate itself, with that request's tenant.
         """
         if self.pipeline is None:
             raise RuntimeError(f"runtime {self.database_id!r} has no model")
-        with self._lock:
-            configured = self.pipeline.beam_size
-            if beam_size is not None:
-                self.pipeline.beam_size = beam_size
-            try:
-                return self.pipeline.translate_batch(
-                    questions, encode_observer=encode_observer
-                )
-            finally:
-                self.pipeline.beam_size = configured
+        with self._lock:  # against adopt_index, see the module docstring
+            return self.pipeline.translate_batch(questions, beam_size=beam_size)
 
     def adopt_index(self, entry, *, schema=None):
         """Swap in a background-built index bundle (and optionally a
         re-introspected schema); returns the previously bound searcher.
 
         Everything the translate path reads is rebound in ONE critical
-        section of the per-runtime lock — the same lock that serializes
-        :meth:`translate` — so a request either runs entirely against the
-        old bundle or entirely against the new one:
+        section of the per-runtime lock — the lock every translation
+        holds — so a request either runs entirely against the old bundle
+        or entirely against the new one:
 
         * ``database.schema`` is replaced on the shared object (the
           pipeline passes it to the model per call, so pointer networks
@@ -243,8 +218,8 @@ class DatabaseRuntime:
         return execute_with_budget(
             self.database,
             sql,
-            timeout_s=self.execution_timeout_s,
-            max_rows=self.execution_max_rows,
+            timeout_s=_EXECUTION_TIMEOUT_S,
+            max_rows=_EXECUTION_MAX_ROWS,
             check_sql=partial(self.check_sql, tenant_id=tenant_id),
         )
 

@@ -689,7 +689,6 @@ class TranslationService:
                 results = runtime.translate_batch(
                     [entry.request.question for entry in model_entries],
                     beam_size=batch[0].beam_size,
-                    encode_observer=self._observe_encode,
                 )
             except Exception as exc:
                 self._model_errors.inc()
@@ -698,6 +697,13 @@ class TranslationService:
                     entry.response.degraded_reason = "model_error"
                     entry.response.error = str(exc)
             else:
+                # One observation per model batch: every encoded question's
+                # record carries the fused pass's wall time (0.0: none ran).
+                encode_seconds = max(
+                    (r.timings.encode_batch for r in results), default=0.0
+                )
+                if encode_seconds > 0.0:
+                    self._encode_batch_hist.observe(encode_seconds)
                 for entry, result in zip(model_entries, results):
                     if result.error is not None:
                         entry.response.degraded = True
@@ -720,9 +726,6 @@ class TranslationService:
                 )
             self._record(entry.response)
             entry.request.resolve(entry.response)
-
-    def _observe_encode(self, seconds: float, batch_size: int) -> None:
-        self._encode_batch_hist.observe(seconds)
 
     def _finalize(
         self, runtime: DatabaseRuntime, entry: "_BatchEntry", picked_up: float

@@ -3,8 +3,9 @@ from the sequential one.
 
 Covers the three layers of the fast path: ``inference_mode`` (no autograd
 graph, identical numerics), ``ValueNetEncoder.encode_batch`` (padded +
-masked fused forward == per-example forwards), and the pipeline's
-``translate_batch`` (identical final SQL and errors).
+masked fused forward == per-example forwards), and the pipeline, where
+``translate`` is ``translate_batch`` of one (identical final SQL and
+errors whatever the batch size).
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ class TestBatchedEncoderEquivalence:
             assert outcome(pre, seq) == outcome(pre, bat)
 
     def test_pipeline_translate_batch_matches_translate(self, model, corpus):
+        """One path: a batch of N equals N batches of one (errors included)."""
         domain = corpus.train_domains[0]
         db = corpus.database(domain)
         questions = [e.question for e in corpus.train if e.db_id == domain]

@@ -3,6 +3,9 @@ post-processing unit tests."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import HeuristicBaseline
@@ -25,6 +28,8 @@ from repro.preprocessing import Preprocessor
 from repro.schema import Column, ColumnType
 from repro.semql import query_to_semql
 from repro.sql import parse_sql
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestValueFormatting:
@@ -276,6 +281,68 @@ class TestEndToEndPipelines:
         assert result.timings.encoder_decoder > 0
         assert result.timings.postprocessing >= 0
         assert result.timings.execution > 0
+
+    @pytest.mark.parametrize(
+        "pipeline_class, inputs",
+        [(ValueNetPipeline, {}), (ValueNetLightPipeline, {"values": ["Italy"]})],
+    )
+    def test_forwarding_preprocessor_wrapper_reaches_the_model(
+        self, trained_setup, monkeypatch, pipeline_class, inputs
+    ):
+        # The hint-ablation bench wraps the preprocessor; its wrapper must
+        # take whatever the pipelines pass (it crashed on `timings`).
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        spec = importlib.util.spec_from_file_location(
+            "bench_ablation_hints", BENCHMARKS / "bench_ablation_hints.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        model, db, preprocessor = trained_setup
+        pipeline = pipeline_class(
+            model, db, preprocessor=bench.HintlessPreprocessor(preprocessor)
+        )
+        result = pipeline.translate("List the name of students from Italy.", **inputs)
+        assert result.timings.preprocessing > 0
+        assert result.timings.value_lookup > 0
+        assert result.timings.encoder_decoder > 0  # got as far as the model
+
+    @pytest.mark.parametrize("count", [1, 3, 2])
+    def test_per_question_values_are_length_checked_first(self, trained_setup, count):
+        model, db, preprocessor = trained_setup
+        seen: list[str] = []
+
+        class Recording:
+            def run_light(self, question, *args, **kwargs):
+                seen.append(question)
+                return preprocessor.run_light(question, *args, **kwargs)
+
+        pipeline = ValueNetLightPipeline(model, db, preprocessor=Recording())
+        questions = ["students from Italy", "students from France"]
+        values = [["Italy"], ["France"], ["Spain"]][:count]
+        if count == len(questions):
+            assert len(pipeline.translate_batch(questions, values=values)) == 2
+            assert seen == questions
+        else:
+            with pytest.raises(ValueError, match=f"{count} values for 2 questions"):
+                pipeline.translate_batch(questions, values=values)
+            assert seen == []  # refused before any pre-processing
+
+    def test_neither_public_entry_calls_the_other(self, trained_setup, monkeypatch):
+        # benchmarks/e2e/spans.py wraps both as `pipeline.translate`: a
+        # nested call would count one translation twice.
+        model, db, preprocessor = trained_setup
+        pipeline = ValueNetPipeline(model, db, preprocessor=preprocessor)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public entry called from the other one")
+
+        question = "How many students are there?"
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "translate_batch", forbidden)
+            single = pipeline.translate(question)
+        monkeypatch.setattr(pipeline, "translate", forbidden)
+        [batched] = pipeline.translate_batch([question])
+        assert single.succeeded and batched.sql == single.sql
 
     def test_result_has_candidates(self, trained_setup):
         model, db, preprocessor = trained_setup

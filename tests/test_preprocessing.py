@@ -7,6 +7,7 @@ import pytest
 from repro.candidates import ValueCandidate
 from repro.index import InvertedIndex, ValueLocation
 from repro.ner import GazetteerRecognizer, ValueExtractor
+from repro.pipeline import StageTimings
 from repro.preprocessing import (
     PreprocessedQuestion,
     Preprocessor,
@@ -141,10 +142,10 @@ class TestPreprocessor:
         assert "20" in values
 
     def test_run_records_timings(self, preprocessor):
-        timings: dict[str, float] = {}
-        preprocessor.run(QUESTION, timings=timings)
-        assert timings["preprocessing"] >= 0
-        assert timings["value_lookup"] >= 0
+        timings = StageTimings()
+        preprocessor.run(QUESTION, timings)
+        assert timings.preprocessing > 0
+        assert timings.value_lookup > 0
 
     def test_light_mode_locates_gold_values(self, preprocessor):
         pre = preprocessor.run_light(QUESTION, ["France", 20])

@@ -14,12 +14,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.config import ModelConfig
 from repro.db import Database
-from repro.errors import ModelError
+from repro.errors import ModelError, ReproError
 from repro.metrics import MetricsRegistry
-from repro.pipeline import StageTimings, TranslationResult
+from repro.model import ValueNetModel, build_vocabulary
+from repro.pipeline import STAGES, StageTimings, TranslationResult
 from repro.policy import PolicyConfigStore, PolicyEngine, PolicyViolationError
 from repro.serving import (
+    CacheKey,
     DatabaseRuntime,
     QueueFullError,
     TranslationCache,
@@ -31,19 +34,23 @@ from repro.serving import (
 class FakePipeline:
     """Scriptable stand-in for ValueNetPipeline."""
 
+    # Read-only: the beam is an argument of each call, so a runtime that
+    # assigns it (AttributeError) has gone back to mutating shared state.
+    beam_size = property(lambda self: 1)
+
     def __init__(self, sql="SELECT count(*) FROM student", fail=False, delay=0.0):
         self.sql = sql
         self.fail = fail
         self.delay = delay
-        self.beam_size = 1  # runtime overrides this per request
         self.calls = 0
+        self.passed_beam: dict[str, int | None] = {}  # question -> beam_size=
         self.asked_to_execute = False
         self._lock = threading.Lock()
 
-    def translate(self, question, *, execute=False, **kwargs):
+    def translate(self, question, *, execute=False, beam_size=None):
         with self._lock:
             self.calls += 1
-            self.seen_beam = self.beam_size
+            self.passed_beam[question] = beam_size
             self.asked_to_execute |= bool(execute)
         if self.fail:
             raise ModelError("scripted failure")
@@ -54,8 +61,11 @@ class FakePipeline:
         result.sql = self.sql
         return result
 
-    def translate_batch(self, questions, *, execute=False, encode_observer=None):
-        return [self.translate(question, execute=execute) for question in questions]
+    def translate_batch(self, questions, *, execute=False, beam_size=None):
+        return [
+            self.translate(question, execute=execute, beam_size=beam_size)
+            for question in questions
+        ]
 
 
 @pytest.fixture
@@ -108,8 +118,30 @@ class TestBasicServing:
         pipeline = FakePipeline()
         with make_model_service(pets_db, pipeline) as service:
             service.translate("How many students?", beam_size=4)
-            assert pipeline.seen_beam == 4
-            assert pipeline.beam_size == 1  # restored after the call
+            service.translate("How many pets?")
+        assert pipeline.passed_beam == {
+            "How many students?": 4,
+            "How many pets?": 1,  # the runtime's configured beam
+        }
+        with pytest.raises(AttributeError):
+            pipeline.beam_size = 4  # what the runtime must never do
+
+    def test_concurrent_calls_each_see_their_own_beam(self, pets_db):
+        pipeline = FakePipeline(delay=0.001)
+        runtime = DatabaseRuntime(pets_db, database_id="pets", pipeline=pipeline)
+
+        def caller(beam: int) -> None:
+            for i in range(25):
+                runtime.translate(f"beam {beam} question {i}", beam_size=beam)
+
+        threads = [threading.Thread(target=caller, args=(beam,)) for beam in (1, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(pipeline.passed_beam) == 50
+        for question, beam in pipeline.passed_beam.items():
+            assert question.startswith(f"beam {beam} ")
 
     def test_response_as_dict_contract(self, heuristic_service):
         payload = heuristic_service.translate("How many students?").as_dict()
@@ -119,6 +151,8 @@ class TestBasicServing:
             "service_ms", "batch_size",
         ):
             assert field in payload
+        # The record's non-stage fields (encode_batch) stay off the wire.
+        assert set(payload["timings_ms"]) == set(STAGES)
 
 
 class TestConcurrency:
@@ -192,6 +226,43 @@ class TestConcurrency:
             assert slow_request.done.wait(timeout=30)
         assert fast_s < 0.15
         assert fast_request.response.ok and slow_request.response.ok
+
+    def test_adopt_index_waits_for_the_batch_in_flight(self, pets_db):
+        # The runtime lock's one job: a swap is atomic against a batch.
+        entered, gate, swapped = (threading.Event() for _ in range(3))
+
+        class ParkedPipeline(FakePipeline):
+            def translate_batch(self, questions, **kwargs):
+                entered.set()
+                assert gate.wait(timeout=30)
+                return super().translate_batch(questions, **kwargs)
+
+        runtime = DatabaseRuntime(
+            pets_db, database_id="pets", pipeline=ParkedPipeline()
+        )
+        bundle = SimpleNamespace(
+            index=runtime.preprocessor.index, searcher=runtime.searcher
+        )
+
+        def swap() -> None:
+            runtime.adopt_index(bundle)
+            swapped.set()
+
+        threads = [
+            threading.Thread(target=runtime.translate, args=("How many students?",)),
+            threading.Thread(target=swap),
+        ]
+        threads[0].start()
+        assert entered.wait(timeout=30)
+        threads[1].start()
+        assert not swapped.wait(timeout=0.2)
+        assert runtime.generation == 0
+        gate.set()
+        assert swapped.wait(timeout=30)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert runtime.generation == 1
 
 
 class TestOnDone:
@@ -389,12 +460,60 @@ class TestMetricsIntegration:
             assert snap["serving_latency_seconds"]["count"] == 1
             assert snap["serving_requests_total"] == 1
 
+    def test_one_encode_observation_per_model_batch(self, pets_db):
+        questions = [f"How many students are older than {n}?" for n in (19, 20, 21)]
+        vocab = build_vocabulary(questions, [pets_db.schema], [], vocab_size=300)
+        model = ValueNetModel(vocab, ModelConfig(
+            dim=32, num_layers=1, num_heads=2, ff_dim=48, summary_hidden=16,
+            decoder_hidden=32, pointer_hidden=24, dropout=0.0, word_dropout=0.0,
+        ))
+        service = TranslationService(
+            [DatabaseRuntime(pets_db, model, database_id="pets")],
+            workers=1, max_batch=4,
+        )
+
+        def encodes() -> int:
+            return service.metrics.snapshot()["serving_encode_batch_seconds"]["count"]
+
+        # Queued before start: one batch of three, one fused encode.
+        requests = [service.submit(question) for question in questions]
+        with service:
+            for request in requests:
+                assert request.done.wait(timeout=30)
+            assert {r.response.batch_size for r in requests} == {3}
+            assert encodes() == 1
+            single = service.translate("How many pets are there?")
+            assert single.batch_size == 1 and encodes() == 2
+            # A hit replays a record that carries its encode; it ran none.
+            service.cache.put(
+                CacheKey.make("pets", "students from France", 1, "sqlite", 0),
+                TranslationResult(
+                    "students from France", "SELECT name FROM student",
+                    timings=StageTimings(encode_batch=0.5),
+                ),
+            )
+            assert service.translate("students from France").cache_hit
+            assert encodes() == 2
+
+            def no_preprocessing(question, timings=None):
+                raise ReproError("scripted preprocessing failure")
+
+            service.runtimes["pets"].pipeline.preprocessor = SimpleNamespace(
+                run=no_preprocessing
+            )
+            failed = service.translate("How many students are there?")
+            assert failed.degraded_reason == "model_error"
+            assert failed.engine == "heuristic"
+            assert encodes() == 2
+
     def test_cache_counters(self, heuristic_service):
         heuristic_service.translate("How many students?")
         heuristic_service.translate("How many students?")
         snap = heuristic_service.metrics.snapshot()
         assert snap["serving_cache_hits_total"] == 1
         assert snap["serving_cache_misses_total"] == 1
+        # No model, no fused encode: neither the miss nor the hit observes one.
+        assert snap["serving_encode_batch_seconds"]["count"] == 0
 
     def test_health_payload(self, heuristic_service):
         health = heuristic_service.health()

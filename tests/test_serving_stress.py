@@ -41,7 +41,6 @@ class ChaosPipeline:
     """Scripted misbehavior: every 3rd call raises, every 4th is slow."""
 
     def __init__(self):
-        self.beam_size = 1
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -60,7 +59,7 @@ class ChaosPipeline:
         result.sql = "SELECT count(*) FROM student"
         return result
 
-    def translate_batch(self, questions, *, execute=False, encode_observer=None):
+    def translate_batch(self, questions, *, execute=False, beam_size=None):
         # One shared failure schedule for both entry points.
         return [self._translate_safe(q) for q in questions]
 
@@ -223,9 +222,7 @@ def test_stress_mixed_databases_no_cross_talk(pets_db):
 class FusedPipeline:
     """5 ms per *call*, whatever the batch: a fused encoder pass."""
 
-    beam_size = 1
-
-    def translate_batch(self, questions, *, execute=False, encode_observer=None):
+    def translate_batch(self, questions, *, execute=False, beam_size=None):
         time.sleep(0.005)
         results = []
         for question in questions:
