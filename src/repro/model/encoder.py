@@ -10,19 +10,20 @@ to summarize multi-token columns/tables/values").
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.config import ModelConfig
 from repro.model.featurize import (
     EncoderInput,
-    ItemSpan,
     NUM_COLUMN_TYPES,
     NUM_HINTS,
     NUM_SEGMENTS,
 )
 from repro.nn.layers import Embedding, Module
 from repro.nn.rnn import BiLSTMSummarizer
-from repro.nn.tensor import Tensor, is_grad_enabled, stack
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.nn.transformer import TransformerEncoder, sinusoidal_positions
 
 
@@ -83,137 +84,85 @@ class ValueNetEncoder(Module):
         self.output_column_hint = Embedding(16, dim, rng)  # column x table hints
         self.output_table_hint = Embedding(4, dim, rng)
         self.output_value_located = Embedding(2, dim, rng)
-        self._position_cache: dict[int, np.ndarray] = {}
+        self._position_cache: dict[int, Tensor] = {}
         self._word_dropout_rng = np.random.default_rng(config.seed + 1)
 
-    def _positions(self, length: int) -> np.ndarray:
+    def _positions(self, length: int) -> Tensor:
         cached = self._position_cache.get(length)
         if cached is None:
-            cached = sinusoidal_positions(length, self.config.dim)
+            cached = Tensor(sinusoidal_positions(length, self.config.dim) * 0.1)
             self._position_cache[length] = cached
         return cached
 
     def __call__(self, encoder_input: EncoderInput) -> EncodedExample:
-        piece_ids = encoder_input.piece_ids
+        return self.encode_batch([encoder_input])[0]
+
+    def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
+        """Encode a micro-batch — the one forward, for training and serving.
+
+        Sequences are right-padded to the batch maximum and the attention
+        is masked over padding, so every real position sees exactly the
+        keys it would alone; every item span of every example is then
+        summarized in one packed BiLSTM pass.  A question's encoding is
+        the same (to floating-point tolerance) whatever batch it is in.
+
+        Word dropout applies when training with autograd on, one draw per
+        example in input order; under ``inference_mode()`` — the serving
+        path — the forward is deterministic.
+        """
+        if not inputs:
+            return []
+        batch = len(inputs)
+        sizes = np.array([inp.length for inp in inputs])
+        max_len = int(sizes.max())
+        # Without padding there is nothing to mask (a batch of one).
+        mask = None if sizes.min() == max_len else np.arange(max_len) < sizes[:, None]
+
+        def padded(sequences: Iterable[list[int]]) -> np.ndarray:
+            ids = np.zeros((batch, max_len), dtype=np.int64)
+            for row, sequence in zip(ids, sequences):
+                row[:len(sequence)] = sequence
+            return ids
+
+        piece = padded(inp.piece_ids for inp in inputs)
         if self.training and is_grad_enabled() and self.config.word_dropout > 0:
             # Word-level dropout: random pieces become [UNK] so the model
             # cannot rely purely on memorized surface forms — essential for
             # transfer to the unseen dev databases.
             unk = 1  # WordPieceVocab's fixed [UNK] id
-            keep = self._word_dropout_rng.random(len(piece_ids))
-            piece_ids = [
-                pid if keep[i] >= self.config.word_dropout else unk
-                for i, pid in enumerate(piece_ids)
-            ]
-        pieces = self.piece_embedding(piece_ids)
-        segments = self.segment_embedding(encoder_input.segment_ids)
-        hints = self.hint_embedding(encoder_input.hint_ids)
-        types = self.type_embedding(encoder_input.type_ids)
-        positions = Tensor(self._positions(encoder_input.length) * 0.1)
-        embedded = pieces + segments + hints + types + positions
-
-        contextual = self.transformer(embedded)
-
-        question = self._summarize_spans(contextual, encoder_input.question_spans)
-        columns = self._summarize_spans(contextual, encoder_input.column_spans)
-        tables = self._summarize_spans(contextual, encoder_input.table_spans)
-        values = (
-            self._summarize_spans(contextual, encoder_input.value_spans)
-            if encoder_input.value_spans
-            else None
-        )
-        if encoder_input.column_hints:
-            columns = columns + self.output_column_hint(encoder_input.column_hints)
-        if encoder_input.table_hints:
-            tables = tables + self.output_table_hint(encoder_input.table_hints)
-        if values is not None and encoder_input.value_located:
-            values = values + self.output_value_located(encoder_input.value_located)
-        summary = contextual[0]
-        return EncodedExample(question, columns, tables, values, summary)
-
-    def _summarize_spans(self, contextual: Tensor, spans: list[ItemSpan]) -> Tensor:
-        summaries = [
-            self.summarizer(contextual[span.start:span.end]) for span in spans
-        ]
-        return stack(summaries, axis=0)
-
-    # ------------------------------------------------------- batched path
-
-    def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
-        """Encode a micro-batch with one padded transformer forward.
-
-        Sequences are right-padded to the batch maximum and the attention
-        is masked over padding, so every real position sees exactly the
-        keys it would unbatched; item spans are then summarized in fused
-        equal-length groups across the whole batch.  The result matches
-        per-example :meth:`__call__` outputs to floating-point tolerance.
-
-        Inference-only: word dropout is not applied (run under
-        ``inference_mode()`` — the serving path does).
-        """
-        if not inputs:
-            return []
-        if len(inputs) == 1:
-            return [self(inputs[0])]
-
-        batch = len(inputs)
-        max_len = max(inp.length for inp in inputs)
-        piece = np.zeros((batch, max_len), dtype=np.int64)
-        segment = np.zeros((batch, max_len), dtype=np.int64)
-        hint = np.zeros((batch, max_len), dtype=np.int64)
-        type_ = np.zeros((batch, max_len), dtype=np.int64)
-        mask = np.zeros((batch, max_len), dtype=bool)
-        for i, inp in enumerate(inputs):
-            n = inp.length
-            piece[i, :n] = inp.piece_ids
-            segment[i, :n] = inp.segment_ids
-            hint[i, :n] = inp.hint_ids
-            type_[i, :n] = inp.type_ids
-            mask[i, :n] = True
-
+            for i, n in enumerate(sizes):
+                dropped = self._word_dropout_rng.random(n) < self.config.word_dropout
+                piece[i, :n][dropped] = unk
         embedded = (
             self.piece_embedding(piece)
-            + self.segment_embedding(segment)
-            + self.hint_embedding(hint)
-            + self.type_embedding(type_)
-            + Tensor(self._positions(max_len) * 0.1)
+            + self.segment_embedding(padded(inp.segment_ids for inp in inputs))
+            + self.hint_embedding(padded(inp.hint_ids for inp in inputs))
+            + self.type_embedding(padded(inp.type_ids for inp in inputs))
+            + self._positions(max_len)
         )
         contextual = self.transformer(embedded, mask=mask)
 
-        # Summarize every item span of every example, grouped by span
-        # length so each group is one fused pass through the BiLSTM.
-        categories = ("question", "column", "table", "value")
-        by_length: dict[int, list[tuple[int, str, int, int, int]]] = {}
-        for i, inp in enumerate(inputs):
-            for kind, spans in zip(categories, (
-                inp.question_spans, inp.column_spans,
-                inp.table_spans, inp.value_spans,
-            )):
-                for j, span in enumerate(spans):
-                    by_length.setdefault(span.end - span.start, []).append(
-                        (i, kind, j, span.start, span.end)
-                    )
-        summaries: dict[tuple[int, str, int], Tensor] = {}
-        for group in by_length.values():
-            rows = self.summarizer.summarize_spans(
-                contextual, [(i, start, end) for i, _, _, start, end in group]
-            )
-            for row, (i, kind, j, _, _) in enumerate(group):
-                summaries[(i, kind, j)] = rows[row]
+        # Every item span of every example, example-major and in the
+        # order question, columns, tables, values — so each example's
+        # items of one kind are consecutive rows of the summaries.
+        kinds = [
+            (inp.question_spans, inp.column_spans, inp.table_spans, inp.value_spans)
+            for inp in inputs
+        ]
+        rows, starts, lengths = np.array([
+            (i, span.start, span.end - span.start)
+            for i, example in enumerate(kinds) for spans in example for span in spans
+        ], dtype=np.int64).T
+        summaries = self.summarizer.summarize_spans(contextual, rows, starts, lengths)
 
         out: list[EncodedExample] = []
+        offset = 0
         for i, inp in enumerate(inputs):
-            def gather(kind: str, count: int, example: int = i) -> Tensor | None:
-                if count == 0:
-                    return None
-                return stack(
-                    [summaries[(example, kind, j)] for j in range(count)], axis=0
-                )
-
-            question = gather("question", len(inp.question_spans))
-            columns = gather("column", len(inp.column_spans))
-            tables = gather("table", len(inp.table_spans))
-            values = gather("value", len(inp.value_spans))
+            items: list[Tensor | None] = []
+            for spans in kinds[i]:
+                items.append(summaries[offset:offset + len(spans)] if spans else None)
+                offset += len(spans)
+            question, columns, tables, values = items
             if inp.column_hints:
                 columns = columns + self.output_column_hint(inp.column_hints)
             if inp.table_hints:

@@ -22,7 +22,7 @@ from repro.nn.layers import (
     concat_features,
 )
 from repro.nn.optim import Adam, ParamGroup
-from repro.nn.rnn import BiLSTMSummarizer, LSTM, LSTMCell
+from repro.nn.rnn import BiLSTMSummarizer, LSTMCell
 from repro.nn.serialization import load_module, save_module
 from repro.nn.tensor import Tensor, concat, inference_mode, is_grad_enabled, stack
 from repro.nn.transformer import TransformerEncoder, TransformerLayer, sinusoidal_positions
@@ -33,7 +33,6 @@ __all__ = [
     "BilinearAttention",
     "Dropout",
     "Embedding",
-    "LSTM",
     "LSTMCell",
     "LayerNorm",
     "Linear",

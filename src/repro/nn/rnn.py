@@ -1,4 +1,4 @@
-"""Recurrent modules: LSTM cell, unidirectional LSTM, BiLSTM summarizer.
+"""Recurrent modules: LSTM cell and BiLSTM span summarizer.
 
 The decoder is an LSTM (paper Section III-B2), and multi-token schema
 items / value candidates are summarized by a bidirectional LSTM into a
@@ -6,9 +6,10 @@ single vector (Section V-C: "bi-directional LSTM networks to summarize
 multi-token columns/tables/values").
 
 The cell operates on a single (d,) input or a batched (s, d) stack of
-inputs transparently (gates slice the last axis), which lets the batched
-encoder summarize every same-length span across a micro-batch with one
-fused matrix multiply per step instead of one vector multiply per span.
+inputs transparently (gates slice the last axis), which lets the encoder
+summarize every span of a request — whatever their lengths — in one
+packed pass: one fused matrix multiply per step and direction over the
+spans still running, instead of one LSTM per span.
 """
 
 from __future__ import annotations
@@ -55,28 +56,6 @@ class LSTMCell(Module):
         return (Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
 
-class LSTM(Module):
-    """Unidirectional LSTM over an (n, d_in) sequence, returning all hidden
-    states as an (n, d_h) tensor plus the final (h, c)."""
-
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.cell = LSTMCell(input_dim, hidden_dim, rng)
-
-    def __call__(
-        self, sequence: Tensor
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        state = self.cell.initial_state()
-        outputs: list[Tensor] = []
-        for t in range(sequence.shape[0]):
-            h, c = self.cell(sequence[t], state)
-            state = (h, c)
-            outputs.append(h)
-        from repro.nn.tensor import stack
-
-        return stack(outputs, axis=0), state
-
-
 class BiLSTMSummarizer(Module):
     """Summarize a variable-length (n, d_in) span into one vector.
 
@@ -105,35 +84,49 @@ class BiLSTMSummarizer(Module):
         return (combined @ self.projection).tanh()
 
     def summarize_spans(
-        self, contextual: Tensor, spans: list[tuple[int, int, int]]
+        self,
+        contextual: Tensor,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
     ) -> Tensor:
-        """Summarize many *equal-length* spans of a padded batch at once.
+        """Summarize spans of any lengths from a padded batch in one pass.
 
         Args:
             contextual: (batch, max_len, d_in) padded encoder output.
-            spans: ``(example_index, start, end)`` triples, all with the
-                same ``end - start``.
+            rows, starts, lengths: one entry per span — its example index,
+                first position and number of positions (>= 1).
 
         Returns:
-            (len(spans), output_dim) summaries, row-aligned with ``spans``.
+            (n_spans, output_dim) summaries, row-aligned with the input.
 
-        Each step gathers one position of every span and runs both LSTM
-        cells on the (s, d_in) stack — identical math to calling the
-        summarizer per span, but one fused matmul per step.
+        Spans are sorted longest first, so the spans still running at
+        step ``t`` are a prefix: each step gathers one position of every
+        running span and runs both cells on that stack — the math of
+        :meth:`__call__` per span, in ``2 * max(lengths)`` cell calls.
         """
-        length = spans[0][2] - spans[0][1]
-        if any(end - start != length for _, start, end in spans):
-            raise ValueError("summarize_spans requires equal-length spans")
-        rows = np.array([example for example, _, _ in spans], dtype=np.int64)
-        starts = np.array([start for _, start, _ in spans], dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        rows, starts, lengths = rows[order], starts[order], lengths[order]
+        lasts = starts + lengths - 1
+        # running[t]: how many spans are longer than t (a prefix, as sorted).
+        running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
 
-        forward_state = self.forward_cell.initial_state(batch=len(spans))
-        for t in range(length):
-            x = contextual[(rows, starts + t)]
-            forward_state = self.forward_cell(x, forward_state)
-        backward_state = self.backward_cell.initial_state(batch=len(spans))
-        for t in range(length - 1, -1, -1):
-            x = contextual[(rows, starts + t)]
-            backward_state = self.backward_cell(x, backward_state)
-        combined = concat([forward_state[0], backward_state[0]], axis=-1)
-        return (combined @ self.projection).tanh()
+        forward_state = self.forward_cell.initial_state(batch=len(order))
+        backward_state = self.backward_cell.initial_state(batch=len(order))
+        finished: list[Tensor] = []  # final [h_fwd; h_bwd] blocks, shortest first
+        for t, k in enumerate(running):
+            if k < forward_state[0].shape[0]:
+                finished.append(concat(
+                    [forward_state[0][k:], backward_state[0][k:]], axis=-1
+                ))
+                forward_state = (forward_state[0][:k], forward_state[1][:k])
+                backward_state = (backward_state[0][:k], backward_state[1][:k])
+            forward_state = self.forward_cell(
+                contextual[(rows[:k], starts[:k] + t)], forward_state
+            )
+            backward_state = self.backward_cell(
+                contextual[(rows[:k], lasts[:k] - t)], backward_state
+            )
+        finished.append(concat([forward_state[0], backward_state[0]], axis=-1))
+        combined = concat(finished[::-1], axis=0)
+        return (combined @ self.projection).tanh()[np.argsort(order)]

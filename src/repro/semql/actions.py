@@ -211,9 +211,15 @@ GRAMMAR_ACTION_INDEX: dict[GrammarAction, int] = {
 NUM_GRAMMAR_ACTIONS = len(GRAMMAR_ACTION_LIST)
 
 
-def actions_for_type(action_type: ActionType) -> list[int]:
-    """Global ids of all grammar actions expanding ``action_type``."""
-    return [
+_ACTIONS_FOR_TYPE: dict[ActionType, tuple[int, ...]] = {
+    action_type: tuple(
         GRAMMAR_ACTION_INDEX[GrammarAction(action_type, production)]
         for production in range(num_productions(action_type))
-    ]
+    )
+    for action_type in ActionType
+}
+
+
+def actions_for_type(action_type: ActionType) -> tuple[int, ...]:
+    """Global ids of all grammar actions expanding ``action_type``."""
+    return _ACTIONS_FOR_TYPE[action_type]

@@ -1,11 +1,12 @@
-"""Differential tests: the batched inference path must be indistinguishable
-from the sequential one.
+"""Differential tests: a question's answer must not depend on its batch.
 
-Covers the three layers of the fast path: ``inference_mode`` (no autograd
-graph, identical numerics), ``ValueNetEncoder.encode_batch`` (padded +
-masked fused forward == per-example forwards), and the pipeline, where
-``translate`` is ``translate_batch`` of one (identical final SQL and
-errors whatever the batch size).
+There is one encoder forward, so "sequential" here means a batch of one.
+Covers ``inference_mode`` (no autograd graph, identical numerics),
+``ValueNetEncoder.encode_batch`` (a question encoded alone == its row of a
+padded + masked batch; the packed BiLSTM pass == the per-span summarizer
+on the same transformer output; its cell-step count; word dropout), and
+the pipeline, where ``translate`` is ``translate_batch`` of one (identical
+final SQL and errors whatever the batch size).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.errors import ModelError
 from repro.model import SchemaFeatureCache, ValueNetModel, build_vocabulary, featurize
-from repro.nn import Tensor, inference_mode, is_grad_enabled
+from repro.nn import LSTMCell, Tensor, TransformerEncoder, inference_mode, is_grad_enabled
 from repro.pipeline import ValueNetPipeline
 from repro.preprocessing import Preprocessor
 from repro.spider import CorpusConfig, generate_corpus
@@ -55,6 +56,19 @@ def domain_examples(corpus):
     questions = [e.question for e in corpus.train if e.db_id == domain]
     preprocessor = Preprocessor(db)
     return db, [preprocessor.run(q) for q in questions]
+
+
+@pytest.fixture(scope="module")
+def dev_examples(corpus):
+    """(database, preprocessed dev questions) per dev domain."""
+    out = []
+    for domain in corpus.dev_domains:
+        db = corpus.database(domain)
+        preprocessor = Preprocessor(db)
+        out.append((db, [
+            preprocessor.run(e.question) for e in corpus.dev if e.db_id == domain
+        ]))
+    return out
 
 
 def max_abs_diff(a, b) -> float:
@@ -134,11 +148,146 @@ class TestBatchedEncoderEquivalence:
         [only] = pipeline.translate_batch([pres[0].question])
         assert only.sql == pipeline.translate(pres[0].question).sql
 
+    def test_dev_set_alone_equals_row_of_a_batch(self, model, dev_examples):
+        for db, pres in dev_examples:
+            pipeline = ValueNetPipeline(model, db)
+            for i in range(0, len(pres), 8):
+                chunk = pres[i:i + 8]
+                batched = model.encode_batch(chunk, db.schema)
+                for pre, bat in zip(chunk, batched):
+                    [alone] = model.encode_batch([pre], db.schema)
+                    for name in ENCODED_FIELDS:
+                        assert max_abs_diff(getattr(alone, name), getattr(bat, name)) < 1e-6
+            questions = [pre.question for pre in pres]
+            for question, bat in zip(questions, pipeline.translate_batch(questions)):
+                alone = pipeline.translate(question)
+                assert (bat.sql, bat.error) == (alone.sql, alone.error)
+
+    def test_dev_set_equals_per_span_oracle(self, model, dev_examples, monkeypatch):
+        """The packed pass against the reference composition: the per-span
+        summarizer on slices of the same transformer output, plus hints."""
+        transformer_outputs = []
+        forward = TransformerEncoder.__call__
+
+        def recording(self, x, mask=None):
+            transformer_outputs.append(forward(self, x, mask=mask))
+            return transformer_outputs[-1]
+
+        monkeypatch.setattr(TransformerEncoder, "__call__", recording)
+        encoder = model.encoder
+
+        def oracle(contextual, spans, hints, embedding):
+            if not spans:
+                return None
+            rows = np.stack([
+                encoder.summarizer(contextual[s.start:s.end]).data for s in spans
+            ])
+            return Tensor(rows + embedding(hints).data if hints else rows)
+
+        for db, pres in dev_examples:
+            inputs = [
+                featurize(p, db.schema, model.vocab, cache=model.schema_cache)
+                for p in pres
+            ]
+            with inference_mode():
+                encoded = encoder.encode_batch(inputs)
+                for i, (inp, got) in enumerate(zip(inputs, encoded)):
+                    contextual = transformer_outputs[-1][i]
+                    want = {
+                        "question": oracle(contextual, inp.question_spans, [], None),
+                        "columns": oracle(contextual, inp.column_spans,
+                                          inp.column_hints, encoder.output_column_hint),
+                        "tables": oracle(contextual, inp.table_spans,
+                                         inp.table_hints, encoder.output_table_hint),
+                        "values": oracle(contextual, inp.value_spans,
+                                         inp.value_located, encoder.output_value_located),
+                        "summary": contextual[0],
+                    }
+                    for name in ENCODED_FIELDS:
+                        assert max_abs_diff(want[name], getattr(got, name)) < 1e-9, name
+
+    def test_cell_steps_are_twice_the_longest_span(
+        self, model, domain_examples, monkeypatch
+    ):
+        """One packed pass: 2 * L_max cell steps per encode, whatever the
+        number of spans or examples (one LSTM per span fails this)."""
+        db, pres = domain_examples
+        pres = pres[:8]
+        calls = []
+        step = LSTMCell.__call__
+        monkeypatch.setattr(
+            LSTMCell, "__call__",
+            lambda self, x, state: calls.append(1) or step(self, x, state),
+        )
+
+        def longest_span(pre):
+            inp = featurize(pre, db.schema, model.vocab)
+            return max(
+                span.end - span.start
+                for spans in (inp.question_spans, inp.column_spans,
+                              inp.table_spans, inp.value_spans)
+                for span in spans
+            )
+
+        def cell_steps(batch):
+            del calls[:]
+            model.encode_batch(batch, db.schema)
+            return len(calls)
+
+        longest = [longest_span(pre) for pre in pres]
+        assert max(longest) > 1
+        for pre, n in zip(pres, longest):
+            assert cell_steps([pre]) == 2 * n
+        assert cell_steps(pres) == 2 * max(longest)
+
     def test_batch_outputs_carry_no_graph(self, model, domain_examples):
         db, pres = domain_examples
         for encoded in model.encode_batch(pres[:3], db.schema):
             assert not encoded.summary.requires_grad
             assert encoded.summary._parents == ()
+
+
+class TestWordDropout:
+    """Word dropout lives on the one forward, behind ``training and
+    is_grad_enabled()``."""
+
+    @pytest.fixture()
+    def noisy(self, model):
+        config = ModelConfig(**{**TINY.__dict__, "word_dropout": 0.5})
+        return ValueNetModel(model.vocab, config)
+
+    def test_training_with_grad_draws_once_per_example(self, noisy, domain_examples):
+        db, pres = domain_examples
+        inputs = [featurize(p, db.schema, noisy.vocab) for p in pres[:3]]
+        noisy.train()
+        first = noisy.encoder(inputs[0])
+        second = noisy.encoder(inputs[0])
+        assert max_abs_diff(first.question, second.question) > 0
+
+        encoder = ValueNetModel(noisy.vocab, noisy.config).train().encoder
+        expected = np.random.default_rng(noisy.config.seed + 1)
+        for inp in inputs:
+            expected.random(inp.length)
+        encoder.encode_batch(inputs)
+        assert (
+            encoder._word_dropout_rng.bit_generator.state
+            == expected.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inference_mode_is_deterministic(self, noisy, domain_examples, training):
+        db, pres = domain_examples
+        if training:
+            noisy.train()
+        else:
+            noisy.eval()
+        before = noisy.encoder._word_dropout_rng.bit_generator.state
+        first = noisy.encode_batch(pres[:3], db.schema)
+        second = noisy.encode_batch(pres[:3], db.schema)
+        for a, b in zip(first, second):
+            for name in ENCODED_FIELDS:
+                assert max_abs_diff(getattr(a, name), getattr(b, name)) == 0.0
+        assert noisy.encoder._word_dropout_rng.bit_generator.state == before
 
 
 class TestInferenceMode:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     Adam,
@@ -11,7 +13,6 @@ from repro.nn import (
     BilinearAttention,
     Dropout,
     Embedding,
-    LSTM,
     LSTMCell,
     LayerNorm,
     Linear,
@@ -226,12 +227,6 @@ class TestRnn:
         cell = LSTMCell(4, 6, RNG)
         np.testing.assert_array_equal(cell.bias.data[6:12], 1.0)
 
-    def test_lstm_over_sequence(self):
-        lstm = LSTM(4, 6, RNG)
-        outputs, (h, c) = lstm(Tensor(RNG.normal(size=(5, 4))))
-        assert outputs.shape == (5, 6)
-        np.testing.assert_array_equal(outputs.data[-1], h.data)
-
     def test_lstm_gradcheck(self):
         cell = LSTMCell(3, 4, RNG)
         sequence = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
@@ -258,6 +253,59 @@ class TestRnn:
         forward = summarizer(Tensor(span))
         backward = summarizer(Tensor(span[::-1].copy()))
         assert not np.allclose(forward.data, backward.data)
+
+
+def _span_arrays(spans):
+    """``(row, start, length)`` triples -> the three index arrays."""
+    return tuple(np.array(spans, dtype=np.int64).T)
+
+
+@st.composite
+def _padded_batch_and_spans(draw):
+    """A (batch, T, d) input and 1..12 spans ``(row, start, length)`` over it:
+    any lengths 1..T, overlapping and duplicated, in any order."""
+    batch = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**16))
+    span = st.integers(1, length).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, batch - 1), st.integers(0, length - n), st.just(n)
+        )
+    )
+    spans = draw(st.lists(span, min_size=1, max_size=12))
+    if draw(st.booleans()):  # the all-lengths-equal case, on purpose
+        n = spans[0][2]
+        spans = [(row, min(start, length - n), n) for row, start, _ in spans]
+    return np.random.default_rng(seed).normal(size=(batch, length, 4)), spans
+
+
+class TestPackedSummarizer:
+    """``summarize_spans`` against the per-span ``__call__`` oracle."""
+
+    @settings(max_examples=60)
+    @given(_padded_batch_and_spans())
+    def test_rows_equal_the_per_span_summarizer_in_input_order(self, case):
+        data, spans = case
+        summarizer = BiLSTMSummarizer(4, 5, 6, np.random.default_rng(5))
+        contextual = Tensor(data)
+        packed = summarizer.summarize_spans(contextual, *_span_arrays(spans))
+        assert packed.shape == (len(spans), 6)
+        for got, (row, start, n) in zip(packed.data, spans):
+            want = summarizer(contextual[row, start:start + n])
+            np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-9)
+
+    def test_gradcheck_through_unequal_lengths(self):
+        # Lengths 1, 3, 2, 3 given out of order: the finished-rows concat
+        # and the un-sort gather both sit on the differentiated path.
+        summarizer = BiLSTMSummarizer(3, 4, 5, np.random.default_rng(7))
+        contextual = Tensor(RNG.normal(size=(2, 4, 3)), requires_grad=True)
+        arrays = _span_arrays([(1, 2, 1), (0, 0, 3), (1, 1, 2), (0, 1, 3)])
+        weights = Tensor(RNG.normal(size=(4, 5)))
+
+        def run():
+            return (summarizer.summarize_spans(contextual, *arrays) * weights).sum()
+
+        gradcheck_params(run, [contextual] + summarizer.parameters(), tol=5e-5)
 
 
 class TestOptim:
