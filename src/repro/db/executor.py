@@ -9,13 +9,18 @@ matters (this mirrors the official Spider evaluation script's behaviour).
 
 from __future__ import annotations
 
-import threading
+import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.db.database import Database
 from repro.errors import ExecutionError
+
+# SQLite VM instructions between two deadline checks of a budgeted
+# query: a few-microsecond query sees at most one check, a runaway one
+# is stopped within a fraction of a millisecond of its deadline.
+_PROGRESS_INSTRUCTIONS = 1000
 
 
 class QueryTimeoutError(ExecutionError):
@@ -67,15 +72,16 @@ def execute_with_budget(
 
     Serving runs *generated* SQL: a pathological query (an accidental
     cross join, a filter that SQLite cannot use an index for) can
-    otherwise occupy a worker slot for minutes.  A timer thread calls
-    :meth:`sqlite3.Connection.interrupt` on the current thread's
-    connection when the budget expires — SQLite aborts the running
-    statement with "interrupted", surfaced here as
-    :class:`QueryTimeoutError` — and ``max_rows`` bounds the result set
-    (the cap raises :class:`ExecutionError`, mirroring
+    otherwise occupy a worker slot for minutes.  A progress handler on
+    the current thread's connection checks a monotonic deadline every
+    ``_PROGRESS_INSTRUCTIONS`` SQLite VM instructions and, once it has
+    passed, makes SQLite abort the running statement with "interrupted",
+    surfaced here as :class:`QueryTimeoutError`; the handler is removed
+    when the call returns.  No thread is started.  ``max_rows`` bounds the
+    result set (the cap raises :class:`ExecutionError`, mirroring
     :meth:`Database.execute`).
 
-    ``timeout_s=None`` (or <= 0) disables the timer and degenerates to a
+    ``timeout_s=None`` (or <= 0) installs no handler and degenerates to a
     plain capped execute.  Multi-statement strings are always rejected
     (see :func:`reject_multi_statement`) — sqlite3 would silently run
     only the first statement, which hides injection attempts instead of
@@ -90,30 +96,27 @@ def execute_with_budget(
         check_sql(sql)
     if timeout_s is None or timeout_s <= 0:
         return database.execute(sql, max_rows=max_rows)
-    connection = database.connection  # per-thread; interrupt targets it only
-    interrupted = threading.Event()
+    connection = database.connection  # per-thread: the handler sees this query only
+    deadline = time.monotonic() + timeout_s
+    expired = False
 
-    def _interrupt() -> None:
-        interrupted.set()
-        try:
-            connection.interrupt()
-        except Exception:  # pragma: no cover - justified: best-effort interrupt; connection may already be closed
-            pass
+    def _over_budget() -> bool:
+        nonlocal expired
+        expired = time.monotonic() >= deadline
+        return expired  # true aborts the statement
 
-    timer = threading.Timer(timeout_s, _interrupt)
-    timer.daemon = True
-    timer.start()
+    connection.set_progress_handler(_over_budget, _PROGRESS_INSTRUCTIONS)
     try:
         return database.execute(sql, max_rows=max_rows)
     except ExecutionError as exc:
-        if interrupted.is_set():
+        if expired:
             raise QueryTimeoutError(
                 f"query exceeded its {timeout_s:.3f}s budget and was "
                 f"interrupted: {sql!r}"
             ) from exc
         raise
     finally:
-        timer.cancel()
+        connection.set_progress_handler(None, 0)
 
 
 def _normalize_cell(cell: object) -> object:

@@ -1,4 +1,4 @@
-"""Beam-search decoding over SemQL 2.0 actions.
+"""Beam-search decoding over SemQL 2.0 actions, a batch in lockstep.
 
 The paper's greedy decoder commits to one action per step; beam search
 keeps the ``beam_size`` highest-scoring partial action sequences instead
@@ -6,25 +6,37 @@ and returns the best *complete* one.  IRNet (ValueNet's base) decodes with
 a beam — this module provides the same extension for our decoder, subject
 to the identical grammar constraints as the greedy path.
 
-Like :meth:`ValueNetDecoder.decode`, the search runs against the decoder
-ops interface: pass a per-request
-:class:`~repro.model.stepcache.StepCache` to reuse memoized pointer
-memory projections, feed embeddings, and grammar masks across all
-hypotheses of the request — predictions are identical either way.
+Lockstep contract: :func:`beam_decode` searches a batch of questions at
+once.  Each iteration stacks the state of every live hypothesis of every
+question into rows and advances them all in one decoder step — one
+context attention over the padded question memories, one LSTM gate
+matmul — then scores the rows with one sketch-head matmul for those
+expecting a grammar action and one pointer pass per kind (C/T/V).  Per
+question it keeps the ``beam_size`` best expansions, and only those
+survivors are built.  A batch therefore costs as many decoder steps as
+its longest search, and each question's search — its candidates, their
+order and ties, its step budget, its failure — is the one it would run
+alone.
+
+The rows run against the decoder ops interface: a
+:class:`~repro.model.stepcache.StepCache` over the batch, or, without
+one, :class:`~repro.model.stepcache.ReferenceOps`, whose row methods loop
+the decoder's own Tensor methods and are the oracle the cache is tested
+against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.model.decoder import DecoderStep, ValueNetDecoder
+from repro.model.decoder import STAR_COLUMN, DecoderStep, ValueNetDecoder
 from repro.model.encoder import EncodedExample
 from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
-from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST
+from repro.nn.functional import NEG_INF
+from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST, POINTER_TYPES
 from repro.semql.tree import GrammarState
 
 
@@ -32,164 +44,213 @@ from repro.semql.tree import GrammarState
 class _Hypothesis:
     """One partial decode: accumulated score plus decoder state.
 
-    ``state``/``prev`` are Tensors on the reference path and raw numpy
-    arrays on the cached path; the search never looks inside them.
-    ``recursive`` counts emitted recursive productions incrementally so
-    the budget policy does not rescan ``steps`` every expansion.
+    ``row`` indexes its ``(h, c)`` in the latest lockstep step's output;
+    ``prev`` is the feed embedding of its last action (a Tensor on the
+    reference path, a numpy array on the cached path).  ``recursive``
+    counts emitted recursive productions incrementally so the budget
+    policy does not rescan ``steps``.
     """
 
     score: float
-    state: tuple
+    row: int
     prev: object
     grammar: GrammarState
     steps: list[DecoderStep] = field(default_factory=list)
     last_column: int | None = None
     recursive: int = 0
 
-    @property
-    def finished(self) -> bool:
-        return self.grammar.finished
-
     def normalized_score(self) -> float:
         # Length normalization keeps short queries from always winning.
         return self.score / max(len(self.steps), 1) ** 0.7
 
 
+@dataclass
+class _Search:
+    """One question's search: its beam and its completed hypotheses."""
+
+    question: int
+    beam: list[_Hypothesis]
+    completed: list[_Hypothesis] = field(default_factory=list)
+
+    def result(self) -> list[DecoderStep] | ModelError:
+        completed = self.completed + [h for h in self.beam if h.grammar.finished]
+        if not completed:
+            return ModelError("beam search found no complete hypothesis")
+        return max(completed, key=_Hypothesis.normalized_score).steps
+
+
 def beam_decode(
     decoder: ValueNetDecoder,
-    encoded: EncodedExample,
+    encodeds: list[EncodedExample],
     *,
     beam_size: int = 4,
     column_to_table: list[int | None] | None = None,
     cache: StepCache | None = None,
-) -> list[DecoderStep]:
-    """Grammar-constrained beam search; returns the best complete steps.
+) -> list[list[DecoderStep] | ModelError]:
+    """Grammar-constrained beam search over a batch, in lockstep.
 
-    Raises:
-        ModelError: if no hypothesis completes within the step budget.
+    Returns one entry per question of ``encodeds``: its best complete
+    steps, or the :class:`ModelError` that ended its search (no
+    hypothesis completed within the step budget), which fails that
+    question alone.  ``cache`` is a :class:`StepCache` over the same
+    ``encodeds``; ``column_to_table`` is shared, so the batch is over one
+    schema.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be positive, got {beam_size}")
-    ops = cache if cache is not None else ReferenceOps(decoder, encoded)
-
-    initial = _Hypothesis(
-        score=0.0,
-        state=ops.initial_state(),
-        prev=ops.start(),
-        grammar=GrammarState(),
-    )
-    beam: list[_Hypothesis] = [initial]
-    completed: list[_Hypothesis] = []
+    if not encodeds:
+        return []
+    ops = cache if cache is not None else ReferenceOps(decoder, *encodeds)
     max_steps = decoder.config.max_decode_steps
 
+    h, c = ops.initial_rows()
+    start = ops.start()
+    active = [
+        _Search(q, [_Hypothesis(0.0, q, start, GrammarState())])
+        for q in range(len(encodeds))
+    ]
+    results: list = [None] * len(encodeds)
+
     for _step in range(max_steps):
-        candidates: list[_Hypothesis] = []
-        for hypothesis in beam:
-            if hypothesis.finished:
-                completed.append(hypothesis)
-                continue
-            candidates.extend(
-                _expand(ops, hypothesis, beam_size, column_to_table, max_steps)
-            )
-        if not candidates:
+        # Retire finished hypotheses; every live one becomes a row,
+        # question-major, each question's in beam order.
+        rows: list[_Hypothesis] = []
+        owners: list[int] = []
+        running = []
+        for search in active:
+            search.completed += [hyp for hyp in search.beam if hyp.grammar.finished]
+            search.beam = [hyp for hyp in search.beam if not hyp.grammar.finished]
+            if search.beam:
+                running.append(search)
+                rows += search.beam
+                owners += [search.question] * len(search.beam)
+            else:
+                results[search.question] = search.result()
+        active = running
+        if not rows:
             break
-        candidates.sort(key=lambda h: h.score, reverse=True)
-        beam = candidates[:beam_size]
-        if len(completed) >= beam_size:
-            break
 
-    completed.extend(h for h in beam if h.finished)
-    if not completed:
-        raise ModelError("beam search found no complete hypothesis")
-    best = max(completed, key=lambda h: h.normalized_score())
-    return best.steps
-
-
-def _expand(
-    ops,
-    hypothesis: _Hypothesis,
-    beam_size: int,
-    column_to_table: list[int | None] | None,
-    max_steps: int,
-) -> list[_Hypothesis]:
-    # Surviving hypotheses keep references to the returned state, so the
-    # cached path must allocate fresh state arrays here (``reuse=False``).
-    h, state = ops.step(hypothesis.prev, hypothesis.state)
-    grammar = hypothesis.grammar
-    expected = grammar.expected_type()
-
-    expansions: list[_Hypothesis] = []
-    if expected in (ActionType.C, ActionType.T, ActionType.V):
-        kind = expected.value
-        if expected is ActionType.V and ops.encoded.num_values == 0:
-            return []
-        log_probs = ops.pointer_log_probs(kind, h)
-        if (
-            expected is ActionType.T
-            and column_to_table is not None
-            and hypothesis.last_column is not None
-            and column_to_table[hypothesis.last_column] is not None
-        ):
-            forced = column_to_table[hypothesis.last_column]
-            constrained = np.full_like(log_probs, -1e30)
-            constrained[forced] = log_probs[forced]
-            log_probs = constrained
-        # Stable descending sort: ties resolve to the lowest index, the
-        # same choice np.argmax makes in the greedy decoder (a reversed
-        # plain argsort would pick the highest index instead, making
-        # beam_size=1 diverge from greedy on exact ties).
-        for index in np.argsort(-log_probs, kind="stable")[:beam_size]:
-            if log_probs[index] < -1e20:
-                continue
-            fork = grammar.clone()
-            fork.advance_pointer(expected)
-            next_column = hypothesis.last_column
-            if expected is ActionType.C:
-                next_column = int(index)
-            elif expected is ActionType.T:
-                next_column = None
-            expansions.append(
-                _Hypothesis(
-                    score=hypothesis.score + float(log_probs[index]),
-                    state=state,
-                    prev=ops.feed(kind, int(index)),
-                    grammar=fork,
-                    steps=hypothesis.steps + [DecoderStep(kind, int(index))],
-                    last_column=next_column,
-                    recursive=hypothesis.recursive,
-                )
-            )
-        return expansions
-
-    remaining = max_steps - len(hypothesis.steps)
-    # Mirror the greedy decoder's budget policy exactly, including its
-    # hard cap on recursive expansions — beam_size=1 must reproduce
-    # greedy decoding step for step.
-    mask = ops.grammar_mask(
-        expected,
-        conserve_budget=(
-            remaining < 6 * grammar.pending + 12 or hypothesis.recursive >= 8
-        ),
-        in_subquery=grammar.expected_in_subquery(),
-        in_compound=grammar.expected_in_compound_branch(),
-        required_arity=grammar.required_select_arity(),
-    )
-    log_probs = ops.sketch_log_probs(h, mask)
-    for action_id in np.argsort(-log_probs, kind="stable")[:beam_size]:
-        if math.isinf(log_probs[action_id]) or log_probs[action_id] < -1e20:
-            continue
-        fork = grammar.clone()
-        fork.advance_grammar(GRAMMAR_ACTION_LIST[int(action_id)])
-        expansions.append(
-            _Hypothesis(
-                score=hypothesis.score + float(log_probs[action_id]),
-                state=state,
-                prev=ops.feed("grammar", int(action_id)),
-                grammar=fork,
-                steps=hypothesis.steps + [DecoderStep("grammar", int(action_id))],
-                last_column=hypothesis.last_column,
-                recursive=hypothesis.recursive
-                + (1 if RECURSIVE_ACTION[int(action_id)] else 0),
-            )
+        index = [hyp.row for hyp in rows]
+        h, c = ops.step_rows(
+            [hyp.prev for hyp in rows], h[index], c[index], np.array(owners)
         )
-    return expansions
+        expected, expansions = _expansions(
+            ops, rows, owners, h, beam_size, column_to_table, max_steps
+        )
+
+        active = []
+        row = 0
+        for search in running:
+            # (score, row, index) in row order then rank order; the stable
+            # sort keeps that order among equal scores.
+            candidates = []
+            for r in range(row, row + len(search.beam)):
+                candidates += [(score, r, i) for score, i in expansions[r]]
+            row += len(search.beam)
+            if not candidates:
+                results[search.question] = search.result()
+                continue
+            candidates.sort(key=lambda candidate: candidate[0], reverse=True)
+            search.beam = [
+                _extend(ops, rows[r], r, expected[r], i, score, search.question)
+                for score, r, i in candidates[:beam_size]
+            ]
+            if len(search.completed) >= beam_size:
+                results[search.question] = search.result()
+            else:
+                active.append(search)
+
+    for search in active:  # out of steps
+        results[search.question] = search.result()
+    return results
+
+
+def _expansions(ops, rows, owners, h, beam_size, column_to_table, max_steps):
+    """Each row's expected type and its best ``beam_size`` legal
+    expansions as ``(score, index)`` pairs, best first."""
+    expected = [hyp.grammar.expected_type() for hyp in rows]
+    groups: dict[str, list[int]] = {}
+    for r, action_type in enumerate(expected):
+        kind = action_type.value if action_type in POINTER_TYPES else "grammar"
+        if kind == "V" and ops.encodeds[owners[r]].num_values == 0:
+            continue  # nothing to point at: the hypothesis dies
+        groups.setdefault(kind, []).append(r)
+
+    expansions: list[list[tuple[float, int]]] = [[] for _ in rows]
+    for kind, group in groups.items():
+        if kind == "grammar":
+            masks = []
+            for r in group:
+                hyp = rows[r]
+                grammar = hyp.grammar
+                remaining = max_steps - len(hyp.steps)
+                # Mirror the greedy decoder's budget policy exactly,
+                # including its hard cap on recursive expansions —
+                # beam_size=1 must reproduce greedy decoding step for step.
+                masks.append(ops.grammar_mask(
+                    expected[r],
+                    question=owners[r],
+                    conserve_budget=(
+                        remaining < 6 * grammar.pending + 12 or hyp.recursive >= 8
+                    ),
+                    in_subquery=grammar.expected_in_subquery(),
+                    in_compound=grammar.expected_in_compound_branch(),
+                    required_arity=grammar.required_select_arity(),
+                ))
+            log_probs = ops.sketch_log_prob_rows(h[group], masks)
+        else:
+            log_probs = ops.pointer_log_prob_rows(
+                kind, h[group], np.array([owners[r] for r in group])
+            )
+            for k, r in enumerate(group):
+                hyp = rows[r]
+                if kind == "C" and hyp.grammar.expects_bare_filter_column():
+                    log_probs[k, STAR_COLUMN] = NEG_INF
+                if (
+                    kind == "T"
+                    and column_to_table is not None
+                    and hyp.last_column is not None
+                    and column_to_table[hyp.last_column] is not None
+                ):
+                    forced = column_to_table[hyp.last_column]
+                    keep = log_probs[k, forced]
+                    log_probs[k] = NEG_INF
+                    log_probs[k, forced] = keep
+        # Stable descending sort: ties resolve to the lowest index, the
+        # same choice np.argmax makes in the greedy decoder.
+        order = np.argsort(-log_probs, axis=1, kind="stable")[:, :beam_size]
+        best = np.take_along_axis(log_probs, order, axis=1)
+        for r, indexes, values in zip(group, order.tolist(), best.tolist()):
+            base = rows[r].score
+            expansions[r] = [
+                (base + value, i)
+                for i, value in zip(indexes, values)
+                if not value < -1e20  # masked, forced out, or padding
+            ]
+    return expected, expansions
+
+
+def _extend(ops, hyp, row, expected, index, score, question) -> _Hypothesis:
+    """The survivor ``hyp`` + action ``index`` (state at ``row``)."""
+    grammar = hyp.grammar.clone()
+    last_column, recursive = hyp.last_column, hyp.recursive
+    if expected in POINTER_TYPES:
+        kind = expected.value
+        grammar.advance_pointer(expected)
+        if expected is ActionType.C:
+            last_column = index
+        elif expected is ActionType.T:
+            last_column = None
+    else:
+        kind = "grammar"
+        grammar.advance_grammar(GRAMMAR_ACTION_LIST[index])
+        recursive += int(RECURSIVE_ACTION[index])
+    return _Hypothesis(
+        score=score,
+        row=row,
+        prev=ops.feed(kind, index, question),
+        grammar=grammar,
+        steps=hyp.steps + [DecoderStep(kind, index)],
+        last_column=last_column,
+        recursive=recursive,
+    )

@@ -21,7 +21,7 @@ from repro.errors import ModelError
 from repro.model.encoder import EncodedExample
 from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
 from repro.nn.attention import BilinearAttention, PointerNetwork
-from repro.nn.functional import attention_pool, cross_entropy
+from repro.nn.functional import NEG_INF, attention_pool, cross_entropy
 from repro.nn.layers import Dropout, Embedding, Linear, Module
 from repro.nn.rnn import LSTMCell
 from repro.nn.tensor import Tensor, concat
@@ -33,6 +33,11 @@ from repro.semql.actions import (
     actions_for_type,
 )
 from repro.semql.tree import GrammarState
+
+# Pointer index of the schema's ``*`` column (featurize encodes
+# ``Schema.all_columns()``, which lists it first).  Decoding never picks
+# it where GrammarState.expects_bare_filter_column() holds.
+STAR_COLUMN = 0
 
 
 @dataclass(frozen=True)
@@ -251,9 +256,9 @@ class ValueNetDecoder(Module):
                 T pointer that follows a C pointer is constrained to the
                 chosen column's table — every gold tree satisfies this, so
                 the constraint only removes inconsistent predictions.
-            cache: optional per-request :class:`StepCache`; routes the hot
-                loop through the memoized raw-numpy fast path.  Predictions
-                are identical with or without it.
+            cache: optional :class:`StepCache` over this one question;
+                routes the hot loop through the memoized raw-numpy fast
+                path.  Predictions are identical with or without it.
         """
         ops = cache if cache is not None else ReferenceOps(self, encoded)
         state = ops.initial_state()
@@ -266,15 +271,16 @@ class ValueNetDecoder(Module):
         recursive_so_far = 0
 
         while not grammar.finished and len(steps) < self.config.max_decode_steps:
-            # Greedy decoding is single-threaded through one state chain,
-            # so the step may ping-pong arena buffers (``reuse=True``).
-            h, state = ops.step(prev, state, reuse=True)
+            h, state = ops.step(prev, state)
             expected = grammar.expected_type()
             if expected in (ActionType.C, ActionType.T, ActionType.V):
                 kind = expected.value
                 if expected is ActionType.V and encoded.num_values == 0:
                     raise ModelError("grammar requires a value but no candidates exist")
                 scores = ops.pointer_scores(kind, h)
+                if expected is ActionType.C and grammar.expects_bare_filter_column():
+                    scores = scores.copy()
+                    scores[STAR_COLUMN] = NEG_INF
                 if (
                     expected is ActionType.T
                     and column_to_table is not None

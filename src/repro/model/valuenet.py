@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.errors import ModelError
-from repro.model.decoder import ValueNetDecoder
+from repro.errors import ModelError, ReproError
+from repro.model.beam import beam_decode
+from repro.model.decoder import DecoderStep, ValueNetDecoder
 from repro.model.encoder import EncodedExample, ValueNetEncoder
 from repro.model.featurize import SchemaFeatureCache, featurize
 from repro.model.stepcache import StepCache
@@ -70,37 +71,54 @@ class ValueNetModel(Module):
             for column in schema.all_columns()
         ]
 
-    def decode_encoded(
+    def decode_batch(
         self,
-        encoded: EncodedExample,
-        pre: PreprocessedQuestion,
+        encodeds: list[EncodedExample],
+        pres: list[PreprocessedQuestion],
         schema: Schema,
         *,
         beam_size: int = 1,
-    ) -> SemQLNode:
-        """Decode an already-encoded example into a SemQL tree.
+    ) -> list[SemQLNode | ReproError]:
+        """Decode an encoded batch into one SemQL tree or one error each.
 
-        Encode once per batch via :meth:`encode_batch`, then decode per
-        question (:meth:`predict` is that for a batch of one).
+        Beam > 1 searches the whole batch in lockstep (one
+        :func:`beam_decode` over a :class:`StepCache` of the batch);
+        beam 1 decodes greedily, one question at a time on its own
+        one-question cache.  A question that cannot be decoded gets its
+        :class:`ReproError` in its slot and fails alone.
         """
+        if not encodeds:
+            return []
         column_to_table = self._column_to_table(schema)
         with inference_mode():
-            # One StepCache per request: memoized pointer memory
-            # projections, feed embeddings and grammar masks, plus an
-            # arena for the LSTM hot loop.
-            cache = StepCache(self.decoder, encoded)
             if beam_size > 1:
-                from repro.model.beam import beam_decode
-
-                steps = beam_decode(
-                    self.decoder, encoded, beam_size=beam_size,
-                    column_to_table=column_to_table, cache=cache,
+                decoded = beam_decode(
+                    self.decoder, encodeds, beam_size=beam_size,
+                    column_to_table=column_to_table,
+                    cache=StepCache(self.decoder, *encodeds),
                 )
             else:
-                steps = self.decoder.decode(
-                    encoded, column_to_table=column_to_table, cache=cache
-                )
-        return steps_to_tree(steps, schema, pre.candidates)
+                decoded = [
+                    self._greedy(encoded, column_to_table) for encoded in encodeds
+                ]
+        trees: list[SemQLNode | ReproError] = []
+        for outcome, pre in zip(decoded, pres):
+            if not isinstance(outcome, ReproError):
+                try:
+                    outcome = steps_to_tree(outcome, schema, pre.candidates)
+                except ReproError as exc:
+                    outcome = exc
+            trees.append(outcome)
+        return trees
+
+    def _greedy(self, encoded, column_to_table) -> list[DecoderStep] | ReproError:
+        try:
+            return self.decoder.decode(
+                encoded, column_to_table=column_to_table,
+                cache=StepCache(self.decoder, encoded),
+            )
+        except ReproError as exc:
+            return exc
 
     def loss(
         self,
@@ -132,7 +150,10 @@ class ValueNetModel(Module):
                 required but no candidates exist).
         """
         [encoded] = self.encode_batch([pre], schema)
-        return self.decode_encoded(encoded, pre, schema, beam_size=beam_size)
+        [tree] = self.decode_batch([encoded], [pre], schema, beam_size=beam_size)
+        if isinstance(tree, ReproError):
+            raise tree
+        return tree
 
     # ------------------------------------------------------ optimization
 

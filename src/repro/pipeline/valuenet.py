@@ -7,11 +7,13 @@ supplies the set of value options (paper Section IV-A) and the rest of the
 pipeline is identical.
 
 There is one translation path: a list of questions is pre-processed one
-by one, encoded in one fused pass, then decoded and post-processed one by
-one.  ``translate`` is that path for a list of one, so a batch of N and N
-single calls give the same answers.  Every stage writes its wall-clock
-seconds (Table II) into the result's :class:`StageTimings`; the beam
-width is an argument of the call, never state changed between calls.
+by one, encoded in one fused pass, decoded in one batch call (at beam > 1
+the beams of all questions advance in lockstep), then post-processed one
+by one.  ``translate`` is that path for a list of one, so a batch of N
+and N single calls give the same answers.  Every stage writes its
+wall-clock seconds (Table II) into the result's :class:`StageTimings` —
+the fused encode + decode as an equal share per question; the beam width
+is an argument of the call, never state changed between calls.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
 from repro.semql.tree import SemQLNode
 
 # Budget for executing generated SQL on this offline path: no wall-clock
-# budget (None arms no interrupt timer) and a generous row cap.  Serving
+# budget (None installs no progress handler) and a generous row cap.  Serving
 # executes through DatabaseRuntime.execute_sql, with its own budget.
 _EXECUTION_TIMEOUT_S = None
 _EXECUTION_MAX_ROWS = 100_000
@@ -157,22 +159,21 @@ class _BasePipeline:
                 result.error = f"decoding failed: {exc}"
             return results
         encode_seconds = time.perf_counter() - start
-        # The fused encode is shared work: attribute an equal share to
-        # every participating request so per-request timings stay honest.
-        share = encode_seconds / len(active)
+        decoded = self.model.decode_batch(
+            encoded_batch, [pre for _, pre in active], schema, beam_size=beam
+        )
+        # The fused encode and decode are shared work: attribute an equal
+        # share to every participating request so per-request timings
+        # stay honest.
+        share = (time.perf_counter() - start) / len(active)
 
-        for (result, pre), encoded in zip(active, encoded_batch):
-            timings = result.timings
-            timings.encode_batch = encode_seconds
-            start = time.perf_counter()
-            try:
-                result.semql = self.model.decode_encoded(
-                    encoded, pre, schema, beam_size=beam
-                )
-            except ReproError as exc:
-                result.error = f"decoding failed: {exc}"
-            timings.encoder_decoder = share + time.perf_counter() - start
-            if result.semql is not None:
+        for (result, _), tree in zip(active, decoded):
+            result.timings.encode_batch = encode_seconds
+            result.timings.encoder_decoder = share
+            if isinstance(tree, ReproError):
+                result.error = f"decoding failed: {tree}"
+            else:
+                result.semql = tree
                 self._postprocess(result, execute)
         return results
 

@@ -22,8 +22,11 @@ from repro.semql.actions import (
     GrammarAction,
     POINTER_TYPES,
     children_of,
+    production_index,
     production_name,
 )
+
+_A_NONE = production_index(ActionType.A, "none")
 
 
 @dataclass
@@ -178,7 +181,9 @@ class GrammarState:
     def __init__(self, root: ActionType = ActionType.Z):
         # stack entries: (non-terminal, inside-a-sub-query flag, tag)
         # tag marks the left/right branches of a compound query so the
-        # right branch's SELECT arity can be constrained to the left's.
+        # right branch's SELECT arity can be constrained to the left's,
+        # and a filter's operand A ("operand") and that A's un-aggregated
+        # column ("bare_operand").
         self._stack: list[tuple[ActionType, bool, str | None]] = [
             (root, False, None)
         ]
@@ -244,6 +249,18 @@ class GrammarState:
             return self._left_arity
         return None
 
+    def expects_bare_filter_column(self) -> bool:
+        """Whether the expected C is a filter operand without aggregate.
+
+        That is the C of ``Filter → A(none)``: a bare ``*`` there renders
+        as ``WHERE * = ...``, which is not SQL, so the decoders never
+        point at ``*`` in this position (``count(*)`` in a HAVING stays
+        legal, as does ``*`` in a projection).
+        """
+        if self.finished:
+            raise GrammarError("decoding already finished")
+        return self._stack[-1][2] == "bare_operand"
+
     def advance_grammar(self, action: GrammarAction) -> None:
         """Consume a grammar action (must expand the expected type)."""
         if self.finished:
@@ -276,6 +293,14 @@ class GrammarState:
                 and tag in ("left", "right")
             ):
                 child_tag = tag
+            elif action.action_type is ActionType.FILTER and child is ActionType.A:
+                child_tag = "operand"
+            elif (
+                tag == "operand"
+                and action.production == _A_NONE
+                and child is ActionType.C
+            ):
+                child_tag = "bare_operand"
             self._stack.append((child, child_in_subquery, child_tag))
         self._steps += 1
 

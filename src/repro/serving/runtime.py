@@ -43,7 +43,7 @@ from repro.sql.dialect import get_dialect
 
 
 # The gate's budget for executing one generated query: wall-clock seconds
-# (enforced via ``sqlite3.Connection.interrupt``, so a pathological query
+# (enforced by a SQLite progress handler, so a pathological query
 # cannot wedge a serving thread) and a result-row cap.
 _EXECUTION_TIMEOUT_S = 5.0
 _EXECUTION_MAX_ROWS = 10_000

@@ -4,18 +4,21 @@ There is one encoder forward, so "sequential" here means a batch of one.
 Covers ``inference_mode`` (no autograd graph, identical numerics),
 ``ValueNetEncoder.encode_batch`` (a question encoded alone == its row of a
 padded + masked batch; the packed BiLSTM pass == the per-span summarizer
-on the same transformer output; its cell-step count; word dropout), and
-the pipeline, where ``translate`` is ``translate_batch`` of one (identical
-final SQL and errors whatever the batch size).
+on the same transformer output; its cell-step count; word dropout),
+``ValueNetModel.decode_batch`` (greedy and lockstep beam: a question
+decoded alone == its slot of the batch, errors included), and the
+pipeline, where ``translate`` is ``translate_batch`` of one (identical
+final SQL and errors whatever the batch size, equal timing shares).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import ModelConfig
-from repro.errors import ModelError
 from repro.model import SchemaFeatureCache, ValueNetModel, build_vocabulary, featurize
 from repro.nn import LSTMCell, Tensor, TransformerEncoder, inference_mode, is_grad_enabled
 from repro.pipeline import ValueNetPipeline
@@ -115,17 +118,37 @@ class TestBatchedEncoderEquivalence:
     def test_decode_parity_including_errors(self, model, domain_examples):
         db, pres = domain_examples
 
-        def outcome(pre, encoded):
-            try:
-                return repr(model.decode_encoded(encoded, pre, db.schema))
-            except ModelError as exc:
-                return f"ModelError: {exc}"
+        def outcomes(pres, encodeds, beam_size):
+            return [
+                f"{type(tree).__name__}: {tree}" for tree in model.decode_batch(
+                    encodeds, pres, db.schema, beam_size=beam_size
+                )
+            ]
 
         model.eval()
         sequential = [model.encode(pre, db.schema) for pre in pres]
         batched = model.encode_batch(pres, db.schema)
-        for pre, seq, bat in zip(pres, sequential, batched):
-            assert outcome(pre, seq) == outcome(pre, bat)
+        for beam_size in (1, 3):
+            alone = [
+                outcomes([pre], [seq], beam_size)[0]
+                for pre, seq in zip(pres, sequential)
+            ]
+            assert outcomes(pres, batched, beam_size) == alone
+            assert any(not outcome.startswith("ModelError") for outcome in alone)
+
+    def test_encoder_decoder_shares_are_equal_and_fit_the_wall_time(
+        self, model, domain_examples
+    ):
+        """The fused encode + decode is attributed in equal shares."""
+        db, pres = domain_examples
+        pipeline = ValueNetPipeline(model, db, beam_size=3)
+        questions = [pre.question for pre in pres[:8]]
+        start = time.perf_counter()
+        results = pipeline.translate_batch(questions)
+        wall = time.perf_counter() - start
+        shares = {result.timings.encoder_decoder for result in results}
+        assert len(shares) == 1 and shares.pop() > 0
+        assert sum(result.timings.encoder_decoder for result in results) <= wall
 
     def test_pipeline_translate_batch_matches_translate(self, model, corpus):
         """One path: a batch of N equals N batches of one (errors included)."""

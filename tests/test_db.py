@@ -285,6 +285,25 @@ class TestExecutionBudget:
             execute_with_budget(pets_db, "SELECT broken FROM student", timeout_s=5.0)
         assert not isinstance(excinfo.value, QueryTimeoutError)
 
+    def test_budget_starts_no_thread_and_leaves_no_handler(self, pets_db, monkeypatch):
+        def no_timer(*args, **kwargs):
+            raise AssertionError("a budgeted query started a timer thread")
+
+        monkeypatch.setattr(threading, "Timer", no_timer)
+        assert execute_with_budget(
+            pets_db, "SELECT COUNT(*) FROM student", timeout_s=0.01
+        ) == [(4,)]
+        with pytest.raises(ExecutionError):
+            execute_with_budget(pets_db, "SELECT broken FROM student", timeout_s=0.01)
+        time.sleep(0.02)  # both deadlines have passed
+        # Millions of VM instructions: a handler left behind by either
+        # call would interrupt this unbudgeted query.
+        counted = (
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r "
+            "WHERE n < 200000) SELECT COUNT(*) FROM r"
+        )
+        assert pets_db.execute(counted) == [(200000,)]
+
     def test_connection_usable_after_interrupt(self, pets_db):
         runaway = (
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) "

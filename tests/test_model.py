@@ -24,7 +24,7 @@ from repro.model import (
 )
 from repro.model.featurize import SEG_COLUMN, SEG_QUESTION, SEG_TABLE, SEG_VALUE
 from repro.preprocessing import Preprocessor
-from repro.semql import query_to_semql
+from repro.semql import ActionType, GRAMMAR_ACTION_LIST, GrammarState, query_to_semql
 from repro.spider import CorpusConfig, generate_corpus
 from repro.sql import parse_sql
 
@@ -127,6 +127,32 @@ class TestSupervision:
         steps = tree_to_steps(tree, schema, [])
         column_steps = [s for s in steps if s.kind == "C"]
         assert column_steps[0].target == 0  # '*' is column index 0
+
+    def test_no_gold_tree_needs_star_as_a_bare_filter_operand(self):
+        """The decoders never point at '*' under Filter -> A(none); no
+        supervision target does either, on the benchmark-sized corpus."""
+        corpus = generate_corpus(CorpusConfig(train_per_domain=40, dev_per_domain=300))
+        try:
+            bare = star_elsewhere = 0
+            for example in corpus.train + corpus.dev:
+                schema = corpus.schema(example.db_id)
+                candidates = [ValueCandidate(v, "gold") for v in example.values]
+                steps = tree_to_steps(example.gold_semql, schema, candidates)
+                assert steps is not None, example.question
+                grammar = GrammarState()
+                for step in steps:
+                    if step.kind == "grammar":
+                        grammar.advance_grammar(GRAMMAR_ACTION_LIST[step.target])
+                        continue
+                    if step.kind == "C" and grammar.expects_bare_filter_column():
+                        bare += 1
+                        assert step.target != 0, example.gold_sql
+                    elif step.kind == "C" and step.target == 0:
+                        star_elsewhere += 1
+                    grammar.advance_pointer(ActionType(step.kind))
+            assert bare > 100 and star_elsewhere > 100  # both positions occur
+        finally:
+            corpus.close()
 
 
 class TestModelForward:

@@ -106,6 +106,70 @@ class TestGrammarState:
         with pytest.raises(GrammarError):
             state.expected_type()
 
+    @staticmethod
+    def _walk(*productions: tuple[ActionType, str]) -> GrammarState:
+        state = GrammarState()
+        for action_type, name in productions:
+            state.advance_grammar(
+                GrammarAction(action_type, production_index(action_type, name))
+            )
+        return state
+
+    def test_star_forbidden_as_bare_filter_operand(self):
+        state = self._walk(
+            (ActionType.Z, "single"), (ActionType.R, "select_filter"),
+            (ActionType.SELECT, "n1"), (ActionType.A, "none"),
+        )
+        state.advance_pointer(ActionType.C)
+        state.advance_pointer(ActionType.T)
+        for action_type, name in [(ActionType.FILTER, "eq_v"), (ActionType.A, "none")]:
+            assert not state.expects_bare_filter_column()
+            state.advance_grammar(
+                GrammarAction(action_type, production_index(action_type, name))
+            )
+        assert state.expected_type() is ActionType.C
+        assert state.expects_bare_filter_column()  # WHERE * = ... is not SQL
+        state.advance_pointer(ActionType.C)
+        assert state.expected_type() is ActionType.T
+        assert not state.expects_bare_filter_column()
+        # Survives cloning (beam search forks states).
+        nested = self._walk(
+            (ActionType.Z, "single"), (ActionType.R, "select_filter"),
+            (ActionType.SELECT, "n1"), (ActionType.A, "count"),
+        )
+        nested.advance_pointer(ActionType.C)
+        nested.advance_pointer(ActionType.T)
+        for action_type, name in [
+            (ActionType.FILTER, "and"), (ActionType.FILTER, "gt_v"),
+            (ActionType.A, "none"),
+        ]:
+            nested.advance_grammar(
+                GrammarAction(action_type, production_index(action_type, name))
+            )
+        assert nested.clone().expects_bare_filter_column()
+
+    def test_star_allowed_under_count_in_a_filter(self):
+        state = self._walk(
+            (ActionType.Z, "single"), (ActionType.R, "select_filter"),
+            (ActionType.SELECT, "n1"), (ActionType.A, "none"),
+        )
+        state.advance_pointer(ActionType.C)
+        state.advance_pointer(ActionType.T)
+        for action_type, name in [(ActionType.FILTER, "gt_v"), (ActionType.A, "count")]:
+            state.advance_grammar(
+                GrammarAction(action_type, production_index(action_type, name))
+            )
+        assert state.expected_type() is ActionType.C
+        assert not state.expects_bare_filter_column()  # HAVING count(*) > ...
+
+    def test_star_allowed_in_a_plain_projection(self):
+        state = self._walk(
+            (ActionType.Z, "single"), (ActionType.R, "select"),
+            (ActionType.SELECT, "n1"), (ActionType.A, "none"),
+        )
+        assert state.expected_type() is ActionType.C
+        assert not state.expects_bare_filter_column()  # SELECT * ...
+
 
 class TestTreeSerialization:
     def _simple_tree(self, pets_schema):
