@@ -54,7 +54,7 @@ class TrainingConfig:
 
     Attributes:
         epochs: passes over the training split.
-        batch_size: gradient-accumulation batch (paper: 20).
+        batch_size: samples per minibatch (paper: 20).
         encoder_lr / decoder_lr / connection_lr: per-group Adam rates.
         max_grad_norm: global-norm clip.
         seed: shuffling/dropout seed.

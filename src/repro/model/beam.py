@@ -18,10 +18,10 @@ its longest search, and each question's search — its candidates, their
 order and ties, its step budget, its failure — is the one it would run
 alone.
 
-The rows run against the decoder ops interface: a
-:class:`~repro.model.stepcache.StepCache` over the batch, or, without
-one, :class:`~repro.model.stepcache.ReferenceOps`, whose row methods loop
-the decoder's own Tensor methods and are the oracle the cache is tested
+The rows run against the decoder ops interface the caller passes: a
+:class:`~repro.model.stepcache.StepCache` over the batch, or
+:class:`~repro.model.stepcache.ReferenceOps`, whose row methods loop the
+decoder's own Tensor methods and are the oracle the cache is tested
 against.
 """
 
@@ -85,14 +85,14 @@ def beam_decode(
     *,
     beam_size: int = 4,
     column_to_table: list[int | None] | None = None,
-    cache: StepCache | None = None,
+    ops: StepCache | ReferenceOps,
 ) -> list[list[DecoderStep] | ModelError]:
     """Grammar-constrained beam search over a batch, in lockstep.
 
     Returns one entry per question of ``encodeds``: its best complete
     steps, or the :class:`ModelError` that ended its search (no
     hypothesis completed within the step budget), which fails that
-    question alone.  ``cache`` is a :class:`StepCache` over the same
+    question alone.  ``ops`` are the decoder ops over the same
     ``encodeds``; ``column_to_table`` is shared, so the batch is over one
     schema.
     """
@@ -100,7 +100,6 @@ def beam_decode(
         raise ValueError(f"beam_size must be positive, got {beam_size}")
     if not encodeds:
         return []
-    ops = cache if cache is not None else ReferenceOps(decoder, *encodeds)
     max_steps = decoder.config.max_decode_steps
 
     h, c = ops.initial_rows()

@@ -21,14 +21,13 @@ from repro.errors import ModelError
 from repro.model.encoder import EncodedExample
 from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
 from repro.nn.attention import BilinearAttention, PointerNetwork
-from repro.nn.functional import NEG_INF, attention_pool, cross_entropy
+from repro.nn.functional import NEG_INF, attention_pool, masked_log_softmax, softmax
 from repro.nn.layers import Dropout, Embedding, Linear, Module
 from repro.nn.rnn import LSTMCell
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor, concat, stack
 from repro.semql.actions import (
     ActionType,
     GRAMMAR_ACTION_LIST,
-    GrammarAction,
     NUM_GRAMMAR_ACTIONS,
     actions_for_type,
 )
@@ -38,6 +37,16 @@ from repro.semql.tree import GrammarState
 # ``Schema.all_columns()``, which lists it first).  Decoding never picks
 # it where GrammarState.expects_bare_filter_column() holds.
 STAR_COLUMN = 0
+
+
+def _padded(banks: list[Tensor | None], rows: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """``banks[rows[r]]`` for each r as (R, n_max, dim) plus the (R, n_max)
+    mask of real items; padding repeats a bank's first item (mask it out)."""
+    sizes = np.array([0 if bank is None else bank.shape[0] for bank in banks])
+    offsets = (np.cumsum(sizes) - sizes)[rows, None]
+    real = np.arange(sizes[rows].max()) < sizes[rows, None]
+    flat = concat([bank for bank in banks if bank is not None], axis=0)
+    return flat[offsets + np.arange(real.shape[1]) * real], real
 
 
 @dataclass(frozen=True)
@@ -209,34 +218,80 @@ class ValueNetDecoder(Module):
 
     # ------------------------------------------------------------ training
 
-    def loss(self, encoded: EncodedExample, steps: list[DecoderStep]) -> Tensor:
-        """Teacher-forced negative log-likelihood of the gold action
-        sequence, grammar-masked exactly as at inference time."""
-        state = self._initial_state(encoded)
-        prev = self.start_embedding
-        grammar = GrammarState()
-        total: Tensor | None = None
+    def loss_batch(
+        self, encodeds: list[EncodedExample], steps_lists: list[list[DecoderStep]]
+    ) -> Tensor:
+        """Teacher-forced NLL of a minibatch, each row's summed cross-entropy
+        scaled by ``1 / len(steps)``; grammar steps are masked by
+        ``_grammar_mask(expected, num_values)`` (no decode-time flags).
+        Rows advance in lockstep — per step one context attention over the
+        padded question memories, one LSTM gate matmul, one dropout mask —
+        then one masked head pass covers each kind's steps."""
+        # Replay each row's gold steps through the grammar once.
+        where: dict[str, list[tuple[int, int, int]]] = {}
+        masks = []
+        for b, (encoded, steps) in enumerate(zip(encodeds, steps_lists)):
+            if not steps:
+                raise ModelError("empty decoder target sequence")
+            grammar = GrammarState()
+            for t, step in enumerate(steps):
+                where.setdefault(step.kind, []).append((b, t, step.target))
+                if step.kind == "grammar":
+                    expected = grammar.expected_type()
+                    masks.append(self._grammar_mask(expected, encoded.num_values))
+                    grammar.advance_grammar(GRAMMAR_ACTION_LIST[step.target])
+                else:
+                    grammar.advance_pointer(ActionType(step.kind))
+            if not grammar.finished:
+                raise ModelError("gold action sequence does not complete the grammar")
+        lengths = np.array([len(steps) for steps in steps_lists])
+        batch, length = len(encodeds), lengths.max()
+        pointers = {
+            "C": (self.column_pointer, self.column_feed, [e.columns for e in encodeds]),
+            "T": (self.table_pointer, self.table_feed, [e.tables for e in encodeds]),
+            "V": (self.value_pointer, self.value_feed, [e.values for e in encodeds]),
+        }
 
-        for step in steps:
-            h, state = self._step(prev, state, encoded)
-            expected = grammar.expected_type()
-            if step.kind == "grammar":
-                logits = self.sketch_head(h)
-                mask = self._grammar_mask(expected, encoded.num_values)
-                step_loss = cross_entropy(logits, step.target, mask)
-                grammar.advance_grammar(GRAMMAR_ACTION_LIST[step.target])
+        # Feed rows: the start embedding, then the feed embedding of every
+        # step but a row's last (which feeds nothing, so stays out of the
+        # graph); feeds[b, t] is row b's input at step t.
+        pieces = [self.start_embedding.reshape(1, -1)]
+        feed_index = np.zeros((batch, length), dtype=np.int64)
+        heads = []
+        for kind, entries in where.items():
+            b, t, target = np.array(entries).T
+            fed = np.flatnonzero(t + 1 < lengths[b])
+            offset = sum(p.shape[0] for p in pieces)
+            feed_index[b[fed], t[fed] + 1] = offset + np.arange(len(fed))
+            if kind == "grammar":
+                pieces.append(self.action_embedding(target[fed]))
+                heads.append((b, t, target, self.sketch_head, (), np.stack(masks)))
             else:
-                logits = self._head_logits(step.kind, h, encoded)
-                step_loss = cross_entropy(logits, step.target)
-                grammar.advance_pointer(ActionType(step.kind))
-            total = step_loss if total is None else total + step_loss
-            prev = self._feed_embedding(step.kind, step.target, encoded)
+                pointer, feed, banks = pointers[kind]
+                memory, real = _padded(banks, b)
+                pieces.append(feed(memory[(fed, target[fed])]))
+                heads.append((b, t, target, pointer, (memory,), real))
+        feeds = concat([p for p in pieces if p.shape[0]], axis=0)[feed_index]
 
-        if total is None:
-            raise ModelError("empty decoder target sequence")
-        if not grammar.finished:
-            raise ModelError("gold action sequence does not complete the grammar")
-        return total
+        question, real = _padded([e.question for e in encodeds], np.arange(batch))
+        penalty = Tensor(np.where(real, 0.0, NEG_INF))
+        states = [self._initial_state(e) for e in encodeds]
+        state = (stack([h for h, _ in states]), stack([c for _, c in states]))
+        outputs = []
+        for t in range(length):
+            projected = self.context_attention.proj(state[0]).reshape(batch, -1, 1)
+            weights = softmax((question @ projected).reshape(batch, -1) + penalty)
+            context = (weights.reshape(batch, 1, -1) @ question).reshape(batch, -1)
+            state = self.cell(concat([feeds[:, t], context], axis=-1), state)
+            outputs.append(self.dropout(state[0]))
+        hidden = stack(outputs, axis=1)
+
+        scale = 1.0 / lengths
+        nlls = []
+        for b, t, target, head, memory, legal in heads:
+            log_probs = masked_log_softmax(head(hidden[(b, t)], *memory), legal)
+            nlls.append(-(log_probs[(np.arange(len(t)), target)] * scale[b]).sum())
+        return sum(nlls)
 
     # ----------------------------------------------------------- inference
 
@@ -245,7 +300,7 @@ class ValueNetDecoder(Module):
         encoded: EncodedExample,
         *,
         column_to_table: list[int | None] | None = None,
-        cache: "StepCache | None" = None,
+        ops: StepCache | ReferenceOps,
     ) -> list[DecoderStep]:
         """Greedy grammar-constrained decoding; returns the emitted steps.
 
@@ -256,11 +311,9 @@ class ValueNetDecoder(Module):
                 T pointer that follows a C pointer is constrained to the
                 chosen column's table — every gold tree satisfies this, so
                 the constraint only removes inconsistent predictions.
-            cache: optional :class:`StepCache` over this one question;
-                routes the hot loop through the memoized raw-numpy fast
-                path.  Predictions are identical with or without it.
+            ops: the ops over this one question: a :class:`StepCache`,
+                or the :class:`ReferenceOps` oracle (same predictions).
         """
-        ops = cache if cache is not None else ReferenceOps(self, encoded)
         state = ops.initial_state()
         prev = ops.start()
         grammar = GrammarState()
@@ -329,10 +382,3 @@ class ValueNetDecoder(Module):
                 f"decoding exceeded {self.config.max_decode_steps} steps"
             )
         return steps
-
-
-def grammar_action_id(action: GrammarAction) -> int:
-    """Global id of a grammar action (convenience for tests)."""
-    from repro.semql.actions import GRAMMAR_ACTION_INDEX
-
-    return GRAMMAR_ACTION_INDEX[action]

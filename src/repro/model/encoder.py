@@ -94,9 +94,6 @@ class ValueNetEncoder(Module):
             self._position_cache[length] = cached
         return cached
 
-    def __call__(self, encoder_input: EncoderInput) -> EncodedExample:
-        return self.encode_batch([encoder_input])[0]
-
     def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
         """Encode a micro-batch — the one forward, for training and serving.
 

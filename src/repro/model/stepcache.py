@@ -37,7 +37,7 @@ per (has-values, grammar signature).
 :class:`ReferenceOps` implements both interfaces on the unchanged Tensor
 path — its row methods loop the single-hypothesis Tensor calls row by
 row — and is the differential oracle (``tests/test_decoder_cache.py``):
-``decode`` and ``beam_decode`` build one when no cache is passed.
+``decode`` and ``beam_decode`` run on whichever ops their caller passes.
 Construct a cache per request or batch, under
 :func:`repro.nn.tensor.inference_mode`; every memo is keyed on
 request-local indexes, so never share one.

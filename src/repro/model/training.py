@@ -1,10 +1,9 @@
 """Training loop and dataset preparation for the ValueNet model.
 
 Pre-processing is deterministic per example, so it runs once up front
-(:func:`prepare_samples`); each epoch then shuffles the prepared samples,
-accumulates gradients over ``batch_size`` examples (the paper trains with
-batch size 20) and applies one Adam step per batch with the three-group
-learning rates.
+(:func:`prepare_samples`); each epoch then shuffles them into minibatches
+of ``batch_size`` (the paper: 20), each one batched encode, one lockstep
+teacher-forced loss, one backward and one three-group Adam step.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def prepare_samples(
 
 
 class Trainer:
-    """Gradient-accumulation training loop with three-group Adam."""
+    """Minibatch training loop with three-group Adam."""
 
     def __init__(
         self,
@@ -136,35 +135,26 @@ class Trainer:
         order = list(range(len(samples)))
         epochs = self.config.epochs if epochs is None else epochs
 
+        size = self.config.batch_size
         self.model.train()
         for epoch in range(epochs):
             rng.shuffle(order)
             start = time.perf_counter()
             total_loss = 0.0
-            pending = 0
-            for count, index in enumerate(order, start=1):
-                sample = samples[index]
-                encoded = self.model.encode(sample.pre, sample.schema)
-                loss = self.model.decoder.loss(encoded, sample.steps)
-                scale = 1.0 / max(len(sample.steps), 1)
-                (loss * scale).backward()
-                total_loss += loss.item() * scale
-                pending += 1
-                if pending == self.config.batch_size or count == len(order):
-                    self.optimizer.step()
-                    self.optimizer.zero_grad()
-                    pending = 0
-                if (
-                    self.config.log_every
-                    and count % self.config.log_every == 0
-                ):
-                    _LOG.info(
-                        "epoch %d [%d/%d] loss %.3f",
-                        epoch + 1,
-                        count,
-                        len(order),
-                        total_loss / count,
-                    )
+            for batches, first in enumerate(range(0, len(order), size), start=1):
+                batch = [samples[index] for index in order[first:first + size]]
+                encodeds = self.model.encoder.encode_batch(
+                    [self.model.featurize(s.pre, s.schema) for s in batch]
+                )
+                loss = self.model.decoder.loss_batch(encodeds, [s.steps for s in batch])
+                loss.backward()
+                self.optimizer.step()
+                self.optimizer.zero_grad()
+                total_loss += loss.item()
+                done = first + len(batch)
+                if self.config.log_every and batches % self.config.log_every == 0:
+                    _LOG.info("epoch %d [%d/%d] loss %.3f",
+                              epoch + 1, done, len(order), total_loss / done)
             history.epochs.append(
                 EpochStats(
                     epoch=epoch + 1,

@@ -16,13 +16,13 @@ from repro.errors import ModelError, ReproError
 from repro.model.beam import beam_decode
 from repro.model.decoder import DecoderStep, ValueNetDecoder
 from repro.model.encoder import EncodedExample, ValueNetEncoder
-from repro.model.featurize import SchemaFeatureCache, featurize
+from repro.model.featurize import EncoderInput, SchemaFeatureCache, featurize
 from repro.model.stepcache import StepCache
-from repro.model.supervision import steps_to_tree, tree_to_steps
+from repro.model.supervision import steps_to_tree
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, ParamGroup
 from repro.nn.serialization import load_module, save_module
-from repro.nn.tensor import Tensor, inference_mode
+from repro.nn.tensor import inference_mode
 from repro.preprocessing.pipeline import PreprocessedQuestion
 from repro.schema.model import Schema
 from repro.semql.tree import SemQLNode
@@ -46,9 +46,10 @@ class ValueNetModel(Module):
     # ------------------------------------------------------------ forward
 
     def encode(self, pre: PreprocessedQuestion, schema: Schema) -> EncodedExample:
-        return self.encoder(
-            featurize(pre, schema, self.vocab, cache=self.schema_cache)
-        )
+        return self.encoder.encode_batch([self.featurize(pre, schema)])[0]
+
+    def featurize(self, pre: PreprocessedQuestion, schema: Schema) -> EncoderInput:
+        return featurize(pre, schema, self.vocab, cache=self.schema_cache)
 
     def encode_batch(
         self, pres: list[PreprocessedQuestion], schema: Schema
@@ -59,11 +60,9 @@ class ValueNetModel(Module):
         forward for the whole batch, no autograd graph, no dropout.
         """
         with inference_mode():
-            inputs = [
-                featurize(pre, schema, self.vocab, cache=self.schema_cache)
-                for pre in pres
-            ]
-            return self.encoder.encode_batch(inputs)
+            return self.encoder.encode_batch(
+                [self.featurize(pre, schema) for pre in pres]
+            )
 
     def _column_to_table(self, schema: Schema) -> list[int | None]:
         return [
@@ -95,7 +94,7 @@ class ValueNetModel(Module):
                 decoded = beam_decode(
                     self.decoder, encodeds, beam_size=beam_size,
                     column_to_table=column_to_table,
-                    cache=StepCache(self.decoder, *encodeds),
+                    ops=StepCache(self.decoder, *encodeds),
                 )
             else:
                 decoded = [
@@ -115,24 +114,10 @@ class ValueNetModel(Module):
         try:
             return self.decoder.decode(
                 encoded, column_to_table=column_to_table,
-                cache=StepCache(self.decoder, encoded),
+                ops=StepCache(self.decoder, encoded),
             )
         except ReproError as exc:
             return exc
-
-    def loss(
-        self,
-        pre: PreprocessedQuestion,
-        schema: Schema,
-        gold_tree: SemQLNode,
-    ) -> Tensor | None:
-        """Training loss for one example; ``None`` when the gold values are
-        absent from the candidate list (unsupervisable sample)."""
-        steps = tree_to_steps(gold_tree, schema, pre.candidates)
-        if steps is None:
-            return None
-        encoded = self.encode(pre, schema)
-        return self.decoder.loss(encoded, steps)
 
     def predict(
         self, pre: PreprocessedQuestion, schema: Schema, *, beam_size: int = 1

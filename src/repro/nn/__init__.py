@@ -4,11 +4,9 @@ from repro.nn.attention import BilinearAttention, MultiHeadSelfAttention, Pointe
 from repro.nn.functional import (
     NEG_INF,
     attention_pool,
-    cross_entropy,
     dropout,
     log_softmax,
     masked_log_softmax,
-    nll_loss,
     softmax,
 )
 from repro.nn.init import normal_embedding, xavier_uniform, zeros
@@ -48,14 +46,12 @@ __all__ = [
     "attention_pool",
     "concat",
     "concat_features",
-    "cross_entropy",
     "dropout",
     "inference_mode",
     "is_grad_enabled",
     "load_module",
     "log_softmax",
     "masked_log_softmax",
-    "nll_loss",
     "normal_embedding",
     "save_module",
     "sinusoidal_positions",

@@ -77,9 +77,9 @@ class MultiHeadSelfAttention(Module):
 class PointerNetwork(Module):
     """Additive pointer scorer: ``score_i = v . tanh(W_q q + W_m m_i)``.
 
-    Given the decoder state ``q`` (shape (d_q,)) and a memory bank
-    (shape (n, d_m)), returns unnormalized scores (shape (n,)) that the
-    decoder feeds through a (masked) softmax.
+    Given the decoder state ``q`` (shape (d_q,), or a stack (s, d_q)) and
+    a memory bank (shape (n, d_m), or one per query (s, n, d_m)), returns
+    unnormalized scores (shape (n,) or (s, n)) for a (masked) softmax.
     """
 
     def __init__(
@@ -95,10 +95,10 @@ class PointerNetwork(Module):
         self.scorer = Linear(hidden, 1, rng, bias=False)
 
     def __call__(self, query: Tensor, memory: Tensor) -> Tensor:
-        q = self.query_proj(query)          # (hidden,)
-        m = self.memory_proj(memory)        # (n, hidden)
-        combined = (m + q).tanh()           # broadcast over rows
-        return self.scorer(combined).reshape(memory.shape[0])
+        q = self.query_proj(query)          # (..., hidden)
+        m = self.memory_proj(memory)        # (..., n, hidden)
+        combined = (m + q.reshape(*q.shape[:-1], 1, q.shape[-1])).tanh()
+        return self.scorer(combined).reshape(*memory.shape[:-1])
 
 
 class BilinearAttention(Module):

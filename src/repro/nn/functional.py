@@ -1,8 +1,7 @@
 """Differentiable functions built on the autograd :class:`Tensor`.
 
 Numerically-stable softmax / log-softmax, masked variants for
-grammar-constrained decoding and pointer networks, cross-entropy losses,
-and dropout.
+grammar-constrained decoding and pointer networks, and dropout.
 """
 
 from __future__ import annotations
@@ -60,20 +59,6 @@ def masked_log_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """
     penalty = np.where(mask, 0.0, NEG_INF)
     return log_softmax(x + Tensor(penalty), axis=axis)
-
-
-def nll_loss(log_probs: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of ``target`` under a 1-D log-prob vector."""
-    return -log_probs[target]
-
-
-def cross_entropy(logits: Tensor, target: int, mask: np.ndarray | None = None) -> Tensor:
-    """Cross-entropy of one target index over a 1-D logits vector."""
-    if mask is not None:
-        log_probs = masked_log_softmax(logits, mask)
-    else:
-        log_probs = log_softmax(logits)
-    return nll_loss(log_probs, target)
 
 
 def dropout(x: Tensor, rate: float, *, training: bool, rng: np.random.Generator) -> Tensor:

@@ -287,9 +287,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, grad)
-                self._accumulate(full)
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                np.add.at(self.grad, key, grad)
 
         out._backward = backward
         return out

@@ -484,11 +484,11 @@ def test_mutation_reinserting_eval_into_decode_fails_grad_safe(tmp_path):
     root = _mutated_copy(
         tmp_path,
         "model/decoder.py",
-        "        ops = cache if cache is not None else ReferenceOps(self, encoded)\n"
-        "        state = ops.initial_state()\n",
+        "        state = ops.initial_state()\n"
+        "        prev = ops.start()\n",
         "        self.eval()\n"
-        "        ops = cache if cache is not None else ReferenceOps(self, encoded)\n"
-        "        state = ops.initial_state()\n",
+        "        state = ops.initial_state()\n"
+        "        prev = ops.start()\n",
     )
     result = analyze_paths([root])
     assert [v.path for v in fired(result, "GRAD-SAFE")] == ["repro/model/decoder.py"]

@@ -283,8 +283,8 @@ class TestWordDropout:
         db, pres = domain_examples
         inputs = [featurize(p, db.schema, noisy.vocab) for p in pres[:3]]
         noisy.train()
-        first = noisy.encoder(inputs[0])
-        second = noisy.encoder(inputs[0])
+        [first] = noisy.encoder.encode_batch(inputs[:1])
+        [second] = noisy.encoder.encode_batch(inputs[:1])
         assert max_abs_diff(first.question, second.question) > 0
 
         encoder = ValueNetModel(noisy.vocab, noisy.config).train().encoder

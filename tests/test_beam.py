@@ -11,7 +11,7 @@ from repro.model import (
     EncodedExample, ValueNetDecoder, ValueNetModel, beam_decode, build_vocabulary,
 )
 from repro.model.decoder import STAR_COLUMN
-from repro.model.stepcache import StepCache
+from repro.model.stepcache import ReferenceOps, StepCache
 from repro.model.supervision import steps_to_tree
 from repro.nn import inference_mode
 from repro.preprocessing import Preprocessor
@@ -58,7 +58,10 @@ class TestBeamDecode:
     def test_returns_complete_grammar_sequence(self, model, pets_db):
         pre = Preprocessor(pets_db).run("How many students are there?")
         encoded = model.encode(pre, pets_db.schema)
-        [steps] = beam_decode(model.decoder, [encoded], beam_size=3)
+        [steps] = beam_decode(
+            model.decoder, [encoded], beam_size=3,
+            ops=ReferenceOps(model.decoder, encoded),
+        )
         tree = steps_to_tree(steps, pets_db.schema, pre.candidates)
         tree.validate()
 
@@ -103,8 +106,9 @@ class TestBeamDecode:
                 prev = decoder._feed_embedding(step.kind, step.target, encoded)
             return total
 
-        greedy_steps = model.decoder.decode(encoded)
-        [beam_steps] = beam_decode(model.decoder, [encoded], beam_size=4)
+        ops = ReferenceOps(model.decoder, encoded)
+        greedy_steps = model.decoder.decode(encoded, ops=ops)
+        [beam_steps] = beam_decode(model.decoder, [encoded], beam_size=4, ops=ops)
         # Compare raw log-probs of both sequences (before length norm).
         assert sequence_logprob(beam_steps) >= sequence_logprob(greedy_steps) - 1e-6 or \
             len(beam_steps) != len(greedy_steps)
@@ -113,10 +117,13 @@ class TestBeamDecode:
         pre = Preprocessor(pets_db).run("How many students are there?")
         encoded = model.encode(pre, pets_db.schema)
         with pytest.raises(ValueError):
-            beam_decode(model.decoder, [encoded], beam_size=0)
+            beam_decode(
+                model.decoder, [encoded], beam_size=0,
+                ops=ReferenceOps(model.decoder, encoded),
+            )
 
     def test_empty_batch(self, model):
-        assert beam_decode(model.decoder, [], beam_size=3) == []
+        assert beam_decode(model.decoder, [], beam_size=3, ops=None) == []
 
     def test_deterministic(self, model, pets_db):
         pre = Preprocessor(pets_db).run("students older than 20")
@@ -168,12 +175,13 @@ class TestBeamGreedyDifferential:
                 beams = beam_decode(
                     model.decoder, encodeds, beam_size=1,
                     column_to_table=column_to_table,
-                    cache=StepCache(model.decoder, *encodeds),
+                    ops=StepCache(model.decoder, *encodeds),
                 )
             for pre, encoded, beam in zip(pres, encodeds, beams):
                 try:
                     greedy = model.decoder.decode(
-                        encoded, column_to_table=column_to_table
+                        encoded, column_to_table=column_to_table,
+                        ops=ReferenceOps(model.decoder, encoded),
                     )
                 except ModelError as exc:
                     greedy = exc
@@ -215,7 +223,7 @@ def _lockstep(model, encodeds, column_to_table, beam_size=3):
         return [_outcome(result) for result in beam_decode(
             model.decoder, encodeds, beam_size=beam_size,
             column_to_table=column_to_table,
-            cache=StepCache(model.decoder, *encodeds),
+            ops=StepCache(model.decoder, *encodeds),
         )]
 
 
@@ -344,13 +352,13 @@ class TestStarIsNoFilterOperand:
         [encoded] = model.encode_batch([pre], pets_db.schema)
         with inference_mode():
             greedy = model.decoder.decode(
-                encoded, cache=StepCache(model.decoder, encoded)
+                encoded, ops=StepCache(model.decoder, encoded)
             )
             greedy_seen = seen[:]
             del seen[:]
             [beam] = beam_decode(
                 model.decoder, [encoded], beam_size=1,
-                cache=StepCache(model.decoder, encoded),
+                ops=StepCache(model.decoder, encoded),
             )
         assert beam == greedy
         for steps, scores in ((greedy, greedy_seen), (beam, seen)):

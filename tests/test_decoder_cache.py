@@ -4,7 +4,8 @@
 memoized request constants.  For greedy decoding the contract is
 *bitwise* equality of every op output; for the lockstep rows of beam
 search it is equality with :class:`ReferenceOps` rows (the Tensor calls
-looped row by row) to rounding, and identical decoded steps.  Evidence:
+looped row by row) to rounding, and identical decoded steps.  The
+uncached side passes :class:`ReferenceOps` explicitly.  Evidence:
 
 * op-level — a replayed action sequence where each step's hidden state,
   pointer scores and sketch log-probs are compared exactly, and rows of
@@ -72,10 +73,10 @@ class TestOpLevelBitwise:
         encoded = model.encode(pre, pets_db.schema)
         decoder = model.decoder
         decoder.eval()
-        steps = decoder.decode(encoded)  # uncached: supplies the actions
+        ref = ReferenceOps(decoder, encoded)
+        steps = decoder.decode(encoded, ops=ref)  # uncached: supplies the actions
         assert steps, "decode produced no steps"
 
-        ref = ReferenceOps(decoder, encoded)
         cache = StepCache(decoder, encoded)
         state_r, state_c = ref.initial_state(), cache.initial_state()
         assert np.array_equal(state_r[0].data, state_c[0])
@@ -116,7 +117,7 @@ class TestOpLevelBitwise:
         pre = Preprocessor(pets_db).run("How many dogs are there?")
         encoded = model.encode(pre, pets_db.schema)
         cache = StepCache(model.decoder, encoded)
-        model.decoder.decode(encoded, cache=cache)
+        model.decoder.decode(encoded, ops=cache)
         # Pointer memory projections: computed at most once per kind.
         assert 1 <= len(cache._pointer_memory) <= 3
         # Repeated lookups return the very same objects, not recomputes.
@@ -225,11 +226,12 @@ class TestSequenceIdentityOnDevSet:
     def test_greedy_cached_matches_reference(self, dev_setup):
         def pair(model, encoded, column_to_table):
             uncached = _outcome(lambda: model.decoder.decode(
-                encoded, column_to_table=column_to_table
+                encoded, column_to_table=column_to_table,
+                ops=ReferenceOps(model.decoder, encoded),
             ))
             cached = _outcome(lambda: model.decoder.decode(
                 encoded, column_to_table=column_to_table,
-                cache=StepCache(model.decoder, encoded),
+                ops=StepCache(model.decoder, encoded),
             ))
             return uncached, cached
 
@@ -254,16 +256,16 @@ class TestSequenceIdentityOnDevSet:
             ]
             encodeds = [model.encode(pre, schema) for pre in pres]
 
-            def outcomes(cache):
+            def outcomes(ops):
                 return [
                     "ModelError" if isinstance(result, ModelError) else result
                     for result in beam_decode(
                         model.decoder, encodeds, beam_size=3,
-                        column_to_table=column_to_table, cache=cache,
+                        column_to_table=column_to_table, ops=ops,
                     )
                 ]
 
-            uncached = outcomes(None)
+            uncached = outcomes(ReferenceOps(model.decoder, *encodeds))
             cached = outcomes(StepCache(model.decoder, *encodeds))
             assert cached == uncached, f"cached beam diverged on {domain}"
             checked += len(cached)

@@ -1,7 +1,10 @@
 """Tests for the neural model: featurization, supervision, encode/decode,
-training mechanics, and checkpointing."""
+training mechanics (the minibatch loss against its per-sample oracle),
+and checkpointing."""
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
@@ -9,10 +12,13 @@ import pytest
 from repro.candidates import ValueCandidate
 from repro.config import ModelConfig, TrainingConfig
 from repro.errors import ModelError
+from repro.evaluation import Hardness
 from repro.index import ValueLocation
 from repro.model import (
     DecoderStep,
     Trainer,
+    ValueNetDecoder,
+    ValueNetEncoder,
     ValueNetModel,
     build_preprocessors,
     build_vocabulary,
@@ -23,9 +29,10 @@ from repro.model import (
     tree_to_steps,
 )
 from repro.model.featurize import SEG_COLUMN, SEG_QUESTION, SEG_TABLE, SEG_VALUE
+from repro.nn import log_softmax, masked_log_softmax
 from repro.preprocessing import Preprocessor
 from repro.semql import ActionType, GRAMMAR_ACTION_LIST, GrammarState, query_to_semql
-from repro.spider import CorpusConfig, generate_corpus
+from repro.spider import CorpusConfig, Example, generate_corpus
 from repro.sql import parse_sql
 
 TINY = ModelConfig(
@@ -165,11 +172,19 @@ class TestModelForward:
         assert encoded.summary.shape == (TINY.dim,)
 
     def test_loss_none_when_value_unmatched(self, model, pets_db):
+        """A sample whose gold value is not among the candidates cannot be
+        supervised: preparation drops it before any loss is taken."""
         schema = pets_db.schema
-        pre = Preprocessor(pets_db).run_light("q", [])
         sql = "SELECT name FROM student WHERE age > 20"
-        tree = query_to_semql(parse_sql(sql, schema), schema)
-        assert model.loss(pre, schema, tree) is None
+        query = parse_sql(sql, schema)
+        example = Example(
+            "q", "pets", sql, query, query_to_semql(query, schema), [20], [],
+            Hardness.EASY,
+        )
+        samples, dropped = prepare_samples(
+            [example], {"pets": Preprocessor(pets_db)}, model, mode="valuenet"
+        )
+        assert (samples, dropped) == ([], 1)
 
     def test_loss_positive(self, model, pets_db):
         schema = pets_db.schema
@@ -178,8 +193,9 @@ class TestModelForward:
         )
         sql = "SELECT name FROM student WHERE age > 20"
         tree = query_to_semql(parse_sql(sql, schema), schema)
-        loss = model.loss(pre, schema, tree)
-        assert loss is not None and loss.item() > 0
+        steps = tree_to_steps(tree, schema, pre.candidates)
+        loss = model.decoder.loss_batch([model.encode(pre, schema)], [steps])
+        assert loss.item() > 0
 
     def test_predict_valid_tree(self, model, pets_db):
         pre = Preprocessor(pets_db).run("How many students are there?")
@@ -226,7 +242,8 @@ class TestTraining:
         first = None
         for _ in range(25):
             optimizer.zero_grad()
-            loss = model.decoder.loss(model.encode(pre, schema), steps)
+            encodeds = model.encoder.encode_batch([model.featurize(pre, schema)])
+            loss = model.decoder.loss_batch(encodeds, [steps])
             if first is None:
                 first = loss.item()
             loss.backward()
@@ -247,6 +264,43 @@ class TestTraining:
         assert len(history.epochs) == 3
         assert history.epochs[-1].mean_loss < history.epochs[0].mean_loss
 
+    @pytest.mark.parametrize("log_every, logged", [(1, (4, 8, 10)), (2, (8,))])
+    def test_a_minibatch_is_one_encode_one_loss_one_log_line(
+        self, tiny_corpus, vocab, monkeypatch, caplog, log_every, logged
+    ):
+        model = ValueNetModel(vocab, TINY)
+        samples, _dropped = prepare_samples(
+            tiny_corpus.train[:10], build_preprocessors(tiny_corpus), model,
+            mode="light",
+        )
+        assert len(samples) == 10
+        calls = []
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(ValueNetEncoder, "encode_batch")
+        counting(ValueNetDecoder, "loss_batch")
+        config = TrainingConfig(epochs=2, batch_size=4, log_every=log_every)
+        with caplog.at_level(logging.INFO, logger="repro.model.training"):
+            Trainer(model, config).train(samples)
+        # 10 samples in minibatches of 4: three per epoch, the last of 2;
+        # log_every counts minibatches, not samples.
+        assert calls == ["encode_batch", "loss_batch"] * 6
+        progress = [
+            record.getMessage().split(" loss ")[0] for record in caplog.records
+            if record.name == "repro.model.training"
+        ]
+        assert progress == [
+            f"epoch {epoch} [{done}/10]" for epoch in (1, 2) for done in logged
+        ]
+
     def test_prepare_samples_modes(self, tiny_corpus, vocab):
         model = ValueNetModel(vocab, TINY)
         preprocessors = build_preprocessors(tiny_corpus)
@@ -266,6 +320,142 @@ class TestTraining:
                 tiny_corpus.train[:1], build_preprocessors(tiny_corpus), model,
                 mode="bogus",
             )
+
+
+def _oracle_loss(decoder, encoded, steps):
+    """The per-sample teacher-forced loss, one decoder step at a time: the
+    differential oracle for ``ValueNetDecoder.loss_batch``."""
+    state = decoder._initial_state(encoded)
+    prev = decoder.start_embedding
+    grammar = GrammarState()
+    total = None
+    for step in steps:
+        h, state = decoder._step(prev, state, encoded)
+        if step.kind == "grammar":
+            mask = decoder._grammar_mask(grammar.expected_type(), encoded.num_values)
+            step_loss = -masked_log_softmax(decoder.sketch_head(h), mask)[step.target]
+            grammar.advance_grammar(GRAMMAR_ACTION_LIST[step.target])
+        else:
+            logits = decoder._head_logits(step.kind, h, encoded)
+            step_loss = -log_softmax(logits)[step.target]
+            grammar.advance_pointer(ActionType(step.kind))
+        total = step_loss if total is None else total + step_loss
+        prev = decoder._feed_embedding(step.kind, step.target, encoded)
+    return total
+
+
+def _grads(model) -> dict[str, np.ndarray | None]:
+    """Each parameter's gradient; None where no step of the loss reached
+    it (Adam skips those, so None and zero must not be confused)."""
+    return {
+        name: None if p.grad is None else p.grad.copy()
+        for name, p in model.named_parameters()
+    }
+
+
+@pytest.fixture(scope="module")
+def light_samples(tiny_corpus, vocab):
+    samples, _dropped = prepare_samples(
+        tiny_corpus.train, build_preprocessors(tiny_corpus),
+        ValueNetModel(vocab, TINY), mode="light",
+    )
+    return samples
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(light_samples):
+    """Sixteen light-mode samples over several schemas, with and without
+    value candidates, of different lengths."""
+    batch = light_samples[::5][:16]
+    assert len(batch) == 16
+    assert len({sample.schema.name for sample in batch}) > 1
+    assert len({len(sample.steps) for sample in batch}) > 1
+    assert {step.kind for s in batch for step in s.steps} == {"grammar", "C", "T", "V"}
+    assert not all(sample.pre.candidates for sample in batch)
+    return batch
+
+
+@pytest.fixture(scope="module")
+def last_value_batch(light_samples):
+    """Samples whose only value step ends their sequence, and samples
+    without values: every V step is scored, none feeds a next step."""
+    def values(sample):
+        return [step.kind for step in sample.steps].count("V")
+
+    ending = [s for s in light_samples if values(s) == 1 and s.steps[-1].kind == "V"]
+    batch = ending[:6] + [s for s in light_samples if values(s) == 0][:6]
+    assert len(batch) == 12 and len({len(s.steps) for s in batch}) > 1
+    return batch
+
+
+class TestLossBatch:
+    """``loss_batch`` against the per-sample loop it replaced."""
+
+    @pytest.mark.parametrize("batch_name, unreached", [
+        ("mixed_batch", set()),
+        ("last_value_batch", {"decoder.value_feed.weight", "decoder.value_feed.bias"}),
+    ])
+    def test_equals_the_per_sample_loop_with_its_gradients(
+        self, vocab, request, batch_name, unreached
+    ):
+        batch = request.getfixturevalue(batch_name)
+        model = ValueNetModel(vocab, TINY)
+        model.train()
+        encodeds = model.encoder.encode_batch(
+            [model.featurize(s.pre, s.schema) for s in batch]
+        )
+        loss = model.decoder.loss_batch(encodeds, [s.steps for s in batch])
+        loss.backward()
+        batched = _grads(model)
+
+        model.zero_grad()
+        expected = 0.0
+        for sample in batch:
+            encoded = model.encode(sample.pre, sample.schema)
+            oracle = _oracle_loss(model.decoder, encoded, sample.steps)
+            (oracle * (1.0 / len(sample.steps))).backward()
+            expected += oracle.item() / len(sample.steps)
+        assert abs(loss.item() - expected) < 1e-9
+        oracle_grads = _grads(model)
+        for name, grad in oracle_grads.items():
+            assert (batched[name] is None) == (grad is None), name
+            if grad is not None:
+                np.testing.assert_allclose(
+                    batched[name], grad, rtol=0, atol=1e-9, err_msg=name
+                )
+        assert {name for name, grad in oracle_grads.items() if grad is None} == unreached
+
+    def test_dropout_draws_replay(self, vocab, mixed_batch):
+        """With dropout on, one minibatch draws from the model's shared
+        dropout generator: the padded transformer masks, then one
+        (batch, decoder_hidden) mask per lockstep step."""
+        config = ModelConfig(**{**TINY.__dict__, "dropout": 0.3})
+        model = ValueNetModel(vocab, config)
+        shared = model.decoder.dropout._rng
+        for layer in model.encoder.transformer.layers:
+            assert layer.attention.dropout._rng is shared
+            assert layer.dropout._rng is shared
+        expected = np.random.default_rng()
+        expected.bit_generator.state = shared.bit_generator.state
+        lengths = [model.featurize(s.pre, s.schema).length for s in mixed_batch]
+        padded = (len(mixed_batch), max(lengths), config.dim)
+        for _layer in range(config.num_layers):
+            expected.random(padded)  # self-attention output
+            expected.random(padded)  # feed-forward output
+        for _step in range(max(len(s.steps) for s in mixed_batch)):
+            expected.random((len(mixed_batch), config.decoder_hidden))
+
+        trainer = Trainer(model, TrainingConfig(epochs=1, batch_size=len(mixed_batch)))
+        trainer.train(mixed_batch)
+        assert shared.bit_generator.state == expected.bit_generator.state
+
+    def test_empty_and_incomplete_sequences_raise(self, model, mixed_batch):
+        sample = mixed_batch[0]
+        encodeds = [model.encode(sample.pre, sample.schema)] * 2
+        with pytest.raises(ModelError, match="empty"):
+            model.decoder.loss_batch(encodeds, [sample.steps, []])
+        with pytest.raises(ModelError, match="complete the grammar"):
+            model.decoder.loss_batch(encodeds, [sample.steps, sample.steps[:-1]])
 
 
 class TestCheckpointing:

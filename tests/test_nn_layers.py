@@ -23,9 +23,9 @@ from repro.nn import (
     PointerNetwork,
     Tensor,
     TransformerEncoder,
-    cross_entropy,
     inference_mode,
     load_module,
+    log_softmax,
     save_module,
     sinusoidal_positions,
 )
@@ -124,7 +124,7 @@ class TestLayers:
     def test_linear_gradcheck(self):
         layer = Linear(4, 3, RNG)
         x = Tensor(RNG.normal(size=4))
-        gradcheck_params(lambda: cross_entropy(layer(x), 1), layer.parameters())
+        gradcheck_params(lambda: -log_softmax(layer(x))[1], layer.parameters())
 
     def test_embedding_lookup(self):
         embedding = Embedding(10, 4, RNG)
@@ -169,7 +169,7 @@ class TestAttention:
         attention.eval()
         x = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
         gradcheck_params(
-            lambda: cross_entropy(attention(x).sum(axis=0), 2),
+            lambda: -log_softmax(attention(x).sum(axis=0))[2],
             [x] + attention.parameters()[:2],
         )
 
@@ -183,7 +183,22 @@ class TestAttention:
         q = Tensor(RNG.normal(size=4), requires_grad=True)
         memory = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
         gradcheck_params(
-            lambda: cross_entropy(pointer(q, memory), 1),
+            lambda: -log_softmax(pointer(q, memory))[1],
+            [q, memory] + pointer.parameters(),
+        )
+
+    def test_stacked_pointer_scores_each_query_against_its_own_bank(self):
+        pointer = PointerNetwork(4, 5, 6, RNG)
+        q = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        memory = Tensor(RNG.normal(size=(3, 7, 5)), requires_grad=True)
+        stacked = pointer(q, memory)
+        assert stacked.shape == (3, 7)
+        for row in range(3):
+            np.testing.assert_allclose(
+                stacked.data[row], pointer(q[row], memory[row]).data, rtol=0, atol=1e-12
+            )
+        gradcheck_params(
+            lambda: -log_softmax(pointer(q, memory))[(np.arange(3), [1, 4, 6])].sum(),
             [q, memory] + pointer.parameters(),
         )
 
@@ -204,7 +219,7 @@ class TestTransformer:
         encoder.eval()
         x = Tensor(RNG.normal(size=(4, 8)), requires_grad=True)
         gradcheck_params(
-            lambda: cross_entropy(encoder(x).sum(axis=0), 1),
+            lambda: -log_softmax(encoder(x).sum(axis=0))[1],
             [x] + encoder.parameters()[:3],
             tol=5e-5,
         )
