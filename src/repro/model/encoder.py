@@ -97,11 +97,12 @@ class ValueNetEncoder(Module):
     def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
         """Encode a micro-batch — the one forward, for training and serving.
 
-        Sequences are right-padded to the batch maximum and the attention
-        is masked over padding, so every real position sees exactly the
-        keys it would alone; every item span of every example is then
-        summarized in one packed BiLSTM pass.  A question's encoding is
-        the same (to floating-point tolerance) whatever batch it is in.
+        Sequences are right-padded to the batch maximum and each example
+        attends over its own length only, so every real position sees
+        exactly the keys it would alone; every item span of every example
+        is then summarized in one packed BiLSTM pass.  A question's
+        encoding is the same (to floating-point tolerance) whatever batch
+        it is in.
 
         Word dropout applies when training with autograd on, one draw per
         example in input order; under ``inference_mode()`` — the serving
@@ -112,8 +113,6 @@ class ValueNetEncoder(Module):
         batch = len(inputs)
         sizes = np.array([inp.length for inp in inputs])
         max_len = int(sizes.max())
-        # Without padding there is nothing to mask (a batch of one).
-        mask = None if sizes.min() == max_len else np.arange(max_len) < sizes[:, None]
 
         def padded(sequences: Iterable[list[int]]) -> np.ndarray:
             ids = np.zeros((batch, max_len), dtype=np.int64)
@@ -137,7 +136,7 @@ class ValueNetEncoder(Module):
             + self.type_embedding(padded(inp.type_ids for inp in inputs))
             + self._positions(max_len)
         )
-        contextual = self.transformer(embedded, mask=mask)
+        contextual = self.transformer(embedded, lengths=sizes)
 
         # Every item span of every example, example-major and in the
         # order question, columns, tables, values — so each example's

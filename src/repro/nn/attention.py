@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.nn.functional import NEG_INF, softmax
+from repro.nn.functional import softmax
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Tensor, concat
 
@@ -19,13 +19,14 @@ from repro.nn.tensor import Tensor, concat
 class MultiHeadSelfAttention(Module):
     """Multi-head scaled-dot-product self-attention.
 
-    Accepts an (n, d) sequence or a padded (batch, n, d) stack; the
-    optional ``mask`` (shape (n,) or (batch, n), True = real token)
-    excludes padded *keys* so every real position attends exactly as it
-    would unbatched.  Heads are computed with an explicit loop over
-    slices — the sequences here are short (question + schema +
-    candidates, typically < 150 positions) and head counts small, so
-    clarity beats vectorization.
+    Accepts an (n, d) sequence or a padded (batch, n, d) stack whose
+    example ``i`` holds ``lengths[i]`` real positions.  All heads run as
+    one ``(H, n, hd) @ (H, hd, n)`` matmul.  When the examples differ in
+    length, each one attends over its own ``lengths[i]`` positions, so a
+    real position sees exactly the keys it would alone; padded rows come
+    out as zeros.  Per example, no ``(batch, H, n_max, n_max)`` scores
+    over padded keys and queries are built: on a batch of eight those
+    cost more time and memory than the per-example loop.
     """
 
     def __init__(
@@ -47,30 +48,34 @@ class MultiHeadSelfAttention(Module):
         self.output = Linear(dim, dim, rng)
         self.dropout = Dropout(dropout_rate, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        q = self.query(x)
-        k = self.key(x)
-        v = self.value(x)
-        scale = 1.0 / math.sqrt(self.head_dim)
+    def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        *lead, n, dim = x.shape
+        heads, head_dim = self.num_heads, self.head_dim
 
-        penalty: Tensor | None = None
-        if mask is not None:
-            # Broadcast over the query axis: padded keys are excluded for
-            # every query; padded query rows are discarded downstream.
-            penalty = Tensor(np.where(mask, 0.0, NEG_INF)[..., None, :])
+        def split(t: Tensor) -> Tensor:  # (..., n, d) -> (..., H, n, hd)
+            return t.reshape(*lead, n, heads, head_dim).swapaxes(-2, -3)
 
-        heads: list[Tensor] = []
-        for h in range(self.num_heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh = q[..., lo:hi]
-            kh = k[..., lo:hi]
-            vh = v[..., lo:hi]
-            scores = (qh @ kh.swapaxes(-1, -2)) * scale
-            if penalty is not None:
-                scores = scores + penalty
-            attn = softmax(scores, axis=-1)
-            heads.append(attn @ vh)
-        combined = concat(heads, axis=-1)
+        q = split(self.query(x) * (1.0 / math.sqrt(head_dim)))
+        keys_t = split(self.key(x)).swapaxes(-1, -2)  # (..., H, hd, n)
+        v = split(self.value(x))
+        if lengths is None or lengths.min() == n:
+            context = softmax(q @ keys_t) @ v  # (..., H, n, hd)
+            combined = context.swapaxes(-2, -3).reshape(*lead, n, dim)
+        else:
+            blocks = [
+                softmax(q[i, :, :m] @ keys_t[i, :, :, :m]) @ v[i, :, :m]
+                for i, m in enumerate(lengths)
+            ]
+            blocks.append(Tensor(np.zeros((heads, 1, head_dim))))
+            packed = concat(blocks, axis=1).swapaxes(0, 1).reshape(-1, dim)
+            # Padded position (i, t) reads packed row offset_i + t of its
+            # example, or the trailing zero row past the example's end.
+            total = int(lengths.sum())
+            offsets = np.cumsum(lengths) - lengths
+            steps = np.arange(n)
+            combined = packed[np.where(
+                steps < lengths[:, None], offsets[:, None] + steps, total
+            )]
         return self.dropout(self.output(combined))
 
 

@@ -14,10 +14,10 @@ NEG_INF = -1e30
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    value = exp / exp.sum(axis=axis, keepdims=True)
+    """Stable softmax along ``axis``, computed in one buffer."""
+    value = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(value, out=value)
+    value /= value.sum(axis=axis, keepdims=True)
     out = Tensor(value, parents=(x,))
     if not out.requires_grad:
         return out

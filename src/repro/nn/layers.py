@@ -125,10 +125,12 @@ class LayerNorm(Module):
         self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mean = x.data.mean(axis=-1, keepdims=True)
-        var = x.data.var(axis=-1, keepdims=True)
+        # np.var would centre x a second time; its own sum-of-squares
+        # over the centred values gives the same bits.
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self._eps)
-        normalized = (x.data - mean) * inv_std
+        normalized = centered * inv_std
         out = Tensor(normalized, parents=(x,))
         if out.requires_grad:
 

@@ -5,11 +5,12 @@ items / value candidates are summarized by a bidirectional LSTM into a
 single vector (Section V-C: "bi-directional LSTM networks to summarize
 multi-token columns/tables/values").
 
-The cell operates on a single (d,) input or a batched (s, d) stack of
-inputs transparently (gates slice the last axis), which lets the encoder
-summarize every span of a request — whatever their lengths — in one
-packed pass: one fused matrix multiply per step and direction over the
-spans still running, instead of one LSTM per span.
+The decoder steps an :class:`LSTMCell` on one (d,) input or a batched
+(s, d) stack (gates slice the last axis).  The summarizer holds one cell
+per direction for their weights, but runs them itself: every item span of
+a request — whatever their lengths — is summarized in one packed pass,
+with every span position's input gates computed up front and both
+directions advanced together, one recurrent matmul per step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.nn.init import xavier_uniform, zeros
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor, concat, stack
 
 
 class LSTMCell(Module):
@@ -51,15 +52,11 @@ class LSTMCell(Module):
         h_next = o * c_next.tanh()
         return h_next, c_next
 
-    def initial_state(self, batch: int | None = None) -> tuple[Tensor, Tensor]:
-        shape = (self.hidden_dim,) if batch is None else (batch, self.hidden_dim)
-        return (Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
-
 
 class BiLSTMSummarizer(Module):
-    """Summarize a variable-length (n, d_in) span into one vector.
+    """Summarize variable-length spans of an encoder output, one vector each.
 
-    Runs an LSTM forward and another backward over the span and projects
+    Runs an LSTM forward and another backward over each span and projects
     the concatenated final hidden states to ``output_dim``.  Used for
     multi-word column names, table names and multi-piece value candidates.
     """
@@ -71,17 +68,6 @@ class BiLSTMSummarizer(Module):
         self.forward_cell = LSTMCell(input_dim, hidden_dim, rng)
         self.backward_cell = LSTMCell(input_dim, hidden_dim, rng)
         self.projection = xavier_uniform(rng, 2 * hidden_dim, output_dim)
-
-    def __call__(self, span: Tensor) -> Tensor:
-        n = span.shape[0]
-        forward_state = self.forward_cell.initial_state()
-        for t in range(n):
-            forward_state = self.forward_cell(span[t], forward_state)
-        backward_state = self.backward_cell.initial_state()
-        for t in range(n - 1, -1, -1):
-            backward_state = self.backward_cell(span[t], backward_state)
-        combined = concat([forward_state[0], backward_state[0]], axis=-1)
-        return (combined @ self.projection).tanh()
 
     def summarize_spans(
         self,
@@ -100,33 +86,54 @@ class BiLSTMSummarizer(Module):
         Returns:
             (n_spans, output_dim) summaries, row-aligned with the input.
 
-        Spans are sorted longest first, so the spans still running at
-        step ``t`` are a prefix: each step gathers one position of every
-        running span and runs both cells on that stack — the math of
-        :meth:`__call__` per span, in ``2 * max(lengths)`` cell calls.
+        Every span position is gathered once, span after span, and the
+        input half of each cell's fused ``[x; h]`` weight is applied to
+        all of them up front (biases included).  Spans are sorted longest
+        first, so the spans still running at step ``t`` are a prefix
+        ``k``: each step gathers the input gates of position ``t``
+        (forward) and ``t`` from the end (backward) of every running span
+        and advances both directions as one stacked ``(2, k, h)`` state —
+        ``max(lengths)`` steps in all.
         """
         order = np.argsort(-lengths, kind="stable")
         rows, starts, lengths = rows[order], starts[order], lengths[order]
-        lasts = starts + lengths - 1
         # running[t]: how many spans are longer than t (a prefix, as sorted).
         running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+        # Span j's positions are packed rows firsts[j] .. lasts[j].
+        firsts = np.cumsum(lengths) - lengths
+        lasts = firsts + lengths - 1
+        span = np.repeat(np.arange(len(order)), lengths)
+        offset = np.arange(len(span)) - firsts[span]
+        tokens = contextual[(rows[span], starts[span] + offset)]  # (P, d_in)
 
-        forward_state = self.forward_cell.initial_state(batch=len(order))
-        backward_state = self.backward_cell.initial_state(batch=len(order))
-        finished: list[Tensor] = []  # final [h_fwd; h_bwd] blocks, shortest first
+        d_in = contextual.shape[-1]
+        d = self.forward_cell.hidden_dim
+        cells = (self.forward_cell, self.backward_cell)
+        # One matmul per direction: a single (P, d_in) @ (d_in, 8h) is
+        # large enough on a batch of one for OpenBLAS to hand it to its
+        # thread pool, whose spinning workers cost more CPU than they save.
+        input_gates = stack(
+            [tokens @ cell.weight[:d_in] + cell.bias for cell in cells], axis=1
+        )  # (P, 2, 4h)
+        recurrent = stack([cell.weight[d_in:] for cell in cells])  # (2, h, 4h)
+        direction = np.arange(2)[:, None]
+
+        h = c = None  # the zero state: step 0 has no recurrent or forget term
+        finished: list[Tensor] = []  # final (2, ·, h) state blocks, shortest first
         for t, k in enumerate(running):
-            if k < forward_state[0].shape[0]:
-                finished.append(concat(
-                    [forward_state[0][k:], backward_state[0][k:]], axis=-1
-                ))
-                forward_state = (forward_state[0][:k], forward_state[1][:k])
-                backward_state = (backward_state[0][:k], backward_state[1][:k])
-            forward_state = self.forward_cell(
-                contextual[(rows[:k], starts[:k] + t)], forward_state
-            )
-            backward_state = self.backward_cell(
-                contextual[(rows[:k], lasts[:k] - t)], backward_state
-            )
-        finished.append(concat([forward_state[0], backward_state[0]], axis=-1))
-        combined = concat(finished[::-1], axis=0)
+            positions = np.stack([firsts[:k] + t, lasts[:k] - t])  # (2, k)
+            gates = input_gates[(positions, direction)]  # (2, k, 4h)
+            if h is not None:
+                if k < h.shape[1]:
+                    finished.append(h[:, k:])
+                    h, c = h[:, :k], c[:, :k]
+                gates = gates + h @ recurrent
+            # i, f, g, o as in LSTMCell; the g quarter's sigmoid goes unused.
+            act = gates.sigmoid()
+            cell_in = act[..., 0:d] * gates[..., 2 * d:3 * d].tanh()
+            c = cell_in if c is None else act[..., d:2 * d] * c + cell_in
+            h = act[..., 3 * d:4 * d] * c.tanh()
+        finished.append(h)
+        final = concat(finished[::-1], axis=1)  # (2, n_spans, h), sorted order
+        combined = final.swapaxes(0, 1).reshape(len(order), 2 * d)  # [h_fwd; h_bwd]
         return (combined @ self.projection).tanh()[np.argsort(order)]

@@ -84,13 +84,18 @@ class Tensor:
         backward: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        # Ops produce float64 ndarrays; np.asarray would only return them.
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
-        if parents and not is_grad_enabled():
-            # Op output under inference_mode: drop the graph entirely.
-            parents = ()
-            requires_grad = False
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if parents:
+            # Op output under inference_mode drops the graph entirely,
+            # without looking at its parents.
+            requires_grad = is_grad_enabled() and (
+                requires_grad or any(p.requires_grad for p in parents)
+            )
+        self.requires_grad = requires_grad
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
         self.name = name

@@ -38,8 +38,8 @@ class TransformerLayer(Module):
         self.ff2 = Linear(ff_dim, dim, rng)
         self.dropout = Dropout(dropout_rate, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        x = x + self.attention(self.norm1(x), mask=mask)
+    def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        x = x + self.attention(self.norm1(x), lengths=lengths)
         x = x + self.dropout(self.ff2(self.ff1(self.norm2(x)).relu()))
         return x
 
@@ -64,10 +64,10 @@ class TransformerEncoder(Module):
         ]
         self.final_norm = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Encode ``x`` ((n, d) or padded (batch, n, d) with ``mask``)."""
+    def __call__(self, x: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+        """Encode ``x`` ((n, d), or padded (batch, n, d) with ``lengths``)."""
         for layer in self.layers:
-            x = layer(x, mask=mask)
+            x = layer(x, lengths=lengths)
         return self.final_norm(x)
 
 

@@ -395,7 +395,7 @@ def test_real_tree_is_clean_against_committed_baseline():
     assert result.parse_errors == []
     baseline = Baseline.load(repo_root / "analysis-baseline.json")
     diff = diff_against_baseline(result.violations, baseline)
-    assert diff.new == [], [v.render() for v in diff.new]
+    assert diff.new == [], [v.render() for v, _ in diff.new]
     assert diff.stale == [], [e.fingerprint for e in diff.stale]
     assert baseline.unjustified() == []
 

@@ -3,8 +3,9 @@
 There is one encoder forward, so "sequential" here means a batch of one.
 Covers ``inference_mode`` (no autograd graph, identical numerics),
 ``ValueNetEncoder.encode_batch`` (a question encoded alone == its row of a
-padded + masked batch; the packed BiLSTM pass == the per-span summarizer
-on the same transformer output; its cell-step count; word dropout),
+padded batch; the packed BiLSTM pass == the per-span summarizer on the
+same transformer output; its stacked-step count; how many Tensors one
+encode builds; word dropout),
 ``ValueNetModel.decode_batch`` (greedy and lockstep beam: a question
 decoded alone == its slot of the batch, errors included), and the
 pipeline, where ``translate`` is ``translate_batch`` of one (identical
@@ -20,10 +21,11 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.model import SchemaFeatureCache, ValueNetModel, build_vocabulary, featurize
-from repro.nn import LSTMCell, Tensor, TransformerEncoder, inference_mode, is_grad_enabled
+from repro.nn import Tensor, TransformerEncoder, inference_mode, is_grad_enabled
 from repro.pipeline import ValueNetPipeline
 from repro.preprocessing import Preprocessor
 from repro.spider import CorpusConfig, generate_corpus
+from tests.test_nn_layers import summarize_span
 
 TINY = ModelConfig(
     dim=32, num_layers=1, num_heads=2, ff_dim=48, summary_hidden=16,
@@ -192,8 +194,8 @@ class TestBatchedEncoderEquivalence:
         transformer_outputs = []
         forward = TransformerEncoder.__call__
 
-        def recording(self, x, mask=None):
-            transformer_outputs.append(forward(self, x, mask=mask))
+        def recording(self, x, lengths=None):
+            transformer_outputs.append(forward(self, x, lengths=lengths))
             return transformer_outputs[-1]
 
         monkeypatch.setattr(TransformerEncoder, "__call__", recording)
@@ -203,7 +205,8 @@ class TestBatchedEncoderEquivalence:
             if not spans:
                 return None
             rows = np.stack([
-                encoder.summarizer(contextual[s.start:s.end]).data for s in spans
+                summarize_span(encoder.summarizer, contextual[s.start:s.end]).data
+                for s in spans
             ])
             return Tensor(rows + embedding(hints).data if hints else rows)
 
@@ -229,39 +232,61 @@ class TestBatchedEncoderEquivalence:
                     for name in ENCODED_FIELDS:
                         assert max_abs_diff(want[name], getattr(got, name)) < 1e-9, name
 
-    def test_cell_steps_are_twice_the_longest_span(
+    def test_stacked_steps_equal_longest_span(
         self, model, domain_examples, monkeypatch
     ):
-        """One packed pass: 2 * L_max cell steps per encode, whatever the
-        number of spans or examples (one LSTM per span fails this)."""
+        """One packed pass: L_max steps per encode, each advancing both
+        directions of every running span as one (2, k, 4h) gate block,
+        whatever the number of spans or examples (one LSTM per span, or
+        one cell call per direction, fails this)."""
         db, pres = domain_examples
         pres = pres[:8]
-        calls = []
-        step = LSTMCell.__call__
+        blocks = []
+        sigmoid = Tensor.sigmoid
+        # The encoder's only sigmoid is the summarizer's gate activation.
         monkeypatch.setattr(
-            LSTMCell, "__call__",
-            lambda self, x, state: calls.append(1) or step(self, x, state),
+            Tensor, "sigmoid", lambda self: blocks.append(self.shape) or sigmoid(self)
         )
 
-        def longest_span(pre):
+        def spans(pre):
             inp = featurize(pre, db.schema, model.vocab)
-            return max(
+            return [
                 span.end - span.start
-                for spans in (inp.question_spans, inp.column_spans,
-                              inp.table_spans, inp.value_spans)
-                for span in spans
-            )
+                for kind in (inp.question_spans, inp.column_spans,
+                             inp.table_spans, inp.value_spans)
+                for span in kind
+            ]
 
-        def cell_steps(batch):
-            del calls[:]
+        def steps(batch):
+            del blocks[:]
             model.encode_batch(batch, db.schema)
-            return len(calls)
+            assert all(shape[0] == 2 for shape in blocks)
+            return len(blocks), blocks[0][1]
 
-        longest = [longest_span(pre) for pre in pres]
-        assert max(longest) > 1
-        for pre, n in zip(pres, longest):
-            assert cell_steps([pre]) == 2 * n
-        assert cell_steps(pres) == 2 * max(longest)
+        lengths = [spans(pre) for pre in pres]
+        assert max(max(n) for n in lengths) > 1
+        for pre, n in zip(pres, lengths):
+            assert steps([pre]) == (max(n), len(n))
+        assert steps(pres) == (max(max(n) for n in lengths), sum(map(len, lengths)))
+
+    def test_fixture_shaped_encode_builds_fewer_than_250_tensors(
+        self, model, domain_examples, monkeypatch
+    ):
+        """A guard on per-op overhead: a batch-of-one encode of the
+        benchmark fixture's model shape (two layers, four heads)."""
+        db, pres = domain_examples
+        shaped = ValueNetModel(model.vocab, ModelConfig(
+            dim=48, ff_dim=96, summary_hidden=32, decoder_hidden=96, pointer_hidden=48,
+        ))
+        built = []
+        init = Tensor.__init__
+        monkeypatch.setattr(
+            Tensor, "__init__",
+            lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs),
+        )
+        with inference_mode():
+            shaped.encode_batch(pres[:1], db.schema)
+        assert 0 < len(built) < 250, len(built)
 
     def test_batch_outputs_carry_no_graph(self, model, domain_examples):
         db, pres = domain_examples

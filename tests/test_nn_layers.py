@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,15 +21,18 @@ from repro.nn import (
     MLP,
     Module,
     MultiHeadSelfAttention,
+    NEG_INF,
     ParamGroup,
     PointerNetwork,
     Tensor,
     TransformerEncoder,
+    concat,
     inference_mode,
     load_module,
     log_softmax,
     save_module,
     sinusoidal_positions,
+    softmax,
 )
 from repro.errors import ModelError
 
@@ -58,6 +63,40 @@ def gradcheck_params(fn, params, *, tol=2e-5, samples=10):
             assert abs(analytic.reshape(-1)[i] - numeric) < tol, (
                 f"grad mismatch: {analytic.reshape(-1)[i]} vs {numeric}"
             )
+
+
+def zero_state(cell):
+    """A zero ``(h, c)`` state for one unbatched ``LSTMCell`` sequence."""
+    return Tensor(np.zeros(cell.hidden_dim)), Tensor(np.zeros(cell.hidden_dim))
+
+
+def summarize_span(summarizer, span):
+    """One (n, d_in) span, one ``LSTMCell`` call per position and
+    direction: the per-span oracle for ``BiLSTMSummarizer.summarize_spans``."""
+    n = span.shape[0]
+    forward = zero_state(summarizer.forward_cell)
+    for t in range(n):
+        forward = summarizer.forward_cell(span[t], forward)
+    backward = zero_state(summarizer.backward_cell)
+    for t in range(n - 1, -1, -1):
+        backward = summarizer.backward_cell(span[t], backward)
+    combined = concat([forward[0], backward[0]], axis=-1)
+    return (combined @ summarizer.projection).tanh()
+
+
+def masked_heads_attention(attention, x, mask):
+    """A per-head loop over the padded batch with NEG_INF on padded keys:
+    the oracle for ``MultiHeadSelfAttention``'s per-example heads."""
+    q, k, v = attention.query(x), attention.key(x), attention.value(x)
+    penalty = Tensor(np.where(mask, 0.0, NEG_INF)[..., None, :])
+    heads = []
+    for h in range(attention.num_heads):
+        lo, hi = h * attention.head_dim, (h + 1) * attention.head_dim
+        scores = (q[..., lo:hi] @ k[..., lo:hi].swapaxes(-1, -2)) * (
+            1.0 / math.sqrt(attention.head_dim)
+        )
+        heads.append(softmax(scores + penalty, axis=-1) @ v[..., lo:hi])
+    return attention.dropout(attention.output(concat(heads, axis=-1)))
 
 
 class TestModuleSystem:
@@ -149,6 +188,16 @@ class TestLayers:
         weights = Tensor(RNG.normal(size=(2, 6)))
         gradcheck_params(lambda: (norm(x) * weights).sum(), [x, *norm.parameters()])
 
+    def test_layernorm_is_bit_identical_to_the_np_var_formula(self):
+        norm = LayerNorm(8)
+        norm.gain.data[:] = RNG.normal(size=8)
+        norm.shift.data[:] = RNG.normal(size=8)
+        x = RNG.normal(size=(3, 5, 8)) * 10 + 3
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        want = (x - mean) * (1.0 / np.sqrt(var + 1e-5)) * norm.gain.data + norm.shift.data
+        np.testing.assert_array_equal(norm(Tensor(x)).data, want)
+
     def test_mlp_forward(self):
         mlp = MLP(4, 8, 2, RNG)
         assert mlp(Tensor(np.ones(4))).shape == (2,)
@@ -171,6 +220,45 @@ class TestAttention:
         gradcheck_params(
             lambda: -log_softmax(attention(x).sum(axis=0))[2],
             [x] + attention.parameters()[:2],
+        )
+
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=4), st.integers(0, 2**16))
+    def test_unequal_lengths_equal_the_masked_per_head_loop(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        attention = MultiHeadSelfAttention(8, 2, rng, dropout_rate=0.0)
+        attention.output.bias.data[:] = rng.normal(size=8)
+        lengths = np.array(lengths)
+        n = int(lengths.max())
+        x = Tensor(rng.normal(size=(len(lengths), n, 8)))
+        got = attention(x, lengths=lengths).data
+        want = masked_heads_attention(attention, x, np.arange(n) < lengths[:, None]).data
+        for row, m in enumerate(lengths):
+            np.testing.assert_allclose(got[row, :m], want[row, :m], rtol=0, atol=1e-12)
+            # A padded row's heads are zeros: only the output bias is left.
+            np.testing.assert_array_equal(
+                got[row, m:], np.broadcast_to(attention.output.bias.data, (n - m, 8))
+            )
+
+    def test_equal_lengths_take_the_one_matmul_path(self):
+        attention = MultiHeadSelfAttention(8, 2, RNG, dropout_rate=0.0)
+        x = Tensor(RNG.normal(size=(3, 5, 8)))
+        batched = attention(x, lengths=np.array([5, 5, 5])).data
+        np.testing.assert_array_equal(batched, attention(x).data)
+        for row in range(3):
+            np.testing.assert_allclose(
+                batched[row], attention(x[row]).data, rtol=0, atol=1e-12
+            )
+
+    def test_self_attention_gradcheck_through_unequal_lengths(self):
+        attention = MultiHeadSelfAttention(6, 2, np.random.default_rng(4), dropout_rate=0.0)
+        lengths = np.array([2, 4, 3])
+        x = Tensor(RNG.normal(size=(3, 4, 6)), requires_grad=True)
+        # Zero weight on padded rows: only real positions are read downstream.
+        weights = Tensor(RNG.normal(size=(3, 4, 6)) * (np.arange(4) < lengths[:, None])[..., None])
+        gradcheck_params(
+            lambda: (attention(x, lengths=lengths) * weights).sum(),
+            [x] + attention.parameters(),
         )
 
     def test_pointer_network_scores(self):
@@ -235,7 +323,7 @@ class TestTransformer:
 class TestRnn:
     def test_cell_shapes(self):
         cell = LSTMCell(4, 6, RNG)
-        h, c = cell(Tensor(np.ones(4)), cell.initial_state())
+        h, c = cell(Tensor(np.ones(4)), zero_state(cell))
         assert h.shape == (6,) and c.shape == (6,)
 
     def test_forget_bias_initialized(self):
@@ -247,7 +335,7 @@ class TestRnn:
         sequence = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
 
         def run():
-            state = cell.initial_state()
+            state = zero_state(cell)
             for t in range(3):
                 state = cell(sequence[t], state)
             return (state[0] * state[0]).sum()
@@ -256,18 +344,24 @@ class TestRnn:
 
     def test_bilstm_summary_shape(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
-        assert summarizer(Tensor(RNG.normal(size=(3, 4)))).shape == (6,)
+        contextual = Tensor(RNG.normal(size=(1, 3, 4)))
+        summary = summarizer.summarize_spans(contextual, *_span_arrays([(0, 0, 3)]))
+        assert summary.shape == (1, 6)
 
     def test_bilstm_single_token(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
-        assert summarizer(Tensor(RNG.normal(size=(1, 4)))).shape == (6,)
+        contextual = Tensor(RNG.normal(size=(1, 1, 4)))
+        summary = summarizer.summarize_spans(contextual, *_span_arrays([(0, 0, 1)]))
+        assert summary.shape == (1, 6)
 
     def test_bilstm_direction_sensitivity(self):
         summarizer = BiLSTMSummarizer(4, 5, 6, RNG)
         span = RNG.normal(size=(3, 4))
-        forward = summarizer(Tensor(span))
-        backward = summarizer(Tensor(span[::-1].copy()))
-        assert not np.allclose(forward.data, backward.data)
+        contextual = Tensor(np.stack([span, span[::-1]]))
+        forward, backward = summarizer.summarize_spans(
+            contextual, *_span_arrays([(0, 0, 3), (1, 0, 3)])
+        ).data
+        assert not np.allclose(forward, backward)
 
 
 def _span_arrays(spans):
@@ -295,7 +389,7 @@ def _padded_batch_and_spans(draw):
 
 
 class TestPackedSummarizer:
-    """``summarize_spans`` against the per-span ``__call__`` oracle."""
+    """``summarize_spans`` against the per-span oracle."""
 
     @settings(max_examples=60)
     @given(_padded_batch_and_spans())
@@ -306,7 +400,7 @@ class TestPackedSummarizer:
         packed = summarizer.summarize_spans(contextual, *_span_arrays(spans))
         assert packed.shape == (len(spans), 6)
         for got, (row, start, n) in zip(packed.data, spans):
-            want = summarizer(contextual[row, start:start + n])
+            want = summarize_span(summarizer, contextual[row, start:start + n])
             np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-9)
 
     def test_gradcheck_through_unequal_lengths(self):

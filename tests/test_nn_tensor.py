@@ -11,6 +11,7 @@ from repro.nn import (
     Tensor,
     concat,
     dropout,
+    inference_mode,
     log_softmax,
     masked_log_softmax,
     softmax,
@@ -165,6 +166,12 @@ class TestSoftmaxFamily:
         out = softmax(x, axis=-1)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
 
+    def test_softmax_is_bit_identical_to_the_three_array_formula(self):
+        x = RNG.normal(size=(3, 5, 7)) * 20
+        exp = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = exp / exp.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(softmax(Tensor(x), axis=-1).data, want)
+
     def test_softmax_gradient(self):
         x = Tensor(RNG.normal(size=6), requires_grad=True)
         weights = Tensor(RNG.normal(size=6))
@@ -267,3 +274,29 @@ class TestBackwardMechanics:
         y = Tensor(RNG.normal(size=(rows, cols)))
         (x + y).sum().backward()
         assert x.grad.shape == (1, cols)
+
+
+class TestConstruction:
+    def test_float64_array_is_taken_as_is(self):
+        data = RNG.normal(size=(2, 3))
+        assert Tensor(data).data is data
+
+    @pytest.mark.parametrize(
+        "data", [3, 2.5, [1, 2], np.arange(4), np.ones(3, dtype=np.float32)]
+    )
+    def test_everything_else_becomes_float64(self, data):
+        tensor = Tensor(data)
+        assert type(tensor.data) is np.ndarray and tensor.data.dtype == np.float64
+        np.testing.assert_array_equal(tensor.data, np.asarray(data, dtype=np.float64))
+
+    def test_no_grad_op_output_never_reads_its_parents(self):
+        class Unreadable:
+            @property
+            def requires_grad(self):
+                raise AssertionError("parents scanned under inference_mode")
+
+        with inference_mode():
+            out = Tensor(np.ones(2), parents=(Unreadable(),))
+        assert not out.requires_grad and out._parents == ()
+        with pytest.raises(AssertionError):
+            Tensor(np.ones(2), parents=(Unreadable(),))
