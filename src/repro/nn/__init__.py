@@ -1,6 +1,10 @@
-"""From-scratch numpy neural network library (autograd, layers, optim)."""
+"""From-scratch numpy neural network library (autograd, layers, optim).
+
+Importing it caps the process's BLAS at one thread (:mod:`repro.nn.blas`).
+"""
 
 from repro.nn.attention import BilinearAttention, MultiHeadSelfAttention, PointerNetwork
+from repro.nn.blas import cap_blas_threads
 from repro.nn.functional import (
     NEG_INF,
     attention_pool,
@@ -24,6 +28,8 @@ from repro.nn.rnn import BiLSTMSummarizer, LSTMCell
 from repro.nn.serialization import load_module, save_module
 from repro.nn.tensor import Tensor, concat, inference_mode, is_grad_enabled, stack
 from repro.nn.transformer import TransformerEncoder, TransformerLayer, sinusoidal_positions
+
+cap_blas_threads()
 
 __all__ = [
     "Adam",

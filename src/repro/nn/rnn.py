@@ -8,9 +8,11 @@ multi-token columns/tables/values").
 The decoder steps an :class:`LSTMCell` on one (d,) input or a batched
 (s, d) stack (gates slice the last axis).  The summarizer holds one cell
 per direction for their weights, but runs them itself: every item span of
-a request — whatever their lengths — is summarized in one packed pass,
-with every span position's input gates computed up front and both
-directions advanced together, one recurrent matmul per step.
+a request — whatever their lengths — is summarized in one packed pass:
+one matmul gives every span position's input gates for both directions,
+then both directions advance together, one recurrent matmul per step.
+Like every matmul of the model, these run on one BLAS thread
+(:mod:`repro.nn.blas`), so their size costs no helper thread's CPU.
 """
 
 from __future__ import annotations
@@ -87,13 +89,13 @@ class BiLSTMSummarizer(Module):
             (n_spans, output_dim) summaries, row-aligned with the input.
 
         Every span position is gathered once, span after span, and the
-        input half of each cell's fused ``[x; h]`` weight is applied to
-        all of them up front (biases included).  Spans are sorted longest
-        first, so the spans still running at step ``t`` are a prefix
-        ``k``: each step gathers the input gates of position ``t``
-        (forward) and ``t`` from the end (backward) of every running span
-        and advances both directions as one stacked ``(2, k, h)`` state —
-        ``max(lengths)`` steps in all.
+        input halves of both cells' fused ``[x; h]`` weights, side by side,
+        are applied to all of them in one matmul (biases included).  Spans
+        are sorted longest first, so the spans still running at step ``t``
+        are a prefix ``k``: each step gathers the input gates of position
+        ``t`` (forward) and ``t`` from the end (backward) of every running
+        span and advances both directions as one stacked ``(2, k, h)``
+        state — ``max(lengths)`` steps in all.
         """
         order = np.argsort(-lengths, kind="stable")
         rows, starts, lengths = rows[order], starts[order], lengths[order]
@@ -109,11 +111,10 @@ class BiLSTMSummarizer(Module):
         d_in = contextual.shape[-1]
         d = self.forward_cell.hidden_dim
         cells = (self.forward_cell, self.backward_cell)
-        # One matmul per direction: a single (P, d_in) @ (d_in, 8h) is
-        # large enough on a batch of one for OpenBLAS to hand it to its
-        # thread pool, whose spinning workers cost more CPU than they save.
-        input_gates = stack(
-            [tokens @ cell.weight[:d_in] + cell.bias for cell in cells], axis=1
+        input_weight = concat([cell.weight[:d_in] for cell in cells], axis=1)
+        input_bias = concat([cell.bias for cell in cells])
+        input_gates = (tokens @ input_weight + input_bias).reshape(
+            len(span), 2, 4 * d
         )  # (P, 2, 4h)
         recurrent = stack([cell.weight[d_in:] for cell in cells])  # (2, h, 4h)
         direction = np.arange(2)[:, None]
