@@ -1,29 +1,30 @@
 """Background KB refresher: poll, rebuild off-path, swap with zero downtime.
 
-The :class:`KBRefresher` is a supervised daemon thread that closes the
-gap the registry's lazy rebuild leaves open: it polls every watched
-database through a :class:`~repro.evolve.watcher.SchemaWatcher` on a
-jittered interval, and when drift is detected it
+The :class:`KBRefresher` is the only way new database content reaches a
+serving process: indexes are immutable once built, so drift arrives as
+a whole new bundle.  It is a supervised daemon thread that polls every
+watched database file through a
+:class:`~repro.evolve.watcher.SchemaWatcher` on a jittered interval, and
+when drift is detected it
 
 1. opens a *fresh* :class:`~repro.db.database.Database` from the file
    (so DDL is re-introspected — new tables and columns appear in the
    schema object),
-2. rebuilds the :class:`~repro.index.inverted.InvertedIndex` /
-   :class:`~repro.index.similarity.SimilaritySearcher` bundle and
-   pre-featurizes the new schema into each attached model's
-   :class:`~repro.model.featurize.SchemaFeatureCache` — all off the
+2. builds a new :class:`~repro.index.inverted.InvertedIndex` /
+   :class:`~repro.index.similarity.SimilaritySearcher` bundle off the
    request path,
 3. swaps the bundle into the :class:`~repro.index.registry.IndexRegistry`
    under its existing lock with a version bump, and notifies every
-   attached :class:`~repro.serving.service.TranslationService` (which
-   rebinds its runtime under the per-runtime lock and invalidates the
-   database's translation-cache entries).
+   attached :class:`~repro.serving.service.TranslationService` (whose
+   runtime warms the new schema's features, then rebinds under the
+   per-runtime lock and bumps the generation that keys its translation
+   cache).
 
-No request ever blocks on a rebuild: while a rebuild is in flight the
-registry serves the previous entry (``mark_background_refresh`` arms the
-stale-serve path in ``get()``), and the swap itself is a dictionary
-assignment plus a handful of attribute rebinds — microseconds, measured
-by the ``evolve_index_swap_seconds`` histogram.
+No request ever blocks on a rebuild: requests keep running against the
+runtime's current bundle while the new one is built.  The swap itself is
+a dictionary assignment plus, per runtime, the new schema's features
+(built outside the runtime lock) and a handful of attribute rebinds —
+measured by the ``evolve_index_swap_seconds`` histogram.
 
 Failures back off exponentially per database and never kill the thread;
 a manual refresh can be forced through :meth:`trigger` (async — SIGHUP
@@ -186,7 +187,6 @@ class KBRefresher:
         with self._lock:
             self._targets[db_id] = target
             self._watched_gauge.set(len(self._targets))
-        self.registry.mark_background_refresh(target.registry_key)
 
     def attach_service(self, service) -> None:
         """Notify ``service`` on every swap (and expose this refresher on
@@ -218,7 +218,6 @@ class KBRefresher:
         with self._lock:
             targets = list(self._targets.values())
         for target in targets:
-            self.registry.mark_background_refresh(target.registry_key, False)
             target.watcher.close()
 
     def __enter__(self) -> "KBRefresher":
@@ -321,7 +320,6 @@ class KBRefresher:
             )
             with self._lock:
                 services = list(self._services)
-            self._prefeaturize(services, target.database_id, new_schema)
 
             # ---- the swap: dictionary assignment + attribute rebinds ----
             start = time.perf_counter()
@@ -350,18 +348,6 @@ class KBRefresher:
             target.database_id, report.verdict.value, version, 1000.0 * swap_s,
         )
         return info
-
-    def _prefeaturize(self, services, database_id: str, schema) -> None:
-        """Warm each attached model's schema-feature cache for the new
-        schema object, so the first post-swap request pays nothing."""
-        for service in services:
-            runtime = service.runtimes.get(database_id)
-            pipeline = getattr(runtime, "pipeline", None)
-            model = getattr(pipeline, "model", None)
-            cache = getattr(model, "schema_cache", None)
-            vocab = getattr(model, "vocab", None)
-            if cache is not None and vocab is not None:
-                cache.get(schema, vocab)
 
     def _grow_corpus(self, fresh: Database, target: _WatchTarget, report) -> int:
         if self.corpus is None:

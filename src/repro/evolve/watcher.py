@@ -1,10 +1,10 @@
-"""Drift detection for live databases: cheap + deep content fingerprints.
+"""Drift detection for live database files: cheap + deep content snapshots.
 
 The :class:`~repro.index.registry.IndexRegistry` keys entries by a cheap
 fingerprint (schema shape + per-table row counts), which misses exactly
 one class of change: in-place UPDATEs that keep every row count
 identical.  The :class:`SchemaWatcher` closes that hole with a *deep*
-fingerprint built from three layers, cheapest first:
+snapshot built from three layers, cheapest first:
 
 1. **connection-level change counters** — ``PRAGMA data_version`` (bumps
    whenever *another* connection commits, WAL-safe) and ``PRAGMA
@@ -23,10 +23,9 @@ fingerprint built from three layers, cheapest first:
    are still covered by layer 1 (any commit bumps ``data_version``, and
    the watcher only reports UNCHANGED when layer 1 is quiet).
 
-The watcher is a reusable probe: the background refresher
-(:mod:`repro.evolve.refresher`) polls it off the request path, tests
-drive it directly, and :func:`deep_fingerprint` gives one-shot callers
-the combined digest without watcher state.
+The watcher watches a SQLite file through its own read-only
+connection.  The background refresher (:mod:`repro.evolve.refresher`)
+polls it off the request path; tests drive it directly.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-from repro.db.database import Database
 
 # Rows hashed per table for the content layer.  Beyond this window the
 # data_version fast path still detects that *something* committed; the
@@ -77,17 +74,6 @@ class DatabaseSnapshot:
             if snap.name == name:
                 return snap
         return None
-
-    @property
-    def deep_fingerprint(self) -> str:
-        """One digest over schema shape and sampled content."""
-        digest = hashlib.sha256()
-        digest.update(self.schema_hash.encode())
-        for snap in self.tables:
-            digest.update(b"\x00" + snap.name.encode())
-            digest.update(str(snap.row_count).encode())
-            digest.update(snap.content_hash.encode())
-        return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -202,20 +188,6 @@ def snapshot_connection(
     )
 
 
-def deep_fingerprint(
-    database: Database, *, sample_rows: int = DEFAULT_SAMPLE_ROWS
-) -> str:
-    """One-shot deep content fingerprint of a :class:`Database`.
-
-    Unlike :func:`repro.index.registry.database_fingerprint` this catches
-    count-preserving UPDATEs (within the sample window) because it hashes
-    sampled values, not just row counts.
-    """
-    return snapshot_connection(
-        database.connection, sample_rows=sample_rows
-    ).deep_fingerprint
-
-
 def _diff(
     previous: DatabaseSnapshot, current: DatabaseSnapshot
 ) -> DriftReport:
@@ -255,14 +227,11 @@ def _diff(
 
 
 class SchemaWatcher:
-    """Stateful drift probe for one database.
+    """Stateful drift probe for one database file.
 
     Args:
-        target: a SQLite file path (preferred — the watcher opens its own
-            read-only connection, safe to poll from any thread) or an
-            in-process :class:`Database` (polled through its per-thread
-            connection; poll from one thread for in-memory databases,
-            whose cross-thread clones are frozen snapshots).
+        path: the SQLite file; the watcher opens its own read-only
+            connection, safe to poll from any thread.
         sample_rows: per-table content-hash window (see module docs).
 
     The constructor takes the baseline snapshot, so the first
@@ -271,25 +240,18 @@ class SchemaWatcher:
 
     def __init__(
         self,
-        target: str | Path | Database,
+        path: str | Path,
         *,
         sample_rows: int = DEFAULT_SAMPLE_ROWS,
     ):
         self._sample_rows = sample_rows
-        self._database: Database | None = None
-        self._path: str | None = None
+        self._path = str(path)
         self._connection: sqlite3.Connection | None = None
-        if isinstance(target, Database):
-            self._database = target
-        else:
-            self._path = str(target)
         self._previous = snapshot_connection(
             self._connect(), sample_rows=sample_rows
         )
 
     def _connect(self) -> sqlite3.Connection:
-        if self._database is not None:
-            return self._database.connection
         if self._connection is None:
             # A dedicated read-only connection: data_version then reports
             # every commit made by the serving/writer connections, and
@@ -313,11 +275,7 @@ class SchemaWatcher:
         snapshot (used by tests and the first poll after a swap).
         """
         connection = self._connect()
-        # The counter fast path is only sound on the watcher's own
-        # read-only connection: data_version never bumps for commits made
-        # through the probed connection itself, so Database targets
-        # (tests, in-memory) always take the deep scan.
-        if not force_deep and self._database is None:
+        if not force_deep:
             data_version = int(
                 connection.execute("PRAGMA data_version").fetchone()[0]
             )

@@ -10,6 +10,11 @@ for candidate *generation*.
 The index is built once per database and kept in memory; Table II of the
 paper shows value lookup is the dominant cost of translation, so the
 per-question work must not rescan base data.
+
+An index is immutable once built.  New database content arrives as a
+whole new index: the background refresher
+(:mod:`repro.evolve.refresher`) rebuilds off the request path and swaps
+the bundle into the :class:`~repro.index.registry.IndexRegistry`.
 """
 
 from __future__ import annotations
@@ -49,19 +54,10 @@ class InvertedIndex:
 
     def __init__(self, *, max_values_per_column: int = 5000):
         self._max_values_per_column = max_values_per_column
-        # After a warm load, location sets may be shared between keys and
-        # original-form entries may be lists; mutators copy-on-write.
         self._locations: dict[str, set[ValueLocation]] = defaultdict(set)
         self._originals: dict[str, set[str] | list[str]] = defaultdict(set)
         self._column_values: dict[ValueLocation, list[str]] = {}
-        self._column_seen: dict[ValueLocation, set[str]] = {}
         self._numeric_columns: set[ValueLocation] = set()
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (lets dependents detect staleness)."""
-        return self._version
 
     @property
     def max_values_per_column(self) -> int:
@@ -102,49 +98,6 @@ class InvertedIndex:
                 seen.add(key)
                 distinct.append(original)
         self._column_values[location] = distinct
-        self._column_seen[location] = seen
-        self._version += 1
-
-    def add_value(self, value: object, location: ValueLocation) -> None:
-        """Index one value incrementally (tests and incremental loads).
-
-        Mirrors :meth:`_index_column`: the exact-lookup maps always learn
-        the value, while the per-column similarity pool deduplicates on
-        the normalized key and stays bounded by ``max_values_per_column``.
-        """
-        key = normalize_value(value)
-        if not key:
-            return
-        locations = self._locations.get(key)
-        if locations is None:
-            self._locations[key] = {location}
-        elif location not in locations:
-            # Copy on write: a warm load interns one set per distinct
-            # location combination, shared across keys.
-            self._locations[key] = {*locations, location}
-        original = str(value)
-        originals = self._originals.get(key)
-        if isinstance(originals, set):
-            originals.add(original)
-        else:  # missing, or an adopted warm-load list
-            self._originals[key] = {*(originals or ()), original}
-        column = self._column_values.setdefault(location, [])
-        seen = self._seen_for(location)
-        if key not in seen and len(column) < self._max_values_per_column:
-            seen.add(key)
-            column.append(original)
-        self._version += 1
-
-    def _seen_for(self, location: ValueLocation) -> set[str]:
-        """Normalized keys already in a column's similarity pool; derived
-        lazily after a warm load (only :meth:`add_value` needs it)."""
-        seen = self._column_seen.get(location)
-        if seen is None:
-            seen = {
-                normalize_value(v) for v in self._column_values.get(location, ())
-            }
-            self._column_seen[location] = seen
-        return seen
 
     # ------------------------------------------------------------- queries
 
@@ -238,9 +191,9 @@ class InvertedIndex:
         """Rebuild an index from :meth:`state_dict`.
 
         Adopts the snapshot structures wholesale: location sets are
-        shared per combination and original forms stay lists until
-        mutated (see :meth:`add_value`), so loading stays proportional to
-        the pickle size, not to a per-value Python rebuild.
+        shared per combination and original forms stay lists, so loading
+        stays proportional to the pickle size, not to a per-value Python
+        rebuild.
         """
         index = cls(max_values_per_column=int(state["max_values_per_column"]))
         loc_objs = [ValueLocation(table, column) for table, column in state["loc_table"]]
@@ -253,7 +206,5 @@ class InvertedIndex:
         index._originals.update(state["originals"])
         for lid, values in state["column_values"]:
             index._column_values[loc_objs[lid]] = values
-        # _column_seen is derived lazily by _seen_for on first mutation.
         index._numeric_columns = {loc_objs[lid] for lid in state["numeric_columns"]}
-        index._version = 1
         return index

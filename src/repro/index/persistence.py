@@ -93,7 +93,7 @@ def load_bundle(
         return None
     try:
         index = InvertedIndex.from_state(payload["index"])
-        searcher = SimilaritySearcher.from_state(index, payload["searcher"])
+        searcher = SimilaritySearcher.from_state(payload["searcher"])
     except (KeyError, TypeError, ValueError):
         return None
     return index, searcher

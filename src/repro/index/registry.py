@@ -9,8 +9,13 @@ registry makes the pair a shared, keyed resource:
 
 * **keying** — database id + a cheap content fingerprint (schema shape
   plus per-table row counts); a fingerprint change (new rows, new
-  columns) transparently triggers a rebuild, so shared entries are never
-  silently stale across content changes that alter the row counts;
+  columns) triggers a rebuild on the next :meth:`IndexRegistry.get`,
+  which offline evaluation and the disk cache rely on;
+* **swapping** — a serving process calls ``get`` only while it builds
+  its preprocessors (startup, failover adoption); after that, drift
+  reaches it only through :meth:`IndexRegistry.swap`, called by the
+  background refresher (:mod:`repro.evolve.refresher`) with an entry
+  it built off the request path.  Entries are never mutated;
 * **thread safety** — one build per key even under concurrent first use
   (per-key build locks; readers never block builders of other keys);
 * **persistence** — with a ``cache_dir`` the registry saves every cold
@@ -43,8 +48,9 @@ def database_fingerprint(database: Database) -> str:
 
     Deliberately avoids scanning base data (that is what the index build
     itself does); in-place updates that keep every row count identical are
-    not detected — callers mutating content that way should invalidate
-    the registry entry explicitly.
+    not detected — the refresher's watcher
+    (:class:`~repro.evolve.watcher.SchemaWatcher`) catches those and
+    swaps in a rebuilt entry.
     """
     digest = hashlib.sha256()
     digest.update(database.schema.name.encode())
@@ -82,34 +88,23 @@ class IndexRegistry:
         self._entries: dict[str, IndexEntry] = {}  # guarded by: _lock
         self._key_locks: dict[str, object] = {}  # guarded by: _lock
         self._versions: dict[str, int] = {}  # guarded by: _lock
-        self._refreshing: set[str] = set()  # guarded by: _lock
         self._lock = make_lock("IndexRegistry._lock")
         self.build_count = 0  # guarded by: _lock
         self.load_count = 0  # guarded by: _lock
         self.hit_count = 0  # guarded by: _lock
         self.swap_count = 0  # guarded by: _lock
-        self.stale_hit_count = 0  # guarded by: _lock
 
     # --------------------------------------------------------------- core
 
     def get(self, database: Database, *, database_id: str | None = None) -> IndexEntry:
-        """The shared entry for ``database``, building or loading on miss.
-
-        When a background refresher has claimed the key (see
-        :meth:`mark_background_refresh`) a stale fingerprint does NOT
-        trigger an on-path rebuild: the old entry is served and the
-        refresher's swap delivers the fresh one — no request ever blocks
-        on a rebuild once a refresher is running.
-        """
+        """The shared entry for ``database``, building or loading on miss
+        or on a fingerprint change."""
         db_id = database_id if database_id is not None else database.schema.name
         fingerprint = database_fingerprint(database)
         with self._lock:
             entry = self._entries.get(db_id)
             if entry is not None and entry.fingerprint == fingerprint:
                 self.hit_count += 1
-                return entry
-            if entry is not None and db_id in self._refreshing:
-                self.stale_hit_count += 1
                 return entry
             key_lock = self._key_locks.setdefault(
                 db_id, make_lock(f"IndexRegistry.key[{db_id}]")
@@ -119,9 +114,6 @@ class IndexRegistry:
                 entry = self._entries.get(db_id)
                 if entry is not None and entry.fingerprint == fingerprint:
                     self.hit_count += 1
-                    return entry
-                if entry is not None and db_id in self._refreshing:
-                    self.stale_hit_count += 1
                     return entry
             entry = self._load_or_build(database, db_id, fingerprint)
             with self._lock:
@@ -186,14 +178,6 @@ class IndexRegistry:
             items = [(db_id, db) for db_id, db in items if db_id in only]
         return [self.get(database, database_id=db_id) for db_id, database in items]
 
-    def invalidate(self, database_id: str | None = None) -> None:
-        """Drop one entry (or all) so the next ``get`` rebuilds."""
-        with self._lock:
-            if database_id is None:
-                self._entries.clear()
-            else:
-                self._entries.pop(database_id, None)
-
     def swap(self, entry: IndexEntry) -> int:
         """Atomically publish a background-built entry; returns its version.
 
@@ -214,14 +198,6 @@ class IndexRegistry:
         with self._lock:
             return self._versions.get(database_id, 0)
 
-    def mark_background_refresh(self, database_id: str, active: bool = True) -> None:
-        """Arm (or disarm) stale-serving for a key a refresher owns."""
-        with self._lock:
-            if active:
-                self._refreshing.add(database_id)
-            else:
-                self._refreshing.discard(database_id)
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -230,7 +206,6 @@ class IndexRegistry:
                 "load_count": self.load_count,
                 "hit_count": self.hit_count,
                 "swap_count": self.swap_count,
-                "stale_hit_count": self.stale_hit_count,
                 "versions": dict(self._versions),
             }
 

@@ -23,10 +23,12 @@ held in flat parallel arrays indexed by pool position — compact in
 memory, and a warm load (:meth:`SimilaritySearcher.from_state`) adopts
 the arrays without any per-value rebuild.
 
-The searcher tracks its own :class:`SearchStats` (DP calls, cache
-traffic, wall time) and notifies registered observers after every search
-so the serving layer can export the numbers without reaching into
-internals.
+The pool is derived once, in the constructor, and never mutated (the
+index it reads is immutable), so scans read it without a lock; the one
+lock guards the span memo, the observers and the :class:`SearchStats`
+(DP calls, cache traffic, wall time).  Observers are notified after
+every search so the serving layer can export the numbers without
+reaching into internals.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class SearchStats:
     dp_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    pool_rebuilds: int = 0
     search_seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -73,7 +74,6 @@ class SearchStats:
             "dp_calls": self.dp_calls,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "pool_rebuilds": self.pool_rebuilds,
             "search_seconds": self.search_seconds,
         }
 
@@ -83,25 +83,22 @@ class SimilaritySearcher:
 
     One searcher is built per database (sharing the inverted index) and
     reused across questions and threads; construction builds the global
-    blocked pool once, and the searcher transparently rebuilds it when
-    the underlying index reports a newer :attr:`InvertedIndex.version`
-    (values added after construction are therefore never invisible).
+    blocked pool once.  The index is immutable, so the pool never goes
+    stale: new content arrives as a new index and a new searcher.
     """
 
     def __init__(self, index: InvertedIndex, *, cache_size: int = 2048):
-        self._index = index
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple[str, int], list[SimilarValue]] = OrderedDict()  # guarded by: _lock
         self._lock = make_lock("SimilaritySearcher._lock")
         self._observers: list = []  # guarded by: _lock
         self.stats = SearchStats()  # guarded by: _lock
-        self._build_pool()
+        self._build_pool(index)
 
     # ------------------------------------------------------- pool building
 
-    def _build_pool(self) -> None:
-        """(Re)derive the global dedup pool from the index; lock-free, so
-        callers must hold ``self._lock`` or be the constructor.
+    def _build_pool(self, index: InvertedIndex) -> None:
+        """Derive the global dedup pool from the index (constructor only).
 
         Fan-out state per pool index ``i``: the ``(original, location)``
         pairs live at flat positions ``offsets[i]:offsets[i+1]`` of
@@ -111,7 +108,7 @@ class SimilaritySearcher:
         loc_ids: dict[ValueLocation, int] = {}
         position: dict[str, int] = {}
         per_value: list[list] = []  # [[original, lid, original, lid, ...]]
-        for value, location in self._index.iter_text_values():
+        for value, location in index.iter_text_values():
             lowered = value.lower()
             i = position.get(lowered)
             if i is None:
@@ -136,7 +133,6 @@ class SimilaritySearcher:
         self._offsets = offsets
         self._originals = originals
         self._location_ids = location_ids
-        self._version = self._index.version
 
     # ------------------------------------------------------------- queries
 
@@ -157,10 +153,6 @@ class SimilaritySearcher:
         lowered = query.lower()
         key = (lowered, max_distance)
         with self._lock:
-            if self._version != self._index.version:
-                self._build_pool()
-                self._cache.clear()
-                self.stats.pool_rebuilds += 1
             matches = self._cache.get(key)
             if matches is not None:
                 self._cache.move_to_end(key)
@@ -192,9 +184,8 @@ class SimilaritySearcher:
         """Filter the pool, verify every survivor in one batched pass, fan
         the matches out to their locations.
 
-        Reads the pool structures without the lock: they are replaced
-        wholesale (never mutated) by :meth:`_build_pool`, so a concurrent
-        rebuild cannot corrupt an in-flight scan.
+        Reads the pool structures without the lock: they are built once
+        and never mutated.
         """
         pool = self._pool
         loc_table = self._loc_table
@@ -252,22 +243,20 @@ class SimilaritySearcher:
         the expensive q-gram derivation entirely).  Locations are
         flattened to ``(table, column)`` tuples so the payload survives
         refactors of :class:`ValueLocation` itself."""
-        with self._lock:
-            return {
-                "loc_table": [(loc.table, loc.column) for loc in self._loc_table],
-                "offsets": self._offsets,
-                "originals": self._originals,
-                "location_ids": self._location_ids,
-                "pool": self._pool.state_dict(),
-            }
+        return {
+            "loc_table": [(loc.table, loc.column) for loc in self._loc_table],
+            "offsets": self._offsets,
+            "originals": self._originals,
+            "location_ids": self._location_ids,
+            "pool": self._pool.state_dict(),
+        }
 
     @classmethod
     def from_state(  # lint: disable=LOCK-GUARD (fresh instance; not shared until returned)
-        cls, index: InvertedIndex, state: dict, *, cache_size: int = 2048
+        cls, state: dict, *, cache_size: int = 2048
     ) -> "SimilaritySearcher":
-        """Rebuild a searcher over ``index`` from :meth:`state_dict`."""
+        """Rebuild a searcher from :meth:`state_dict`."""
         searcher = cls.__new__(cls)
-        searcher._index = index
         searcher._cache_size = cache_size
         searcher._cache = OrderedDict()
         searcher._lock = make_lock("SimilaritySearcher._lock")
@@ -282,5 +271,4 @@ class SimilaritySearcher:
         searcher._pool = BlockedValuePool.from_state(state["pool"])
         if len(searcher._pool) != len(searcher._offsets) - 1:
             raise ValueError("pool and fan-out arrays disagree on the value count")
-        searcher._version = index.version
         return searcher

@@ -75,16 +75,13 @@ class Preprocessor:
         generation_config: GenerationConfig | None = None,
         validation_config: ValidationConfig | None = None,
         index: InvertedIndex | None = None,
-        searcher: SimilaritySearcher | None = None,
         registry: IndexRegistry | None = None,
     ):
         self.database = database
         self.schema: Schema = database.schema
         if index is not None:
             self.index = index
-            self._searcher = (
-                searcher if searcher is not None else SimilaritySearcher(index)
-            )
+            self._searcher = SimilaritySearcher(index)
         else:
             active = registry if registry is not None else get_default_registry()
             entry = active.get(database)
@@ -101,11 +98,7 @@ class Preprocessor:
         """The shared similarity searcher (for metrics observers)."""
         return self._searcher
 
-    def rebind(
-        self,
-        index: InvertedIndex,
-        searcher: SimilaritySearcher | None = None,
-    ) -> None:
+    def rebind(self, index: InvertedIndex, searcher: SimilaritySearcher) -> None:
         """Adopt a freshly built index/searcher bundle (background refresh).
 
         Re-reads ``database.schema`` as well, so a refresher that swapped
@@ -115,9 +108,7 @@ class Preprocessor:
         (the serving runtime rebinds under its per-runtime lock).
         """
         self.index = index
-        self._searcher = (
-            searcher if searcher is not None else SimilaritySearcher(index)
-        )
+        self._searcher = searcher
         self.schema = self.database.schema
         self._generator = CandidateGenerator(self._searcher, self._generation_config)
         self._validator = CandidateValidator(self.index, self._validation_config)

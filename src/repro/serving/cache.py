@@ -4,8 +4,11 @@ Keys are ``(database_id, normalized_question, beam_size, dialect, index
 generation)`` — the inputs that fully determine a translation for a fixed
 model — so repeated questions (the common interactive pattern: users
 iterate on phrasings and re-ask) skip the neural pipeline entirely.
-Entries expire after a TTL so a re-loaded database cannot serve stale SQL
-forever, and the cache keeps hit/miss/expiration accounting for the
+
+Nothing is ever invalidated by hand.  An index swap bumps the runtime's
+generation, so every later request looks up fresh keys and no pre-swap
+answer can be read again; the old entries age out through the LRU bound
+and the TTL.  The cache keeps hit/miss/expiration accounting for the
 metrics registry.
 """
 
@@ -33,8 +36,8 @@ class CacheKey:
     beam_size: int
     dialect: str = "sqlite"
     # DatabaseRuntime.generation when the request was triaged: an index
-    # swap moves every later request to fresh keys, so a put that raced
-    # the swap's invalidation can never be read.
+    # swap moves every later request to fresh keys, so a pre-swap answer
+    # (even one put after the swap) can never be read.
     generation: int = 0
 
     @classmethod
@@ -82,7 +85,6 @@ class TranslationCache:
         self.misses = 0  # guarded by: _lock
         self.expirations = 0  # guarded by: _lock
         self.evictions = 0  # guarded by: _lock
-        self.invalidations = 0  # guarded by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -121,23 +123,6 @@ class TranslationCache:
         with self._lock:
             self._entries.clear()
 
-    def invalidate_database(self, database_id: str) -> int:
-        """Drop every entry keyed to ``database_id``; returns the count.
-
-        Called on an index swap so no stale translation outlives a schema
-        change — entries of *other* databases are untouched (a global
-        ``clear()`` would needlessly cold-start every hot database on one
-        database's drift).
-        """
-        with self._lock:
-            doomed = [
-                key for key in self._entries if key.database_id == database_id
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
-
     @property
     def hit_rate(self) -> float:
         with self._lock:
@@ -157,6 +142,5 @@ class TranslationCache:
                 "misses": self.misses,
                 "expirations": self.expirations,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
                 "hit_rate": self.hits / total if total else 0.0,
             }

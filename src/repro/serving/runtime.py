@@ -91,6 +91,7 @@ class DatabaseRuntime:
         self.database = database
         self.database_id = database_id or database.schema.name
         self.beam_size = beam_size
+        self.model = model
         self.preprocessor = (
             preprocessor if preprocessor is not None else Preprocessor(database)
         )
@@ -170,9 +171,14 @@ class DatabaseRuntime:
         * the pipeline's SQL builder and the heuristic fallback are
           rebuilt against the new schema;
         * the cached PK/FK graph is reset.
+
+        A new schema's model features are built first, outside the lock,
+        so the first request after the swap finds them cached.
         """
         from repro.postprocessing.sql_builder import SqlBuilder
 
+        if schema is not None and self.model is not None:
+            self.model.schema_cache.get(schema, self.model.vocab)
         with self._lock:
             old_searcher = self.preprocessor.searcher
             if schema is not None:

@@ -454,17 +454,17 @@ class TranslationService:
         """Adopt a background-rebuilt index bundle for one database.
 
         Called by the KB refresher after it published ``entry`` to the
-        registry.  Rebinds the runtime under its own lock, invalidates
-        exactly that database's cached translations, and re-wires the
-        value-search metrics observer from the old searcher to the new
-        one.  Returns False when this service does not host the database.
+        registry.  Rebinds the runtime under its own lock (which bumps
+        the generation in its cache keys, so no pre-swap answer is read
+        again) and re-wires the value-search metrics observer from the
+        old searcher to the new one.  Returns False when this service
+        does not host the database.
         """
         with self._runtime_lock:
             runtime = self.runtimes.get(database_id)
         if runtime is None:
             return False
         old_searcher = runtime.adopt_index(entry, schema=schema)
-        self.cache.invalidate_database(database_id)
         with self._runtime_lock:
             if any(s is old_searcher for s in self._observed_searchers):
                 self._observed_searchers = [

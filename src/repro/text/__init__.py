@@ -1,14 +1,8 @@
 """Text utilities: tokenization, stemming, string distances, n-grams,
 and a trainable WordPiece-style subword vocabulary."""
 
-from repro.text.distance import (
-    damerau_levenshtein,
-    jaro,
-    jaro_winkler,
-    levenshtein,
-    normalized_similarity,
-)
-from repro.text.ngrams import all_ngrams, character_ngrams, ngrams
+from repro.text.distance import damerau_levenshtein
+from repro.text.ngrams import all_ngrams, ngrams
 from repro.text.stemmer import stem, stem_all
 from repro.text.tokenizer import (
     Token,
@@ -37,14 +31,9 @@ __all__ = [
     "UNK_TOKEN",
     "WordPieceVocab",
     "all_ngrams",
-    "character_ngrams",
     "damerau_levenshtein",
-    "jaro",
-    "jaro_winkler",
-    "levenshtein",
     "ngrams",
     "normalize_whitespace",
-    "normalized_similarity",
     "split_identifier",
     "stem",
     "stem_all",

@@ -3,66 +3,22 @@
 The paper (Section IV-B2) generates value candidates by scanning the
 database for values whose *Damerau-Levenshtein* distance to an extracted
 question span is below a threshold, chosen "because of its good trade-off
-between accuracy and run time".  We implement:
+between accuracy and run time".  Two kernels:
 
-* :func:`levenshtein` — classic edit distance (insert / delete / substitute),
-* :func:`damerau_levenshtein` — adds adjacent transpositions (the metric the
-  paper uses),
+* :func:`damerau_levenshtein` — edit distance with adjacent transpositions
+  (the metric the paper uses),
 * :func:`damerau_levenshtein_banded` — Ukkonen-banded O(k·n) variant that
   only fills the 2k+1 diagonal band; exact for distances <= k (the
   per-pair reference for the batched kernel the value search runs,
-  :meth:`repro.index.blocking.BlockedValuePool.distances`),
-* :func:`jaro_winkler` — a normalized similarity useful for short tokens,
-* :func:`normalized_similarity` — 1 - DL/max_len convenience wrapper.
+  :meth:`repro.index.blocking.BlockedValuePool.distances`).
 
-All functions operate on plain strings and are pure.  The similarity scan
-over database values does not call them pair by pair: it blocks and
-verifies in bulk (see :mod:`repro.index.blocking`), and its tests hold that
-array code to the functions here.
+Both operate on plain strings and are pure.  The similarity scan over
+database values does not call them pair by pair: it blocks and verifies
+in bulk (see :mod:`repro.index.blocking`).  They are the oracles its
+tests hold that array code to.
 """
 
 from __future__ import annotations
-
-
-def levenshtein(a: str, b: str, *, max_distance: int | None = None) -> int:
-    """Edit distance between ``a`` and ``b``.
-
-    Args:
-        a: first string.
-        b: second string.
-        max_distance: optional early-exit bound.  When provided and the true
-            distance exceeds it, any value ``> max_distance`` may be
-            returned (callers should only compare against the bound).
-
-    >>> levenshtein("kitten", "sitting")
-    3
-    """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if max_distance is not None and abs(len(a) - len(b)) > max_distance:
-        return max_distance + 1
-
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        row_min = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            value = min(
-                previous[j] + 1,        # deletion
-                current[j - 1] + 1,     # insertion
-                previous[j - 1] + cost,  # substitution
-            )
-            current.append(value)
-            row_min = min(row_min, value)
-        if max_distance is not None and row_min > max_distance:
-            return max_distance + 1
-        previous = current
-    return previous[-1]
 
 
 def damerau_levenshtein(a: str, b: str, *, max_distance: int | None = None) -> int:
@@ -175,74 +131,3 @@ def damerau_levenshtein_banded(a: str, b: str, *, max_distance: int) -> int:
             return cap
         two_back, one_back = one_back, current
     return one_back[lb] if one_back[lb] <= k else cap
-
-
-def jaro(a: str, b: str) -> float:
-    """Jaro similarity in [0, 1]."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    match_window = max(len(a), len(b)) // 2 - 1
-    match_window = max(match_window, 0)
-
-    a_matched = [False] * len(a)
-    b_matched = [False] * len(b)
-    matches = 0
-    for i, ca in enumerate(a):
-        lo = max(0, i - match_window)
-        hi = min(len(b), i + match_window + 1)
-        for j in range(lo, hi):
-            if not b_matched[j] and b[j] == ca:
-                a_matched[i] = True
-                b_matched[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-
-    transpositions = 0
-    j = 0
-    for i, matched in enumerate(a_matched):
-        if not matched:
-            continue
-        while not b_matched[j]:
-            j += 1
-        if a[i] != b[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
-
-    return (
-        matches / len(a)
-        + matches / len(b)
-        + (matches - transpositions) / matches
-    ) / 3.0
-
-
-def jaro_winkler(a: str, b: str, *, prefix_scale: float = 0.1) -> float:
-    """Jaro-Winkler similarity: Jaro boosted by a shared prefix (<= 4 chars).
-
-    >>> jaro_winkler("martha", "marhta") > jaro("martha", "marhta")
-    True
-    """
-    base = jaro(a, b)
-    prefix = 0
-    for ca, cb in zip(a, b):
-        if ca != cb or prefix == 4:
-            break
-        prefix += 1
-    return base + prefix * prefix_scale * (1.0 - base)
-
-
-def normalized_similarity(a: str, b: str) -> float:
-    """``1 - damerau_levenshtein / max(len)`` similarity in [0, 1].
-
-    Case-insensitive, because database values and question spans rarely
-    agree in case ("France" vs "france").
-    """
-    a_low, b_low = a.lower(), b.lower()
-    if not a_low and not b_low:
-        return 1.0
-    longest = max(len(a_low), len(b_low))
-    return 1.0 - damerau_levenshtein(a_low, b_low) / longest

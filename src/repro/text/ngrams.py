@@ -39,17 +39,6 @@ def all_ngrams(tokens: Sequence[str], *, max_n: int | None = None) -> list[tuple
     return result
 
 
-def character_ngrams(text: str, n: int) -> list[str]:
-    """Character ``n``-grams of ``text`` (used for blocking keys).
-
-    >>> character_ngrams("jfk", 2)
-    ['jf', 'fk']
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return [text[i:i + n] for i in range(len(text) - n + 1)]
-
-
 #: Padding character for :func:`padded_qgrams`; chosen outside the
 #: printable range so database values essentially never contain it (and
 #: an accidental collision only ever *adds* shared grams, which keeps the

@@ -8,9 +8,11 @@ count-preserving UPDATEs (invisible to the registry's cheap
 fingerprint), and DDL each classify correctly.
 
 The refresher tests run the real serving stack (DatabaseRuntime +
-TranslationService) and prove the swap contract end to end: version
-bump, per-database cache invalidation, and a post-drift value query
-resolving against content that did not exist at index-build time.
+TranslationService) and prove the swap contract end to end — the swap
+is the only way new content reaches serving, since a built index is
+never mutated: version bump, pre-swap answers unreadable through the
+generation cache key, and a post-drift value query resolving against
+content that did not exist at index-build time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.evolve import (
     DriftVerdict,
     KBRefresher,
     SchemaWatcher,
-    deep_fingerprint,
     generate_examples,
 )
 from repro.index.registry import IndexRegistry, database_fingerprint
@@ -109,7 +110,6 @@ class TestSchemaWatcher:
         """The case the registry's cheap fingerprint cannot see."""
         database = Database.open(pets_file)
         cheap_before = database_fingerprint(database)
-        deep_before = deep_fingerprint(database)
         watcher = SchemaWatcher(pets_file)
         with _writer(pets_file) as conn:
             conn.execute(
@@ -118,10 +118,8 @@ class TestSchemaWatcher:
         report = watcher.poll()
         assert report.verdict is DriftVerdict.CONTENT_CHANGED
         assert report.tables_changed == ("student",)
-        # Row counts are identical, so the cheap fingerprint is blind ...
+        # Row counts are identical, so the cheap fingerprint is blind.
         assert database_fingerprint(database) == cheap_before
-        # ... while the sampled-content fingerprint moves.
-        assert deep_fingerprint(database) != deep_before
         watcher.close()
         database.close()
 
@@ -162,33 +160,10 @@ class TestSchemaWatcher:
         watcher.close()
 
 
-# ----------------------------------------------------- registry stale-serve
+# ----------------------------------------------------------- registry swap
 
 
-class TestRegistryStaleServe:
-    def test_stale_entry_served_while_refresher_owns_key(self, pets_file):
-        registry = IndexRegistry()
-        database = Database.open(pets_file)
-        first = registry.get(database)
-        assert registry.stats()["build_count"] == 1
-        with _writer(pets_file) as conn:
-            conn.execute(
-                "INSERT INTO student VALUES (6,'Fay Burke',20,'Wales','F')"
-            )
-        registry.mark_background_refresh(database.schema.name)
-        served = registry.get(database)
-        # Stale fingerprint + armed refresher => the old entry, no rebuild.
-        assert served is first
-        stats = registry.stats()
-        assert stats["build_count"] == 1
-        assert stats["stale_hit_count"] >= 1
-        # Disarmed, the lazy rebuild path is back.
-        registry.mark_background_refresh(database.schema.name, False)
-        rebuilt = registry.get(database)
-        assert rebuilt is not first
-        assert registry.stats()["build_count"] == 2
-        database.close()
-
+class TestRegistrySwap:
     def test_swap_bumps_version_atomically(self, pets_file):
         registry = IndexRegistry()
         database = Database.open(pets_file)
@@ -253,7 +228,7 @@ class TestKBRefresher:
             before = service.translate(question)
             assert before.ok
             assert "Zambia" not in (before.sql or "")
-            # Warm the cache so invalidation is observable.
+            # Warm the cache so a stale read would be observable.
             assert service.translate(question).cache_hit
             v_before = registry.version("pets")
 
@@ -268,11 +243,12 @@ class TestKBRefresher:
             assert info["verdict"] == DriftVerdict.CONTENT_CHANGED.value
             assert info["version"] > v_before
             assert registry.version("pets") == info["version"]
-            assert cache.stats()["invalidations"] >= 1
 
             after = service.translate(question)
             assert after.ok
-            assert not after.cache_hit  # the stale entry really is gone
+            # The swap bumped the runtime's generation, so the pre-swap
+            # answer sits under a key no later request looks up.
+            assert not after.cache_hit
             assert "Zambia" in after.sql
         finally:
             _teardown_stack(previous, database, service, refresher)

@@ -67,12 +67,6 @@ class TestInvertedIndex:
         pairs = list(index.iter_text_values())
         assert ("France", ValueLocation("student", "home_country")) in pairs
 
-    def test_add_value_manual(self):
-        index = InvertedIndex()
-        location = ValueLocation("t", "c")
-        index.add_value("Hello", location)
-        assert index.lookup("hello") == {location}
-
     def test_num_distinct_values(self, index):
         assert index.num_distinct_values > 5
 

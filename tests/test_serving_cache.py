@@ -95,24 +95,3 @@ class TestTtl:
         assert stats["misses"] == 1
         assert stats["hit_rate"] == 0.0
         assert stats["capacity"] == 4
-
-
-class TestInvalidateDatabase:
-    """Per-database invalidation (called on a KB index swap)."""
-
-    def test_drops_only_the_named_database(self):
-        cache = TranslationCache(capacity=8, ttl_s=None)
-        pets = [CacheKey.make("pets", f"q{i}", 1) for i in range(3)]
-        city = CacheKey.make("city", "q0", 1)
-        for key in (*pets, city):
-            cache.put(key, "v")
-        assert cache.invalidate_database("pets") == 3
-        assert all(cache.get(key) is None for key in pets)
-        assert cache.get(city) == "v"  # other databases stay hot
-        assert cache.stats()["invalidations"] == 3
-
-    def test_unknown_database_is_a_noop(self):
-        cache = TranslationCache(capacity=4, ttl_s=None)
-        cache.put(CacheKey.make("pets", "q", 1), "v")
-        assert cache.invalidate_database("nope") == 0
-        assert len(cache) == 1

@@ -390,8 +390,8 @@ class TestCaching:
             repeat = service.translate(question)
         assert swaps == [True]
         assert straddling.ok and not straddling.cache_hit
-        # The old bundle's SQL was put after the swap's invalidation; no
-        # request of the new generation may read it.
+        # The old bundle's SQL was put after the swap; no request of the
+        # new generation may read it.
         assert after_swap.engine == "model" and not after_swap.cache_hit
         assert repeat.cache_hit
         assert pipeline.calls == 2

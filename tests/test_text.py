@@ -10,14 +10,9 @@ from repro.text import (
     Token,
     WordPieceVocab,
     all_ngrams,
-    character_ngrams,
     damerau_levenshtein,
-    jaro,
-    jaro_winkler,
-    levenshtein,
     ngrams,
     normalize_whitespace,
-    normalized_similarity,
     split_identifier,
     stem,
     tokenize,
@@ -114,19 +109,8 @@ class TestStemmer:
 
 
 class TestDistances:
-    def test_levenshtein_classic(self):
-        assert levenshtein("kitten", "sitting") == 3
-
-    def test_levenshtein_empty(self):
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "") == 3
-
-    def test_levenshtein_early_exit(self):
-        assert levenshtein("aaaaaaa", "bbbbbbb", max_distance=2) > 2
-
     def test_damerau_transposition(self):
         assert damerau_levenshtein("ca", "ac") == 1
-        assert levenshtein("ca", "ac") == 2
 
     def test_damerau_known(self):
         assert damerau_levenshtein("jfk", "jkf") == 1
@@ -146,11 +130,6 @@ class TestDistances:
         distance = damerau_levenshtein(a, b)
         assert (distance == 0) == (a == b)
 
-    @given(WORDS, WORDS)
-    @settings(max_examples=150)
-    def test_damerau_upper_bounded_by_levenshtein(self, a, b):
-        assert damerau_levenshtein(a, b) <= levenshtein(a, b)
-
     @given(WORDS, WORDS, WORDS)
     @settings(max_examples=80)
     def test_damerau_triangle_inequality(self, a, b, c):
@@ -161,28 +140,6 @@ class TestDistances:
         bc = damerau_levenshtein(b, c)
         ac = damerau_levenshtein(a, c)
         assert ac <= ab + bc + 1
-
-    def test_jaro_identical(self):
-        assert jaro("abc", "abc") == 1.0
-
-    def test_jaro_disjoint(self):
-        assert jaro("abc", "xyz") == 0.0
-
-    def test_jaro_winkler_prefix_boost(self):
-        assert jaro_winkler("martha", "marhta") > jaro("martha", "marhta")
-
-    @given(WORDS, WORDS)
-    @settings(max_examples=100)
-    def test_jaro_winkler_in_unit_interval(self, a, b):
-        assert 0.0 <= jaro_winkler(a, b) <= 1.0
-
-    def test_normalized_similarity_case_insensitive(self):
-        assert normalized_similarity("France", "FRANCE") == 1.0
-
-    @given(WORDS, WORDS)
-    @settings(max_examples=100)
-    def test_normalized_similarity_unit_interval(self, a, b):
-        assert 0.0 <= normalized_similarity(a, b) <= 1.0
 
 
 class TestNgrams:
@@ -207,9 +164,6 @@ class TestNgrams:
     def test_all_ngrams_longest_first(self):
         lengths = [len(g) for g in all_ngrams(["a", "b", "c", "d"])]
         assert lengths == sorted(lengths, reverse=True)
-
-    def test_character_ngrams(self):
-        assert character_ngrams("jfk", 2) == ["jf", "fk"]
 
     @given(st.lists(WORDS, min_size=1, max_size=6), st.integers(1, 6))
     def test_ngram_count(self, tokens, n):

@@ -37,10 +37,31 @@ from repro.index import (
 )
 from repro.index.persistence import FORMAT_VERSION
 from repro.preprocessing import Preprocessor
+from repro.schema import Column, ColumnType, Schema, Table
 from repro.serving import DatabaseRuntime, TranslationService
 from repro.spider import CorpusConfig, generate_corpus
 from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
 from repro.text.ngrams import padded_qgrams
+
+
+def index_cells(
+    cells: list[tuple[str, int]], *, columns: int = 3, **kwargs: int
+) -> InvertedIndex:
+    """``InvertedIndex.build`` (the path serving runs) over an in-memory
+    one-table database: each ``(value, column)`` cell is one row of table
+    ``t`` holding ``value`` in column ``c<column>`` and NULL elsewhere."""
+    table = Table(
+        "t", tuple(Column(f"c{i}", "t", ColumnType.TEXT) for i in range(columns))
+    )
+    database = Database.create(Schema("cells", [table]))
+    database.insert_rows("t", [
+        tuple(value if i == column else None for i in range(columns))
+        for value, column in cells
+    ])
+    try:
+        return InvertedIndex.build(database, **kwargs)
+    finally:
+        database.close()
 
 
 def naive_search(index: InvertedIndex, query: str, max_distance: int):
@@ -340,9 +361,7 @@ class TestDifferentialAgainstNaive:
         """Values, locations, distances and order of ``search`` equal the
         full DP over every pooled value, for arbitrary small indexes
         (case variants and repeats across columns included)."""
-        index = InvertedIndex()
-        for value, column in cells:
-            index.add_value(value, ValueLocation("t", f"c{column}"))
+        index = index_cells(cells)
         searcher = SimilaritySearcher(index)
         got = searcher.search(query, max_distance=k, max_results=10 * len(cells) + 1)
         assert [(m.value, m.location, m.distance) for m in got] == naive_search(
@@ -351,16 +370,25 @@ class TestDifferentialAgainstNaive:
 
     def test_cross_column_fanout(self):
         """A string in many columns is returned once per location."""
-        index = InvertedIndex()
-        locations = [ValueLocation(f"t{i}", "c") for i in range(5)]
-        for location in locations:
-            index.add_value("Paris", location)
+        index = index_cells([("Paris", i) for i in range(5)], columns=5)
+        locations = [ValueLocation("t", f"c{i}") for i in range(5)]
         searcher = SimilaritySearcher(index)
         matches = searcher.search("paris", max_distance=1, max_results=50)
         assert sorted((m.location for m in matches), key=str) == sorted(
             locations, key=str
         )
         assert all(m.distance == 0 for m in matches)
+
+    def test_build_dedupes_caps_and_skips_blank_cells(self):
+        """A column's pool keeps one spelling per normalized key and at
+        most ``max_values_per_column`` rows; blank cells are not indexed."""
+        cells = [("Paris", 0), ("paris", 0), (" Paris ", 0), ("   ", 0)]
+        cells += [(f"value{i}", 1) for i in range(10)]
+        index = index_cells(cells, columns=2, max_values_per_column=5)
+        assert index.values_in_column(ValueLocation("t", "c0")) == ["Paris"]
+        assert index.lookup("PARIS") == {ValueLocation("t", "c0")}
+        assert len(index.values_in_column(ValueLocation("t", "c1"))) == 5
+        assert index.num_distinct_values == 1 + 5
 
 
 # ----------------------------------------------------- searcher behavior
@@ -388,24 +416,6 @@ class TestSearcherCacheAndStaleness:
         assert len(searcher.search("fran", max_distance=3, max_results=1)) == 1
         assert searcher.search("fran", max_distance=3, max_results=50) == full
 
-    def test_values_added_after_construction_are_found(self, pets_db):
-        """Regression: the searcher must see index mutations (it used to
-        snapshot per-column pools at construction and go stale)."""
-        index = InvertedIndex.build(pets_db)
-        searcher = SimilaritySearcher(index)
-        assert searcher.best_match("Xanadu", max_distance=1) is None
-        index.add_value("Xanadu", ValueLocation("student", "home_country"))
-        match = searcher.best_match("Xanadu", max_distance=1)
-        assert match is not None and match.value == "Xanadu"
-        assert searcher.stats.pool_rebuilds == 1
-
-    def test_mutation_invalidates_memo(self, pets_db):
-        index = InvertedIndex.build(pets_db)
-        searcher = SimilaritySearcher(index)
-        assert searcher.search("Xanadu", max_distance=0) == []
-        index.add_value("xanadu", ValueLocation("student", "home_country"))
-        assert searcher.search("Xanadu", max_distance=0) != []
-
     def test_dp_call_accounting(self, pets_db):
         searcher = SimilaritySearcher(InvertedIndex.build(pets_db))
         searcher.search("frnace")
@@ -431,38 +441,6 @@ class TestSearcherCacheAndStaleness:
         searcher.remove_observer(searcher._observers[0])
         searcher.search("italy")
         assert len(events) == 2
-
-
-class TestAddValueFix:
-    def test_add_value_dedupes_column_pool(self):
-        index = InvertedIndex()
-        location = ValueLocation("t", "c")
-        index.add_value("Paris", location)
-        index.add_value("paris", location)  # same normalized key
-        index.add_value(" Paris ", location)
-        assert index.values_in_column(location) == ["Paris"]
-        assert index.lookup("PARIS") == {location}
-
-    def test_add_value_respects_cap(self):
-        index = InvertedIndex(max_values_per_column=3)
-        location = ValueLocation("t", "c")
-        for i in range(10):
-            index.add_value(f"value{i}", location)
-        assert len(index.values_in_column(location)) == 3
-        # exact lookup still knows every value (validation path)
-        assert index.lookup("value9") == {location}
-
-    def test_add_value_ignores_empty(self):
-        index = InvertedIndex()
-        index.add_value("   ", ValueLocation("t", "c"))
-        assert index.num_distinct_values == 0
-
-    def test_build_then_add_consistent_with_index_column(self, pets_db):
-        index = InvertedIndex.build(pets_db)
-        location = ValueLocation("pet", "pet_type")
-        before = index.values_in_column(location)
-        index.add_value("Dog", location)  # duplicate of an indexed value
-        assert index.values_in_column(location) == before
 
 
 # ------------------------------------------------------------ persistence
@@ -569,16 +547,6 @@ class TestPersistence:
     def test_missing_file_returns_none(self, tmp_path):
         assert load_bundle(tmp_path / "absent.index", fingerprint="fp") is None
 
-    def test_loaded_searcher_tracks_new_mutations(self, pets_db, tmp_path):
-        index = InvertedIndex.build(pets_db)
-        path = tmp_path / "pets.index"
-        save_bundle(
-            path, fingerprint="fp", index=index, searcher=SimilaritySearcher(index)
-        )
-        loaded_index, loaded_searcher = load_bundle(path, fingerprint="fp")
-        loaded_index.add_value("Xanadu", ValueLocation("student", "home_country"))
-        assert loaded_searcher.best_match("Xanadu") is not None
-
 
 # --------------------------------------------------------------- registry
 
@@ -655,12 +623,6 @@ class TestRegistry:
         entry = warm.get(pets_db)
         assert entry.source == "built"  # fingerprint mismatch on disk
         assert entry.index.contains("England")
-
-    def test_invalidate_forces_rebuild(self, pets_db, fresh_registry):
-        Preprocessor(pets_db)
-        fresh_registry.invalidate("pets")
-        Preprocessor(pets_db)
-        assert fresh_registry.build_count == 2
 
     def test_warm_builds_each_database_once(self, spider_corpus):
         registry = IndexRegistry()
