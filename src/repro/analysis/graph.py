@@ -302,8 +302,5 @@ class ProjectContext:
             ]
         return []
 
-    def functions_in_module(self, mod: str) -> list[FunctionInfo]:
-        return [f for f in self.functions.values() if f.module == mod]
-
     def functions_in_path(self, logical_path: str) -> list[FunctionInfo]:
         return [f for f in self.functions.values() if f.path == logical_path]

@@ -42,7 +42,3 @@ class DatasetError(ReproError):
 
 class ModelError(ReproError):
     """The neural model was configured or used incorrectly."""
-
-
-class VocabularyError(ModelError):
-    """A token could not be resolved against a closed vocabulary."""

@@ -25,10 +25,9 @@ the arrays without any per-value rebuild.
 
 The pool is derived once, in the constructor, and never mutated (the
 index it reads is immutable), so scans read it without a lock; the one
-lock guards the span memo, the observers and the :class:`SearchStats`
-(DP calls, cache traffic, wall time).  Observers are notified after
-every search so the serving layer can export the numbers without
-reaching into internals.
+lock guards the span memo and the :class:`SearchStats` (DP calls, cache
+traffic, wall time), which :meth:`SimilaritySearcher.stats_snapshot`
+reads for ``/healthz`` and the benchmark.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ class SimilaritySearcher:
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple[str, int], list[SimilarValue]] = OrderedDict()  # guarded by: _lock
         self._lock = make_lock("SimilaritySearcher._lock")
-        self._observers: list = []  # guarded by: _lock
         self.stats = SearchStats()  # guarded by: _lock
         self._build_pool(index)
 
@@ -157,9 +155,6 @@ class SimilaritySearcher:
             if matches is not None:
                 self._cache.move_to_end(key)
                 self.stats.cache_hits += 1
-                cache_hit = True
-            else:
-                cache_hit = False
         if matches is None:
             matches, dp_calls = self._scan(lowered, max_distance)
             with self._lock:
@@ -173,9 +168,6 @@ class SimilaritySearcher:
         with self._lock:
             self.stats.searches += 1
             self.stats.search_seconds += elapsed
-            observers = list(self._observers)
-        for observer in observers:
-            observer(elapsed, cache_hit)
         return matches[:max_results]
 
     def _scan(
@@ -212,29 +204,9 @@ class SimilaritySearcher:
 
     # ------------------------------------------------------ observability
 
-    def cache_info(self) -> dict:
-        """Hit/miss counts and current size of the span memo."""
-        with self._lock:
-            return {
-                "hits": self.stats.cache_hits,
-                "misses": self.stats.cache_misses,
-                "size": len(self._cache),
-                "max_size": self._cache_size,
-            }
-
     def stats_snapshot(self) -> dict:
         with self._lock:
             return self.stats.as_dict()
-
-    def add_observer(self, observer) -> None:
-        """Register ``observer(seconds, cache_hit)`` called after each search."""
-        with self._lock:
-            self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        with self._lock:
-            if observer in self._observers:
-                self._observers.remove(observer)
 
     # -------------------------------------------------------- persistence
 
@@ -260,7 +232,6 @@ class SimilaritySearcher:
         searcher._cache_size = cache_size
         searcher._cache = OrderedDict()
         searcher._lock = make_lock("SimilaritySearcher._lock")
-        searcher._observers = []
         searcher.stats = SearchStats()
         searcher._loc_table = [
             ValueLocation(table, column) for table, column in state["loc_table"]

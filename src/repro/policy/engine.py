@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ReproError, SqlParseError
 from repro.schema.graph import SchemaGraph
 
-from repro.policy.config import PolicyConfig, PolicyConfigStore
+from repro.policy.config import PolicyConfigStore
 from repro.policy.rules import PolicyContext, PolicyViolation, all_rules, mask_strings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,11 +83,6 @@ class PolicyEngine:
             "Queries blocked by the SQL policy engine.",
             label="tenant",
         )
-
-    def resolve_config(
-        self, database_id: str | None = None, tenant_id: str | None = None
-    ) -> PolicyConfig:
-        return self._store.resolve(database_id, tenant_id)
 
     # ------------------------------------------------------------ checking
 

@@ -72,10 +72,6 @@ class SchemaHints:
     column_hints: list[SchemaHint]
 
 
-def _stems(words: list[str]) -> set[str]:
-    return {stem(word) for word in words}
-
-
 def compute_question_hints(
     tokens: list[Token],
     schema: Schema,

@@ -95,7 +95,8 @@ class Preprocessor:
 
     @property
     def searcher(self) -> SimilaritySearcher:
-        """The shared similarity searcher (for metrics observers)."""
+        """The shared similarity searcher (its ``stats_snapshot()`` feeds
+        ``/healthz`` and the benchmark)."""
         return self._searcher
 
     def rebind(self, index: InvertedIndex, searcher: SimilaritySearcher) -> None:

@@ -100,18 +100,6 @@ class SchemaGraph:
             fk.source_table, fk.source_column,
         )
 
-    def path_edges(self, path: list[str]) -> list[JoinEdge]:
-        """Resolve a table-name path into oriented join edges."""
-        edges: list[JoinEdge] = []
-        for left, right in zip(path, path[1:]):
-            edge = self.edge_between(left, right)
-            if edge is None:
-                raise SchemaError(
-                    f"no FK edge between {left!r} and {right!r} on the path"
-                )
-            edges.append(edge)
-        return edges
-
     def original_name(self, table_key: str) -> str:
         """Original-cased table name for a lower-cased graph node key."""
         return self.graph.nodes[table_key.lower()]["label"]

@@ -37,15 +37,6 @@ class JoinPlan:
     tables: tuple[str, ...]
     edges: tuple[JoinEdge, ...]
 
-    @property
-    def bridge_tables(self) -> tuple[str, ...]:
-        """Tables that appear in the plan beyond the requested set.
-
-        Only meaningful when produced by :func:`plan_joins` (which records
-        the requested tables in order first).
-        """
-        return self.tables
-
 
 def shortest_join_path(graph: SchemaGraph, table_a: str, table_b: str) -> list[str]:
     """Shortest table path between two tables (Dijkstra over FK edges).

@@ -187,7 +187,6 @@ class GrammarState:
         self._stack: list[tuple[ActionType, bool, str | None]] = [
             (root, False, None)
         ]
-        self._steps = 0
         self._left_arity: int | None = None
 
     @property
@@ -199,15 +198,10 @@ class GrammarState:
         """Number of non-terminals still waiting for expansion."""
         return len(self._stack)
 
-    @property
-    def steps_taken(self) -> int:
-        return self._steps
-
     def clone(self) -> "GrammarState":
         """An independent copy (used by beam search to fork hypotheses)."""
         copy = GrammarState.__new__(GrammarState)
         copy._stack = list(self._stack)
-        copy._steps = self._steps
         copy._left_arity = self._left_arity
         return copy
 
@@ -302,7 +296,6 @@ class GrammarState:
             ):
                 child_tag = "bare_operand"
             self._stack.append((child, child_in_subquery, child_tag))
-        self._steps += 1
 
     def advance_pointer(self, action_type: ActionType) -> None:
         """Consume a pointer step of the expected pointer type."""
@@ -314,4 +307,3 @@ class GrammarState:
         if action_type not in POINTER_TYPES:
             raise GrammarError(f"{action_type.value} is not a pointer type")
         self._stack.pop()
-        self._steps += 1

@@ -4,7 +4,10 @@ per connection).
 Endpoints (all JSON unless noted):
 
 * ``GET  /healthz``  — combined health snapshot (always 200 once a
-  service is attached; the detail lives in the body).
+  service is attached; the detail lives in the body).  Its
+  ``value_search`` block maps each database id to that database's
+  current searcher counters (searches, memo hits/misses, DP calls,
+  search seconds); an index swap resets them with the new searcher.
 * ``GET  /livez``    — liveness only: 200 whenever the process can
   answer HTTP at all.  Restart the instance when this fails.
 * ``GET  /readyz``   — readiness: 503 until the backing service exists
@@ -17,6 +20,9 @@ Endpoints (all JSON unless noted):
   "beam_size": ..., "execute": ..., "timeout_ms": ...,
   "inject_failure": ..., "dialect": ...}``; only ``question`` is
   required (and ``database_id`` only when serving several databases).
+  ``beam_size`` is an int in ``1..MAX_BEAM_SIZE`` (8), ``execute`` and
+  ``inject_failure`` are JSON booleans, ``timeout_ms`` is a finite
+  number >= 0; other values are a 400 before tenancy admission.
   ``dialect`` selects the SQL flavor of the response
   (``sqlite``/``postgres``/``mysql``).  When a policy engine is
   configured and a rule blocks the query, the response is a 403 whose

@@ -121,11 +121,6 @@ class DatabaseRuntime:
     def has_model(self) -> bool:
         return self.pipeline is not None
 
-    @property
-    def searcher(self):
-        """The shared similarity searcher (for serving metrics wiring)."""
-        return self.preprocessor.searcher
-
     def translate(
         self,
         question: str,
@@ -155,9 +150,9 @@ class DatabaseRuntime:
         with self._lock:  # against adopt_index, see the module docstring
             return self.pipeline.translate_batch(questions, beam_size=beam_size)
 
-    def adopt_index(self, entry, *, schema=None):
+    def adopt_index(self, entry, *, schema=None) -> None:
         """Swap in a background-built index bundle (and optionally a
-        re-introspected schema); returns the previously bound searcher.
+        re-introspected schema).
 
         Everything the translate path reads is rebound in ONE critical
         section of the per-runtime lock — the lock every translation
@@ -180,7 +175,6 @@ class DatabaseRuntime:
         if schema is not None and self.model is not None:
             self.model.schema_cache.get(schema, self.model.vocab)
         with self._lock:
-            old_searcher = self.preprocessor.searcher
             if schema is not None:
                 self.database.schema = schema
             self.preprocessor.rebind(entry.index, entry.searcher)
@@ -191,7 +185,6 @@ class DatabaseRuntime:
             )
             self._graph = None
             self.generation += 1
-        return old_searcher
 
     @property
     def schema_graph(self) -> SchemaGraph:

@@ -272,9 +272,7 @@ class TranslationService:
         # monotonic twin below (see WALLCLOCK in docs/analysis-rules.md).
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
-        self._observed_searchers: list = []  # guarded by: _runtime_lock
         self._init_metrics()
-        self._attach_value_search_observers()
 
     # ------------------------------------------------------------- metrics
 
@@ -322,15 +320,6 @@ class TranslationService:
                 f"per-request {stage} stage latency (Table II split)")
             for stage in STAGES
         }
-        self._value_search_hist = m.histogram(
-            "preprocess_value_search_seconds",
-            "wall time of one similarity search over database values")
-        self._value_search_cache_hits = m.counter(
-            "value_search_cache_hits_total",
-            "similarity-search span-memo hits")
-        self._value_search_cache_misses = m.counter(
-            "value_search_cache_misses_total",
-            "similarity-search span-memo misses (full blocked scans)")
         self._internal_errors = m.counter(
             "serving_internal_errors_total",
             "unexpected exceptions caught in the worker/finalize paths")
@@ -340,30 +329,6 @@ class TranslationService:
         self._execution_errors = m.counter(
             "serving_execution_errors_total",
             "allowed SQL that failed to execute (model, heuristic or cached)")
-
-    def _attach_value_search_observers(self) -> None:
-        """Subscribe to every runtime's shared searcher.
-
-        Runtimes of different databases have distinct searchers; runtimes
-        sharing one database (and therefore one registry-backed searcher)
-        must not double-count, so observers are dedup'd by searcher id.
-        """
-        with self._runtime_lock:
-            seen: set[int] = set()
-            for runtime in self.runtimes.values():
-                searcher = runtime.searcher
-                if id(searcher) in seen:
-                    continue
-                seen.add(id(searcher))
-                searcher.add_observer(self._on_value_search)
-                self._observed_searchers.append(searcher)
-
-    def _on_value_search(self, seconds: float, cache_hit: bool) -> None:
-        self._value_search_hist.observe(seconds)
-        if cache_hit:
-            self._value_search_cache_hits.inc()
-        else:
-            self._value_search_cache_misses.inc()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -391,12 +356,6 @@ class TranslationService:
             thread.join(timeout=timeout)
         self._threads.clear()
         self._started = False
-        # Registry-backed searchers outlive the service; detach so a
-        # stopped service stops recording into its metrics.
-        with self._runtime_lock:
-            observed, self._observed_searchers = self._observed_searchers, []
-        for searcher in observed:
-            searcher.remove_observer(self._on_value_search)
 
     def drain(self, *, timeout: float = 10.0) -> bool:
         """Graceful shutdown: stop accepting, flush the queue, then stop.
@@ -440,15 +399,6 @@ class TranslationService:
             if runtime.database_id in self.runtimes:
                 raise ValueError(f"duplicate database id {runtime.database_id!r}")
             self.runtimes[runtime.database_id] = runtime
-            # Observer wiring shares the critical section: two concurrent
-            # adoptions of runtimes sharing a searcher must not
-            # double-subscribe it (that would double-count every search).
-            searcher = runtime.searcher
-            if all(
-                searcher is not observed for observed in self._observed_searchers
-            ):
-                searcher.add_observer(self._on_value_search)
-                self._observed_searchers.append(searcher)
 
     def on_index_swap(self, database_id: str, entry, *, schema=None) -> bool:
         """Adopt a background-rebuilt index bundle for one database.
@@ -456,25 +406,14 @@ class TranslationService:
         Called by the KB refresher after it published ``entry`` to the
         registry.  Rebinds the runtime under its own lock (which bumps
         the generation in its cache keys, so no pre-swap answer is read
-        again) and re-wires the value-search metrics observer from the
-        old searcher to the new one.  Returns False when this service
-        does not host the database.
+        again).  Returns False when this service does not host the
+        database.
         """
         with self._runtime_lock:
             runtime = self.runtimes.get(database_id)
         if runtime is None:
             return False
-        old_searcher = runtime.adopt_index(entry, schema=schema)
-        with self._runtime_lock:
-            if any(s is old_searcher for s in self._observed_searchers):
-                self._observed_searchers = [
-                    s for s in self._observed_searchers if s is not old_searcher
-                ]
-                old_searcher.remove_observer(self._on_value_search)
-            new_searcher = entry.searcher
-            if all(s is not new_searcher for s in self._observed_searchers):
-                new_searcher.add_observer(self._on_value_search)
-                self._observed_searchers.append(new_searcher)
+        runtime.adopt_index(entry, schema=schema)
         return True
 
     def __enter__(self) -> "TranslationService":
@@ -839,6 +778,8 @@ class TranslationService:
     # ------------------------------------------------------------- health
 
     def health(self) -> dict:
+        with self._runtime_lock:
+            runtimes = list(self.runtimes.values())
         return {
             "status": "stopping" if self._stopping else (
                 "ok" if self._started else "idle"),
@@ -850,6 +791,10 @@ class TranslationService:
             "queue_capacity": self._queue.maxsize,
             "queue_lanes": self._queue.lanes(),
             "cache": self.cache.stats(),
+            "value_search": {
+                runtime.database_id: runtime.preprocessor.searcher.stats_snapshot()
+                for runtime in runtimes
+            },
             "evolve": (
                 self.refresher.stats() if self.refresher is not None else None
             ),

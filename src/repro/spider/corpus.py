@@ -100,10 +100,6 @@ class SpiderCorpus:
     def num_dev(self) -> int:
         return len(self.dev)
 
-    def examples_with_values(self, split: str = "train") -> list[Example]:
-        examples = self.train if split == "train" else self.dev
-        return [e for e in examples if e.has_values]
-
     # ------------------------------------------------------ serialization
 
     def save(self, directory: str | Path) -> None:

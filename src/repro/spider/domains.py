@@ -544,14 +544,6 @@ class DomainInstance:
             database.insert_rows(table.name, self.rows[table.name])
         return database
 
-    def column_spec(self, table_name: str, column_name: str) -> ColumnSpec:
-        for column in self.spec.table(table_name).columns:
-            if column.name == column_name:
-                return column
-        raise DatasetError(
-            f"domain {self.spec.name!r} has no column {table_name}.{column_name}"
-        )
-
     def column_values(self, table_name: str, column_name: str) -> list[object]:
         table_spec = self.spec.table(table_name)
         index = [c.name for c in table_spec.columns].index(column_name)

@@ -134,10 +134,6 @@ class WordPieceVocab:
                 position = end
         return ids
 
-    def encode_words(self, words: Iterable[str]) -> list[list[int]]:
-        """Encode a sequence of words, one id list per word."""
-        return [self.encode_word(word) for word in words]
-
     # ----------------------------------------------------------- train/save
 
     @classmethod

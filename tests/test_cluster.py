@@ -513,6 +513,10 @@ class TestClusterIntegration:
             assert state["service"]["worker_id"] == int(worker_id)
             assert "hits" in state["service"]["cache"]
             assert "build_count" in state["service"]["registry"]
+            value_search = state["service"]["value_search"]
+            assert set(value_search) == set(state["service"]["databases"])
+            for stats in value_search.values():
+                assert stats["cache_hits"] + stats["cache_misses"] == stats["searches"]
         text = cluster.metrics.render_text()
         assert 'cluster_worker_up{worker="0"} 1' in text
         assert "serving_requests_total" in text

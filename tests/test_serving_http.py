@@ -23,6 +23,7 @@ from repro.serving import (
     TranslationService,
     UnknownDatabaseError,
 )
+from repro.serving.routes import MAX_BEAM_SIZE
 from repro.tenancy.controller import (
     AuthenticationError,
     QuotaExceededError,
@@ -364,6 +365,48 @@ class TestRouteMatrix:
                      id="quota_429"),
         pytest.param({"question": "x" * (70 * 1024)}, GOOD_KEY, 413, {},
                      id="oversized_body_413"),
+        pytest.param({"question": "How many pets?", "beam_size": MAX_BEAM_SIZE,
+                      "execute": True, "timeout_ms": 0, "inject_failure": False},
+                     GOOD_KEY, 200, {}, id="every_param_valid"),
+        pytest.param({"question": "How many pets?", "beam_size": None,
+                      "timeout_ms": None}, GOOD_KEY, 200, {},
+                     id="null_params_are_defaults"),
+        pytest.param(b'{"question": "q", "beam_size": 1e400}', GOOD_KEY, 400, {},
+                     id="beam_size_infinite_400"),
+        pytest.param({"question": "q", "beam_size": 0}, GOOD_KEY, 400, {},
+                     id="beam_size_zero_400"),
+        pytest.param({"question": "q", "beam_size": -3}, GOOD_KEY, 400, {},
+                     id="beam_size_negative_400"),
+        pytest.param({"question": "q", "beam_size": MAX_BEAM_SIZE + 1}, GOOD_KEY,
+                     400, {}, id="beam_size_over_max_400"),
+        pytest.param({"question": "q", "beam_size": 30000}, GOOD_KEY, 400, {},
+                     id="beam_size_huge_400"),
+        pytest.param({"question": "q", "beam_size": True}, GOOD_KEY, 400, {},
+                     id="beam_size_bool_400"),
+        pytest.param({"question": "q", "beam_size": 2.0}, GOOD_KEY, 400, {},
+                     id="beam_size_float_400"),
+        pytest.param({"question": "q", "beam_size": "2"}, GOOD_KEY, 400, {},
+                     id="beam_size_string_400"),
+        pytest.param({"question": "q", "execute": "false"}, GOOD_KEY, 400, {},
+                     id="execute_string_400"),
+        pytest.param({"question": "q", "execute": None}, GOOD_KEY, 400, {},
+                     id="execute_null_400"),
+        pytest.param({"question": "q", "inject_failure": 1}, GOOD_KEY, 400, {},
+                     id="inject_failure_int_400"),
+        pytest.param({"question": "q", "timeout_ms": -1}, GOOD_KEY, 400, {},
+                     id="timeout_negative_400"),
+        pytest.param({"question": "q", "timeout_ms": "100"}, GOOD_KEY, 400, {},
+                     id="timeout_string_400"),
+        pytest.param({"question": "q", "timeout_ms": False}, GOOD_KEY, 400, {},
+                     id="timeout_bool_400"),
+        pytest.param(b'{"question": "q", "timeout_ms": 1e400}', GOOD_KEY, 400, {},
+                     id="timeout_infinite_400"),
+        pytest.param(b'{"question": "q", "timeout_ms": NaN}', GOOD_KEY, 400, {},
+                     id="timeout_nan_400"),
+        pytest.param(b'{"question": "q", "timeout_ms": 1' + b"0" * 400 + b"}",
+                     GOOD_KEY, 400, {}, id="timeout_int_overflows_float_400"),
+        pytest.param({"question": "q", "beam_size": 0}, None, 400, {},
+                     id="bad_params_checked_before_admission_400"),
     ])
     def test_translate(self, fake_server, payload, key, status, expect):
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
@@ -371,7 +414,10 @@ class TestRouteMatrix:
             fake_server, "POST", "/translate", body=body, key=key
         )
         assert got_status == status
-        assert expect.items() <= json.loads(out).items()
+        answer = json.loads(out)
+        assert expect.items() <= answer.items()
+        if status == 400:
+            assert answer["error"]
 
     def test_post_unknown_path_404(self, fake_server):
         status, _ = _request(fake_server, "POST", "/nope", body=b"{}")

@@ -241,7 +241,7 @@ class TestConcurrency:
             pets_db, database_id="pets", pipeline=ParkedPipeline()
         )
         bundle = SimpleNamespace(
-            index=runtime.preprocessor.index, searcher=runtime.searcher
+            index=runtime.preprocessor.index, searcher=runtime.preprocessor.searcher
         )
 
         def swap() -> None:
@@ -372,7 +372,7 @@ class TestCaching:
         pipeline = FakePipeline()
         runtime = DatabaseRuntime(pets_db, database_id="pets", pipeline=pipeline)
         bundle = SimpleNamespace(
-            index=runtime.preprocessor.index, searcher=runtime.searcher
+            index=runtime.preprocessor.index, searcher=runtime.preprocessor.searcher
         )
         check_sql = runtime.check_sql
         swaps: list[bool] = []

@@ -12,10 +12,14 @@ scalar kernels of :mod:`repro.text.distance` for the batched verify, and
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
+import threading
+import urllib.request
 from array import array
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.index import (
     BlockedValuePool,
     IndexRegistry,
     InvertedIndex,
+    SearchStats,
     SimilaritySearcher,
     ValueLocation,
     database_fingerprint,
@@ -38,7 +43,7 @@ from repro.index import (
 from repro.index.persistence import FORMAT_VERSION
 from repro.preprocessing import Preprocessor
 from repro.schema import Column, ColumnType, Schema, Table
-from repro.serving import DatabaseRuntime, TranslationService
+from repro.serving import DatabaseRuntime, ServingServer, TranslationService
 from repro.spider import CorpusConfig, generate_corpus
 from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
 from repro.text.ngrams import padded_qgrams
@@ -400,9 +405,9 @@ class TestSearcherCacheAndStaleness:
         searcher.search("frnace")
         searcher.search("frnace")
         searcher.search("frnace", max_distance=1)  # different bound: miss
-        info = searcher.cache_info()
-        assert info["hits"] == 1
-        assert info["misses"] == 2
+        assert searcher.stats.cache_hits == 1
+        assert searcher.stats.cache_misses == 2
+        assert searcher.stats.searches == 3
 
     def test_memoized_results_identical(self, pets_db):
         searcher = SimilaritySearcher(InvertedIndex.build(pets_db))
@@ -430,17 +435,6 @@ class TestSearcherCacheAndStaleness:
         assert searcher.stats.dp_calls == len(
             searcher._pool.candidate_indices("frnace", max_distance=2)
         )
-
-    def test_observer_notified(self, pets_db):
-        searcher = SimilaritySearcher(InvertedIndex.build(pets_db))
-        events = []
-        searcher.add_observer(lambda seconds, hit: events.append((seconds, hit)))
-        searcher.search("frnace")
-        searcher.search("frnace")
-        assert [hit for _, hit in events] == [False, True]
-        searcher.remove_observer(searcher._observers[0])
-        searcher.search("italy")
-        assert len(events) == 2
 
 
 # ------------------------------------------------------------ persistence
@@ -684,34 +678,38 @@ class TestRegistry:
         assert get_default_registry() is original
 
 
-# ------------------------------------------------------- serving metrics
+# ------------------------------------------------------ serving /healthz
 
 
-class TestServingValueSearchMetrics:
-    def test_histogram_and_cache_counters_recorded(self, pets_db, fresh_registry):
+class TestServingValueSearchHealth:
+    @staticmethod
+    def _value_search(server) -> dict:
+        with urllib.request.urlopen(server.url + "/healthz", timeout=30) as reply:
+            return json.loads(reply.read())["value_search"]
+
+    def test_healthz_reports_the_current_searchers_stats(
+        self, pets_db, fresh_registry
+    ):
         runtime = DatabaseRuntime(pets_db, database_id="pets")
-        service = TranslationService([runtime], workers=1)
-        with service:
+        service = TranslationService([runtime], workers=1).start()
+        server = ServingServer(("127.0.0.1", 0), service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
             service.translate("How many students are from France?")
             service.translate("students from Frnace")
-        snapshot = service.metrics.snapshot()
-        assert snapshot["preprocess_value_search_seconds"]["count"] > 0
-        traffic = (
-            snapshot["value_search_cache_hits_total"]
-            + snapshot["value_search_cache_misses_total"]
-        )
-        assert traffic == snapshot["preprocess_value_search_seconds"]["count"]
+            stats = self._value_search(server)["pets"]
+            assert stats == runtime.preprocessor.searcher.stats.as_dict()
+            assert stats["searches"] > 0
+            assert stats["cache_hits"] + stats["cache_misses"] == stats["searches"]
 
-    def test_observers_detached_on_stop(self, pets_db, fresh_registry):
-        runtime = DatabaseRuntime(pets_db, database_id="pets")
-        service = TranslationService([runtime], workers=1)
-        with service:
-            service.translate("students from France")
-        count_after_stop = service.metrics.snapshot()[
-            "preprocess_value_search_seconds"
-        ]["count"]
-        runtime.searcher.search("direct search after stop")
-        assert (
-            service.metrics.snapshot()["preprocess_value_search_seconds"]["count"]
-            == count_after_stop
-        )
+            index = runtime.preprocessor.index
+            fresh = SimpleNamespace(index=index, searcher=SimilaritySearcher(index))
+            assert service.on_index_swap("pets", fresh)
+            assert self._value_search(server)["pets"] == SearchStats().as_dict()
+            service.translate("students from Italy")
+            assert self._value_search(server)["pets"]["searches"] > 0
+            assert self._value_search(server)["pets"] == fresh.searcher.stats.as_dict()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
