@@ -2,16 +2,18 @@
 """Drift smoke test: live schema evolution under sustained load.
 
 Starts the serving stack in-process with a background KB refresher, then
-mutates the watched database — DDL (a new table) *and* content (rows
-with a value that did not exist at index-build time) — while client
-threads hammer /translate.  Passes only if:
+mutates the watched database in two phases while client threads hammer
+/translate: first DDL (a new table) *and* content (rows with a value
+that did not exist at index-build time), then one count-preserving
+UPDATE of a row past the table's first 4096 rows.  Passes only if:
 
 * zero requests fail (no 5xx — the swap is zero-downtime);
-* the index version visibly bumps in /healthz and the ``evolve_*``
-  refresh counters appear in the /metrics exposition;
+* after each phase the background refresher bumps the index version
+  visible in /healthz, and the ``evolve_*`` refresh counters appear in
+  the /metrics exposition;
 * ``POST /admin/refresh`` answers 200 with the refresh report;
-* a post-drift value query resolves against the NEW content (the
-  question names a value only the drifted rows contain);
+* post-drift value queries resolve against the NEW content (each
+  question names a value only one phase's rows contain);
 * the corpus file grew with validated examples referencing the new
   table.
 
@@ -44,6 +46,9 @@ from repro.serving import (
 LOAD_THREADS = 4
 LOAD_SECONDS = 4.0
 REFRESH_INTERVAL_S = 0.25
+# Filler students, so the phase-2 UPDATE lands past row 4096.
+FILLER_STUDENTS = 5000
+UPDATED_STUID = 4600
 
 QUESTIONS = (
     "How many students are there?",
@@ -69,6 +74,14 @@ def make_database(path: Path) -> None:
         INSERT INTO pet VALUES (10,'Dog',12.0),(11,'Cat',3.5);
         """
     )
+    countries = ("France", "Italy", "Spain")
+    connection.executemany(
+        "INSERT INTO student VALUES (?, ?, ?, ?)",
+        [
+            (stuid, f"Filler {stuid}", 18 + stuid % 10, countries[stuid % 3])
+            for stuid in range(100, 100 + FILLER_STUDENTS)
+        ],
+    )
     connection.commit()
     connection.close()
 
@@ -90,6 +103,32 @@ def post(url: str, route: str, body: dict) -> tuple[int, dict]:
 def get(url: str, route: str) -> str:
     with urllib.request.urlopen(url + route, timeout=10) as response:
         return response.read().decode("utf-8")
+
+
+def index_version(url: str) -> int:
+    return json.loads(get(url, "/healthz"))["evolve"]["versions"]["pets"]
+
+
+def wait_for_swap(url: str, version_before: int) -> int:
+    """Poll /healthz until the background refresher bumps the version."""
+    deadline = time.monotonic() + 20.0
+    version = version_before
+    while time.monotonic() < deadline:
+        version = index_version(url)
+        if version > version_before:
+            return version
+        time.sleep(0.1)
+    raise AssertionError(f"index version never bumped (still {version})")
+
+
+def assert_value_resolves(url: str, country: str, expected_name: str) -> None:
+    status, body = post(url, "/translate", {
+        "question": f"Which students are from {country}?",
+        "database_id": "pets", "execute": True,
+    })
+    assert status == 200, (status, body)
+    assert country in body["sql"], body["sql"]
+    assert [expected_name] in body["rows"], body
 
 
 class LoadGenerator:
@@ -162,8 +201,7 @@ def main() -> int:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            health = json.loads(get(server.url, "/healthz"))
-            version_before = health["evolve"]["versions"]["pets"]
+            version_before = index_version(server.url)
 
             with LoadGenerator(server.url) as load:
                 time.sleep(0.5)
@@ -183,17 +221,18 @@ def main() -> int:
                 writer.close()
 
                 # The background refresher must notice and swap on its own.
-                deadline = time.monotonic() + 20.0
-                version_after = version_before
-                while time.monotonic() < deadline:
-                    health = json.loads(get(server.url, "/healthz"))
-                    version_after = health["evolve"]["versions"]["pets"]
-                    if version_after > version_before:
-                        break
-                    time.sleep(0.1)
-                assert version_after > version_before, (
-                    f"index version never bumped (still {version_after})"
+                version_phase1 = wait_for_swap(server.url, version_before)
+
+                # Phase 2: an in-place UPDATE past row 4096 keeps every
+                # row count; only SQLite's commit counter shows it.
+                writer = sqlite3.connect(path)
+                writer.execute(
+                    "UPDATE student SET home_country = 'Tuvalu' "
+                    "WHERE stuid = ?", (UPDATED_STUID,),
                 )
+                writer.commit()
+                writer.close()
+                version_after = wait_for_swap(server.url, version_phase1)
                 # Keep the load running across the post-swap window too.
                 time.sleep(max(0.0, LOAD_SECONDS - 2.0))
 
@@ -203,15 +242,12 @@ def main() -> int:
             assert not bad, f"5xx during drift: {bad} (of {total})"
             assert total > 0, "load generator sent nothing"
 
-            # The new value resolves: 'Zanzibar' entered the database
-            # after the index was first built.
-            status, body = post(server.url, "/translate", {
-                "question": "Which students are from Zanzibar?",
-                "database_id": "pets", "execute": True,
-            })
-            assert status == 200, (status, body)
-            assert "Zanzibar" in body["sql"], body["sql"]
-            assert body["rows"], body
+            # The new values resolve: 'Zanzibar' and 'Tuvalu' entered the
+            # database after the index was first built.
+            assert_value_resolves(server.url, "Zanzibar", "Gil Tembo")
+            assert_value_resolves(
+                server.url, "Tuvalu", f"Filler {UPDATED_STUID}"
+            )
             # And the new table is queryable end to end.
             status, body = post(server.url, "/translate", {
                 "question": "How many rows are in clinic?",

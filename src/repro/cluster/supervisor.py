@@ -250,9 +250,6 @@ class ClusterService:
         self._lock = make_rlock("ClusterService._lock")
         self._started = False
         self._stopping = False
-        # Epoch stamp is for human display only; uptime math uses the
-        # monotonic twin below (see WALLCLOCK in docs/analysis-rules.md).
-        self.started_at = time.time()
         self._started_monotonic = time.monotonic()
         m = self.registry
         self._requests_total = m.counter(

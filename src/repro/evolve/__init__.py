@@ -4,15 +4,21 @@ The subsystem keeps a running service's knowledge of its databases
 current without downtime:
 
 * :mod:`repro.evolve.watcher` — :class:`SchemaWatcher` detects drift in
-  a database file, including count-preserving UPDATEs the registry's
-  cheap fingerprint misses.
+  a database file from two signals SQLite keeps: its change counters
+  (``data_version``, ``schema_version``) say whether anything was
+  committed, and a diff of the tables' DDL and columns says whether
+  the schema changed.  Any other commit is content drift, naming no
+  tables — including the count-preserving UPDATEs the registry's cheap
+  fingerprint misses.
 * :mod:`repro.evolve.refresher` — :class:`KBRefresher` polls off-path,
   rebuilds the index/searcher bundle in the background, and swaps it
   atomically into the :class:`~repro.index.registry.IndexRegistry` and
-  every attached service.  This swap is the only way new data reaches
+  the attached service.  This swap is the only way new data reaches
   a serving process: a built index is never mutated.
 * :mod:`repro.evolve.corpus` — derives validated Q->SQL examples from
-  the live schema as diffs arrive (``repro corpus generate``).
+  the live schema as diffs arrive (``repro corpus generate``): for the
+  tables a schema diff names, or every table (deduplicated) on content
+  drift.
 
 See ``docs/schema-evolution.md`` for the lifecycle and metrics.
 """

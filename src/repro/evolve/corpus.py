@@ -23,8 +23,9 @@ SNIPPETS.md snippet 1):
 
 :class:`CorpusWriter` appends examples incrementally to a JSONL file
 with cross-run dedup by ``(database_id, sql)``; the background refresher
-emits only the tables named by a drift report, so a schema change yields
-exactly the new examples it enables.
+emits only the tables named by a schema diff, so a schema change yields
+exactly the new examples it enables, and regenerates every table on
+content drift, where the dedup keeps only the examples that are new.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def generate_examples(
         database_id: external id stamped on examples (defaults to the
             schema name).
         tables: restrict generation to these table names (the refresher
-            passes a drift report's touched tables for incremental
+            passes a schema diff's touched tables for incremental
             growth); ``None`` generates for every table.
         policy: optional :class:`~repro.policy.engine.PolicyEngine`;
             examples its rules block are dropped.

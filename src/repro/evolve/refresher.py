@@ -14,11 +14,11 @@ when drift is detected it
    :class:`~repro.index.similarity.SimilaritySearcher` bundle off the
    request path,
 3. swaps the bundle into the :class:`~repro.index.registry.IndexRegistry`
-   under its existing lock with a version bump, and notifies every
+   under its existing lock with a version bump, and notifies the
    attached :class:`~repro.serving.service.TranslationService` (whose
    runtime warms the new schema's features, then rebinds under the
-   per-runtime lock and bumps the generation that keys its translation
-   cache).
+   per-runtime lock, evicts the retired schema's features, and bumps
+   the generation that keys its translation cache).
 
 No request ever blocks on a rebuild: requests keep running against the
 runtime's current bundle while the new one is built.  The swap itself is
@@ -32,8 +32,10 @@ handlers and cluster IPC frames use it) or :meth:`refresh_now`
 (synchronous — the ``POST /admin/refresh`` route uses it).
 
 When a :class:`~repro.evolve.corpus.CorpusWriter` is configured, each
-swap also emits validated Q->SQL examples for the touched tables, so the
-training corpus grows with the schema.
+swap also emits validated Q->SQL examples, so the training corpus grows
+with the schema: for the tables a schema diff names, or for every table
+when the drift named none (content drift, a forced refresh) — the
+writer drops examples it already holds.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.concurrency import ExponentialBackoff
 from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.evolve.corpus import CorpusWriter, generate_examples
-from repro.evolve.watcher import DEFAULT_SAMPLE_ROWS, SchemaWatcher
+from repro.evolve.watcher import SchemaWatcher
 from repro.index.inverted import InvertedIndex
 from repro.index.registry import (
     IndexEntry,
@@ -65,7 +67,7 @@ _LOG = get_logger(__name__)
 DEFAULT_INTERVAL_S = 30.0
 # +/- fraction of the interval each sleep is jittered by, so a fleet of
 # workers polling the same files never thunders in lockstep.
-DEFAULT_JITTER = 0.2
+JITTER = 0.2
 
 
 @dataclass
@@ -88,11 +90,10 @@ class KBRefresher:
         registry: the index registry to swap rebuilt entries into
             (defaults to the process-wide one).
         interval_s: base polling interval; each sleep is jittered by
-            ``jitter`` so multiple refreshers never align.
+            ±20 % so multiple refreshers never align.
         metrics: registry for the ``evolve_*`` instruments — pass the
             serving registry so they appear on the same ``/metrics``
             exposition.
-        sample_rows: per-table content-hash window for the watchers.
         corpus_path: JSONL file to grow with validated Q->SQL examples
             on every swap (``None`` disables corpus growth).
         corpus_policy: optional policy engine the generated examples are
@@ -105,8 +106,6 @@ class KBRefresher:
         *,
         interval_s: float = DEFAULT_INTERVAL_S,
         metrics: MetricsRegistry | None = None,
-        sample_rows: int = DEFAULT_SAMPLE_ROWS,
-        jitter: float = DEFAULT_JITTER,
         corpus_path: str | Path | None = None,
         corpus_policy=None,
     ):
@@ -115,12 +114,10 @@ class KBRefresher:
         self.registry = registry if registry is not None else get_default_registry()
         self.interval_s = float(interval_s)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.sample_rows = sample_rows
-        self.jitter = max(0.0, min(0.9, jitter))
         self.corpus = CorpusWriter(corpus_path) if corpus_path is not None else None
         self.corpus_policy = corpus_policy
         self._targets: dict[str, _WatchTarget] = {}  # guarded by: _lock
-        self._services: list = []  # guarded by: _lock
+        self._service = None  # guarded by: _lock
         self._last_verdicts: dict[str, str] = {}  # guarded by: _lock
         self._swaps = 0  # guarded by: _lock
         self._force_pending = False  # guarded by: _lock
@@ -178,7 +175,7 @@ class KBRefresher:
             registry_key=database.schema.name,
             path=resolved,
             database=database,
-            watcher=SchemaWatcher(resolved, sample_rows=self.sample_rows),
+            watcher=SchemaWatcher(resolved),
             backoff=ExponentialBackoff(
                 initial=min(1.0, self.interval_s),
                 max_delay=max(self.interval_s * 8, 10.0),
@@ -192,8 +189,7 @@ class KBRefresher:
         """Notify ``service`` on every swap (and expose this refresher on
         it for the admin route and ``/healthz``)."""
         with self._lock:
-            if all(service is not existing for existing in self._services):
-                self._services.append(service)
+            self._service = service
         service.refresher = self
 
     # ---------------------------------------------------------- lifecycle
@@ -220,12 +216,6 @@ class KBRefresher:
         for target in targets:
             target.watcher.close()
 
-    def __enter__(self) -> "KBRefresher":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # ----------------------------------------------------------- triggers
 
     def trigger(self) -> None:
@@ -250,7 +240,7 @@ class KBRefresher:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            spread = self.interval_s * self.jitter
+            spread = self.interval_s * JITTER
             delay = self.interval_s + self._rng.uniform(-spread, spread)
             self._wake.wait(timeout=max(0.05, delay))
             self._wake.clear()
@@ -302,7 +292,7 @@ class KBRefresher:
     # ------------------------------------------------------------ refresh
 
     def _refresh_one(self, target: _WatchTarget, *, force: bool) -> dict | None:
-        report = target.watcher.poll(force_deep=force)
+        report = target.watcher.poll()
         with self._lock:
             self._last_verdicts[target.database_id] = report.verdict.value
         if not report.changed and not force:
@@ -319,12 +309,12 @@ class KBRefresher:
                 target.registry_key, fingerprint, index, searcher, "refreshed"
             )
             with self._lock:
-                services = list(self._services)
+                service = self._service
 
             # ---- the swap: dictionary assignment + attribute rebinds ----
             start = time.perf_counter()
             version = self.registry.swap(entry)
-            for service in services:
+            if service is not None:
                 service.on_index_swap(target.database_id, entry, schema=new_schema)
             swap_s = time.perf_counter() - start
             self._swap_hist.observe(swap_s)
@@ -352,11 +342,12 @@ class KBRefresher:
     def _grow_corpus(self, fresh: Database, target: _WatchTarget, report) -> int:
         if self.corpus is None:
             return 0
-        touched = list(report.touched_tables)
         examples = generate_examples(
             fresh,
             database_id=target.database_id,
-            tables=touched or None,  # full sweep on force / first swap
+            # Content drift and a quiet forced refresh name no tables:
+            # sweep them all (the writer drops repeats).
+            tables=list(report.touched_tables) or None,
             policy=self.corpus_policy,
             validate=True,
         )

@@ -158,6 +158,12 @@ class SchemaFeatureCache:
             self._entries[key] = entry
         return entry
 
+    def discard(self, schema: Schema) -> None:
+        """Drop every entry built for ``schema`` (a retired schema object)."""
+        with self._lock:
+            for key in [k for k, e in self._entries.items() if e.schema is schema]:
+                del self._entries[key]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

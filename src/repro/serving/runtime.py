@@ -168,13 +168,15 @@ class DatabaseRuntime:
         * the cached PK/FK graph is reset.
 
         A new schema's model features are built first, outside the lock,
-        so the first request after the swap finds them cached.
+        so the first request after the swap finds them cached; the
+        retired schema's features are evicted after it.
         """
         from repro.postprocessing.sql_builder import SqlBuilder
 
         if schema is not None and self.model is not None:
             self.model.schema_cache.get(schema, self.model.vocab)
         with self._lock:
+            retired = self.database.schema
             if schema is not None:
                 self.database.schema = schema
             self.preprocessor.rebind(entry.index, entry.searcher)
@@ -185,6 +187,8 @@ class DatabaseRuntime:
             )
             self._graph = None
             self.generation += 1
+        if schema is not None and self.model is not None and schema is not retired:
+            self.model.schema_cache.discard(retired)
 
     @property
     def schema_graph(self) -> SchemaGraph:

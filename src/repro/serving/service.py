@@ -268,9 +268,6 @@ class TranslationService:
         # Set by KBRefresher.attach_service; read by the admin routes
         # and health() only.
         self.refresher = None
-        # Epoch stamp is for human display only; uptime math uses the
-        # monotonic twin below (see WALLCLOCK in docs/analysis-rules.md).
-        self.started_at = time.time()
         self._started_monotonic = time.monotonic()
         self._init_metrics()
 

@@ -592,4 +592,4 @@ def test_watcher_snapshots_table_names_containing_quotes(tmp_path):
     snapshot = snapshot_connection(connection)
     [table] = snapshot.tables
     assert table.name == 'we"ird'
-    assert table.row_count == 1
+    assert table.columns == (("x", "INTEGER"),)

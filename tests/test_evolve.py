@@ -5,14 +5,16 @@ The watcher tests mutate a file-backed SQLite database through a
 *separate* writer connection — exactly how drift arrives in production —
 and assert the verdict taxonomy: no-op polls, row inserts,
 count-preserving UPDATEs (invisible to the registry's cheap
-fingerprint), and DDL each classify correctly.
+fingerprint, anywhere in a table), and DDL each classify correctly.
 
 The refresher tests run the real serving stack (DatabaseRuntime +
 TranslationService) and prove the swap contract end to end — the swap
 is the only way new content reaches serving, since a built index is
 never mutated: version bump, pre-swap answers unreadable through the
 generation cache key, and a post-drift value query resolving against
-content that did not exist at index-build time.
+content that did not exist at index-build time.  A finished swap
+triggers no other, and swaps leave one cached schema feature set per
+served database.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ModelConfig
 from repro.db import Database
 from repro.evolve import (
     CorpusWriter,
@@ -33,6 +36,7 @@ from repro.evolve import (
     generate_examples,
 )
 from repro.index.registry import IndexRegistry, database_fingerprint
+from repro.model import ValueNetModel, build_vocabulary
 from repro.serving import (
     DatabaseRuntime,
     TranslationCache,
@@ -76,6 +80,31 @@ def pets_file(tmp_path):
     return path
 
 
+PERSON_ROWS = 5000
+
+
+@pytest.fixture
+def people_file(tmp_path):
+    """One 5000-row table, so an UPDATE of row 4500 lies past row 4096."""
+    path = tmp_path / "people.sqlite"
+    conn = sqlite3.connect(str(path))
+    conn.execute(
+        "CREATE TABLE person (personid INTEGER PRIMARY KEY, name TEXT, "
+        "country TEXT)"
+    )
+    countries = ("France", "Italy", "Spain", "Peru")
+    conn.executemany(
+        "INSERT INTO person VALUES (?, ?, ?)",
+        [
+            (i, f"Person {i}", countries[i % len(countries)])
+            for i in range(1, PERSON_ROWS + 1)
+        ],
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
 def _writer(path) -> sqlite3.Connection:
     """A drift source: a second connection, like a real external writer."""
     return sqlite3.connect(str(path))
@@ -88,8 +117,6 @@ class TestSchemaWatcher:
     def test_noop_poll_is_unchanged(self, pets_file):
         watcher = SchemaWatcher(pets_file)
         assert watcher.poll().verdict is DriftVerdict.UNCHANGED
-        # The deep path agrees with the counter fast path.
-        assert watcher.poll(force_deep=True).verdict is DriftVerdict.UNCHANGED
         watcher.close()
 
     def test_row_insert_is_content_changed(self, pets_file):
@@ -100,8 +127,8 @@ class TestSchemaWatcher:
             )
         report = watcher.poll()
         assert report.verdict is DriftVerdict.CONTENT_CHANGED
-        assert "student" in report.tables_changed
-        assert "student" in report.touched_tables
+        # Content drift names no tables: the counters do not say which.
+        assert report.touched_tables == ()
         # Settled: the next poll is quiet again.
         assert watcher.poll().verdict is DriftVerdict.UNCHANGED
         watcher.close()
@@ -117,11 +144,22 @@ class TestSchemaWatcher:
             )
         report = watcher.poll()
         assert report.verdict is DriftVerdict.CONTENT_CHANGED
-        assert report.tables_changed == ("student",)
         # Row counts are identical, so the cheap fingerprint is blind.
         assert database_fingerprint(database) == cheap_before
         watcher.close()
         database.close()
+
+    def test_update_past_row_4096_is_content_changed(self, people_file):
+        """A count-preserving UPDATE far into a table is seen, and
+        settles: the next poll is quiet again."""
+        watcher = SchemaWatcher(people_file)
+        with _writer(people_file) as conn:
+            conn.execute(
+                "UPDATE person SET country='Zanzibar' WHERE personid=4500"
+            )
+        assert watcher.poll().verdict is DriftVerdict.CONTENT_CHANGED
+        assert watcher.poll().verdict is DriftVerdict.UNCHANGED
+        watcher.close()
 
     def test_new_table_is_schema_changed(self, pets_file):
         watcher = SchemaWatcher(pets_file)
@@ -178,21 +216,29 @@ class TestRegistrySwap:
 
 # ------------------------------------------------------ refresher lifecycle
 
+# An untrained model is enough to exercise the model's schema features.
+_TINY = ModelConfig(
+    dim=32, num_layers=1, num_heads=2, ff_dim=48, summary_hidden=16,
+    decoder_hidden=32, pointer_hidden=24, dropout=0.0, word_dropout=0.0,
+)
 
-def _serving_stack(pets_file, *, registry=None, **refresher_kwargs):
+
+def _serving_stack(
+    path, *, registry=None, database_id="pets", model=None, **refresher_kwargs
+):
     """A real single-database serving stack plus an (unstarted) refresher."""
     registry = registry if registry is not None else IndexRegistry()
     from repro.index import set_default_registry
 
     previous = set_default_registry(registry)
-    database = Database.open(pets_file)
-    runtime = DatabaseRuntime(database, database_id="pets")
+    database = Database.open(path)
+    runtime = DatabaseRuntime(database, model, database_id=database_id)
     cache = TranslationCache(capacity=64, ttl_s=300.0)
     service = TranslationService([runtime], workers=2, cache=cache).start()
     refresher = KBRefresher(
         registry=registry, interval_s=60.0, **refresher_kwargs
     )
-    refresher.watch(database, database_id="pets")
+    refresher.watch(database, database_id=database_id)
     refresher.attach_service(service)
     return previous, database, service, cache, refresher
 
@@ -250,6 +296,71 @@ class TestKBRefresher:
             # answer sits under a key no later request looks up.
             assert not after.cache_hit
             assert "Zambia" in after.sql
+        finally:
+            _teardown_stack(previous, database, service, refresher)
+
+    def test_update_past_row_4096_swaps_without_force(self, people_file):
+        """The scheduled (non-forced) cycle picks up an in-place UPDATE
+        deep in a table, and the new value resolves."""
+        previous, database, service, cache, refresher = _serving_stack(
+            people_file, database_id="people"
+        )
+        try:
+            question = "Which persons are from Zanzibar?"
+            before = service.translate(question)
+            assert before.ok
+            assert "Zanzibar" not in (before.sql or "")
+            with _writer(people_file) as conn:
+                conn.execute(
+                    "UPDATE person SET country='Zanzibar' WHERE personid=4500"
+                )
+            swapped = refresher.refresh_now(force=False)
+            assert [info["verdict"] for info in swapped] == [
+                DriftVerdict.CONTENT_CHANGED.value
+            ]
+            runtime = service.runtimes["people"]
+            assert runtime.preprocessor.index.contains("Zanzibar")
+            after = service.translate(question, execute=True)
+            assert after.ok, after.error
+            assert "WHERE person.country = 'Zanzibar'" in after.sql
+            assert after.rows == [("Person 4500",)]
+        finally:
+            _teardown_stack(previous, database, service, refresher)
+
+    def test_a_finished_swap_triggers_no_other(self, pets_file, tmp_path):
+        """Neither the rebuild's reads nor the corpus validation queries
+        commit anything the watcher could mistake for drift."""
+        previous, database, service, cache, refresher = _serving_stack(
+            pets_file, corpus_path=tmp_path / "grown.jsonl"
+        )
+        try:
+            [info] = refresher.refresh_now(force=True)
+            assert info["corpus_examples"] > 0
+            assert refresher.refresh_now(force=False) == []
+        finally:
+            _teardown_stack(previous, database, service, refresher)
+
+    def test_swaps_keep_one_schema_feature_set_per_database(self, pets_file):
+        """Each swap evicts the retired schema's cached features."""
+        database = Database.open(pets_file)
+        vocab = build_vocabulary(
+            list(_QUESTIONS), [database.schema], [], vocab_size=300
+        )
+        database.close()
+        model = ValueNetModel(vocab, _TINY)
+        previous, database, service, cache, refresher = _serving_stack(
+            pets_file, model=model
+        )
+        try:
+            before = [service.translate(q, execute=True) for q in _QUESTIONS]
+            assert len(model.schema_cache) == 1
+            for _ in range(5):
+                assert len(refresher.refresh_now(force=True)) == 1
+            assert len(model.schema_cache) == 1
+            after = [service.translate(q, execute=True) for q in _QUESTIONS]
+            assert [(r.sql, r.rows, r.engine) for r in after] == [
+                (r.sql, r.rows, r.engine) for r in before
+            ]
         finally:
             _teardown_stack(previous, database, service, refresher)
 
