@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Drift smoke test: live schema evolution under sustained load.
 
-Starts the serving stack in-process with a background KB refresher, then
-mutates the watched database in two phases while client threads hammer
-/translate: first DDL (a new table) *and* content (rows with a value
-that did not exist at index-build time), then one count-preserving
-UPDATE of a row past the table's first 4096 rows.  Passes only if:
+Starts the serving stack in-process with a background KB refresher and
+an index cache directory, then mutates the watched database in two
+phases while client threads hammer /translate: first DDL (a new table)
+*and* content (rows with a value that did not exist at index-build
+time), then one count-preserving UPDATE of a row past the table's first
+4096 rows.  Then it restarts twice over the same index cache: once as
+is, and once after a count-preserving UPDATE made while no server ran.
+Passes only if:
 
 * zero requests fail (no 5xx — the swap is zero-downtime);
 * after each phase the background refresher bumps the index version
@@ -15,7 +18,10 @@ UPDATE of a row past the table's first 4096 rows.  Passes only if:
 * post-drift value queries resolve against the NEW content (each
   question names a value only one phase's rows contain);
 * the corpus file grew with validated examples referencing the new
-  table.
+  table;
+* the first restart loads the refresher's last bundle from the cache
+  and still answers phase 2's value, and the second answers the value
+  the offline UPDATE wrote.
 
 Run with ``PYTHONPATH=src python scripts/drift_smoke.py``; exits 0 on
 success.
@@ -35,7 +41,8 @@ from pathlib import Path
 
 from repro.db import Database
 from repro.evolve import KBRefresher
-from repro.index import IndexRegistry, set_default_registry
+from repro.index import IndexRegistry
+from repro.preprocessing import Preprocessor
 from repro.serving import (
     DatabaseRuntime,
     ServingServer,
@@ -49,6 +56,8 @@ REFRESH_INTERVAL_S = 0.25
 # Filler students, so the phase-2 UPDATE lands past row 4096.
 FILLER_STUDENTS = 5000
 UPDATED_STUID = 4600
+# The filler student the offline UPDATE (between two restarts) moves.
+OFFLINE_STUID = 4700
 
 QUESTIONS = (
     "How many students are there?",
@@ -173,37 +182,56 @@ class LoadGenerator:
             thread.join(timeout=10.0)
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "pets.sqlite"
-        corpus_path = Path(tmp) / "corpus.jsonl"
-        make_database(path)
+class Stack:
+    """The in-process serving stack over the pets file: runtime, service,
+    background refresher and HTTP server, with the index registry's
+    bundles cached under ``cache_dir``."""
 
-        registry = IndexRegistry()
-        set_default_registry(registry)
-        database = Database.open(path)
-        service = TranslationService(
-            [DatabaseRuntime(database, database_id="pets")],
+    def __init__(self, path: Path, cache_dir: Path, corpus_path: Path):
+        self.registry = IndexRegistry(cache_dir=cache_dir)
+        self.database = Database.open(path)
+        self.service = TranslationService(
+            [DatabaseRuntime(
+                self.database, database_id="pets",
+                preprocessor=Preprocessor(self.database, registry=self.registry),
+            )],
             workers=4,
             queue_size=256,
             cache=TranslationCache(capacity=128, ttl_s=300.0),
         ).start()
-        refresher = KBRefresher(
-            registry=registry,
+        self.refresher = KBRefresher(
+            self.registry,
             interval_s=REFRESH_INTERVAL_S,
-            metrics=service.metrics,
+            metrics=self.service.metrics,
             corpus_path=corpus_path,
         )
-        refresher.watch(database, database_id="pets")
-        refresher.attach_service(service)
-        refresher.start()
-        server = ServingServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            version_before = index_version(server.url)
+        self.refresher.watch(self.database, database_id="pets")
+        self.refresher.attach_service(self.service)
+        self.refresher.start()
+        self.server = ServingServer(("127.0.0.1", 0), self.service)
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        self.url = self.server.url
 
-            with LoadGenerator(server.url) as load:
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.refresher.stop()
+        self.service.stop()
+        self.database.close()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pets.sqlite"
+        corpus_path = Path(tmp) / "corpus.jsonl"
+        cache_dir = Path(tmp) / "index-cache"
+        make_database(path)
+
+        stack = Stack(path, cache_dir, corpus_path)
+        try:
+            version_before = index_version(stack.url)
+
+            with LoadGenerator(stack.url) as load:
                 time.sleep(0.5)
                 # Drift arrives through a separate writer connection,
                 # exactly like an external ETL job: DDL + new content.
@@ -221,7 +249,7 @@ def main() -> int:
                 writer.close()
 
                 # The background refresher must notice and swap on its own.
-                version_phase1 = wait_for_swap(server.url, version_before)
+                version_phase1 = wait_for_swap(stack.url, version_before)
 
                 # Phase 2: an in-place UPDATE past row 4096 keeps every
                 # row count; only SQLite's commit counter shows it.
@@ -232,7 +260,7 @@ def main() -> int:
                 )
                 writer.commit()
                 writer.close()
-                version_after = wait_for_swap(server.url, version_phase1)
+                version_after = wait_for_swap(stack.url, version_phase1)
                 # Keep the load running across the post-swap window too.
                 time.sleep(max(0.0, LOAD_SECONDS - 2.0))
 
@@ -244,24 +272,24 @@ def main() -> int:
 
             # The new values resolve: 'Zanzibar' and 'Tuvalu' entered the
             # database after the index was first built.
-            assert_value_resolves(server.url, "Zanzibar", "Gil Tembo")
+            assert_value_resolves(stack.url, "Zanzibar", "Gil Tembo")
             assert_value_resolves(
-                server.url, "Tuvalu", f"Filler {UPDATED_STUID}"
+                stack.url, "Tuvalu", f"Filler {UPDATED_STUID}"
             )
             # And the new table is queryable end to end.
-            status, body = post(server.url, "/translate", {
+            status, body = post(stack.url, "/translate", {
                 "question": "How many rows are in clinic?",
                 "database_id": "pets", "execute": True,
             })
             assert status == 200, (status, body)
 
             # The admin route forces a synchronous refresh and reports it.
-            status, body = post(server.url, "/admin/refresh", {})
+            status, body = post(stack.url, "/admin/refresh", {})
             assert status == 200, (status, body)
             assert body["status"] == "ok", body
             assert body["evolve"]["swaps"] >= 1, body
 
-            metrics = get(server.url, "/metrics")
+            metrics = get(stack.url, "/metrics")
             for name in ("evolve_refresh_runs_total",
                          "evolve_index_swap_seconds",
                          "evolve_corpus_examples_total"):
@@ -288,11 +316,35 @@ def main() -> int:
                 f"{len(lines)} corpus examples ({len(clinic)} for clinic)"
             )
         finally:
-            server.shutdown()
-            server.server_close()
-            refresher.stop()
-            service.stop()
-            database.close()
+            stack.close()
+
+        # Phase 3: restarts over the same index cache.  As is, the
+        # refresher's last bundle is loaded and phase 2's value answered.
+        stack = Stack(path, cache_dir, corpus_path)
+        try:
+            loads = stack.registry.stats()["load_count"]
+            assert loads == 1, f"restart rebuilt instead of loading ({loads})"
+            assert_value_resolves(
+                stack.url, "Tuvalu", f"Filler {UPDATED_STUID}"
+            )
+        finally:
+            stack.close()
+        # A count-preserving UPDATE while no server runs: the restart
+        # must not serve the cached bundle that predates it.
+        writer = sqlite3.connect(path)
+        writer.execute(
+            "UPDATE student SET home_country = 'Nauru' WHERE stuid = ?",
+            (OFFLINE_STUID,),
+        )
+        writer.commit()
+        writer.close()
+        stack = Stack(path, cache_dir, corpus_path)
+        try:
+            assert_value_resolves(stack.url, "Nauru", f"Filler {OFFLINE_STUID}")
+        finally:
+            stack.close()
+        print("drift smoke OK: restarts over the index cache answer "
+              "the refreshed and the offline-updated values")
     return 0
 
 

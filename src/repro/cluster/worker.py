@@ -42,10 +42,11 @@ from functools import partial
 from repro.cluster import protocol
 from repro.concurrency import make_lock
 from repro.db.database import Database
-from repro.index.registry import IndexRegistry, set_default_registry
+from repro.index.registry import IndexRegistry
 from repro.metrics import MetricsRegistry
 from repro.model.valuenet import ValueNetModel
 from repro.policy import PolicyConfigStore, PolicyEngine
+from repro.preprocessing.pipeline import Preprocessor
 from repro.serving.cache import TranslationCache
 from repro.serving.runtime import DatabaseRuntime
 from repro.serving.service import (
@@ -92,7 +93,6 @@ class ServingStack:
         self._adopt_lock = make_lock(f"ServingStack[{spec.worker_id}]._adopt_lock")
         self._databases: dict[str, Database] = {}  # guarded by: _adopt_lock
         self.registry = IndexRegistry(cache_dir=spec.index_cache)
-        set_default_registry(self.registry)
         self.model = (
             ValueNetModel.load(spec.model_path)
             if spec.model_path is not None else None
@@ -109,9 +109,12 @@ class ServingStack:
             for db_id in spec.shard
             if db_id in self._paths
         }
-        # Keyed by schema name (how Preprocessor looks indexes up), not
-        # by the external routing id.
-        self.registry.warm(list(shard.values()))
+        # One database after another: a cold build is CPU-bound under
+        # the GIL, so a thread pool saves no time, while each of its
+        # threads gets a malloc arena that keeps that build's transients
+        # (tens of MB of peak RSS per database).
+        for database in shard.values():
+            self.registry.get(database)
         self.warm_s = time.perf_counter() - start
         self.service = TranslationService(
             [self._make_runtime(db_id, db) for db_id, db in shard.items()],
@@ -155,6 +158,7 @@ class ServingStack:
             self.model,
             database_id=db_id,
             beam_size=self.spec.beam_size,
+            preprocessor=Preprocessor(database, registry=self.registry),
             policy=self.policy,
             dialect=self.spec.dialect,
         )
@@ -305,7 +309,7 @@ class WorkerProcess:
                         # Async trigger: the refresher's own thread does
                         # the rebuild, so the frame loop stays responsive
                         # to pings during a refresh.
-                        stack.refresher.trigger()
+                        stack.refresher.trigger(frame.get("database_id"))
                 elif kind == "shutdown":
                     break
         finally:

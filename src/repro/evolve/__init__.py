@@ -8,13 +8,13 @@ current without downtime:
   (``data_version``, ``schema_version``) say whether anything was
   committed, and a diff of the tables' DDL and columns says whether
   the schema changed.  Any other commit is content drift, naming no
-  tables — including the count-preserving UPDATEs the registry's cheap
-  fingerprint misses.
+  tables — count-preserving UPDATEs included.
 * :mod:`repro.evolve.refresher` — :class:`KBRefresher` polls off-path,
-  rebuilds the index/searcher bundle in the background, and swaps it
-  atomically into the :class:`~repro.index.registry.IndexRegistry` and
-  the attached service.  This swap is the only way new data reaches
-  a serving process: a built index is never mutated.
+  rebuilds the index/searcher bundle in the background through the
+  :class:`~repro.index.registry.IndexRegistry` it is given (which saves
+  it to its disk cache and answers it from then on), and swaps it into
+  the attached service.  This swap is the only way new data reaches a
+  serving process: a built index is never mutated.
 * :mod:`repro.evolve.corpus` — derives validated Q->SQL examples from
   the live schema as diffs arrive (``repro corpus generate``): for the
   tables a schema diff names, or every table (deduplicated) on content

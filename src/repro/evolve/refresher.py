@@ -12,24 +12,28 @@ when drift is detected it
    schema object),
 2. builds a new :class:`~repro.index.inverted.InvertedIndex` /
    :class:`~repro.index.similarity.SimilaritySearcher` bundle off the
-   request path,
-3. swaps the bundle into the :class:`~repro.index.registry.IndexRegistry`
-   under its existing lock with a version bump, and notifies the
-   attached :class:`~repro.serving.service.TranslationService` (whose
-   runtime warms the new schema's features, then rebinds under the
-   per-runtime lock, evicts the retired schema's features, and bumps
-   the generation that keys its translation cache).
+   request path through :meth:`IndexRegistry.rebuild
+   <repro.index.registry.IndexRegistry.rebuild>`, which also saves it to
+   the registry's disk cache and makes it what the registry answers for
+   that file — so a restart loads what was last swapped in,
+3. swaps the bundle into the attached
+   :class:`~repro.serving.service.TranslationService` (whose runtime
+   warms the new schema's features, then rebinds under the per-runtime
+   lock, evicts the retired schema's features, and bumps the generation
+   that keys its translation cache), and counts the swap for that
+   database (``/healthz`` ``evolve.versions``).
 
 No request ever blocks on a rebuild: requests keep running against the
 runtime's current bundle while the new one is built.  The swap itself is
-a dictionary assignment plus, per runtime, the new schema's features
-(built outside the runtime lock) and a handful of attribute rebinds —
-measured by the ``evolve_index_swap_seconds`` histogram.
+the new schema's features (built outside the runtime lock) and a
+handful of attribute rebinds — measured by the
+``evolve_index_swap_seconds`` histogram.
 
 Failures back off exponentially per database and never kill the thread;
-a manual refresh can be forced through :meth:`trigger` (async — SIGHUP
-handlers and cluster IPC frames use it) or :meth:`refresh_now`
-(synchronous — the ``POST /admin/refresh`` route uses it).
+a manual refresh of one database or of all of them can be forced
+through :meth:`trigger` (async — SIGHUP handlers, the admin route's
+``wait: false`` and cluster IPC frames use it) or :meth:`refresh_now`
+(synchronous — the ``POST /admin/refresh`` route's default).
 
 When a :class:`~repro.evolve.corpus.CorpusWriter` is configured, each
 swap also emits validated Q->SQL examples, so the training corpus grows
@@ -51,14 +55,7 @@ from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.evolve.corpus import CorpusWriter, generate_examples
 from repro.evolve.watcher import SchemaWatcher
-from repro.index.inverted import InvertedIndex
-from repro.index.registry import (
-    IndexEntry,
-    IndexRegistry,
-    database_fingerprint,
-    get_default_registry,
-)
-from repro.index.similarity import SimilaritySearcher
+from repro.index.registry import IndexRegistry
 from repro.logs import get_logger
 from repro.metrics import MetricsRegistry
 
@@ -75,7 +72,6 @@ class _WatchTarget:
     """Refresher-side state for one watched database."""
 
     database_id: str     # external routing id (what services key runtimes by)
-    registry_key: str    # schema name (what the IndexRegistry keys entries by)
     path: str
     database: Database   # the *serving* database whose schema gets swapped
     watcher: SchemaWatcher
@@ -87,8 +83,8 @@ class KBRefresher:
     """Supervised background refresher for live schema evolution.
 
     Args:
-        registry: the index registry to swap rebuilt entries into
-            (defaults to the process-wide one).
+        registry: the index registry that rebuilds each drifted file's
+            bundle (and saves it, when it has a disk cache).
         interval_s: base polling interval; each sleep is jittered by
             ±20 % so multiple refreshers never align.
         metrics: registry for the ``evolve_*`` instruments — pass the
@@ -102,7 +98,7 @@ class KBRefresher:
 
     def __init__(
         self,
-        registry: IndexRegistry | None = None,
+        registry: IndexRegistry,
         *,
         interval_s: float = DEFAULT_INTERVAL_S,
         metrics: MetricsRegistry | None = None,
@@ -111,7 +107,7 @@ class KBRefresher:
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
-        self.registry = registry if registry is not None else get_default_registry()
+        self.registry = registry
         self.interval_s = float(interval_s)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.corpus = CorpusWriter(corpus_path) if corpus_path is not None else None
@@ -119,8 +115,9 @@ class KBRefresher:
         self._targets: dict[str, _WatchTarget] = {}  # guarded by: _lock
         self._service = None  # guarded by: _lock
         self._last_verdicts: dict[str, str] = {}  # guarded by: _lock
-        self._swaps = 0  # guarded by: _lock
-        self._force_pending = False  # guarded by: _lock
+        self._swaps: dict[str, int] = {}  # guarded by: _lock
+        # Database ids with a pending trigger(); None forces all.
+        self._forced: set[str | None] = set()  # guarded by: _lock
         self._lock = make_lock("KBRefresher._lock")
         # Serializes refresh cycles (the daemon's scheduled ones against
         # manual refresh_now calls); never held while _lock is waited on
@@ -140,7 +137,7 @@ class KBRefresher:
             "refresh polls that raised (retried with backoff)")
         self._swap_hist = m.histogram(
             "evolve_index_swap_seconds",
-            "wall time of one atomic index swap (registry + runtimes)")
+            "wall time of one index swap into the serving runtime")
         self._corpus_total = m.counter(
             "evolve_corpus_examples_total",
             "validated corpus examples emitted by schema-driven growth")
@@ -172,7 +169,6 @@ class KBRefresher:
         db_id = database_id if database_id is not None else database.schema.name
         target = _WatchTarget(
             database_id=db_id,
-            registry_key=database.schema.name,
             path=resolved,
             database=database,
             watcher=SchemaWatcher(resolved),
@@ -218,11 +214,12 @@ class KBRefresher:
 
     # ----------------------------------------------------------- triggers
 
-    def trigger(self) -> None:
-        """Schedule an out-of-band full refresh (non-blocking; safe from
-        signal handlers and the cluster IPC reader thread)."""
+    def trigger(self, database_id: str | None = None) -> None:
+        """Schedule an out-of-band forced refresh of one database, or of
+        every database when ``database_id`` is None (non-blocking; safe
+        from signal handlers and the cluster IPC reader thread)."""
         with self._lock:
-            self._force_pending = True
+            self._forced.add(database_id)
         self._wake.set()
 
     def refresh_now(
@@ -234,7 +231,9 @@ class KBRefresher:
         no drift (the admin-route contract: "refresh" always refreshes).
         Returns one info dict per database that was swapped.
         """
-        return self._run_cycle(only=database_id, force=force)
+        return self._run_cycle(
+            only=database_id, forced={database_id} if force else set()
+        )
 
     # --------------------------------------------------------------- loop
 
@@ -247,10 +246,9 @@ class KBRefresher:
             if self._stop.is_set():
                 return
             with self._lock:
-                force = self._force_pending
-                self._force_pending = False
+                forced, self._forced = self._forced, set()
             try:
-                self._run_cycle(force=force)
+                self._run_cycle(forced=forced)
             except Exception:
                 # The per-target path already counts and backs off; this
                 # guard only catches refresher bugs — the daemon must
@@ -258,7 +256,12 @@ class KBRefresher:
                 self._failures_total.inc()
                 _LOG.exception("refresh cycle failed")
 
-    def _run_cycle(self, *, only: str | None = None, force: bool = False) -> list[dict]:
+    def _run_cycle(
+        self, *, only: str | None = None, forced: set[str | None]
+    ) -> list[dict]:
+        """Poll the watched databases (only ``only``, when given); those
+        in ``forced`` (all of them, when it holds None) rebuild even
+        without drift."""
         with self._cycle_lock:
             with self._lock:
                 targets = [
@@ -269,6 +272,7 @@ class KBRefresher:
             for target in targets:
                 if self._stop.is_set():
                     break
+                force = None in forced or target.database_id in forced
                 if not force and target.retry_at > time.monotonic():
                     continue  # still backing off after a failure
                 self._runs_total.inc()
@@ -298,28 +302,24 @@ class KBRefresher:
         if not report.changed and not force:
             return None
 
-        # ---- build everything off the request path ----
+        # ---- build (and publish to the registry) off the request path ----
         fresh = Database.open(target.path)
         try:
-            new_schema = fresh.schema
-            fingerprint = database_fingerprint(fresh)
-            index = InvertedIndex.build(fresh)
-            searcher = SimilaritySearcher(index)
-            entry = IndexEntry(
-                target.registry_key, fingerprint, index, searcher, "refreshed"
-            )
+            entry = self.registry.rebuild(fresh)
             with self._lock:
                 service = self._service
 
-            # ---- the swap: dictionary assignment + attribute rebinds ----
+            # ---- the swap: attribute rebinds in the runtime ----
             start = time.perf_counter()
-            version = self.registry.swap(entry)
             if service is not None:
-                service.on_index_swap(target.database_id, entry, schema=new_schema)
+                service.on_index_swap(
+                    target.database_id, entry, schema=fresh.schema
+                )
             swap_s = time.perf_counter() - start
             self._swap_hist.observe(swap_s)
             with self._lock:
-                self._swaps += 1
+                version = self._swaps.get(target.database_id, 0) + 1
+                self._swaps[target.database_id] = version
 
             examples_added = self._grow_corpus(fresh, target, report)
         finally:
@@ -360,18 +360,16 @@ class KBRefresher:
 
     def stats(self) -> dict:
         with self._lock:
-            targets = list(self._targets.values())
+            watched = sorted(self._targets)
             verdicts = dict(self._last_verdicts)
-            swaps = self._swaps
+            swaps = dict(self._swaps)
         return {
             "running": self._thread is not None and self._thread.is_alive(),
             "interval_s": self.interval_s,
-            "watched": sorted(t.database_id for t in targets),
-            "swaps": swaps,
+            "watched": watched,
+            "swaps": sum(swaps.values()),
             "last_verdicts": verdicts,
-            "versions": {
-                t.database_id: self.registry.version(t.registry_key)
-                for t in targets
-            },
+            # Swaps per watched database.
+            "versions": {db_id: swaps.get(db_id, 0) for db_id in watched},
             "corpus_examples": self.corpus.written if self.corpus else None,
         }

@@ -1,10 +1,8 @@
 """Drift detection for live database files: what SQLite says was committed.
 
-The :class:`~repro.index.registry.IndexRegistry` keys entries by a cheap
-fingerprint (schema shape + per-table row counts), which misses exactly
-one class of change: in-place UPDATEs that keep every row count
-identical.  The :class:`SchemaWatcher` does not look at rows at all; it
-answers from two signals SQLite already keeps:
+The :class:`SchemaWatcher` does not look at rows at all, so an in-place
+UPDATE anywhere in a table is as visible as an INSERT; it answers from
+two signals SQLite already keeps:
 
 1. **change counters** — ``PRAGMA data_version`` (bumps whenever
    *another* connection commits, WAL-safe) and ``PRAGMA

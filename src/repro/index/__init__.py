@@ -4,13 +4,7 @@ over database content."""
 from repro.index.blocking import BlockedValuePool
 from repro.index.inverted import InvertedIndex, ValueLocation, normalize_value
 from repro.index.persistence import FORMAT_VERSION, load_bundle, save_bundle
-from repro.index.registry import (
-    IndexEntry,
-    IndexRegistry,
-    database_fingerprint,
-    get_default_registry,
-    set_default_registry,
-)
+from repro.index.registry import IndexEntry, IndexRegistry
 from repro.index.similarity import SearchStats, SimilaritySearcher, SimilarValue
 
 __all__ = [
@@ -23,10 +17,7 @@ __all__ = [
     "SimilaritySearcher",
     "SimilarValue",
     "ValueLocation",
-    "database_fingerprint",
-    "get_default_registry",
     "load_bundle",
     "normalize_value",
     "save_bundle",
-    "set_default_registry",
 ]

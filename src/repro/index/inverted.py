@@ -13,8 +13,9 @@ per-question work must not rescan base data.
 
 An index is immutable once built.  New database content arrives as a
 whole new index: the background refresher
-(:mod:`repro.evolve.refresher`) rebuilds off the request path and swaps
-the bundle into the :class:`~repro.index.registry.IndexRegistry`.
+(:mod:`repro.evolve.refresher`) rebuilds it off the request path through
+the :class:`~repro.index.registry.IndexRegistry` and swaps it into the
+serving runtime.
 """
 
 from __future__ import annotations

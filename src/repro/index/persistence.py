@@ -10,8 +10,8 @@ and eval scripts skip the rebuild entirely on warm start.
 The bundle is a pickle of plain structures (dicts, lists, tuples, strings,
 flat ``array`` buffers and the value pool's numpy arrays, stored as they
 are — produced by the ``state_dict`` methods, never live domain objects)
-wrapped in a header carrying a format version and the database content
-fingerprint.  A mismatch on either — or any parse failure — makes
+wrapped in a header carrying a format version and a fingerprint of the
+database file and file state it was built from.  A mismatch on either — or any parse failure — makes
 :func:`load_bundle` return ``None`` so callers fall back to a cold build;
 a stale or corrupt cache can cost time but never correctness.  The pool
 validates its arrays against each other when it adopts them, so a bundle
@@ -76,8 +76,8 @@ def load_bundle(
     """Load a bundle written by :func:`save_bundle`.
 
     Returns ``None`` when the file is missing, unreadable, from another
-    format version, or fingerprinted for different database content — the
-    caller then rebuilds from base data.
+    format version, or fingerprinted for another database file or file
+    state — the caller then rebuilds from base data.
     """
     path = Path(path)
     try:

@@ -1,37 +1,39 @@
-"""Process-wide registry of per-database value indexes.
+"""Per-database-file value indexes, one owner per file.
 
-Before this layer existed every :class:`~repro.preprocessing.pipeline.Preprocessor`
-cold-built its own :class:`~repro.index.inverted.InvertedIndex` and
-:class:`~repro.index.similarity.SimilaritySearcher` — the serving layer
-ended up with multiple copies per database (runtime, pipeline, fallback),
-and every benchmark or eval script paid the full scan again.  The
-registry makes the pair a shared, keyed resource:
+Cold-building an :class:`~repro.index.inverted.InvertedIndex` and its
+:class:`~repro.index.similarity.SimilaritySearcher` scans every text
+column.  An :class:`IndexRegistry` builds that bundle once per database
+**file** and hands the same bundle to every preprocessor, pipeline and
+serving runtime that asks for it:
 
-* **keying** — database id + a cheap content fingerprint (schema shape
-  plus per-table row counts); a fingerprint change (new rows, new
-  columns) triggers a rebuild on the next :meth:`IndexRegistry.get`,
-  which offline evaluation and the disk cache rely on;
-* **swapping** — a serving process calls ``get`` only while it builds
-  its preprocessors (startup, failover adoption); after that, drift
-  reaches it only through :meth:`IndexRegistry.swap`, called by the
-  background refresher (:mod:`repro.evolve.refresher`) with an entry
-  it built off the request path.  Entries are never mutated;
-* **thread safety** — one build per key even under concurrent first use
-  (per-key build locks; readers never block builders of other keys);
-* **persistence** — with a ``cache_dir`` the registry saves every cold
-  build through :mod:`repro.index.persistence` and warm-loads it next
-  time, skipping both the column scans and the q-gram derivation;
+* **keying** — the resolved path of the SQLite file, so two routing ids
+  over one file share one bundle and two files that share a name do
+  not.  In-memory databases have no file and are refused;
+* **freshness** — an entry holds ``(st_size, st_mtime_ns)`` of the file
+  and of its ``-wal``, taken before the scan, with the few header bytes
+  SQLite rewrites on every commit (so a same-size commit inside one
+  coarse timestamp tick still shows).  It is fresh while all of them
+  are unchanged, i.e. while SQLite has committed nothing since the scan
+  began;
+* **two entry points** — :meth:`IndexRegistry.get` answers memo → disk →
+  build and is what startup and failover adoption call;
+  :meth:`IndexRegistry.rebuild` answers build → save → memo and is what
+  the background refresher (:mod:`repro.evolve.refresher`) calls on
+  drift, so the memo and the disk cache follow every swap;
+* **thread safety** — one build per file even under concurrent first use
+  (per-file build locks; readers of other files never wait);
+* **persistence** — with a ``cache_dir`` every build is saved through
+  :mod:`repro.index.persistence` as ``<stem>-<hash of path>.index`` and a
+  later ``get`` over an unchanged file loads it instead of scanning.
+  Bundles are pickles: the directory must be trusted;
 * **accounting** — ``build_count`` / ``load_count`` / ``hit_count`` let
-  tests assert "exactly one index per database" instead of hoping.
-
-``get_default_registry`` returns the process-wide instance used whenever
-a :class:`Preprocessor` is built without an explicit index; tests can
-swap it with ``set_default_registry`` to observe accounting in isolation.
+  tests assert "exactly one index per file" instead of hoping.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,42 +44,50 @@ from repro.index.persistence import load_bundle, save_bundle
 from repro.index.similarity import SimilaritySearcher
 
 
-# taint: trusted (COUNT targets are quoted identifiers from the database's own Schema object)
-def database_fingerprint(database: Database) -> str:
-    """Cheap content fingerprint: schema shape + per-table row counts.
-
-    Deliberately avoids scanning base data (that is what the index build
-    itself does); in-place updates that keep every row count identical are
-    not detected — the refresher's watcher
-    (:class:`~repro.evolve.watcher.SchemaWatcher`) catches those and
-    swaps in a rebuilt entry.
-    """
-    digest = hashlib.sha256()
-    digest.update(database.schema.name.encode())
-    for table in database.schema.tables:
-        digest.update(b"\x00" + table.name.encode())
-        for column in table.columns:
-            digest.update(
-                b"\x01" + column.name.encode() + column.column_type.name.encode()
-            )
-        try:
-            rows = database.execute(f'SELECT COUNT(*) FROM "{table.name}"')
-            count = int(rows[0][0]) if rows else 0
-        except Exception:  # justified: table missing on disk is fingerprinted as -1
-            count = -1
-        digest.update(b"\x02" + str(count).encode())
-    return digest.hexdigest()
-
-
-@dataclass
+@dataclass(frozen=True)
 class IndexEntry:
-    """One shared per-database index bundle."""
+    """One database file's index bundle, as of the file state it was
+    built from."""
 
-    database_id: str
-    fingerprint: str
+    path: Path
+    state: tuple  # _file_state() of the file, taken before the scan
     index: InvertedIndex
     searcher: SimilaritySearcher
     source: str  # "built" | "disk"
+
+
+def _database_file(database: Database) -> Path:
+    if database.path is None:
+        raise ValueError(
+            "IndexRegistry needs a file-backed database "
+            "(an in-memory one has no file to key or stat)"
+        )
+    return Path(database.path).resolve()
+
+
+# Header bytes SQLite rewrites on every commit, which a same-size commit
+# inside one timestamp tick leaves size and mtime blind to: the database
+# header's file change counter, and the WAL header's checkpoint sequence
+# number and salts (in WAL mode a commit appends frames, so the WAL grows,
+# until a reset rewrites these).
+_COMMIT_BYTES = (("", 24, 28), ("-wal", 12, 24))
+
+
+def _file_state(path: Path) -> tuple:
+    """What SQLite has committed, as the file system sees it: size, mtime
+    and commit header bytes of the database file and of its write-ahead
+    log, if any."""
+    state: list = []
+    for suffix, start, end in _COMMIT_BYTES:
+        try:
+            with open(path.with_name(path.name + suffix), "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                handle.seek(start)
+                state += [stat.st_size, stat.st_mtime_ns, handle.read(end - start)]
+        except FileNotFoundError:
+            if not suffix:
+                raise
+    return tuple(state)
 
 
 class IndexRegistry:
@@ -85,118 +95,80 @@ class IndexRegistry:
 
     def __init__(self, *, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._entries: dict[str, IndexEntry] = {}  # guarded by: _lock
-        self._key_locks: dict[str, object] = {}  # guarded by: _lock
-        self._versions: dict[str, int] = {}  # guarded by: _lock
+        self._entries: dict[Path, IndexEntry] = {}  # guarded by: _lock
+        self._key_locks: dict[Path, object] = {}  # guarded by: _lock
         self._lock = make_lock("IndexRegistry._lock")
         self.build_count = 0  # guarded by: _lock
         self.load_count = 0  # guarded by: _lock
         self.hit_count = 0  # guarded by: _lock
-        self.swap_count = 0  # guarded by: _lock
 
-    # --------------------------------------------------------------- core
-
-    def get(self, database: Database, *, database_id: str | None = None) -> IndexEntry:
-        """The shared entry for ``database``, building or loading on miss
-        or on a fingerprint change."""
-        db_id = database_id if database_id is not None else database.schema.name
-        fingerprint = database_fingerprint(database)
-        with self._lock:
-            entry = self._entries.get(db_id)
-            if entry is not None and entry.fingerprint == fingerprint:
-                self.hit_count += 1
-                return entry
-            key_lock = self._key_locks.setdefault(
-                db_id, make_lock(f"IndexRegistry.key[{db_id}]")
-            )
-        with key_lock:
+    def get(self, database: Database) -> IndexEntry:
+        """The bundle for ``database``'s file: the memo while the file is
+        unchanged, else the disk cache's, else a new build."""
+        path = _database_file(database)
+        with self._key_lock(path):
+            state = _file_state(path)
             with self._lock:
-                entry = self._entries.get(db_id)
-                if entry is not None and entry.fingerprint == fingerprint:
+                entry = self._entries.get(path)
+                if entry is not None and entry.state == state:
                     self.hit_count += 1
                     return entry
-            entry = self._load_or_build(database, db_id, fingerprint)
+            loaded = self._load(path, state)
+            if loaded is None:
+                return self._build(database, path, state)
             with self._lock:
-                self._entries[db_id] = entry
-                self._versions[db_id] = self._versions.get(db_id, 0) + 1
-            return entry
+                self.load_count += 1
+                self._entries[path] = loaded
+            return loaded
 
-    def _cache_path(self, db_id: str) -> Path:
-        assert self.cache_dir is not None
-        # db ids come from schema names / CLI labels; keep the path safe.
-        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in db_id)
-        return self.cache_dir / f"{safe}.index"
+    def rebuild(self, database: Database) -> IndexEntry:
+        """Build a new bundle for ``database``'s file whatever the memo
+        holds, save it, and make it the one :meth:`get` answers."""
+        path = _database_file(database)
+        with self._key_lock(path):
+            return self._build(database, path, _file_state(path))
 
-    def _load_or_build(
-        self, database: Database, db_id: str, fingerprint: str
-    ) -> IndexEntry:
-        if self.cache_dir is not None:
-            loaded = load_bundle(self._cache_path(db_id), fingerprint=fingerprint)
-            if loaded is not None:
-                index, searcher = loaded
-                with self._lock:
-                    self.load_count += 1
-                return IndexEntry(db_id, fingerprint, index, searcher, "disk")
-        index = InvertedIndex.build(database)
-        searcher = SimilaritySearcher(index)
+    def _key_lock(self, path: Path):
         with self._lock:
-            self.build_count += 1
+            lock = self._key_locks.get(path)
+            if lock is None:
+                lock = self._key_locks[path] = make_lock(
+                    f"IndexRegistry.key[{path}]"
+                )
+            return lock
+
+    def _cache_path(self, path: Path) -> Path:
+        assert self.cache_dir is not None
+        digest = hashlib.sha256(str(path).encode()).hexdigest()[:16]
+        return self.cache_dir / f"{path.stem}-{digest}.index"
+
+    def _load(self, path: Path, state: tuple) -> IndexEntry | None:
+        if self.cache_dir is None:
+            return None
+        loaded = load_bundle(
+            self._cache_path(path), fingerprint=_fingerprint(path, state)
+        )
+        if loaded is None:
+            return None
+        return IndexEntry(path, state, *loaded, "disk")
+
+    def _build(self, database: Database, path: Path, state: tuple) -> IndexEntry:
+        # ``state`` was taken before the scan: a commit during it leaves
+        # the file in a later state, so the next get() sees this entry
+        # as stale.
+        index = InvertedIndex.build(database)
+        entry = IndexEntry(path, state, index, SimilaritySearcher(index), "built")
         if self.cache_dir is not None:
             save_bundle(
-                self._cache_path(db_id),
-                fingerprint=fingerprint,
-                index=index,
-                searcher=searcher,
+                self._cache_path(path),
+                fingerprint=_fingerprint(path, state),
+                index=entry.index,
+                searcher=entry.searcher,
             )
-        return IndexEntry(db_id, fingerprint, index, searcher, "built")
-
-    # ---------------------------------------------------------- lifecycle
-
-    def warm(
-        self,
-        databases: dict[str, Database] | list[Database],
-        *,
-        only: set[str] | None = None,
-    ) -> list[IndexEntry]:
-        """Build (or load) entries for many databases, one after another.
-
-        Sequential on purpose: a cold build is CPU-bound under the GIL, so
-        a thread pool saves no time, while each of its threads gets a
-        malloc arena that keeps that build's transients (tens of MB of
-        peak RSS per database).
-
-        ``only`` restricts warming to that subset of database ids — a
-        cluster worker hosting every database but *owning* one shard
-        warms only its shard eagerly and builds the rest lazily if it
-        ever receives failover traffic for them.
-        """
-        if isinstance(databases, dict):
-            items = list(databases.items())
-        else:
-            items = [(db.schema.name, db) for db in databases]
-        if only is not None:
-            items = [(db_id, db) for db_id, db in items if db_id in only]
-        return [self.get(database, database_id=db_id) for db_id, database in items]
-
-    def swap(self, entry: IndexEntry) -> int:
-        """Atomically publish a background-built entry; returns its version.
-
-        This is the zero-downtime half of the refresh protocol: the
-        builder did all its work off-path, so publishing is a single
-        dictionary assignment under the registry lock.  Readers either
-        see the old bundle or the new one, never a partial state.
-        """
         with self._lock:
-            self._entries[entry.database_id] = entry
-            version = self._versions.get(entry.database_id, 0) + 1
-            self._versions[entry.database_id] = version
-            self.swap_count += 1
-            return version
-
-    def version(self, database_id: str) -> int:
-        """How many times this key's entry has been (re)built or swapped."""
-        with self._lock:
-            return self._versions.get(database_id, 0)
+            self.build_count += 1
+            self._entries[path] = entry
+        return entry
 
     def stats(self) -> dict:
         with self._lock:
@@ -205,30 +177,9 @@ class IndexRegistry:
                 "build_count": self.build_count,
                 "load_count": self.load_count,
                 "hit_count": self.hit_count,
-                "swap_count": self.swap_count,
-                "versions": dict(self._versions),
             }
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
-
-_default_registry = IndexRegistry()  # guarded by: _default_lock
-_default_lock = make_lock("index.registry._default_lock")
-
-
-def get_default_registry() -> IndexRegistry:
-    """The process-wide registry shared by all default-constructed
-    preprocessors, pipelines, and serving runtimes."""
-    with _default_lock:
-        return _default_registry
-
-
-def set_default_registry(registry: IndexRegistry) -> IndexRegistry:
-    """Swap the process-wide registry (tests); returns the previous one."""
-    global _default_registry
-    with _default_lock:
-        previous = _default_registry
-        _default_registry = registry
-        return previous
+def _fingerprint(path: Path, state: tuple) -> str:
+    """What a disk bundle must match: its file and that file's state."""
+    return f"{path}\x00{state}"

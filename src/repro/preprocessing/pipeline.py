@@ -26,7 +26,7 @@ from repro.candidates.types import ValueCandidate, dedupe_candidates
 from repro.candidates.validation import CandidateValidator, ValidationConfig
 from repro.db.database import Database
 from repro.index.inverted import InvertedIndex
-from repro.index.registry import IndexRegistry, get_default_registry
+from repro.index.registry import IndexRegistry
 from repro.index.similarity import SimilaritySearcher
 from repro.ner.extractor import ValueExtractor
 from repro.ner.types import ExtractedValue, SpanKind
@@ -59,12 +59,13 @@ class PreprocessedQuestion:
 class Preprocessor:
     """Pre-processing bound to one database.
 
-    The inverted index and similarity searcher come from the process-wide
-    :class:`~repro.index.registry.IndexRegistry` (so every preprocessor,
-    pipeline and serving runtime for the same database content shares one
-    index instead of each rebuilding); each call to :meth:`run` (ValueNet
-    mode) or :meth:`run_light` (ValueNet light mode) is then index-backed
-    and fast.  Passing an explicit ``index`` bypasses the registry.
+    The inverted index and similarity searcher are built once, here:
+    from ``index`` when given, else from the ``registry``'s bundle for
+    the database file (so every preprocessor, pipeline and serving
+    runtime built with that registry shares one index), else from a
+    private scan of ``database``.  Each call to :meth:`run` (ValueNet
+    mode) or :meth:`run_light` (ValueNet light mode) is then
+    index-backed and fast.
     """
 
     def __init__(
@@ -79,14 +80,12 @@ class Preprocessor:
     ):
         self.database = database
         self.schema: Schema = database.schema
-        if index is not None:
-            self.index = index
-            self._searcher = SimilaritySearcher(index)
+        if index is None and registry is not None:
+            entry = registry.get(database)
+            self.index, self._searcher = entry.index, entry.searcher
         else:
-            active = registry if registry is not None else get_default_registry()
-            entry = active.get(database)
-            self.index = entry.index
-            self._searcher = entry.searcher
+            self.index = index if index is not None else InvertedIndex.build(database)
+            self._searcher = SimilaritySearcher(self.index)
         self._extractor = extractor or ValueExtractor()
         self._generation_config = generation_config
         self._validation_config = validation_config

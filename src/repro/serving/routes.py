@@ -301,7 +301,8 @@ def _is_timeout(value) -> bool:
 def _handle_admin_refresh(service, headers, body: bytes | None) -> Response:
     """``POST /admin/refresh`` — force a KB refresh (admin-gated).
 
-    Body (optional JSON): ``{"database_id": ..., "wait": bool}``.  With
+    Body (optional JSON): ``{"database_id": str | null, "wait": bool}``;
+    a null or absent ``database_id`` refreshes every database.  With
     ``wait`` (the default) the refresh runs synchronously and the 200
     body reports what was swapped; ``wait=false`` schedules it and
     answers 202.  In cluster mode the supervisor broadcasts a refresh
@@ -325,16 +326,21 @@ def _handle_admin_refresh(service, headers, body: bytes | None) -> Response:
             return error_response(400, "body must be a JSON object")
         payload = decoded
     database_id = payload.get("database_id")
+    if database_id is not None and not isinstance(database_id, str):
+        return error_response(400, "database_id must be a string or null")
+    wait = payload.get("wait", True)
+    if not isinstance(wait, bool):
+        return error_response(400, "wait must be true or false")
     refresher = getattr(service, "refresher", None)
     if refresher is not None:  # single-process service with a KBRefresher
-        if payload.get("wait", True):
+        if wait:
             refreshed = refresher.refresh_now(database_id)
             return json_response(
                 200,
                 {"status": "ok", "refreshed": refreshed,
                  "evolve": refresher.stats()},
             )
-        refresher.trigger()
+        refresher.trigger(database_id)
         return json_response(202, {"status": "scheduled"})
     trigger = getattr(service, "trigger_refresh", None)
     if trigger is None or not getattr(service, "refresh_enabled", False):

@@ -62,11 +62,12 @@ class DatabaseRuntime:
         beam_size: default beam width (a translate call may pass its own).
         pipeline: pre-built pipeline override (used by tests to inject
             fakes); mutually exclusive with ``model``.
-        preprocessor: pre-built preprocessor override; by default one is
-            created against the shared index registry, so the runtime,
-            the neural pipeline, and the heuristic fallback all use the
-            same :class:`~repro.index.inverted.InvertedIndex` (exactly
-            one per database process-wide).
+        preprocessor: the preprocessor the runtime, the neural pipeline
+            and the heuristic fallback all share (and so one
+            :class:`~repro.index.inverted.InvertedIndex`); the serving
+            stack builds it with its
+            :class:`~repro.index.registry.IndexRegistry`.  By default
+            one is built over a private index.
         policy: optional :class:`~repro.policy.engine.PolicyEngine`;
             :meth:`check_sql` and :meth:`execute_sql` are its only
             callers in serving.

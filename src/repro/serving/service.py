@@ -776,21 +776,21 @@ class TranslationService:
 
     def health(self) -> dict:
         with self._runtime_lock:
-            runtimes = list(self.runtimes.values())
+            runtimes = dict(self.runtimes)
         return {
             "status": "stopping" if self._stopping else (
                 "ok" if self._started else "idle"),
             "ready": self.is_ready(),
             "uptime_s": time.monotonic() - self._started_monotonic,
-            "databases": sorted(self.runtimes),
+            "databases": sorted(runtimes),
             "workers": self.workers,
             "queue_depth": self._queue.qsize(),
             "queue_capacity": self._queue.maxsize,
             "queue_lanes": self._queue.lanes(),
             "cache": self.cache.stats(),
             "value_search": {
-                runtime.database_id: runtime.preprocessor.searcher.stats_snapshot()
-                for runtime in runtimes
+                db_id: runtime.preprocessor.searcher.stats_snapshot()
+                for db_id, runtime in runtimes.items()
             },
             "evolve": (
                 self.refresher.stats() if self.refresher is not None else None

@@ -29,7 +29,6 @@ from repro.cluster import (
 from repro.cluster.health import CircuitBreaker
 from repro.cluster.worker import ServingStack, WorkerProcess
 from repro.concurrency import ExponentialBackoff
-from repro.index.registry import get_default_registry, set_default_registry
 from repro.serving import QueueFullError, UnknownDatabaseError
 
 
@@ -771,7 +770,6 @@ def test_worker_answers_pings_while_adopting(databases, monkeypatch):
         return adopt(self, db_id)
 
     monkeypatch.setattr(ServingStack, "adopt", held_adopt)
-    previous = get_default_registry()  # the stack installs its own
     ours, theirs = socket.socketpair()
     ours.settimeout(30.0)
     conn = protocol.FrameConnection(ours)
@@ -804,7 +802,40 @@ def test_worker_answers_pings_while_adopting(databases, monkeypatch):
     finally:
         gate.set()
         conn.close()
-        set_default_registry(previous)
+
+
+def test_refresh_frame_refreshes_only_its_database(databases):
+    """A cluster refresh frame naming one database forces that one; the
+    worker runs in-process here and the test is its supervisor."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(30.0)
+    conn = protocol.FrameConnection(ours)
+    worker = WorkerProcess(
+        WorkerSpec(
+            worker_id=0, databases=tuple(databases),
+            shard=("left", "right"), threads=1, kb_refresh_interval_s=3600.0,
+        ),
+        theirs,
+    )
+    loop = threading.Thread(target=worker.run, daemon=True)
+    loop.start()
+    try:
+        assert conn.recv()["type"] == "ready"
+        conn.send(protocol.refresh_frame("right"))
+        deadline = time.monotonic() + 30.0
+        evolve: dict = {}
+        while time.monotonic() < deadline:
+            conn.send(protocol.ping_frame(1))
+            evolve = conn.recv()["health"]["evolve"]
+            if evolve["swaps"]:
+                break
+            time.sleep(0.05)
+        assert evolve["versions"] == {"left": 0, "right": 1}, evolve
+        conn.send(protocol.shutdown_frame())
+        loop.join(timeout=30.0)
+        assert not loop.is_alive()
+    finally:
+        conn.close()
 
 
 _CITIES = (

@@ -4,17 +4,18 @@ zero-downtime index swap, and schema-driven corpus growth.
 The watcher tests mutate a file-backed SQLite database through a
 *separate* writer connection — exactly how drift arrives in production —
 and assert the verdict taxonomy: no-op polls, row inserts,
-count-preserving UPDATEs (invisible to the registry's cheap
-fingerprint, anywhere in a table), and DDL each classify correctly.
+count-preserving UPDATEs (anywhere in a table), and DDL each classify
+correctly.
 
 The refresher tests run the real serving stack (DatabaseRuntime +
 TranslationService) and prove the swap contract end to end — the swap
 is the only way new content reaches serving, since a built index is
-never mutated: version bump, pre-swap answers unreadable through the
-generation cache key, and a post-drift value query resolving against
-content that did not exist at index-build time.  A finished swap
-triggers no other, and swaps leave one cached schema feature set per
-served database.
+never mutated: a per-database swap count, pre-swap answers unreadable
+through the generation cache key, and a post-drift value query
+resolving against content that did not exist at index-build time.  A
+finished swap triggers no other, swaps leave one cached schema feature
+set per served database, and a refresh asked for one database (sync or
+async) swaps only that one.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from repro.evolve import (
     SchemaWatcher,
     generate_examples,
 )
-from repro.index.registry import IndexRegistry, database_fingerprint
+from repro.index.registry import IndexRegistry
 from repro.model import ValueNetModel, build_vocabulary
+from repro.preprocessing import Preprocessor
 from repro.serving import (
     DatabaseRuntime,
     TranslationCache,
@@ -134,9 +136,7 @@ class TestSchemaWatcher:
         watcher.close()
 
     def test_count_preserving_update_is_content_changed(self, pets_file):
-        """The case the registry's cheap fingerprint cannot see."""
-        database = Database.open(pets_file)
-        cheap_before = database_fingerprint(database)
+        """Every row count stays the same; the commit still shows."""
         watcher = SchemaWatcher(pets_file)
         with _writer(pets_file) as conn:
             conn.execute(
@@ -144,10 +144,7 @@ class TestSchemaWatcher:
             )
         report = watcher.poll()
         assert report.verdict is DriftVerdict.CONTENT_CHANGED
-        # Row counts are identical, so the cheap fingerprint is blind.
-        assert database_fingerprint(database) == cheap_before
         watcher.close()
-        database.close()
 
     def test_update_past_row_4096_is_content_changed(self, people_file):
         """A count-preserving UPDATE far into a table is seen, and
@@ -198,22 +195,6 @@ class TestSchemaWatcher:
         watcher.close()
 
 
-# ----------------------------------------------------------- registry swap
-
-
-class TestRegistrySwap:
-    def test_swap_bumps_version_atomically(self, pets_file):
-        registry = IndexRegistry()
-        database = Database.open(pets_file)
-        entry = registry.get(database)
-        v1 = registry.version(database.schema.name)
-        assert v1 == 1
-        assert registry.swap(entry) == v1 + 1
-        assert registry.version(database.schema.name) == v1 + 1
-        assert registry.stats()["swap_count"] == 1
-        database.close()
-
-
 # ------------------------------------------------------ refresher lifecycle
 
 # An untrained model is enough to exercise the model's schema features.
@@ -223,60 +204,52 @@ _TINY = ModelConfig(
 )
 
 
-def _serving_stack(
-    path, *, registry=None, database_id="pets", model=None, **refresher_kwargs
-):
+def _serving_stack(path, *, database_id="pets", model=None, **refresher_kwargs):
     """A real single-database serving stack plus an (unstarted) refresher."""
-    registry = registry if registry is not None else IndexRegistry()
-    from repro.index import set_default_registry
-
-    previous = set_default_registry(registry)
+    registry = IndexRegistry()
     database = Database.open(path)
-    runtime = DatabaseRuntime(database, model, database_id=database_id)
+    runtime = DatabaseRuntime(
+        database, model, database_id=database_id,
+        preprocessor=Preprocessor(database, registry=registry),
+    )
     cache = TranslationCache(capacity=64, ttl_s=300.0)
     service = TranslationService([runtime], workers=2, cache=cache).start()
-    refresher = KBRefresher(
-        registry=registry, interval_s=60.0, **refresher_kwargs
-    )
+    refresher = KBRefresher(registry, interval_s=60.0, **refresher_kwargs)
     refresher.watch(database, database_id=database_id)
     refresher.attach_service(service)
-    return previous, database, service, cache, refresher
+    return database, service, cache, refresher
 
 
-def _teardown_stack(previous, database, service, refresher):
-    from repro.index import set_default_registry
-
+def _teardown_stack(database, service, refresher):
     refresher.stop()
     service.stop()
     database.close()
-    set_default_registry(previous)
 
 
 class TestKBRefresher:
     def test_in_memory_database_is_rejected(self, pets_db):
-        refresher = KBRefresher(registry=IndexRegistry(), interval_s=60.0)
+        refresher = KBRefresher(IndexRegistry(), interval_s=60.0)
         with pytest.raises(ValueError):
             refresher.watch(pets_db)
 
     def test_no_drift_means_no_swap(self, pets_file):
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
             assert refresher.refresh_now(force=False) == []
             assert refresher.stats()["swaps"] == 0
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_drift_swaps_invalidates_and_resolves_new_value(self, pets_file):
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
-            registry = refresher.registry
             question = "Which students are from Zambia?"
             before = service.translate(question)
             assert before.ok
             assert "Zambia" not in (before.sql or "")
             # Warm the cache so a stale read would be observable.
             assert service.translate(question).cache_hit
-            v_before = registry.version("pets")
+            assert refresher.stats()["versions"] == {"pets": 0}
 
             with _writer(pets_file) as conn:
                 conn.execute(
@@ -287,8 +260,11 @@ class TestKBRefresher:
             info = swapped[0]
             assert info["database_id"] == "pets"
             assert info["verdict"] == DriftVerdict.CONTENT_CHANGED.value
-            assert info["version"] > v_before
-            assert registry.version("pets") == info["version"]
+            assert info["version"] == 1
+            assert refresher.stats()["versions"] == {"pets": 1}
+            # The registry answers the swapped-in bundle from now on.
+            entry = refresher.registry.get(database)
+            assert entry.index is service.runtimes["pets"].preprocessor.index
 
             after = service.translate(question)
             assert after.ok
@@ -297,12 +273,12 @@ class TestKBRefresher:
             assert not after.cache_hit
             assert "Zambia" in after.sql
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_update_past_row_4096_swaps_without_force(self, people_file):
         """The scheduled (non-forced) cycle picks up an in-place UPDATE
         deep in a table, and the new value resolves."""
-        previous, database, service, cache, refresher = _serving_stack(
+        database, service, cache, refresher = _serving_stack(
             people_file, database_id="people"
         )
         try:
@@ -325,12 +301,12 @@ class TestKBRefresher:
             assert "WHERE person.country = 'Zanzibar'" in after.sql
             assert after.rows == [("Person 4500",)]
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_a_finished_swap_triggers_no_other(self, pets_file, tmp_path):
         """Neither the rebuild's reads nor the corpus validation queries
         commit anything the watcher could mistake for drift."""
-        previous, database, service, cache, refresher = _serving_stack(
+        database, service, cache, refresher = _serving_stack(
             pets_file, corpus_path=tmp_path / "grown.jsonl"
         )
         try:
@@ -338,7 +314,7 @@ class TestKBRefresher:
             assert info["corpus_examples"] > 0
             assert refresher.refresh_now(force=False) == []
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_swaps_keep_one_schema_feature_set_per_database(self, pets_file):
         """Each swap evicts the retired schema's cached features."""
@@ -348,7 +324,7 @@ class TestKBRefresher:
         )
         database.close()
         model = ValueNetModel(vocab, _TINY)
-        previous, database, service, cache, refresher = _serving_stack(
+        database, service, cache, refresher = _serving_stack(
             pets_file, model=model
         )
         try:
@@ -362,10 +338,10 @@ class TestKBRefresher:
                 (r.sql, r.rows, r.engine) for r in before
             ]
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_ddl_reintrospects_schema_into_runtime(self, pets_file):
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
             assert "clinic" not in {t.name for t in database.schema.tables}
             with _writer(pets_file) as conn:
@@ -383,12 +359,12 @@ class TestKBRefresher:
             response = service.translate("How many rows are in clinic?")
             assert response.ok
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_trigger_wakes_the_background_thread(self, pets_file):
         import time
 
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
             refresher.start()
             with _writer(pets_file) as conn:
@@ -403,10 +379,10 @@ class TestKBRefresher:
                 time.sleep(0.02)
             assert refresher.stats()["swaps"] >= 1
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
     def test_refresher_surfaces_in_health_and_admin_route(self, pets_file):
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
             assert service.health()["evolve"]["watched"] == ["pets"]
             response = routes.handle(
@@ -422,7 +398,57 @@ class TestKBRefresher:
             )
             assert async_response.status == 202
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
+
+    @pytest.mark.parametrize("body", [
+        b'{"database_id": 5}', b'{"database_id": ["pets"]}',
+        b'{"wait": "no"}', b'{"wait": 0}',
+    ])
+    def test_admin_route_rejects_bad_fields(self, pets_file, body):
+        database, service, cache, refresher = _serving_stack(pets_file)
+        try:
+            response = routes.handle(service, "POST", "/admin/refresh", {}, body)
+            assert response.status == 400
+            assert refresher.stats()["swaps"] == 0
+        finally:
+            _teardown_stack(database, service, refresher)
+
+    def test_async_refresh_of_one_database_swaps_only_that_one(self, tmp_path):
+        import time
+
+        registry = IndexRegistry()
+        databases = {}
+        for db_id in ("left", "right"):
+            _create_pets_file(tmp_path / f"{db_id}.sqlite")
+            databases[db_id] = Database.open(tmp_path / f"{db_id}.sqlite")
+        service = TranslationService([
+            DatabaseRuntime(
+                database, database_id=db_id,
+                preprocessor=Preprocessor(database, registry=registry),
+            )
+            for db_id, database in databases.items()
+        ], workers=1).start()
+        refresher = KBRefresher(registry, interval_s=60.0)
+        for db_id, database in databases.items():
+            refresher.watch(database, database_id=db_id)
+        refresher.attach_service(service)
+        refresher.start()
+        try:
+            response = routes.handle(
+                service, "POST", "/admin/refresh", {},
+                b'{"database_id": "right", "wait": false}',
+            )
+            assert response.status == 202
+            deadline = time.monotonic() + 10.0
+            while refresher.stats()["swaps"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            # "left" is polled first in the cycle that swapped "right".
+            assert refresher.stats()["versions"] == {"left": 0, "right": 1}
+        finally:
+            refresher.stop()
+            service.stop()
+            for database in databases.values():
+                database.close()
 
     def test_admin_route_409_without_refresher(self, pets_db):
         service = TranslationService(
@@ -437,7 +463,7 @@ class TestKBRefresher:
             service.stop()
 
     def test_failure_backs_off_and_daemon_survives(self, pets_file, tmp_path):
-        previous, database, service, cache, refresher = _serving_stack(pets_file)
+        database, service, cache, refresher = _serving_stack(pets_file)
         try:
             target = refresher._targets["pets"]
             # Simulate the watched file becoming unreadable mid-flight.
@@ -451,7 +477,7 @@ class TestKBRefresher:
             assert len(refresher.refresh_now()) == 1
             assert target.retry_at == 0.0
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)
 
 
 # --------------------------------------------- hypothesis: swap invariance
@@ -472,23 +498,11 @@ _QUESTIONS = (
 @pytest.fixture(scope="module")
 def swap_rig(tmp_path_factory):
     """One long-lived serving stack the invariance property hammers."""
-    from repro.index import set_default_registry
-
     path = tmp_path_factory.mktemp("evolve") / "pets.sqlite"
     _create_pets_file(path)
-    registry = IndexRegistry()
-    previous = set_default_registry(registry)
-    database = Database.open(path)
-    runtime = DatabaseRuntime(database, database_id="pets")
-    service = TranslationService([runtime], workers=2).start()
-    refresher = KBRefresher(registry=registry, interval_s=60.0)
-    refresher.watch(database, database_id="pets")
-    refresher.attach_service(service)
+    database, service, _cache, refresher = _serving_stack(path)
     yield service, refresher
-    refresher.stop()
-    service.stop()
-    database.close()
-    set_default_registry(previous)
+    _teardown_stack(database, service, refresher)
 
 
 @settings(max_examples=12)
@@ -567,7 +581,7 @@ class TestCorpusGrowth:
 
     def test_refresher_grows_corpus_for_new_table_only(self, pets_file, tmp_path):
         corpus_path = tmp_path / "grown.jsonl"
-        previous, database, service, cache, refresher = _serving_stack(
+        database, service, cache, refresher = _serving_stack(
             pets_file, corpus_path=corpus_path
         )
         try:
@@ -590,4 +604,4 @@ class TestCorpusGrowth:
             snapshot = refresher.metrics.snapshot()
             assert snapshot["evolve_corpus_examples_total"] == len(lines)
         finally:
-            _teardown_stack(previous, database, service, refresher)
+            _teardown_stack(database, service, refresher)

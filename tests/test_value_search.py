@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import sqlite3
 import threading
 import urllib.request
 from array import array
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.worker import ServingStack, WorkerSpec
 from repro.db import Database
 from repro.index import (
     BlockedValuePool,
@@ -34,11 +36,8 @@ from repro.index import (
     SearchStats,
     SimilaritySearcher,
     ValueLocation,
-    database_fingerprint,
-    get_default_registry,
     load_bundle,
     save_bundle,
-    set_default_registry,
 )
 from repro.index.persistence import FORMAT_VERSION
 from repro.preprocessing import Preprocessor
@@ -546,94 +545,230 @@ class TestPersistence:
 
 
 @pytest.fixture
-def fresh_registry():
-    registry = IndexRegistry()
-    previous = set_default_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_default_registry(previous)
+def pets_file(pets_db, pets_schema, tmp_path):
+    """The conftest pets database copied to a file (a registry keys files)."""
+    path = tmp_path / "pets.sqlite"
+    target = sqlite3.connect(path)
+    pets_db.connection.backup(target)
+    target.close()
+    database = Database.open(path, pets_schema)
+    yield database
+    database.close()
+
+
+@pytest.fixture
+def spider_files(spider_corpus, tmp_path):
+    """The first four corpus databases, each written to its own file."""
+    databases = {
+        domain: spider_corpus.domains[domain].build_database(
+            str(tmp_path / f"{domain}.sqlite")
+        )
+        for domain in sorted(spider_corpus.domains)[:4]
+    }
+    yield databases
+    for database in databases.values():
+        database.close()
+
+
+def _students_file(path, name: str, country: str) -> str:
+    """Student 1 is ``name`` from ``country``; student 2, from Peru, makes
+    an answer that lost the country filter wrong."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE student (stuid INTEGER PRIMARY KEY, name TEXT, "
+        "home_country TEXT)"
+    )
+    conn.executemany(
+        "INSERT INTO student VALUES (?, ?, ?)",
+        [(1, name, country), (2, "Cid", "Peru")],
+    )
+    conn.commit()
+    conn.close()
+    return str(path)
+
+
+def _stack(databases, **spec) -> ServingStack:
+    """A one-thread serving stack hosting every ``(db_id, path)`` pair."""
+    return ServingStack(WorkerSpec(
+        worker_id=0,
+        databases=tuple(databases),
+        shard=tuple(db_id for db_id, _ in databases),
+        threads=1,
+        **spec,
+    ))
+
+
+def _from(stack, db_id: str, country: str):
+    response = stack.service.translate(
+        f"Which students are from {country}?", db_id, execute=True
+    )
+    return [tuple(row) for row in response.rows or ()]
 
 
 class TestRegistry:
-    def test_preprocessors_share_one_index(self, pets_db, fresh_registry):
-        first = Preprocessor(pets_db)
-        second = Preprocessor(pets_db)
+    def test_preprocessors_share_one_index(self, pets_file):
+        registry = IndexRegistry()
+        first = Preprocessor(pets_file, registry=registry)
+        second = Preprocessor(pets_file, registry=registry)
         assert first.index is second.index
         assert first.searcher is second.searcher
-        assert fresh_registry.build_count == 1
-        assert fresh_registry.hit_count >= 1
+        assert registry.build_count == 1
+        assert registry.hit_count >= 1
 
-    def test_fingerprint_change_triggers_rebuild(self, pets_db, fresh_registry):
-        first = Preprocessor(pets_db)
-        pets_db.insert_rows("student", [(99, "Zed Quirk", 30, "Xanadu", "M")])
-        second = Preprocessor(pets_db)
+    def test_in_memory_database_is_refused(self, pets_db):
+        with pytest.raises(ValueError):
+            IndexRegistry().get(pets_db)
+        # Without a registry a preprocessor scans into a private bundle.
+        assert Preprocessor(pets_db).index is not Preprocessor(pets_db).index
+
+    def test_fingerprint_change_triggers_rebuild(self, pets_file):
+        registry = IndexRegistry()
+        first = Preprocessor(pets_file, registry=registry)
+        pets_file.insert_rows("student", [(99, "Zed Quirk", 30, "Xanadu", "M")])
+        second = Preprocessor(pets_file, registry=registry)
         assert second.index is not first.index
-        assert fresh_registry.build_count == 2
+        assert registry.build_count == 2
         assert second.index.contains("Xanadu")
 
-    def test_fingerprint_is_content_sensitive(self, pets_db):
-        before = database_fingerprint(pets_db)
-        pets_db.insert_rows("student", [(98, "New Person", 20, "France", "M")])
-        assert database_fingerprint(pets_db) != before
+    def test_fingerprint_is_content_sensitive(self, pets_file):
+        """A count- and size-preserving UPDATE is a new file state."""
+        registry = IndexRegistry()
+        before = registry.get(pets_file)
+        with pets_file.connection as conn:
+            conn.execute("UPDATE student SET home_country='Gabon' WHERE stuid=1")
+        after = registry.get(pets_file)
+        assert after is not before and after.state != before.state
+        assert after.index.contains("Gabon") and not before.index.contains("Gabon")
 
-    def test_serving_builds_exactly_one_index_per_database(
-        self, pets_db, fresh_registry
-    ):
+    def test_serving_builds_exactly_one_index_per_database(self, pets_file):
         """Acceptance: the runtime, its pipeline, and its fallback share
-        one InvertedIndex; a second runtime over the same content shares
-        it too."""
-        runtime = DatabaseRuntime(pets_db, database_id="pets")
-        assert fresh_registry.build_count == 1
+        one InvertedIndex; a second runtime over the same file shares it
+        too."""
+        registry = IndexRegistry()
+        runtime = DatabaseRuntime(
+            pets_file, database_id="pets",
+            preprocessor=Preprocessor(pets_file, registry=registry),
+        )
+        assert registry.build_count == 1
         assert runtime.fallback.preprocessor is runtime.preprocessor
         service = TranslationService([runtime], workers=1)
         with service:
             response = service.translate("How many students are from France?")
         assert response.sql is not None
-        assert fresh_registry.build_count == 1
+        assert registry.build_count == 1
 
-        second = DatabaseRuntime(pets_db, database_id="pets_replica")
+        second = DatabaseRuntime(
+            pets_file, database_id="pets_replica",
+            preprocessor=Preprocessor(pets_file, registry=registry),
+        )
         assert second.preprocessor.index is runtime.preprocessor.index
-        assert fresh_registry.build_count == 1
+        assert registry.build_count == 1
 
-    def test_registry_disk_cache_roundtrip(self, pets_db, tmp_path):
-        cold = IndexRegistry(cache_dir=tmp_path)
-        entry = cold.get(pets_db)
+    def test_routing_ids_over_one_file_share_one_bundle(self, tmp_path):
+        path = _students_file(tmp_path / "shop.sqlite", "Ann", "Zambia")
+        stack = _stack([("front", path), ("back", path)])
+        try:
+            runtimes = stack.service.runtimes
+            assert runtimes["front"].preprocessor.index is (
+                runtimes["back"].preprocessor.index
+            )
+            stats = stack.registry.stats()
+            assert (stats["entries"], stats["build_count"]) == (1, 1)
+            assert _from(stack, "back", "Zambia") == [("Ann",)]
+        finally:
+            stack.close(timeout=10.0)
+
+    def test_same_stem_files_answer_from_their_own_values(self, tmp_path):
+        stack = _stack([
+            ("storeA", _students_file(tmp_path / "a" / "shop.sqlite",
+                                      "Ann", "Zambia")),
+            ("storeB", _students_file(tmp_path / "b" / "shop.sqlite",
+                                      "Bob", "Tuvalu")),
+        ])
+        try:
+            assert _from(stack, "storeA", "Zambia") == [("Ann",)]
+            assert _from(stack, "storeB", "Tuvalu") == [("Bob",)]
+            stats = stack.registry.stats()
+            assert (stats["entries"], stats["build_count"]) == (2, 2)
+        finally:
+            stack.close(timeout=10.0)
+
+    def test_restart_after_offline_update_sees_new_value(self, tmp_path):
+        path = _students_file(tmp_path / "shop.sqlite", "Ann", "Zambia")
+        cache = tmp_path / "index-cache"
+        _stack([("shop", path)], index_cache=str(cache)).close(timeout=10.0)
+        # While no server runs: same row count, same value length.
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE student SET home_country='Tuvalu' WHERE stuid=1")
+        conn.close()
+        stack = _stack([("shop", path)], index_cache=str(cache))
+        try:
+            assert _from(stack, "shop", "Tuvalu") == [("Ann",)]
+            assert stack.registry.stats()["load_count"] == 0
+        finally:
+            stack.close(timeout=10.0)
+
+    def test_restart_after_live_refresh_sees_refreshed_value(self, tmp_path):
+        path = _students_file(tmp_path / "shop.sqlite", "Ann", "Zambia")
+        cache = tmp_path / "index-cache"
+        stack = _stack(
+            [("shop", path)], index_cache=str(cache), kb_refresh_interval_s=3600.0
+        )
+        try:
+            with sqlite3.connect(path) as conn:
+                conn.execute(
+                    "UPDATE student SET home_country='Tuvalu' WHERE stuid=1"
+                )
+            conn.close()
+            assert len(stack.refresher.refresh_now(force=False)) == 1
+            assert _from(stack, "shop", "Tuvalu") == [("Ann",)]
+        finally:
+            stack.close(timeout=10.0)
+        stack = _stack([("shop", path)], index_cache=str(cache))
+        try:
+            # The refresher saved what it swapped in: nothing to rebuild.
+            stats = stack.registry.stats()
+            assert (stats["load_count"], stats["build_count"]) == (1, 0)
+            assert _from(stack, "shop", "Tuvalu") == [("Ann",)]
+        finally:
+            stack.close(timeout=10.0)
+
+    def test_registry_disk_cache_roundtrip(self, pets_file, tmp_path):
+        cold = IndexRegistry(cache_dir=tmp_path / "cache")
+        entry = cold.get(pets_file)
         assert entry.source == "built"
         assert cold.build_count == 1
 
-        warm = IndexRegistry(cache_dir=tmp_path)
-        warm_entry = warm.get(pets_db)
+        warm = IndexRegistry(cache_dir=tmp_path / "cache")
+        warm_entry = warm.get(pets_file)
         assert warm_entry.source == "disk"
         assert warm.build_count == 0 and warm.load_count == 1
         assert warm_entry.index.lookup("France") == entry.index.lookup("France")
         assert warm_entry.searcher.search("frnace") == entry.searcher.search("frnace")
 
-    def test_stale_disk_cache_rebuilds(self, pets_db, tmp_path):
-        cold = IndexRegistry(cache_dir=tmp_path)
-        cold.get(pets_db)
-        pets_db.insert_rows("student", [(97, "Ada Byron", 36, "England", "F")])
-        warm = IndexRegistry(cache_dir=tmp_path)
-        entry = warm.get(pets_db)
-        assert entry.source == "built"  # fingerprint mismatch on disk
+    def test_stale_disk_cache_rebuilds(self, pets_file, tmp_path):
+        cold = IndexRegistry(cache_dir=tmp_path / "cache")
+        cold.get(pets_file)
+        pets_file.insert_rows("student", [(97, "Ada Byron", 36, "England", "F")])
+        warm = IndexRegistry(cache_dir=tmp_path / "cache")
+        entry = warm.get(pets_file)
+        assert entry.source == "built"  # the file changed since the save
         assert entry.index.contains("England")
 
-    def test_warm_builds_each_database_once(self, spider_corpus):
+    def test_warm_builds_each_database_once(self, spider_files):
+        """Startup's loop: one get per database builds each once."""
         registry = IndexRegistry()
-        databases = {
-            domain: spider_corpus.database(domain)
-            for domain in sorted(spider_corpus.domains)[:4]
-        }
-        entries = registry.warm(databases)
-        assert [entry.database_id for entry in entries] == list(databases)
+        entries = [registry.get(database) for database in spider_files.values()]
         assert registry.build_count == 4
-        # warm again: every entry is shared, nothing rebuilds
-        registry.warm(databases)
+        assert len({entry.path for entry in entries}) == 4
+        # again: every entry is shared, nothing rebuilds
+        again = [registry.get(database) for database in spider_files.values()]
         assert registry.build_count == 4
-        assert registry.warm(databases, only={entries[0].database_id}) == entries[:1]
+        assert all(a is b for a, b in zip(entries, again))
 
     def test_warm_start_from_disk_rederives_nothing(
-        self, spider_corpus, tmp_path, monkeypatch
+        self, spider_files, tmp_path, monkeypatch
     ):
         """The retired bench's "warm start >= 10x faster than cold", as
         structure instead of a ratio: a start from the disk cache scans no
@@ -652,30 +787,20 @@ class TestRegistry:
 
         count_calls(Database, "column_values")
         count_calls(BlockedValuePool, "__init__")
-        databases = {
-            domain: spider_corpus.database(domain)
-            for domain in sorted(spider_corpus.domains)[:2]
-        }
-        cold = IndexRegistry(cache_dir=tmp_path).warm(databases)
+        databases = list(spider_files.values())[:2]
+        cache = tmp_path / "cache"
+        cold = [IndexRegistry(cache_dir=cache).get(db) for db in databases]
         assert [entry.source for entry in cold] == ["built", "built"]
         assert calls["column_values"] > 0 and calls["__init__"] == 2
 
         calls.clear()
-        warm = IndexRegistry(cache_dir=tmp_path).warm(databases)
+        warm = [IndexRegistry(cache_dir=cache).get(db) for db in databases]
         assert [entry.source for entry in warm] == ["disk", "disk"]
         assert not calls
         for cold_entry, warm_entry in zip(cold, warm):
             values = [value for value, _ in cold_entry.index.iter_text_values()]
             for query in typo_queries(values[:: max(1, len(values) // 10)]):
                 assert warm_entry.searcher.search(query) == cold_entry.searcher.search(query)
-
-    def test_default_registry_swap_restores(self):
-        original = get_default_registry()
-        replacement = IndexRegistry()
-        assert set_default_registry(replacement) is original
-        assert get_default_registry() is replacement
-        set_default_registry(original)
-        assert get_default_registry() is original
 
 
 # ------------------------------------------------------ serving /healthz
@@ -687,9 +812,7 @@ class TestServingValueSearchHealth:
         with urllib.request.urlopen(server.url + "/healthz", timeout=30) as reply:
             return json.loads(reply.read())["value_search"]
 
-    def test_healthz_reports_the_current_searchers_stats(
-        self, pets_db, fresh_registry
-    ):
+    def test_healthz_reports_the_current_searchers_stats(self, pets_db):
         runtime = DatabaseRuntime(pets_db, database_id="pets")
         service = TranslationService([runtime], workers=1).start()
         server = ServingServer(("127.0.0.1", 0), service)
