@@ -12,7 +12,8 @@ the whole contract end to end:
   database returns 200 with rows;
 * blocks increment the tenant-labeled ``policy_blocked_total`` counter
   visible in the /metrics exposition;
-* per-request dialect selection returns the rendered dialect.
+* a body carrying ``dialect`` is a 400 naming the field; the SQL of a
+  plain request is the SQLite text the gate checked and ran.
 
 Run with ``PYTHONPATH=src python scripts/policy_smoke.py``; exits 0 on
 success.
@@ -131,6 +132,7 @@ def main() -> int:
             assert status == 200, (status, body)
             assert body["rows"] == [[2]], body
             assert body["policy"] is None, body
+            executed_sql = body["sql"]
 
             status, body = post(server.url, {
                 "question": question, "database_id": "locked", "execute": True,
@@ -145,14 +147,13 @@ def main() -> int:
                 "question": question, "database_id": "open",
                 "dialect": "postgres",
             })
-            assert status == 200, (status, body)
-            assert body["dialect"] == "postgres", body
-
+            assert status == 400, (status, body)
+            assert "dialect" in body["error"], body
             status, body = post(server.url, {
                 "question": question, "database_id": "open",
-                "dialect": "oracle",
             })
-            assert status == 400, (status, body)
+            assert status == 200, (status, body)
+            assert body["sql"] == executed_sql, (executed_sql, body)
 
             metrics = urllib.request.urlopen(
                 server.url + "/metrics", timeout=10

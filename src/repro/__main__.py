@@ -293,7 +293,6 @@ def _spec_kwargs(args) -> dict:
         index_cache=args.index_cache,
         allow_failure_injection=args.allow_injection,
         policy_path=args.policy,
-        dialect=args.dialect,
         kb_refresh_interval_s=args.kb_refresh_interval,
         kb_corpus=args.kb_corpus,
     )
@@ -512,12 +511,6 @@ def main(argv: list[str] | None = None) -> int:
         help="SQL policy config file (enables the policy gate: "
              "blocked keywords, read-only enforcement, join "
              "sanity, cost bounds; see docs/policy.md)",
-    )
-    serve.add_argument(
-        "--dialect", default="sqlite",
-        choices=("sqlite", "postgres", "mysql"),
-        help="default SQL dialect for rendered responses (per-request "
-             "override via the 'dialect' body field)",
     )
     serve.add_argument(
         "--kb-refresh-interval", type=float, default=None, metavar="S",

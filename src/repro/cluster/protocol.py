@@ -257,13 +257,11 @@ def request_frame(
     inject_failure: bool = False,
     tenant_id: str | None = None,
     tenant_weight: int = 1,
-    dialect: str | None = None,
 ) -> dict:
     # Tenant identity crosses the IPC boundary so worker-side fair
     # queueing and per-tenant metrics work without each worker holding
     # the registry; enforcement (auth/rate/quota) stays at the front
-    # door, so the worker trusts these fields.  The dialect rides along
-    # so each worker renders (and caches) in the requested flavor.
+    # door, so the worker trusts these fields.
     return {
         "type": "request",
         "id": request_id,
@@ -275,7 +273,6 @@ def request_frame(
         "inject_failure": inject_failure,
         "tenant_id": tenant_id,
         "tenant_weight": tenant_weight,
-        "dialect": dialect,
     }
 
 

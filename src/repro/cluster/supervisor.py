@@ -404,7 +404,6 @@ class ClusterService:
         inject_failure: bool = False,
         tenant_id: str | None = None,
         tenant_weight: int = 1,
-        dialect: str | None = None,
     ) -> ServeResponse:
         """Drive one request to its shard's worker and back, on this thread.
 
@@ -412,17 +411,8 @@ class ClusterService:
         :class:`QueueFullError` for every retriable rejection (no live
         worker, too many callers already waiting on the worker, deadline
         expired before a slot, the worker and its one stand-in both
-        lost).  ``dialect`` is validated at the front door (ValueError ->
-        HTTP 400) and rides the IPC frame.
+        lost).
         """
-        if dialect is not None:
-            from repro.errors import TranslationError
-            from repro.sql.dialect import get_dialect
-
-            try:
-                dialect = get_dialect(dialect).name
-            except TranslationError as exc:
-                raise ValueError(str(exc)) from None
         if self._stopping or not self._started:
             raise QueueFullError("cluster is not accepting requests")
         if database_id is None:
@@ -451,7 +441,6 @@ class ClusterService:
             inject_failure=bool(inject_failure),
             tenant_id=tenant_id,
             tenant_weight=max(1, int(tenant_weight)),
-            dialect=dialect,
         )
         lost: set[int] = set()  # workers lost under this request
         try:

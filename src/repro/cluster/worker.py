@@ -76,7 +76,6 @@ class WorkerSpec:
     allow_failure_injection: bool = False
     per_tenant_depth: int | None = None
     policy_path: str | None = None  # JSON policy config (see repro.policy)
-    dialect: str = "sqlite"         # default response dialect
     # Live schema evolution (see repro.evolve): poll interval of the
     # stack's background KB refresher (None = disabled) and the JSONL
     # file its schema-driven corpus growth appends to.
@@ -160,7 +159,6 @@ class ServingStack:
             beam_size=self.spec.beam_size,
             preprocessor=Preprocessor(database, registry=self.registry),
             policy=self.policy,
-            dialect=self.spec.dialect,
         )
 
     def adopt(self, db_id: str) -> bool:
@@ -234,7 +232,6 @@ class WorkerProcess:
                 inject_failure=bool(frame.get("inject_failure", False)),
                 tenant_id=str(tenant_id) if tenant_id is not None else None,
                 tenant_weight=int(frame.get("tenant_weight", 1)),
-                dialect=frame.get("dialect"),
                 on_done=partial(self._respond, request_id),
             )
         except (QueueFullError, ServiceStoppedError, UnknownDatabaseError) as exc:

@@ -13,7 +13,7 @@ SNIPPETS.md snippet 1):
 * every SQL string is **rendered through the repro.sql AST** — patterns
   build :class:`~repro.sql.ast.SelectQuery` trees and render them with
   :func:`~repro.sql.render.render_sql` against the schema graph, so
-  quoting, aliasing, and dialect rules are the system's own, and every
+  quoting, aliasing and the SQLite forms are the system's own, and every
   generated pair is parseable by the same subset grammar the model
   emits;
 * every example is **validated before it is emitted** — through the

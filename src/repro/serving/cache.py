@@ -1,6 +1,6 @@
 """LRU + TTL result cache for translations.
 
-Keys are ``(database_id, normalized_question, beam_size, dialect, index
+Keys are ``(database_id, normalized_question, beam_size, index
 generation)`` — the inputs that fully determine a translation for a fixed
 model — so repeated questions (the common interactive pattern: users
 iterate on phrasings and re-ask) skip the neural pipeline entirely.
@@ -34,7 +34,6 @@ class CacheKey:
     database_id: str
     question: str
     beam_size: int
-    dialect: str = "sqlite"
     # DatabaseRuntime.generation when the request was triaged: an index
     # swap moves every later request to fresh keys, so a pre-swap answer
     # (even one put after the swap) can never be read.
@@ -46,14 +45,12 @@ class CacheKey:
         database_id: str,
         question: str,
         beam_size: int,
-        dialect: str = "sqlite",
         generation: int = 0,
     ) -> "CacheKey":
         return cls(
             database_id,
             normalize_question(question),
             int(beam_size),
-            str(dialect),
             int(generation),
         )
 

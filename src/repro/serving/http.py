@@ -18,15 +18,15 @@ Endpoints (all JSON unless noted):
   JSON snapshot with p50/p95/p99 per histogram.
 * ``POST /translate`` — body ``{"question": ..., "database_id": ...,
   "beam_size": ..., "execute": ..., "timeout_ms": ...,
-  "inject_failure": ..., "dialect": ...}``; only ``question`` is
-  required (and ``database_id`` only when serving several databases).
-  ``beam_size`` is an int in ``1..MAX_BEAM_SIZE`` (8), ``execute`` and
-  ``inject_failure`` are JSON booleans, ``timeout_ms`` is a finite
-  number >= 0; other values are a 400 before tenancy admission.
-  ``dialect`` selects the SQL flavor of the response
-  (``sqlite``/``postgres``/``mysql``).  When a policy engine is
-  configured and a rule blocks the query, the response is a 403 whose
-  body carries ``"reason": "policy"``, the machine-readable
+  "inject_failure": ...}``; only ``question`` is required (and
+  ``database_id`` only when serving several databases).
+  ``database_id`` is a string, ``beam_size`` an int in
+  ``1..MAX_BEAM_SIZE`` (8), ``execute`` and ``inject_failure`` JSON
+  booleans, ``timeout_ms`` a finite number >= 0; other values are a
+  400 before tenancy admission.  The response's ``sql`` is the SQLite
+  text the gate checked (and ran, with ``execute``).  When a policy
+  engine is configured and a rule blocks the query, the response is a
+  403 whose body carries ``"reason": "policy"``, the machine-readable
   ``"rule_id"`` and the structured ``"policy"`` violation list.
 * ``GET /tenants`` — admin-only listing of every tenant's config and
   usage (requires an ``admin_keys`` entry; tenancy mode only).

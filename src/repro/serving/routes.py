@@ -253,7 +253,6 @@ def _handle_translate(service, headers, body: bytes) -> Response:
             execute=payload.get("execute", False),
             timeout_ms=payload.get("timeout_ms"),
             inject_failure=payload.get("inject_failure", False),
-            dialect=payload.get("dialect"),
             **tenant_kwargs,
         )
     except UnknownDatabaseError as exc:
@@ -275,6 +274,11 @@ def _handle_translate(service, headers, body: bytes) -> Response:
 
 def _translate_param_error(payload: dict) -> str | None:
     """Why the optional ``/translate`` fields are unusable, or None."""
+    if "dialect" in payload:
+        return "dialect is not accepted: sql is always SQLite"
+    database_id = payload.get("database_id")
+    if database_id is not None and not isinstance(database_id, str):
+        return "database_id must be a string or null"
     beam = payload.get("beam_size")
     if beam is not None and (
         type(beam) is not int or not 1 <= beam <= MAX_BEAM_SIZE

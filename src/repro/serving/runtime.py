@@ -39,7 +39,6 @@ from repro.model.valuenet import ValueNetModel
 from repro.pipeline.valuenet import TranslationResult, ValueNetPipeline
 from repro.preprocessing.pipeline import Preprocessor
 from repro.schema.graph import SchemaGraph
-from repro.sql.dialect import get_dialect
 
 
 # The gate's budget for executing one generated query: wall-clock seconds
@@ -71,8 +70,6 @@ class DatabaseRuntime:
         policy: optional :class:`~repro.policy.engine.PolicyEngine`;
             :meth:`check_sql` and :meth:`execute_sql` are its only
             callers in serving.
-        dialect: default SQL dialect for responses from this database
-            (requests may override per call).
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class DatabaseRuntime:
         pipeline: ValueNetPipeline | None = None,
         preprocessor: Preprocessor | None = None,
         policy=None,
-        dialect: str = "sqlite",
     ):
         if model is not None and pipeline is not None:
             raise ValueError("pass either model or pipeline, not both")
@@ -112,7 +108,6 @@ class DatabaseRuntime:
             database, preprocessor=self.preprocessor
         )
         self.policy = policy
-        self.dialect = get_dialect(dialect).name
         self._graph: SchemaGraph | None = None
         # Bumped by adopt_index; part of the service's cache key.
         self.generation = 0
@@ -193,7 +188,7 @@ class DatabaseRuntime:
 
     @property
     def schema_graph(self) -> SchemaGraph:
-        """Lazily-built PK/FK graph (for policy checks and re-rendering)."""
+        """Lazily-built PK/FK graph (for policy checks)."""
         if self._graph is None:
             self._graph = SchemaGraph(self.database.schema)
         return self._graph

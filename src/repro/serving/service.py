@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.concurrency import make_lock
-from repro.errors import ExecutionError, ReproError, TranslationError
+from repro.errors import ExecutionError, ReproError
 from repro.logs import get_logger
 from repro.pipeline.timing import STAGES
 from repro.pipeline.valuenet import TranslationResult
@@ -42,7 +42,6 @@ from repro.policy.engine import PolicyViolationError
 from repro.serving.cache import CacheKey, TranslationCache
 from repro.metrics import MetricsRegistry
 from repro.serving.runtime import DatabaseRuntime
-from repro.sql.dialect import DEFAULT_DIALECT, get_dialect
 from repro.tenancy.scheduler import FairQueue, LaneBacklogFull
 
 _LOG = get_logger(__name__)
@@ -82,7 +81,6 @@ class ServeResponse:
     service_ms: float = 0.0
     batch_size: int = 1
     tenant_id: str | None = None
-    dialect: str = DEFAULT_DIALECT
     policy: dict | None = None  # structured violations when policy-blocked
 
     @property
@@ -109,7 +107,6 @@ class ServeResponse:
             "service_ms": self.service_ms,
             "batch_size": self.batch_size,
             "tenant_id": self.tenant_id,
-            "dialect": self.dialect,
             "policy": self.policy,
         }
 
@@ -138,7 +135,6 @@ class ServeResponse:
             service_ms=float(payload.get("service_ms", 0.0)),
             batch_size=int(payload.get("batch_size", 1)),
             tenant_id=payload.get("tenant_id"),
-            dialect=payload.get("dialect", DEFAULT_DIALECT),
             policy=payload.get("policy"),
         )
 
@@ -161,7 +157,6 @@ class ServeRequest:
     enqueued_at: float
     tenant_id: str | None = None
     tenant_weight: int = 1
-    dialect: str = DEFAULT_DIALECT
     on_done: Callable[["ServeRequest"], None] | None = None
     done: threading.Event = field(default_factory=threading.Event)
     response: ServeResponse | None = None
@@ -432,7 +427,6 @@ class TranslationService:
         inject_failure: bool = False,
         tenant_id: str | None = None,
         tenant_weight: int = 1,
-        dialect: str | None = None,
         on_done: Callable[[ServeRequest], None] | None = None,
     ) -> ServeRequest:
         """Enqueue a request; returns immediately with the in-flight handle.
@@ -441,9 +435,8 @@ class TranslationService:
         database.  ``tenant_id``/``tenant_weight`` place the request on
         the tenant's fair-queue lane (anonymous traffic shares one lane),
         so a backlogged tenant is drained at its priority-class weight
-        instead of FIFO order.  ``dialect`` selects the SQL dialect of
-        the response (``sqlite`` / ``postgres`` / ``mysql``); when
-        omitted, the target database's configured default applies.
+        instead of FIFO order.  The response's ``sql`` is the SQLite text
+        the runtime's gate checked (and ran, with ``execute``).
         ``on_done`` is called once the request is resolved (see
         :class:`ServeRequest`); a request that raises here never calls it.
         """
@@ -461,13 +454,6 @@ class TranslationService:
                 + ", ".join(sorted(self.runtimes))
             )
         runtime = self.runtimes[database_id]
-        if dialect is None:
-            dialect = runtime.dialect
-        try:
-            dialect_name = get_dialect(dialect).name
-        except TranslationError as exc:
-            # Surfaced as a 400 by the HTTP layer (bad request parameter).
-            raise ValueError(str(exc)) from None
         now = time.monotonic()
         timeout_s = (
             timeout_ms if timeout_ms is not None else self.default_timeout_ms
@@ -482,7 +468,6 @@ class TranslationService:
             enqueued_at=now,
             tenant_id=tenant_id,
             tenant_weight=max(1, int(tenant_weight)),
-            dialect=dialect_name,
             on_done=on_done,
         )
         try:
@@ -584,13 +569,11 @@ class TranslationService:
                 queue_ms=1000.0 * queue_wait,
                 batch_size=size,
                 tenant_id=request.tenant_id,
-                dialect=request.dialect,
             )
             key = CacheKey.make(
                 request.database_id,
                 request.question,
                 request.beam_size,
-                request.dialect,
                 generation,
             )
             cached = self.cache.get(key)
@@ -709,8 +692,8 @@ class TranslationService:
         """The one tail of every answer — model, heuristic or cached.
 
         Canonical SQLite SQL -> the runtime's gate with the requester's
-        tenant (it executes when the request asked for rows) -> dialect
-        re-render of a clean answer.  A policy block is final: the
+        tenant (it executes when the request asked for rows).  The
+        response's ``sql`` is that checked text.  A policy block is final: the
         response carries the structured violations (HTTP maps them to a
         403) and nothing ran.  Returns False only when allowed SQL
         failed to execute, so the caller can decide whether to degrade.
@@ -739,16 +722,6 @@ class TranslationService:
             self._execution_errors.inc()
             response.error = f"execution failed: {exc}"
             return False
-        if request.dialect != DEFAULT_DIALECT:
-            from repro.sql.parser import parse_sql
-            from repro.sql.render import render_sql
-
-            try:
-                query = parse_sql(sql, runtime.database.schema)
-                response.sql = render_sql(query, runtime.schema_graph, request.dialect)
-            except ReproError as exc:  # generated SQL outside our subset
-                response.sql = None
-                response.error = f"dialect rendering failed: {exc}"
         return True
 
     # ------------------------------------------------------------ recording

@@ -17,14 +17,6 @@ from repro.sql.ast import (
     iter_conditions,
     iter_literals,
 )
-from repro.sql.dialect import (
-    Dialect,
-    MysqlDialect,
-    PostgresDialect,
-    SqliteDialect,
-    dialect_names,
-    get_dialect,
-)
 from repro.sql.parser import parse_sql
 from repro.sql.render import SqlRenderer, quote_string, render_literal, render_sql
 from repro.sql.tokenizer import SqlToken, TokenType, tokenize_sql
@@ -35,23 +27,17 @@ __all__ = [
     "ColumnRef",
     "Condition",
     "ConditionExpr",
-    "Dialect",
     "Literal",
-    "MysqlDialect",
     "Operator",
     "OrderBy",
     "OrderDirection",
-    "PostgresDialect",
     "Query",
     "SelectItem",
     "SelectQuery",
     "SetOperator",
     "SqlRenderer",
-    "SqliteDialect",
     "SqlToken",
     "TokenType",
-    "dialect_names",
-    "get_dialect",
     "iter_conditions",
     "iter_literals",
     "parse_sql",

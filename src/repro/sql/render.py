@@ -1,4 +1,4 @@
-"""Render the SQL AST into executable SQL for a target dialect.
+"""Render the SQL AST into the SQLite SQL the system checks and runs.
 
 The renderer performs the deterministic post-processing the paper describes
 in Section III-C: it infers the full JOIN path over the PK/FK schema graph
@@ -9,14 +9,15 @@ cross join and the query result would be wrong.
 Tables receive aliases ``T1 .. Tn`` (matching the Spider gold-query style)
 whenever more than one table participates in a FROM clause.
 
-Everything that differs between engines — identifier quoting, string
-escaping, operator spelling (``LIKE`` vs ``ILIKE``), the LIMIT form —
-is delegated to a :class:`repro.sql.dialect.Dialect`.  The default
-SQLite dialect reproduces the legacy renderer byte for byte; that lock
-is enforced by the differential suite in ``tests/test_dialect.py``.
+Identifiers stay bare unless they are not a safe word; string literals
+double embedded ``'``, and a value holding NUL (which a SQLite string
+literal cannot express) is cast from its UTF-8 hex blob.  The output is
+locked byte for byte against goldens captured from the earlier renderer.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import TranslationError
 from repro.schema.graph import SchemaGraph
@@ -33,44 +34,51 @@ from repro.sql.ast import (
     SelectItem,
     SelectQuery,
 )
-from repro.sql.dialect import Dialect, get_dialect
+
+#: An identifier that may be emitted without quoting.
+_SAFE_IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def quote_string(value: str, dialect: str | Dialect | None = None) -> str:
-    """Quote a string literal for ``dialect`` (default SQLite)."""
-    return get_dialect(dialect).quote_string(value)
+def _quote_identifier(name: str) -> str:
+    """``name`` bare when it is a safe word, else double-quoted."""
+    if _SAFE_IDENTIFIER_RE.match(name):
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
-def render_literal(literal: Literal, dialect: str | Dialect | None = None) -> str:
-    """Render a literal: numbers bare, strings quoted per dialect."""
-    resolved = get_dialect(dialect)
+def quote_string(value: str) -> str:
+    """Quote ``value`` as a SQLite string literal."""
+    if "\x00" in value:
+        # A string literal cannot express NUL, but a TEXT value can
+        # hold one: cast the UTF-8 bytes through a hex blob.
+        return f"CAST(X'{value.encode('utf-8').hex()}' AS TEXT)"
+    return "'" + value.replace("'", "''") + "'"
+
+
+def render_literal(literal: Literal) -> str:
+    """Render a literal: numbers bare, strings quoted."""
     value = literal.value
     if isinstance(value, bool):
-        return resolved.render_boolean(value)
+        return "TRUE" if value else "FALSE"
     if value is None:
-        return resolved.render_null()
+        return "NULL"
     if literal.is_number():
         if isinstance(value, float) and value.is_integer():
             return str(int(value))
         return str(value)
-    return resolved.quote_string(str(value))
+    return quote_string(str(value))
 
 
-def render_sql(query: Query, graph: SchemaGraph, dialect: str | Dialect | None = None) -> str:
-    """Render ``query`` against ``graph`` in the given dialect (default SQLite)."""
-    return SqlRenderer(graph, dialect=dialect).render(query)
+def render_sql(query: Query, graph: SchemaGraph) -> str:
+    """Render ``query`` against ``graph``."""
+    return SqlRenderer(graph).render(query)
 
 
 class SqlRenderer:
-    """Stateless renderer bound to one schema graph and one dialect."""
+    """Stateless renderer bound to one schema graph."""
 
-    def __init__(self, graph: SchemaGraph, dialect: str | Dialect | None = None):
+    def __init__(self, graph: SchemaGraph):
         self._graph = graph
-        self._dialect = get_dialect(dialect)
-
-    @property
-    def dialect(self) -> Dialect:
-        return self._dialect
 
     # ------------------------------------------------------------- public
 
@@ -102,7 +110,7 @@ class SqlRenderer:
         if query.order_by is not None:
             parts.append(self._render_order_by(query.order_by, aliases))
         if query.limit is not None:
-            parts.append(self._dialect.render_limit(query.limit))
+            parts.append(f"LIMIT {int(query.limit)}")
         return " ".join(parts)
 
     @staticmethod
@@ -136,18 +144,17 @@ class SqlRenderer:
         if column.is_star() and column.table is None:
             return "*"
         if column.table is None:
-            return self._dialect.quote_identifier(column.column)
+            return _quote_identifier(column.column)
         alias = aliases.get(column.table.lower())
         if alias is None:
             # Column references a table outside the FROM clause; render it
             # qualified with the raw table name so the error is visible in
             # the SQL instead of silently mis-binding.
             alias = column.table
-        quoted_alias = self._dialect.quote_identifier(alias)
-        return f"{quoted_alias}.{self._dialect.quote_identifier(column.column)}"
+        return f"{_quote_identifier(alias)}.{_quote_identifier(column.column)}"
 
     def _render_from_clause(self, plan, aliases: dict[str, str]) -> str:
-        quote = self._dialect.quote_identifier
+        quote = _quote_identifier
         first = plan.tables[0]
         if len(plan.tables) == 1:
             return f"FROM {quote(first)}"
@@ -177,17 +184,15 @@ class SqlRenderer:
         column = self._render_column(condition.column, aliases)
         if condition.aggregate is not AggregateFunction.NONE:
             column = f"{condition.aggregate.value.upper()}({column})"
-        operator = self._dialect.render_operator(condition.operator)
+        operator = condition.operator.value.upper()
 
         rhs = condition.rhs
         if isinstance(rhs, tuple):
             low, high = rhs
-            low_sql = render_literal(low, self._dialect)
-            high_sql = render_literal(high, self._dialect)
-            return f"{column} BETWEEN {low_sql} AND {high_sql}"
+            return f"{column} BETWEEN {render_literal(low)} AND {render_literal(high)}"
         if isinstance(rhs, Query):
             return f"{column} {operator} ({self.render(rhs)})"
-        return f"{column} {operator} {render_literal(rhs, self._dialect)}"
+        return f"{column} {operator} {render_literal(rhs)}"
 
     def _render_order_by(self, order_by: OrderBy, aliases: dict[str, str]) -> str:
         items = ", ".join(

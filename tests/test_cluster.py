@@ -6,6 +6,7 @@ back, who holds which thread, the two-worker scaling bar).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -29,7 +30,7 @@ from repro.cluster import (
 from repro.cluster.health import CircuitBreaker
 from repro.cluster.worker import ServingStack, WorkerProcess
 from repro.concurrency import ExponentialBackoff
-from repro.serving import QueueFullError, UnknownDatabaseError
+from repro.serving import QueueFullError, ServingServer, UnknownDatabaseError
 
 
 class TestProtocol:
@@ -452,6 +453,24 @@ class TestClusterIntegration:
     def test_unknown_database_rejected_without_ipc(self, cluster):
         with pytest.raises(UnknownDatabaseError):
             cluster.translate("hi", "nope", timeout_ms=5_000)
+
+    def test_dialect_body_rejected_at_the_front_door(self, cluster):
+        before = _counters(cluster)
+        server = ServingServer(("127.0.0.1", 0), cluster)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+            body = {"question": "hi", "database_id": "left", "dialect": "mysql"}
+            conn.request("POST", "/translate", body=json.dumps(body))
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+            conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert response.status == 400
+        assert "dialect" in answer["error"]
+        assert _counters(cluster) == before  # never reached the supervisor
 
     def test_concurrent_load_spread_over_workers(self, cluster):
         errors = []

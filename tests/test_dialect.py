@@ -1,35 +1,18 @@
-"""Differential tests locking the dialect-parameterized SQL renderer.
+"""Byte-for-byte lock on the SQLite renderer.
 
-The refactor contract: ``render(ast, dialect=sqlite)`` is **byte-equal**
-to the legacy single-dialect renderer.  Two locks enforce it:
-
-* fifteen golden strings captured from the legacy renderer *before* the
-  refactor (pets schema, one per construct: joins, GROUP BY/HAVING,
-  subqueries, BETWEEN, LIKE, UNION, quote doubling, ...);
-* a corpus-wide sweep: every gold query of the synthetic dev/train
-  fixture renders identically through the default renderer and through
-  an explicit SQLite dialect.
-
-Postgres and MySQL get golden edge cases for what actually differs:
-identifier quoting of reserved words, string escaping (backslashes,
-doubled quotes, NUL), LIMIT, and LIKE case semantics.
+The renderer's output is the SQL the gate checks and SQLite runs, so it
+must not drift.  Fifteen golden strings captured from the renderer
+*before* it was refactored (pets schema, one per construct: joins,
+GROUP BY/HAVING, subqueries, BETWEEN, LIKE, UNION, quote doubling, ...)
+pin it, together with the identifier, string, literal and LIMIT forms.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import TranslationError
-from repro.schema import SchemaGraph
-from repro.spider import CorpusConfig, generate_corpus
-from repro.sql import (
-    SqlRenderer,
-    dialect_names,
-    get_dialect,
-    parse_sql,
-    quote_string,
-    render_sql,
-)
+from repro.sql import Literal, parse_sql, quote_string, render_literal, render_sql
+from repro.sql.render import _quote_identifier
 
 # (input, legacy output) pairs captured from the pre-refactor renderer.
 LEGACY_GOLDENS = [
@@ -76,12 +59,6 @@ LEGACY_GOLDENS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    corpus = generate_corpus(CorpusConfig(train_per_domain=10, dev_per_domain=5))
-    yield corpus
-    corpus.close()
-
 
 class TestSqliteByteEquality:
     @pytest.mark.parametrize("sql,golden", LEGACY_GOLDENS,
@@ -89,140 +66,31 @@ class TestSqliteByteEquality:
     def test_golden_matches_legacy_renderer(self, pets_schema, pets_graph,
                                             sql, golden):
         query = parse_sql(sql, pets_schema)
-        assert render_sql(query, pets_graph, "sqlite") == golden
-
-    @pytest.mark.parametrize("sql,golden", LEGACY_GOLDENS,
-                             ids=range(len(LEGACY_GOLDENS)))
-    def test_default_dialect_is_sqlite(self, pets_schema, pets_graph,
-                                       sql, golden):
-        query = parse_sql(sql, pets_schema)
-        assert SqlRenderer(pets_graph).render(query) == golden
-
-    def test_corpus_differential(self, corpus):
-        """Default renderer == explicit sqlite dialect, corpus-wide."""
-        checked = 0
-        for split in (corpus.train, corpus.dev):
-            for example in split:
-                schema = corpus.schema(example.db_id)
-                graph = SchemaGraph(schema)
-                query = parse_sql(example.gold_sql, schema)
-                default = SqlRenderer(graph).render(query)
-                explicit = render_sql(query, graph, "sqlite")
-                assert default == explicit, example.gold_sql
-                checked += 1
-        assert checked > 50
+        assert render_sql(query, pets_graph) == golden
 
     def test_sqlite_identifiers_stay_bare(self):
         # Byte-equality with the legacy renderer depends on this: the
         # parser only produces word identifiers, so SQLite never quotes.
-        sqlite = get_dialect("sqlite")
-        assert sqlite.quote_identifier("order") == "order"
-        assert sqlite.quote_identifier("name") == "name"
+        assert _quote_identifier("order") == "order"
+        assert _quote_identifier("name") == "name"
+        assert _quote_identifier("home country") == '"home country"'
 
+    def test_boolean_and_null_forms(self):
+        assert render_literal(Literal(True)) == "TRUE"
+        assert render_literal(Literal(False)) == "FALSE"
+        assert render_literal(Literal(None)) == "NULL"
 
-class TestDialectRegistry:
-    def test_known_dialects(self):
-        assert dialect_names() == ("mysql", "postgres", "sqlite")
-
-    def test_none_means_sqlite(self):
-        assert get_dialect(None).name == "sqlite"
-
-    def test_dialect_instance_passes_through(self):
-        d = get_dialect("postgres")
-        assert get_dialect(d) is d
-
-    def test_unknown_dialect_raises(self):
-        with pytest.raises(TranslationError, match="unknown SQL dialect"):
-            get_dialect("oracle")
-
-
-class TestPostgres:
-    def test_reserved_identifier_quoted(self):
-        pg = get_dialect("postgres")
-        assert pg.quote_identifier("order") == '"order"'
-        assert pg.quote_identifier("home_country") == "home_country"
-
-    def test_like_becomes_ilike(self, pets_schema, pets_graph):
-        # SQLite LIKE is case-insensitive; Postgres LIKE is not.  ILIKE
-        # preserves the semantics the model was trained against.
-        query = parse_sql(
-            "SELECT name FROM student WHERE name LIKE 'A%' LIMIT 5",
-            pets_schema,
-        )
-        rendered = render_sql(query, pets_graph, "postgres")
-        assert rendered == (
-            "SELECT student.name FROM student "
-            "WHERE student.name ILIKE 'A%' LIMIT 5"
-        )
-
-    def test_not_like_becomes_not_ilike(self, pets_schema, pets_graph):
-        query = parse_sql(
-            "SELECT name FROM student WHERE name NOT LIKE 'A%'",
-            pets_schema,
-        )
-        assert "NOT ILIKE 'A%'" in render_sql(query, pets_graph, "postgres")
-
-    def test_quote_doubling_no_backslash_escape(self):
-        assert quote_string("It's", "postgres") == "'It''s'"
-        assert quote_string("a\\b", "postgres") == "'a\\b'"
-
-    def test_nul_byte_is_rejected(self):
-        # Postgres text types cannot store NUL; refusing beats mangling.
-        with pytest.raises(TranslationError):
-            quote_string("a\x00b", "postgres")
-
-
-class TestMysql:
-    def test_reserved_identifier_backticked(self):
-        my = get_dialect("mysql")
-        assert my.quote_identifier("order") == "`order`"
-        assert my.quote_identifier("home_country") == "home_country"
-
-    def test_backslashes_are_doubled(self):
-        # MySQL treats backslash as an escape inside strings, so raw
-        # backslashes double BEFORE quote doubling.
-        assert quote_string("a\\b'c", "mysql") == "'a\\\\b''c'"
-
-    def test_nul_byte_escaped(self):
-        assert quote_string("a\x00b", "mysql") == "'a\\0b'"
-
-    def test_full_query_renders(self, pets_schema, pets_graph):
-        query = parse_sql(
-            "SELECT name FROM student WHERE home_country = 'It''aly' LIMIT 2",
-            pets_schema,
-        )
-        rendered = render_sql(query, pets_graph, "mysql")
-        assert rendered == (
-            "SELECT student.name FROM student "
-            "WHERE student.home_country = 'It''aly' LIMIT 2"
-        )
+    def test_limit_form(self, pets_schema, pets_graph):
+        query = parse_sql("SELECT name FROM student LIMIT 7", pets_schema)
+        assert render_sql(query, pets_graph).endswith(" LIMIT 7")
 
 
 class TestSqliteNulHandling:
     def test_nul_renders_as_blob_cast(self):
-        rendered = quote_string("a\x00b", "sqlite")
+        rendered = quote_string("a\x00b")
         assert rendered == "CAST(X'610062' AS TEXT)"
 
     def test_plain_strings_stay_quoted(self):
-        assert quote_string("plain", "sqlite") == "'plain'"
-
-
-class TestCrossDialectSemantics:
-    @pytest.mark.parametrize("dialect", ["sqlite", "postgres", "mysql"])
-    def test_rendered_sql_single_line(self, pets_schema, pets_graph, dialect):
-        for sql, _ in LEGACY_GOLDENS:
-            query = parse_sql(sql, pets_schema)
-            rendered = render_sql(query, pets_graph, dialect)
-            assert "\n" not in rendered
-            assert rendered.startswith("SELECT ")
-
-    def test_boolean_and_null_forms(self):
-        for name in dialect_names():
-            d = get_dialect(name)
-            assert d.render_boolean(True) == "TRUE"
-            assert d.render_boolean(False) == "FALSE"
-            assert d.render_null() == "NULL"
-
-    def test_limit_form_is_shared(self):
-        for name in dialect_names():
-            assert get_dialect(name).render_limit(7) == "LIMIT 7"
+        assert quote_string("plain") == "'plain'"
+        assert quote_string("It's") == "'It''s'"
+        assert quote_string("a\\b") == "'a\\b'"

@@ -311,6 +311,10 @@ def _request(server, method, path, *, body=None, key=None):
         conn.close()
 
 
+DATABASE_ID_ERROR = "bad request parameters: database_id must be a string or null"
+DIALECT_ERROR = "bad request parameters: dialect is not accepted: sql is always SQLite"
+
+
 class TestRouteMatrix:
     @pytest.mark.parametrize("path, key, status, expect", [
         pytest.param("/livez", None, 200, {"live": True}, id="livez"),
@@ -407,6 +411,18 @@ class TestRouteMatrix:
                      GOOD_KEY, 400, {}, id="timeout_int_overflows_float_400"),
         pytest.param({"question": "q", "beam_size": 0}, None, 400, {},
                      id="bad_params_checked_before_admission_400"),
+        pytest.param({"question": "q", "database_id": ["pets"]}, GOOD_KEY, 400,
+                     {"error": DATABASE_ID_ERROR}, id="database_id_list_400"),
+        pytest.param({"question": "q", "database_id": 5}, GOOD_KEY, 400,
+                     {"error": DATABASE_ID_ERROR}, id="database_id_int_400"),
+        pytest.param({"question": "q", "database_id": ["pets"]}, None, 400,
+                     {"error": DATABASE_ID_ERROR},
+                     id="database_id_checked_before_admission_400"),
+        pytest.param({"question": "q", "dialect": "sqlite"}, GOOD_KEY, 400,
+                     {"error": DIALECT_ERROR}, id="dialect_field_400"),
+        pytest.param({"question": "q", "dialect": "sqlite"}, None, 400,
+                     {"error": DIALECT_ERROR},
+                     id="dialect_checked_before_admission_400"),
     ])
     def test_translate(self, fake_server, payload, key, status, expect):
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()

@@ -486,7 +486,7 @@ class TestMetricsIntegration:
             assert single.batch_size == 1 and encodes() == 2
             # A hit replays a record that carries its encode; it ran none.
             service.cache.put(
-                CacheKey.make("pets", "students from France", 1, "sqlite", 0),
+                CacheKey.make("pets", "students from France", 1, 0),
                 TranslationResult(
                     "students from France", "SELECT name FROM student",
                     timings=StageTimings(encode_batch=0.5),

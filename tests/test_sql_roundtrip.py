@@ -15,13 +15,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.db.executor import gold_orders_rows
-from repro.errors import TranslationError
 from repro.policy import mask_strings
 from repro.schema import Column, ColumnType, ForeignKey, Schema, SchemaGraph, Table
 from repro.spider import CorpusConfig, generate_corpus
 from repro.sql import (
     SqlRenderer,
-    dialect_names,
     iter_literals,
     parse_sql,
     quote_string,
@@ -118,12 +116,7 @@ class TestAdversarialLiterals:
 
 
 class TestDialectRoundTrip:
-    """parse -> render(dialect) -> parse stays the identity for SQLite.
-
-    Only the SQLite dialect round-trips through our parser (the parser
-    reads the training dialect); Postgres/MySQL renderings are checked
-    for containment safety instead (see TestInjectionLiterals).
-    """
+    """parse -> render -> parse stays the identity for SQLite SQL."""
 
     def test_corpus_round_trips_through_sqlite_dialect(self, corpus):
         checked = 0
@@ -131,9 +124,7 @@ class TestDialectRoundTrip:
             for example in split:
                 schema = corpus.schema(example.db_id)
                 parsed = parse_sql(example.gold_sql, schema)
-                rendered = SqlRenderer(
-                    SchemaGraph(schema), dialect="sqlite"
-                ).render(parsed)
+                rendered = SqlRenderer(SchemaGraph(schema)).render(parsed)
                 assert parse_sql(rendered, schema) == parsed
                 checked += 1
         assert checked > 50
@@ -142,10 +133,10 @@ class TestDialectRoundTrip:
     def test_literal_round_trips_through_sqlite_dialect(self, value):
         sql = (
             "SELECT name FROM student WHERE name = "
-            f"{quote_string(value, 'sqlite')}"
+            f"{quote_string(value)}"
         )
         parsed = parse_sql(sql, SCHEMA)
-        rendered = SqlRenderer(GRAPH, dialect="sqlite").render(parsed)
+        rendered = SqlRenderer(GRAPH).render(parsed)
         assert parse_sql(rendered, SCHEMA) == parsed
 
 
@@ -164,15 +155,9 @@ INJECTION_PAYLOADS = [
 
 
 class TestInjectionLiterals:
-    @pytest.mark.parametrize("dialect", ["sqlite", "postgres", "mysql"])
     @pytest.mark.parametrize("payload", INJECTION_PAYLOADS)
-    def test_payload_stays_contained(self, dialect, payload):
-        if dialect == "postgres" and "\x00" in payload:
-            # Postgres text cannot hold NUL; the dialect refuses loudly.
-            with pytest.raises(TranslationError):
-                quote_string(payload, dialect)
-            return
-        rendered = quote_string(payload, dialect)
+    def test_payload_stays_contained(self, payload):
+        rendered = quote_string(payload)
         sql = f"SELECT name FROM student WHERE name = {rendered}"
         masked = mask_strings(sql)
         # Quote-aware masking must see ONE contained literal: no DROP /
@@ -186,29 +171,28 @@ class TestInjectionLiterals:
     def test_sqlite_payload_round_trips_exactly(self, payload):
         sql = (
             "SELECT name FROM student WHERE name = "
-            f"{quote_string(payload, 'sqlite')}"
+            f"{quote_string(payload)}"
         )
         if "\x00" in payload:
             # Rendered as CAST(X'..' AS TEXT): safe, but a function call
             # is outside the parser's literal grammar — containment (see
             # above) is the property that matters here.
-            assert "\x00" not in quote_string(payload, "sqlite")
+            assert "\x00" not in quote_string(payload)
             return
         query = parse_sql(sql, SCHEMA)
         assert [lit.value for lit in iter_literals(query)] == [payload]
 
     @given(value=literals)
-    def test_every_dialect_contains_adversarial_literals(self, value):
-        for dialect in dialect_names():
-            sql = (
-                "SELECT name FROM student WHERE name = "
-                f"{quote_string(value, dialect)}"
-            )
-            masked = mask_strings(sql)
-            assert ";" not in masked
-            assert "ORDER BY" not in masked.replace(
-                "SELECT name FROM student WHERE name = ", ""
-            )
+    def test_adversarial_literals_stay_contained(self, value):
+        sql = (
+            "SELECT name FROM student WHERE name = "
+            f"{quote_string(value)}"
+        )
+        masked = mask_strings(sql)
+        assert ";" not in masked
+        assert "ORDER BY" not in masked.replace(
+            "SELECT name FROM student WHERE name = ", ""
+        )
 
 
 class TestGoldOrdersRows:
