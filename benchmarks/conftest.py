@@ -2,8 +2,10 @@
 
 Training a model is the expensive step, so it happens once per *profile*
 and is cached on disk under ``benchmarks/_artifacts/<profile>/``; later
-benchmark runs load the checkpoints.  The corpus itself is regenerated
-deterministically (stable seeds) and never cached.
+benchmark runs load the checkpoints while the cache's manifest matches.
+The corpus itself is regenerated deterministically (stable seeds) and
+never cached.  :func:`build_setup` is the one setup path, shared with
+``scripts/run_experiments.py``.
 
 Profiles (select with ``REPRO_BENCH_PROFILE``):
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import pytest
@@ -25,13 +27,7 @@ from _util import print_table  # noqa: F401  (re-export for bench files)
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.evaluation import AccuracyReport, evaluate_pipeline
-from repro.model import (
-    Trainer,
-    ValueNetModel,
-    build_preprocessors,
-    build_vocabulary,
-    prepare_samples,
-)
+from repro.model import ValueNetModel, build_preprocessors, train_valuenet
 from repro.ner import GazetteerRecognizer, PerceptronTagger, ValueExtractor
 from repro.pipeline import ValueNetLightPipeline, ValueNetPipeline
 from repro.spider import CorpusConfig, SpiderCorpus, generate_corpus
@@ -127,59 +123,51 @@ class BenchSetup:
         }
 
 
-def _train_model(
-    mode: str,
-    corpus: SpiderCorpus,
-    preprocessors: dict,
-    profile: BenchProfile,
-) -> tuple[ValueNetModel, int]:
-    vocab = build_vocabulary(
-        [e.question for e in corpus.train],
-        [corpus.schema(d) for d in corpus.domains],
-        [str(v) for e in corpus.train for v in e.values],
-        vocab_size=profile.model.vocab_size,
-    )
-    model = ValueNetModel(vocab, profile.model)
-    samples, dropped = prepare_samples(corpus.train, preprocessors, model, mode=mode)
-    trainer = Trainer(model, TrainingConfig(epochs=profile.epochs, batch_size=16))
-    trainer.train(samples)
-    return model, dropped
+def build_setup(profile: BenchProfile, *, load: bool = True) -> BenchSetup:
+    """Corpus, extractor and both trained models for ``profile``.
 
-
-@pytest.fixture(scope="session")
-def bench(request) -> BenchSetup:
-    profile = active_profile()
+    The cache's manifest records everything that decides the
+    checkpoints.  With ``load`` they are loaded when it matches;
+    otherwise both models are trained with :func:`train_valuenet` and
+    the cache is overwritten.
+    """
     corpus = generate_corpus(CorpusConfig(
         train_per_domain=profile.train_per_domain,
         dev_per_domain=profile.dev_per_domain,
     ))
     extractor = build_extractor(corpus)
     preprocessors = build_preprocessors(corpus, extractor)
+    training = TrainingConfig(epochs=profile.epochs)
 
     cache = ARTIFACTS / profile.name
     manifest_path = cache / "manifest.json"
     manifest = {
-        "train_per_domain": profile.train_per_domain,
-        "epochs": profile.epochs,
-        "dim": profile.model.dim,
+        "profile": asdict(profile),
+        "training": asdict(training),
+        "vocabulary_domains": list(corpus.train_domains),
     }
-
-    if manifest_path.exists() and json.loads(manifest_path.read_text()) == manifest:
+    if (load and manifest_path.exists()
+            and json.loads(manifest_path.read_text()) == manifest):
+        print(f"loading cached checkpoints from {cache}", flush=True)
         light_model = ValueNetModel.load(cache / "light")
         valuenet_model = ValueNetModel.load(cache / "valuenet")
         dropped = json.loads((cache / "stats.json").read_text())["valuenet_dropped"]
     else:
-        light_model, _ = _train_model("light", corpus, preprocessors, profile)
-        valuenet_model, dropped = _train_model(
-            "valuenet", corpus, preprocessors, profile
-        )
+        print("training ValueNet light ...", flush=True)
+        light_model, _ = train_valuenet(
+            corpus, "light", preprocessors, profile.model, training)
+        print("training ValueNet ...", flush=True)
+        valuenet_model, history = train_valuenet(
+            corpus, "valuenet", preprocessors, profile.model, training)
+        dropped = history.num_dropped
         cache.mkdir(parents=True, exist_ok=True)
+        manifest_path.unlink(missing_ok=True)
         light_model.save(cache / "light")
         valuenet_model.save(cache / "valuenet")
         (cache / "stats.json").write_text(json.dumps({"valuenet_dropped": dropped}))
         manifest_path.write_text(json.dumps(manifest))
 
-    setup = BenchSetup(
+    return BenchSetup(
         profile=profile,
         corpus=corpus,
         extractor=extractor,
@@ -188,8 +176,11 @@ def bench(request) -> BenchSetup:
         valuenet_model=valuenet_model,
         valuenet_dropped=dropped,
     )
-    request.session.__dict__.setdefault("_bench_setup", setup)
-    return setup
+
+
+@pytest.fixture(scope="session")
+def bench() -> BenchSetup:
+    return build_setup(active_profile())
 
 
 @pytest.fixture(scope="session")

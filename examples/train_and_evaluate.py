@@ -16,13 +16,7 @@ import argparse
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.evaluation import evaluate_pipeline
-from repro.model import (
-    Trainer,
-    ValueNetModel,
-    build_preprocessors,
-    build_vocabulary,
-    prepare_samples,
-)
+from repro.model import build_preprocessors, train_valuenet
 from repro.pipeline import ValueNetLightPipeline
 from repro.spider import CorpusConfig, generate_corpus
 
@@ -41,23 +35,15 @@ def main() -> None:
     print(f"train={corpus.num_train} examples over {len(corpus.train_domains)} DBs; "
           f"dev={corpus.num_dev} examples over {len(corpus.dev_domains)} unseen DBs")
 
-    print("\n== Building vocabulary and preparing samples ==")
-    vocab = build_vocabulary(
-        [e.question for e in corpus.train],
-        [corpus.schema(d) for d in corpus.train_domains],
-        [str(v) for e in corpus.train for v in e.values],
-        vocab_size=2000,
-    )
-    model = ValueNetModel(vocab, ModelConfig(dim=48, ff_dim=96, decoder_hidden=96))
-    preprocessors = build_preprocessors(corpus)
-    samples, dropped = prepare_samples(
-        corpus.train, preprocessors, model, mode="light"
-    )
-    print(f"prepared {len(samples)} samples ({dropped} dropped)")
-
     print(f"\n== Training for {args.epochs} epochs ==")
-    trainer = Trainer(model, TrainingConfig(epochs=args.epochs, batch_size=16))
-    history = trainer.train(samples)
+    preprocessors = build_preprocessors(corpus)
+    model, history = train_valuenet(
+        corpus, "light", preprocessors,
+        ModelConfig(dim=48, ff_dim=96, decoder_hidden=96, vocab_size=2000),
+        TrainingConfig(epochs=args.epochs),
+    )
+    print(f"prepared {history.num_prepared} samples "
+          f"({history.num_dropped} dropped)")
     for epoch in history.epochs:
         print(f"  epoch {epoch.epoch}: loss {epoch.mean_loss:.3f} "
               f"({epoch.seconds:.0f}s)")

@@ -10,14 +10,17 @@ Run:  python scripts/run_experiments.py [--quick] [--load] [--beam N]
 --quick reuses the benchmark suite's smaller configuration: on a 2-vCPU
 Xeon VM it takes 1.4 min wall clock (3.6-3.9 min when training ran one
 sample at a time instead of one batched forward per minibatch).  The
-full profile trains on 1.5x the examples for 2x the epochs.  --load
-reuses the cached checkpoints under benchmarks/_artifacts/<profile>/.
+full profile trains on 1.5x the examples for 2x the epochs.  Setup is
+benchmarks/conftest.py's build_setup, the one the benchmark suite uses:
+both models are trained with repro.model.train_valuenet and cached under
+benchmarks/_artifacts/<profile>/.  --load reuses that cache when its
+manifest (profile, model and training configs, vocabulary domains)
+matches this run, and retrains otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -25,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from conftest import PROFILES, BenchSetup, build_extractor, _train_model  # noqa: E402
+from conftest import PROFILES, build_setup  # noqa: E402
 
 from repro.baselines import (  # noqa: E402
     HeuristicBaseline,
@@ -45,76 +48,32 @@ from repro.evaluation import (  # noqa: E402
     measure_extraction_coverage,
 )
 from repro.evaluation.error_analysis import CAUSES, PAPER_ERROR_SHARES  # noqa: E402
-from repro.model import ValueNetModel, build_preprocessors  # noqa: E402
 from repro.pipeline import (  # noqa: E402
     STAGES,
     ValueNetLightPipeline,
     ValueNetPipeline,
 )
-from repro.spider import (  # noqa: E402
-    CorpusConfig,
-    PAPER_VALUE_DISTRIBUTION,
-    generate_corpus,
-    value_distribution,
-)
-
-ARTIFACTS = ROOT / "benchmarks" / "_artifacts"
-
-
-def build_setup(profile, *, load: bool) -> BenchSetup:
-    corpus = generate_corpus(CorpusConfig(
-        train_per_domain=profile.train_per_domain,
-        dev_per_domain=profile.dev_per_domain,
-    ))
-    print(f"corpus: train={corpus.num_train} dev={corpus.num_dev}", flush=True)
-    extractor = build_extractor(corpus)
-    preprocessors = build_preprocessors(corpus, extractor)
-
-    cache = ARTIFACTS / profile.name
-    if load and (cache / "light" / "weights.npz").exists():
-        print("loading cached checkpoints", flush=True)
-        light_model = ValueNetModel.load(cache / "light")
-        valuenet_model = ValueNetModel.load(cache / "valuenet")
-        dropped = json.loads((cache / "stats.json").read_text())["valuenet_dropped"]
-    else:
-        print("training ValueNet light ...", flush=True)
-        light_model, _ = _train_model("light", corpus, preprocessors, profile)
-        print("training ValueNet ...", flush=True)
-        valuenet_model, dropped = _train_model(
-            "valuenet", corpus, preprocessors, profile
-        )
-        cache.mkdir(parents=True, exist_ok=True)
-        light_model.save(cache / "light")
-        valuenet_model.save(cache / "valuenet")
-        (cache / "stats.json").write_text(json.dumps({"valuenet_dropped": dropped}))
-        (cache / "manifest.json").write_text(json.dumps({
-            "train_per_domain": profile.train_per_domain,
-            "epochs": profile.epochs,
-            "dim": profile.model.dim,
-        }))
-    return BenchSetup(
-        profile=profile, corpus=corpus, extractor=extractor,
-        preprocessors=preprocessors, light_model=light_model,
-        valuenet_model=valuenet_model, valuenet_dropped=dropped,
-    )
+from repro.spider import PAPER_VALUE_DISTRIBUTION, value_distribution  # noqa: E402
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--load", action="store_true",
-                        help="load cached checkpoints instead of training")
+                        help="load cached checkpoints when their manifest "
+                             "matches, instead of training")
     parser.add_argument("--beam", type=int, default=1,
                         help="beam size at evaluation time (1 = greedy)")
     parser.add_argument("--output", default=str(ROOT / "EXPERIMENTS.md"))
     args = parser.parse_args()
 
     profile = PROFILES["quick" if args.quick else "full"]
-    started = time.time()
+    started = time.perf_counter()
     print(f"profile={profile.name}: {profile.train_per_domain}/domain, "
           f"{profile.epochs} epochs, dim={profile.model.dim}", flush=True)
     setup = build_setup(profile, load=args.load)
     corpus = setup.corpus
+    print(f"corpus: train={corpus.num_train} dev={corpus.num_dev}", flush=True)
 
     report = ExperimentReport(
         title="EXPERIMENTS — paper vs. measured",
@@ -272,7 +231,7 @@ def main() -> None:
         sec5g.add(cause, f"{paper:.0%}" if paper is not None else "—",
                   f"{shares[cause]:.0%} ({error_report.cause_counts()[cause]})")
 
-    elapsed = (time.time() - started) / 60
+    elapsed = (time.perf_counter() - started) / 60
     print(report.render_text())
     print(f"\ntotal wall clock: {elapsed:.1f} min")
 

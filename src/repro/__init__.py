@@ -11,8 +11,7 @@ Spider-like corpus.
 Typical usage::
 
     from repro import (
-        generate_corpus, CorpusConfig, ValueNetModel, Trainer,
-        ValueNetPipeline, build_vocabulary,
+        generate_corpus, CorpusConfig, ValueNetPipeline, train_valuenet,
     )
 
 See README.md for the full quickstart and DESIGN.md for the system
@@ -34,8 +33,7 @@ from repro.model import (
     Trainer,
     ValueNetModel,
     build_preprocessors,
-    build_vocabulary,
-    prepare_samples,
+    train_valuenet,
 )
 from repro.pipeline import (
     TranslationResult,
@@ -66,11 +64,10 @@ __all__ = [
     "ValueNetModel",
     "ValueNetPipeline",
     "build_preprocessors",
-    "build_vocabulary",
     "evaluate_pipeline",
     "exact_match",
     "generate_corpus",
     "load_corpus",
     "measure_extraction_coverage",
-    "prepare_samples",
+    "train_valuenet",
 ]

@@ -121,29 +121,16 @@ def _cmd_corpus_generate(argv: list[str]) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.model import (
-        Trainer,
-        ValueNetModel,
-        build_preprocessors,
-        build_vocabulary,
-        prepare_samples,
-    )
+    from repro.model import build_preprocessors, train_valuenet
     from repro.spider import load_corpus
 
     corpus = load_corpus(args.corpus)
-    vocab = build_vocabulary(
-        [e.question for e in corpus.train],
-        [corpus.schema(d) for d in corpus.domains],
-        [str(v) for e in corpus.train for v in e.values],
+    model, history = train_valuenet(
+        corpus, args.mode, build_preprocessors(corpus),
+        ModelConfig(dim=args.dim), TrainingConfig(epochs=args.epochs),
     )
-    model = ValueNetModel(vocab, ModelConfig(dim=args.dim))
-    preprocessors = build_preprocessors(corpus)
-    samples, dropped = prepare_samples(
-        corpus.train, preprocessors, model, mode=args.mode
-    )
-    print(f"prepared {len(samples)} samples ({dropped} dropped)")
-    trainer = Trainer(model, TrainingConfig(epochs=args.epochs))
-    history = trainer.train(samples)
+    print(f"prepared {history.num_prepared} samples "
+          f"({history.num_dropped} dropped)")
     print(f"final loss {history.final_loss:.3f}")
     model.save(args.output)
     print(f"saved model to {args.output}")

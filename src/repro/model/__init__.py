@@ -19,6 +19,7 @@ from repro.model.training import (
     TrainSample,
     build_preprocessors,
     prepare_samples,
+    train_valuenet,
 )
 from repro.model.valuenet import ValueNetModel
 
@@ -43,5 +44,6 @@ __all__ = [
     "match_candidate",
     "prepare_samples",
     "steps_to_tree",
+    "train_valuenet",
     "tree_to_steps",
 ]

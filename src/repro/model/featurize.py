@@ -283,8 +283,11 @@ def build_vocabulary(
     """Train the WordPiece vocabulary over corpus text + schema identifiers.
 
     The paper reuses BERT's pre-trained vocabulary; offline we train our
-    own on the training split (never on dev questions — dev words reach
-    the model only through subword pieces).
+    own.  Callers pass the training split only: its questions, the
+    schemas of its databases and its gold values.  A dev question or dev
+    schema passed here leaks the unseen databases' words into the
+    vocabulary; they must reach the model only as subword pieces.
+    :func:`repro.model.train_valuenet` is the recipe that does this.
     """
     from repro.text.tokenizer import tokenize_words
 

@@ -1,6 +1,8 @@
 """Training loop and dataset preparation for the ValueNet model.
 
-Pre-processing is deterministic per example, so it runs once up front
+:func:`train_valuenet` is the one recipe: vocabulary over the training
+split, model, prepared samples, trainer.  Pre-processing is
+deterministic per example, so it runs once up front
 (:func:`prepare_samples`); each epoch then shuffles them into minibatches
 of ``batch_size`` (the paper: 20), each one batched encode, one lockstep
 teacher-forced loss, one backward and one three-group Adam step.
@@ -12,9 +14,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.config import TrainingConfig
+from repro.config import ModelConfig, TrainingConfig
 from repro.logs import get_logger
 from repro.model.decoder import DecoderStep
+from repro.model.featurize import build_vocabulary
 from repro.model.supervision import tree_to_steps
 from repro.model.valuenet import ValueNetModel
 from repro.ner.extractor import ValueExtractor
@@ -165,3 +168,30 @@ class Trainer:
             )
         self.model.eval()
         return history
+
+
+def train_valuenet(
+    corpus: SpiderCorpus,
+    mode: str,
+    preprocessors: dict[str, Preprocessor],
+    model_config: ModelConfig,
+    training_config: TrainingConfig,
+) -> tuple[ValueNetModel, TrainingHistory]:
+    """Train a model on ``corpus.train``; nothing of the dev split is seen.
+
+    The vocabulary comes from the training questions, values and
+    ``corpus.train_domains``' schemas, so a dev database's words reach
+    the model only as subword pieces.  ``history.num_dropped`` counts
+    the examples :func:`prepare_samples` dropped.
+    """
+    vocab = build_vocabulary(
+        [e.question for e in corpus.train],
+        [corpus.schema(d) for d in corpus.train_domains],
+        [str(v) for e in corpus.train for v in e.values],
+        vocab_size=model_config.vocab_size,
+    )
+    model = ValueNetModel(vocab, model_config)
+    samples, dropped = prepare_samples(corpus.train, preprocessors, model, mode=mode)
+    history = Trainer(model, training_config).train(samples)
+    history.num_dropped = dropped
+    return model, history

@@ -7,6 +7,7 @@ import sqlite3
 import pytest
 
 from repro.__main__ import main
+from repro.model import ValueNetModel
 
 
 @pytest.fixture()
@@ -84,3 +85,7 @@ class TestTrainCommand:
         assert (output / "weights.npz").exists()
         out = capsys.readouterr().out
         assert "final loss" in out
+        # "airline" occurs only in a dev database's schema: the vocabulary
+        # never saw it, so it reaches the model as subword pieces.
+        vocab = ValueNetModel.load(output).vocab
+        assert len(vocab.encode_word("airline")) > 1

@@ -4,6 +4,7 @@ and checkpointing."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.model import (
     match_candidate,
     prepare_samples,
     steps_to_tree,
+    train_valuenet,
     tree_to_steps,
 )
 from repro.model.featurize import SEG_COLUMN, SEG_QUESTION, SEG_TABLE, SEG_VALUE
@@ -320,6 +322,26 @@ class TestTraining:
                 tiny_corpus.train[:1], build_preprocessors(tiny_corpus), model,
                 mode="bogus",
             )
+
+    def test_train_valuenet_vocabulary_sees_the_training_split_only(
+        self, tiny_corpus
+    ):
+        train_only = dataclasses.replace(
+            tiny_corpus,
+            dev=[],
+            domains={d: tiny_corpus.domains[d] for d in tiny_corpus.train_domains},
+            dev_domains=(),
+        )
+        preprocessors = build_preprocessors(tiny_corpus)
+        untrained = TrainingConfig(epochs=0)
+
+        def pieces(corpus):
+            model, history = train_valuenet(
+                corpus, "light", preprocessors, TINY, untrained)
+            assert history.num_prepared > 0 and history.epochs == []
+            return [model.vocab.id_to_piece(i) for i in range(len(model.vocab))]
+
+        assert pieces(tiny_corpus) == pieces(train_only)
 
 
 def _oracle_loss(decoder, encoded, steps):
