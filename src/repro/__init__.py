@@ -8,33 +8,24 @@ deterministic post-processing (JOIN inference, value formatting) --
 evaluated with Spider-style Execution Accuracy on a synthetic
 Spider-like corpus.
 
-Typical usage::
+The package root re-exports what serving a trained model needs; the
+corpus, training and evaluation stacks are imported from their
+subpackages, so a ``repro serve`` process never loads them::
 
-    from repro import (
-        generate_corpus, CorpusConfig, ValueNetPipeline, train_valuenet,
-    )
+    from repro.model import build_preprocessors, train_valuenet
+    from repro.spider import CorpusConfig, generate_corpus
+    from repro import ValueNetPipeline
 
 See README.md for the full quickstart and DESIGN.md for the system
 inventory and the per-experiment index.
 """
 
+import gc
+
 from repro.config import ModelConfig, TrainingConfig
 from repro.db import Database
 from repro.errors import ReproError
-from repro.evaluation import (
-    AccuracyReport,
-    Hardness,
-    ValueDifficulty,
-    evaluate_pipeline,
-    exact_match,
-    measure_extraction_coverage,
-)
-from repro.model import (
-    Trainer,
-    ValueNetModel,
-    build_preprocessors,
-    train_valuenet,
-)
+from repro.model import ValueNetModel
 from repro.pipeline import (
     TranslationResult,
     ValueNetLightPipeline,
@@ -42,32 +33,28 @@ from repro.pipeline import (
 )
 from repro.preprocessing import Preprocessor
 from repro.schema import Schema
-from repro.spider import CorpusConfig, SpiderCorpus, generate_corpus, load_corpus
+
+# What the imports above built (repro's modules, numpy's, their tables)
+# lives until the process exits.  Freezing it keeps every later full
+# collection from re-scanning it: the collector's first full pass, which
+# CPython runs at a fixed count of young collections, costs what the
+# program allocated since, wherever among its first pipeline builds or
+# requests it falls.  Objects made before ``import repro`` are frozen
+# too; reference counting still frees them, a cycle among them is never
+# collected.
+gc.freeze()
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccuracyReport",
-    "CorpusConfig",
     "Database",
-    "Hardness",
     "ModelConfig",
     "Preprocessor",
     "ReproError",
     "Schema",
-    "SpiderCorpus",
-    "Trainer",
     "TrainingConfig",
     "TranslationResult",
-    "ValueDifficulty",
     "ValueNetLightPipeline",
     "ValueNetModel",
     "ValueNetPipeline",
-    "build_preprocessors",
-    "evaluate_pipeline",
-    "exact_match",
-    "generate_corpus",
-    "load_corpus",
-    "measure_extraction_coverage",
-    "train_valuenet",
 ]

@@ -11,12 +11,15 @@ failed samples for error analysis (Section V-G).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.db.executor import execute_and_compare, gold_orders_rows
 from repro.evaluation.difficulty import Hardness, ValueDifficulty
 from repro.pipeline.timing import TimingAggregate
 from repro.pipeline.valuenet import TranslationResult
-from repro.spider.corpus import Example, SpiderCorpus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spider.corpus import Example, SpiderCorpus
 
 
 @dataclass

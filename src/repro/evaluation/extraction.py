@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.evaluation.difficulty import ValueDifficulty
 from repro.model.supervision import match_candidate
 from repro.preprocessing.pipeline import Preprocessor
-from repro.spider.corpus import Example
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spider.corpus import Example
 
 
 @dataclass

@@ -12,16 +12,23 @@ from repro.model.featurize import (
     featurize,
 )
 from repro.model.supervision import match_candidate, steps_to_tree, tree_to_steps
-from repro.model.training import (
-    EpochStats,
-    Trainer,
-    TrainingHistory,
-    TrainSample,
-    build_preprocessors,
-    prepare_samples,
-    train_valuenet,
-)
 from repro.model.valuenet import ValueNetModel
+
+# Serving imports this package for the model alone: the training names
+# resolve from repro.model.training on first use, so a serving process
+# never loads the training loop.
+_TRAINING = frozenset({
+    "EpochStats", "Trainer", "TrainingHistory", "TrainSample",
+    "build_preprocessors", "prepare_samples", "train_valuenet",
+})
+
+
+def __getattr__(name: str):
+    if name in _TRAINING:
+        from repro.model import training
+
+        return getattr(training, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DecoderStep",

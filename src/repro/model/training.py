@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.logs import get_logger
@@ -23,7 +24,9 @@ from repro.model.valuenet import ValueNetModel
 from repro.ner.extractor import ValueExtractor
 from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
 from repro.schema.model import Schema
-from repro.spider.corpus import Example, SpiderCorpus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spider.corpus import Example, SpiderCorpus
 
 _LOG = get_logger(__name__)
 

@@ -1,12 +1,7 @@
 """Relational schema model, schema graph and JOIN path inference."""
 
 from repro.schema.graph import JoinEdge, SchemaGraph
-from repro.schema.joins import (
-    JoinPlan,
-    plan_joins,
-    shortest_join_path,
-    steiner_join_tables,
-)
+from repro.schema.joins import JoinPlan, plan_joins, steiner_join_tables
 from repro.schema.model import Column, ColumnType, ForeignKey, Schema, Table
 from repro.schema.serialization import (
     load_schemas,
@@ -29,6 +24,5 @@ __all__ = [
     "save_schemas",
     "schema_from_dict",
     "schema_to_dict",
-    "shortest_join_path",
     "steiner_join_tables",
 ]

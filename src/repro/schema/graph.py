@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
-from repro.errors import SchemaError
 from repro.schema.model import ForeignKey, Schema
 
 
@@ -36,42 +33,30 @@ class JoinEdge:
 class SchemaGraph:
     """Undirected multigraph over tables, annotated with join columns.
 
-    The graph is built once per schema and reused for every query; path
-    queries are answered with networkx shortest-path / Steiner algorithms
-    (see :mod:`repro.schema.joins`).
+    Built once per schema and reused for every query.  ``adjacency`` maps
+    each lower-cased table name to its neighbours and each neighbour to
+    the FKs joining the two, listed in FK order; tables and neighbours
+    both keep schema order, so every walk over the graph (see
+    :mod:`repro.schema.joins`) breaks ties the same way.  A
+    self-referencing FK (``employee.manager_id``) is a self-loop.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        self.graph = nx.MultiGraph()
-        for table in schema.tables:
-            self.graph.add_node(table.name.lower(), label=table.name)
+        self._names = {table.name.lower(): table.name for table in schema.tables}
+        rank = {key: i for i, key in enumerate(self._names)}
+        links: dict[str, dict[str, list[ForeignKey]]] = {key: {} for key in rank}
         for fk in schema.foreign_keys:
-            self._add_edge(fk)
-
-    def _add_edge(self, fk: ForeignKey) -> None:
-        self.graph.add_edge(
-            fk.source_table.lower(),
-            fk.target_table.lower(),
-            fk=fk,
-            weight=1.0,
-        )
+            source, target = fk.source_table.lower(), fk.target_table.lower()
+            links[source].setdefault(target, []).append(fk)
+            if source != target:
+                links[target].setdefault(source, []).append(fk)
+        self.adjacency = {
+            key: {n: links[key][n] for n in sorted(links[key], key=rank.__getitem__)}
+            for key in rank
+        }
 
     # ------------------------------------------------------------- queries
-
-    def neighbors(self, table_name: str) -> list[str]:
-        """Original-cased names of tables adjacent to ``table_name``."""
-        key = table_name.lower()
-        if key not in self.graph:
-            raise SchemaError(f"table {table_name!r} not in schema graph")
-        return [self.graph.nodes[n]["label"] for n in self.graph.neighbors(key)]
-
-    def are_connected(self, table_a: str, table_b: str) -> bool:
-        """Whether any join path exists between the two tables."""
-        a, b = table_a.lower(), table_b.lower()
-        if a not in self.graph or b not in self.graph:
-            return False
-        return nx.has_path(self.graph, a, b)
 
     def edge_between(self, table_a: str, table_b: str) -> JoinEdge | None:
         """A direct FK edge between two tables, or ``None``.
@@ -81,12 +66,10 @@ class SchemaGraph:
         order is returned; query-specific disambiguation is out of scope
         for the deterministic post-processing, matching the paper.
         """
-        a, b = table_a.lower(), table_b.lower()
-        data = self.graph.get_edge_data(a, b)
-        if not data:
+        fks = self.adjacency.get(table_a.lower(), {}).get(table_b.lower())
+        if not fks:
             return None
-        fk: ForeignKey = data[min(data)]["fk"]
-        return self._orient(fk, table_a)
+        return self._orient(fks[0], table_a)
 
     def _orient(self, fk: ForeignKey, left_table: str) -> JoinEdge:
         """Return the edge oriented so the left side matches ``left_table``."""
@@ -102,4 +85,4 @@ class SchemaGraph:
 
     def original_name(self, table_key: str) -> str:
         """Original-cased table name for a lower-cased graph node key."""
-        return self.graph.nodes[table_key.lower()]["label"]
+        return self._names[table_key.lower()]

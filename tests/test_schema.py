@@ -17,7 +17,6 @@ from repro.schema import (
     save_schemas,
     schema_from_dict,
     schema_to_dict,
-    shortest_join_path,
     steiner_join_tables,
 )
 
@@ -102,12 +101,6 @@ class TestModel:
 
 
 class TestGraph:
-    def test_neighbors(self, pets_graph):
-        assert set(pets_graph.neighbors("has_pet")) == {"student", "pet"}
-
-    def test_connected(self, pets_graph):
-        assert pets_graph.are_connected("student", "pet")
-
     def test_edge_between_orientation(self, pets_graph):
         edge = pets_graph.edge_between("student", "has_pet")
         assert edge is not None
@@ -124,10 +117,6 @@ class TestGraph:
 
 
 class TestJoins:
-    def test_shortest_path_goes_through_bridge(self, pets_graph):
-        path = shortest_join_path(pets_graph, "student", "pet")
-        assert path == ["student", "has_pet", "pet"]
-
     def test_steiner_includes_bridge(self, pets_graph):
         tables = steiner_join_tables(pets_graph, ["student", "pet"])
         assert tables == {"student", "has_pet", "pet"}
