@@ -8,8 +8,9 @@ must stay stable across worker processes.  This package enforces them:
 
 * :mod:`repro.analysis.engine` — a stdlib-``ast`` lint engine
   (``python -m repro.analysis``) running the named rules in
-  :mod:`repro.analysis.rules` with per-line/per-scope suppressions and a
-  committed baseline file for the few justified legacy sites;
+  :mod:`repro.analysis.rules` with per-line/per-scope suppressions
+  (``# lint: disable=RULE (reason)``, the one exemption: every other
+  finding fails the run);
 * :mod:`repro.analysis.lockorder` — a dynamic lock-order sanitizer:
   under ``REPRO_SANITIZE=1`` every lock built through
   :mod:`repro.concurrency` records per-thread held→acquired edges and

@@ -1,7 +1,8 @@
 """CLI for the lint engine: ``python -m repro.analysis``.
 
-Exit codes: 0 clean, 1 findings (new violations, stale or unjustified
-baseline entries, parse errors), 2 usage error.  All terminal output in
+Exit codes: 0 clean, 1 findings (violations or parse errors), 2 usage
+error.  A finding is exempted only in the source, by a
+``# lint: disable=RULE (reason)`` comment.  All terminal output in
 the analysis package lives here — the engine and rules return data.
 
 ``--format`` selects the report shape: ``text`` (default, human),
@@ -17,14 +18,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, build_baseline, diff_against_baseline
-from repro.analysis.core import Violation
+from repro.analysis.core import Violation, fingerprint_violations
 from repro.analysis.engine import AnalysisResult, analyze_paths
 from repro.analysis.rules import rule_catalog
 
 _PACKAGE_ROOT = Path(__file__).resolve().parents[1]  # src/repro
 _REPO_ROOT = Path(__file__).resolve().parents[3]
-_DEFAULT_BASELINE = _REPO_ROOT / "analysis-baseline.json"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,22 +36,6 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         type=Path,
         help=f"files or directories to lint (default: {_PACKAGE_ROOT})",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=_DEFAULT_BASELINE,
-        help="baseline file of justified legacy findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="CI mode: additionally fail on baseline entries lacking a justification",
     )
     parser.add_argument(
         "--format",
@@ -73,60 +56,33 @@ def main(argv: list[str] | None = None) -> int:
     paths = args.paths or [_PACKAGE_ROOT]
     result = analyze_paths(paths)
 
-    baseline = Baseline.load(args.baseline)
-
-    if args.write_baseline:
-        for err in result.parse_errors:
-            print(f"parse error: {err}", file=sys.stderr)
-        keep = {e.fingerprint: e.justification for e in baseline.entries}
-        fresh = build_baseline(result.violations, justifications=keep)
-        fresh.save(args.baseline)
-        print(
-            f"wrote {len(fresh.entries)} entries to {args.baseline} "
-            f"({sum(1 for e in fresh.unjustified())} need a justification)"
-        )
-        return 0
-
-    diff = diff_against_baseline(result.violations, baseline)
-    unjustified = baseline.unjustified() if args.check_baseline else []
-    failed = bool(
-        diff.new or diff.stale or unjustified or result.parse_errors
-    )
+    failed = bool(result.violations or result.parse_errors)
 
     if args.format == "json":
-        _report_json(result, diff, unjustified, failed)
+        _report_json(result, failed)
     elif args.format == "github":
-        _report_github(result, diff, unjustified)
+        _report_github(result)
     else:
-        _report_text(result, diff, unjustified, failed)
+        _report_text(result, failed)
     return 1 if failed else 0
 
 
-def _report_text(result, diff, unjustified, failed: bool) -> None:
+def _report_text(result, failed: bool) -> None:
     for err in result.parse_errors:
         print(f"parse error: {err}", file=sys.stderr)
-    if diff.new:
-        print(f"{len(diff.new)} violation(s):")
-        for violation, _ in diff.new:
+    if result.violations:
+        print(f"{len(result.violations)} violation(s):")
+        for violation in result.violations:
             print(f"  {violation.render()}")
             if violation.source_line:
                 print(f"      {violation.source_line}")
-    if diff.stale:
-        print(f"{len(diff.stale)} stale baseline entr(y/ies) — remove them:")
-        for entry in diff.stale:
-            print(f"  {entry.rule} {entry.path}:{entry.line} [{entry.fingerprint}]")
-    if unjustified:
-        print(f"{len(unjustified)} baseline entr(y/ies) lack a justification:")
-        for entry in unjustified:
-            print(f"  {entry.rule} {entry.path}:{entry.line} [{entry.fingerprint}]")
     if not failed:
         print(
-            f"clean: {result.files_checked} files, "
-            f"{len(rule_catalog())} rules, {len(diff.matched)} baselined finding(s)"
+            f"clean: {result.files_checked} files, {len(rule_catalog())} rules"
         )
 
 
-def _report_json(result, diff, unjustified, failed: bool) -> None:
+def _report_json(result, failed: bool) -> None:
     document = {
         "ok": not failed,
         "files_checked": result.files_checked,
@@ -140,19 +96,8 @@ def _report_json(result, diff, unjustified, failed: bool) -> None:
                 "source_line": v.source_line,
                 "fingerprint": fingerprint,
             }
-            for v, fingerprint in diff.new
+            for v, fingerprint in fingerprint_violations(result.violations)
         ],
-        "stale_baseline": [
-            {"rule": e.rule, "path": e.path, "line": e.line,
-             "fingerprint": e.fingerprint}
-            for e in diff.stale
-        ],
-        "unjustified_baseline": [
-            {"rule": e.rule, "path": e.path, "line": e.line,
-             "fingerprint": e.fingerprint}
-            for e in unjustified
-        ],
-        "baselined": len(diff.matched),
         "parse_errors": result.parse_errors,
     }
     json.dump(document, sys.stdout, indent=2)
@@ -174,24 +119,12 @@ def _github_path(result: AnalysisResult, violation: Violation) -> str:
     return violation.path
 
 
-def _report_github(result: AnalysisResult, diff, unjustified) -> None:
-    for violation, _ in diff.new:
+def _report_github(result: AnalysisResult) -> None:
+    for violation in result.violations:
         path = _github_path(result, violation)
         print(
             f"::error file={path},line={violation.line},"
             f"title={violation.rule}::{violation.message}"
-        )
-    for entry in diff.stale:
-        print(
-            f"::error title=stale-baseline::{entry.rule} at "
-            f"{entry.path}:{entry.line} no longer fires — remove "
-            f"[{entry.fingerprint}] from the baseline"
-        )
-    for entry in unjustified:
-        print(
-            f"::error title=unjustified-baseline::{entry.rule} at "
-            f"{entry.path}:{entry.line} [{entry.fingerprint}] lacks a "
-            f"justification"
         )
     for err in result.parse_errors:
         print(f"::error title=parse-error::{err}")

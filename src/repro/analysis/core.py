@@ -8,6 +8,7 @@ them.
 from __future__ import annotations
 
 import ast
+import hashlib
 import io
 import re
 import tokenize
@@ -40,6 +41,25 @@ class Violation:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
+
+
+def fingerprint_violations(violations: list[Violation]) -> list[tuple[Violation, str]]:
+    """Pair each violation with a content fingerprint for reports.
+
+    ``sha1(rule | logical path | stripped source line | occurrence
+    index)`` survives line-number drift; the occurrence index
+    disambiguates identical lines within one file (e.g. two
+    ``time.time()`` calls on textually equal lines).
+    """
+    seen: dict[tuple[str, str, str], int] = {}
+    out: list[tuple[Violation, str]] = []
+    for v in violations:
+        key = (v.rule, v.path, v.source_line)
+        index = seen.get(key, 0)
+        seen[key] = index + 1
+        raw = f"{v.rule}|{v.path}|{v.source_line}|{index}"
+        out.append((v, hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]))
+    return out
 
 
 @dataclass(frozen=True)

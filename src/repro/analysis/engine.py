@@ -1,8 +1,8 @@
 """The lint engine: file discovery, rule dispatch, suppression filtering.
 
 Keeps zero policy of its own — every check lives in
-:mod:`repro.analysis.rules`; every justified legacy finding lives in the
-committed baseline (:mod:`repro.analysis.baseline`).  The engine walks
+:mod:`repro.analysis.rules`; every justified exemption is a
+``# lint: disable=RULE (reason)`` comment at the site.  The engine walks
 the files, builds one :class:`~repro.analysis.core.FileContext` each
 (each file is read and parsed exactly once per run — the per-file rules,
 the whole-program rules, and the suppression table all share the same
@@ -39,7 +39,7 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
 
 
 def logical_path(path: Path) -> str:
-    """Stable repo-relative identifier for baselines and reports.
+    """Stable repo-relative identifier for reports and fingerprints.
 
     Anchored at the rightmost ``repro`` path component so the same file
     fingerprints identically from any checkout location (and so test

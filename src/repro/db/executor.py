@@ -9,6 +9,7 @@ matters (this mirrors the official Spider evaluation script's behaviour).
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.db.database import Database
 from repro.errors import ExecutionError
+from repro.sql.lexer import lex_sql
 
 # SQLite VM instructions between two deadline checks of a budgeted
 # query: a few-microsecond query sees at most one check, a runaway one
@@ -35,28 +37,21 @@ def reject_multi_statement(sql: str) -> None:
     """Raise :class:`MultiStatementError` if ``sql`` holds >1 statement.
 
     The executor runs *generated* SQL, so this is the last line of
-    defense even when no policy is configured: a
-    statement separator outside quotes followed by anything non-blank
-    (``SELECT ...; DROP TABLE ...``) is rejected outright.  A single
-    trailing ``;`` is legal.  Quote-aware via :func:`_skip_quoted`, so
-    ``'a;b'`` in a literal never false-positives.
+    defense even when no policy is configured: a statement separator
+    followed by anything non-blank (``SELECT ...; DROP TABLE ...``) is
+    rejected outright.  A single trailing ``;`` is legal.  The separator
+    is read off the lexer's masked view (:mod:`repro.sql.lexer`), the
+    same one the policy's ``multi-statement`` rule reads, so a ``;``
+    inside a quoted form never false-positives and a quote inside a
+    comment never hides one.
     """
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in ("'", '"', "`"):
-            i = _skip_quoted(sql, i)
-            continue
-        if ch == "[":  # SQLite bracket-quoted identifier
-            end = sql.find("]", i + 1)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == ";" and sql[i + 1 :].strip():
-            raise MultiStatementError(
-                f"SQL contains multiple statements (separator at offset {i}): {sql!r}"
-            )
-        i += 1
+    if ";" not in sql:
+        return  # no separator without a ";"
+    offset = lex_sql(sql).separator()
+    if offset is not None:
+        raise MultiStatementError(
+            f"SQL contains multiple statements (separator at offset {offset}): {sql!r}"
+        )
 
 
 # taint: sanitizer via check_sql (single choke point for generated SQL: multi-statement rejection always, policy gate when configured)
@@ -196,56 +191,26 @@ def execute_and_compare(
     )
 
 
-def _skip_quoted(text: str, start: int) -> int:
-    """Index just past the quoted literal/identifier opening at ``start``.
-
-    Handles SQLite's doubled-quote escape (``'it''s'``); an unterminated
-    literal consumes the rest of the string.
-    """
-    quote = text[start]
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == quote:
-            if i + 1 < n and text[i + 1] == quote:
-                i += 2  # doubled quote is an escaped quote, not a close
-                continue
-            return i + 1
-        i += 1
-    return n
+# An opening or closing paren, or ORDER BY at a word start.
+_ORDER_BY_RE = re.compile(r"[()]|(?<!\w)order by")
 
 
 def gold_orders_rows(gold_sql: str) -> bool:
     """Heuristic: does the gold query's *top level* impose row order?
 
     An ORDER BY inside a sub-query (``IN (SELECT ... ORDER BY ...)``) does
-    not constrain the outer result order.  We check for ORDER BY at paren
-    depth zero, skipping quoted literals and identifiers so that a string
-    like ``'order by'`` or a ``'('`` inside a value cannot miscount depth
-    or false-positive.
+    not constrain the outer result order.  We look for ORDER BY at paren
+    depth zero in the lexer's masked view, so a string like
+    ``'order by'`` or a ``'('`` inside a quoted form cannot miscount
+    depth or false-positive.
     """
     depth = 0
-    lowered = gold_sql.lower()
-    i = 0
-    n = len(lowered)
-    while i < n:
-        ch = lowered[i]
-        if ch in ("'", '"', "`"):
-            i = _skip_quoted(lowered, i)
-            continue
-        if ch == "[":  # SQLite bracket-quoted identifier
-            end = lowered.find("]", i + 1)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "(":
+    for match in _ORDER_BY_RE.finditer(lex_sql(gold_sql).masked.lower()):
+        token = match.group()
+        if token == "(":
             depth += 1
-        elif ch == ")":
+        elif token == ")":
             depth -= 1
-        elif (
-            depth == 0
-            and lowered.startswith("order by", i)
-            and (i == 0 or not (lowered[i - 1].isalnum() or lowered[i - 1] == "_"))
-        ):
+        elif depth == 0:
             return True
-        i += 1
     return False

@@ -286,7 +286,7 @@ def generate_examples(
                 patterns.append((kind, question, query, column.name))
         for kind, question, query, column_name in patterns:
             sql = render_sql(query, graph)
-            if not _admissible(database, db_id, sql, policy, validate):
+            if not _admissible(database, db_id, sql, policy, graph, validate):
                 continue
             examples.append(
                 CorpusExample(
@@ -303,12 +303,19 @@ def generate_examples(
 
 
 def _admissible(
-    database: Database, db_id: str, sql: str, policy, validate: bool
+    database: Database,
+    db_id: str,
+    sql: str,
+    policy,
+    graph: SchemaGraph,
+    validate: bool,
 ) -> bool:
     """Policy + execution gate for one candidate example."""
     if policy is not None:
         try:
-            policy.check_sql(sql, database_id=db_id, schema=database.schema)
+            policy.check_sql(
+                sql, database_id=db_id, schema=database.schema, graph=graph
+            )
         except Exception:  # justified: blocked/unparseable examples are dropped, not emitted
             return False
     if validate:

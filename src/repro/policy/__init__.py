@@ -20,7 +20,6 @@ from repro.policy.rules import (
     PolicyRule,
     PolicyViolation,
     all_rules,
-    mask_strings,
     rule_catalog,
     subquery_depth,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "PolicyViolation",
     "PolicyViolationError",
     "all_rules",
-    "mask_strings",
     "rule_catalog",
     "subquery_depth",
 ]

@@ -20,9 +20,11 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, SqlParseError
 from repro.schema.graph import SchemaGraph
+from repro.sql.lexer import lex_sql
+from repro.sql.parser import parse_sql
 
 from repro.policy.config import PolicyConfigStore
-from repro.policy.rules import PolicyContext, PolicyViolation, all_rules, mask_strings
+from repro.policy.rules import PolicyContext, PolicyViolation, all_rules
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schema.model import Schema
@@ -67,7 +69,6 @@ class PolicyEngine:
     ):
         self._store = store if store is not None else PolicyConfigStore()
         self._rules = all_rules()
-        self._graphs: dict[int, SchemaGraph] = {}
         self._blocked = None
         if metrics is not None:
             self.bind_metrics(metrics)
@@ -95,23 +96,26 @@ class PolicyEngine:
         schema: "Schema | None" = None,
         graph: SchemaGraph | None = None,
     ) -> list[PolicyViolation]:
-        """Run every enabled rule; return the violations (no metrics)."""
-        config = self._store.resolve(database_id, tenant_id)
-        query = None
-        if graph is None and schema is not None:
-            graph = self._graph_for(schema)
-        if schema is not None:
-            from repro.sql.parser import parse_sql
+        """Run every enabled rule; return the violations (no metrics).
 
+        ``sql`` is lexed once: the raw rules read its masked view and the
+        parser reads its tokens.  With a ``schema`` and no ``graph``, the
+        schema's join graph is built here.
+        """
+        config = self._store.resolve(database_id, tenant_id)
+        lexed = lex_sql(sql)
+        query = None
+        if schema is not None:
+            if graph is None:
+                graph = SchemaGraph(schema)
             try:
-                query = parse_sql(sql, schema)
+                query = parse_sql(lexed, schema)
             except SqlParseError:
                 # Raw rules still run; an unparseable statement that is
                 # not a SELECT is blocked by read-only regardless.
                 query = None
         ctx = PolicyContext(
-            sql=sql,
-            masked_sql=mask_strings(sql),
+            lexed=lexed,
             config=config,
             query=query,
             graph=graph,
@@ -149,16 +153,3 @@ class PolicyEngine:
             if self._blocked is not None:
                 self._blocked.labels(tenant_id or ANONYMOUS_TENANT).inc()
             raise PolicyViolationError(violations)
-
-    # ------------------------------------------------------------- helpers
-
-    def _graph_for(self, schema: "Schema") -> SchemaGraph:
-        """Cache one SchemaGraph per schema object (schemas are immutable)."""
-        key = id(schema)
-        graph = self._graphs.get(key)
-        if graph is None:
-            graph = SchemaGraph(schema)
-            if len(self._graphs) > 64:
-                self._graphs.clear()
-            self._graphs[key] = graph
-        return graph

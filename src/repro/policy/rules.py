@@ -2,10 +2,11 @@
 
 Two families share one interface:
 
-* **raw rules** inspect the SQL text with a quote-aware scanner, so they
-  still fire when the string does not parse in our Spider subset — the
-  whole point of ``blocked-keyword`` is to reject statements the parser
-  would refuse anyway;
+* **raw rules** read the masked view of :mod:`repro.sql.lexer` (quoted
+  contents blanked, SQLite's quoting and comment rules), so they still
+  fire when the string does not parse in our Spider subset — the whole
+  point of ``blocked-keyword`` is to reject statements the parser would
+  refuse anyway;
 * **AST rules** inspect the parsed :class:`repro.sql.ast.Query` (and the
   schema graph) and are skipped when no parse is available.
 
@@ -15,6 +16,7 @@ layer surfaces in its structured 4xx body.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -27,6 +29,7 @@ from repro.sql.ast import (
     SelectQuery,
     iter_conditions,
 )
+from repro.sql.lexer import LexedSql
 
 from repro.policy.config import PolicyConfig
 
@@ -50,8 +53,8 @@ class PolicyViolation:
 class PolicyContext:
     """Everything a rule may look at for one query."""
 
-    sql: str
-    masked_sql: str
+    #: The statement, lexed once; the parser read the same tokens.
+    lexed: LexedSql
     config: PolicyConfig
     query: Query | None = None
     graph: SchemaGraph | None = None
@@ -59,36 +62,9 @@ class PolicyContext:
     tenant_id: str | None = None
 
 
-def mask_strings(sql: str) -> str:
-    """Replace string-literal / quoted-identifier contents with spaces.
-
-    Keeps the delimiting quotes and the overall length, so offsets in the
-    masked text line up with the original.  Understands ``''`` doubling
-    inside single quotes, ``""`` inside double quotes and MySQL-style
-    backtick identifiers.  An unterminated literal masks to end-of-string,
-    which errs on the safe side: text that *might* be inside a string is
-    never keyword-matched, while the statement itself will fail to parse
-    and be caught by ``read-only``.
-    """
-    out = list(sql)
-    i = 0
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch in ("'", '"', "`"):
-            i += 1
-            while i < length:
-                if sql[i] == ch:
-                    if ch != "`" and i + 1 < length and sql[i + 1] == ch:
-                        out[i] = " "
-                        out[i + 1] = " "
-                        i += 2
-                        continue
-                    break
-                out[i] = " "
-                i += 1
-        i += 1
-    return "".join(out)
+# A word of the masked view: keywords are matched whole.
+_WORD_RE = re.compile(r"\w+")
+_FIRST_WORD_RE = re.compile(r"\s*(\w*)")
 
 
 def _iter_select_bodies(query: Query) -> Iterator[SelectQuery]:
@@ -134,13 +110,9 @@ class MultiStatementRule(PolicyRule):
     description = "Reject SQL containing more than one statement."
 
     def check(self, ctx: PolicyContext) -> Iterable[PolicyViolation]:
-        masked = ctx.masked_sql
-        for offset, ch in enumerate(masked):
-            if ch == ";" and masked[offset + 1 :].strip():
-                yield self._violation(
-                    "SQL contains multiple statements", offset=offset
-                )
-                return
+        offset = ctx.lexed.separator()
+        if offset is not None:
+            yield self._violation("SQL contains multiple statements", offset=offset)
 
 
 class BlockedKeywordRule(PolicyRule):
@@ -153,20 +125,14 @@ class BlockedKeywordRule(PolicyRule):
         blocked = set(ctx.config.blocked_keywords)
         if not blocked:
             return
-        word = []
         seen: set[str] = set()
-        for ch in ctx.masked_sql + " ":
-            if ch.isalnum() or ch == "_":
-                word.append(ch)
-                continue
-            if word:
-                token = "".join(word).lower()
-                word.clear()
-                if token in blocked and token not in seen:
-                    seen.add(token)
-                    yield self._violation(
-                        f"blocked keyword {token.upper()!r}", keyword=token.upper()
-                    )
+        for word in _WORD_RE.findall(ctx.lexed.masked):
+            token = word.lower()
+            if token in blocked and token not in seen:
+                seen.add(token)
+                yield self._violation(
+                    f"blocked keyword {token.upper()!r}", keyword=token.upper()
+                )
 
 
 class ReadOnlyRule(PolicyRule):
@@ -178,16 +144,12 @@ class ReadOnlyRule(PolicyRule):
     def check(self, ctx: PolicyContext) -> Iterable[PolicyViolation]:
         if not ctx.config.read_only:
             return
-        stripped = ctx.masked_sql.strip()
-        first = ""
-        for ch in stripped:
-            if not (ch.isalnum() or ch == "_"):
-                break
-            first += ch
+        masked = ctx.lexed.masked
+        first = _FIRST_WORD_RE.match(masked).group(1)
         if first.lower() != "select":
             yield self._violation(
                 "only SELECT statements are allowed",
-                statement=first.upper() or stripped[:20],
+                statement=first.upper() or masked.strip()[:20],
             )
 
 

@@ -10,8 +10,9 @@ Endpoints (all JSON unless noted):
   search seconds); an index swap resets them with the new searcher.
 * ``GET  /livez``    — liveness only: 200 whenever the process can
   answer HTTP at all.  Restart the instance when this fails.
-* ``GET  /readyz``   — readiness: 503 until the backing service exists
-  *and* reports ready (index warm-up finished, not draining).  Load
+* ``GET  /readyz``   — readiness: 503 until the backing service is
+  attached (index warm-up finished) and whenever it reports not ready
+  (draining; in cluster mode, a worker still warming).  Load
   balancers should route on this, not on ``/healthz``, so cold or
   draining instances receive no traffic.
 * ``GET  /metrics``  — Prometheus text exposition; ``?format=json`` for a

@@ -210,10 +210,6 @@ class TranslationService:
         metrics: registry to record into (created when omitted).
         allow_failure_injection: honor per-request ``inject_failure``
             flags (keep off outside load tests).
-        ready: initial readiness.  Pass ``False`` when index warm-up
-            happens after construction and call :meth:`mark_ready` once
-            it completes; ``/readyz`` answers 503 until then so load
-            balancers do not route traffic to a cold instance.
         allow_empty: permit constructing with zero runtimes.  Cluster
             workers whose consistent-hash shard is empty start this way
             and adopt databases via :meth:`add_runtime` only when the
@@ -232,7 +228,6 @@ class TranslationService:
         default_timeout_ms: float = 10_000.0,
         metrics: MetricsRegistry | None = None,
         allow_failure_injection: bool = False,
-        ready: bool = True,
         allow_empty: bool = False,
         tenancy=None,
     ):
@@ -256,9 +251,6 @@ class TranslationService:
         self._threads: list[threading.Thread] = []
         self._started = False
         self._stopping = False
-        self._ready = threading.Event()
-        if ready:
-            self._ready.set()
         self._runtime_lock = make_lock("TranslationService._runtime_lock")
         # Set by KBRefresher.attach_service; read by the admin routes
         # and health() only.
@@ -371,12 +363,13 @@ class TranslationService:
 
     # ---------------------------------------------------------- readiness
 
-    def mark_ready(self) -> None:
-        """Flip readiness on (idempotent); ``/readyz`` starts answering 200."""
-        self._ready.set()
-
     def is_ready(self) -> bool:
-        return self._ready.is_set() and not self._stopping
+        """Ready unless stopping or draining.
+
+        During warm-up the server is not attached to a service yet and
+        answers ``/readyz`` with 503 on its own.
+        """
+        return not self._stopping
 
     # ------------------------------------------------------- runtime admin
 

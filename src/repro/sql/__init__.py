@@ -1,4 +1,4 @@
-"""SQL AST, renderer, tokenizer and parser for the Spider SQL subset."""
+"""SQL AST, renderer, lexer and parser for the Spider SQL subset."""
 
 from repro.sql.ast import (
     AggregateFunction,
@@ -19,7 +19,7 @@ from repro.sql.ast import (
 )
 from repro.sql.parser import parse_sql
 from repro.sql.render import SqlRenderer, quote_string, render_literal, render_sql
-from repro.sql.tokenizer import SqlToken, TokenType, tokenize_sql
+from repro.sql.lexer import LexedSql, SqlToken, TokenType, lex_sql, tokenize_sql
 
 __all__ = [
     "AggregateFunction",
@@ -27,6 +27,7 @@ __all__ = [
     "ColumnRef",
     "Condition",
     "ConditionExpr",
+    "LexedSql",
     "Literal",
     "Operator",
     "OrderBy",
@@ -40,6 +41,7 @@ __all__ = [
     "TokenType",
     "iter_conditions",
     "iter_literals",
+    "lex_sql",
     "parse_sql",
     "quote_string",
     "render_literal",

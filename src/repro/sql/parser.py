@@ -39,7 +39,7 @@ from repro.sql.ast import (
     SelectQuery,
     SetOperator,
 )
-from repro.sql.tokenizer import SqlToken, TokenType, tokenize_sql
+from repro.sql.lexer import LexedSql, SqlToken, TokenType, lex_sql, tokenize_sql
 
 _AGGREGATES = {"count", "sum", "avg", "min", "max"}
 _SET_OPERATORS = {
@@ -49,13 +49,14 @@ _SET_OPERATORS = {
 }
 
 
-def parse_sql(sql: str, schema: Schema) -> Query:
-    """Parse ``sql`` against ``schema`` into a resolved :class:`Query`."""
-    return _Parser(tokenize_sql(sql), schema, sql).parse_query(top_level=True)
+def parse_sql(sql: str | LexedSql, schema: Schema) -> Query:
+    """Parse ``sql`` (or its lexing) against ``schema`` into a :class:`Query`."""
+    lexed = sql if isinstance(sql, LexedSql) else lex_sql(sql)
+    return _Parser(tokenize_sql(lexed), schema, lexed.sql).parse_query(top_level=True)
 
 
 class _Parser:
-    def __init__(self, tokens: list[SqlToken], schema: Schema, sql: str):
+    def __init__(self, tokens: tuple[SqlToken, ...], schema: Schema, sql: str):
         self._tokens = tokens
         self._schema = schema
         self._sql = sql

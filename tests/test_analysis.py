@@ -8,18 +8,12 @@ scripts exemption) see the same logical paths as the real tree.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_paths
-from repro.analysis.baseline import (
-    Baseline,
-    build_baseline,
-    diff_against_baseline,
-    fingerprint_violations,
-)
+from repro.analysis.core import fingerprint_violations
 
 
 def check_snippet(tmp_path: Path, relpath: str, source: str):
@@ -332,7 +326,7 @@ def f():
     assert "NO-PRINT" not in rules_fired(result)
 
 
-# --------------------------------------------------------------- baseline
+# ----------------------------------------------------------- fingerprints
 
 
 def _two_violations(tmp_path):
@@ -348,61 +342,17 @@ def stamp2():
     return [v for v in result.violations if v.rule == "WALLCLOCK"]
 
 
-def test_baseline_roundtrip_and_matching(tmp_path):
-    violations = _two_violations(tmp_path)
-    assert len(violations) == 2
-    baseline = build_baseline(violations, {})
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    diff = diff_against_baseline(violations, loaded)
-    assert diff.new == [] and diff.stale == []
-    assert len(diff.matched) == 2
-
-
-def test_baseline_detects_new_and_stale(tmp_path):
-    violations = _two_violations(tmp_path)
-    baseline = build_baseline(violations[:1], {})
-    diff = diff_against_baseline(violations, baseline)
-    assert len(diff.new) == 1 and diff.stale == []
-    diff = diff_against_baseline([], baseline)
-    assert diff.new == [] and len(diff.stale) == 1
-
-
 def test_identical_lines_get_distinct_fingerprints(tmp_path):
     violations = _two_violations(tmp_path)
     pairs = fingerprint_violations(violations)
     assert len({fp for _, fp in pairs}) == 2
 
 
-def test_baseline_unjustified_entries_reported(tmp_path):
-    violations = _two_violations(tmp_path)
-    baseline = build_baseline(violations, {})
-    assert len(baseline.unjustified()) == 2
-    justified = build_baseline(
-        violations,
-        {fp: "epoch display" for _, fp in fingerprint_violations(violations)},
-    )
-    assert justified.unjustified() == []
-
-
 # ------------------------------------------------------------- repo clean
 
 
-def test_real_tree_is_clean_against_committed_baseline():
+def test_real_tree_has_no_violations():
     repo_root = Path(__file__).resolve().parents[1]
     result = analyze_paths([repo_root / "src" / "repro"])
     assert result.parse_errors == []
-    baseline = Baseline.load(repo_root / "analysis-baseline.json")
-    diff = diff_against_baseline(result.violations, baseline)
-    assert diff.new == [], [v.render() for v, _ in diff.new]
-    assert diff.stale == [], [e.fingerprint for e in diff.stale]
-    assert baseline.unjustified() == []
-
-
-def test_committed_baseline_is_valid_json():
-    repo_root = Path(__file__).resolve().parents[1]
-    data = json.loads((repo_root / "analysis-baseline.json").read_text())
-    assert data["version"] == 1
-    for entry in data["entries"]:
-        assert entry["justification"].strip(), entry
+    assert result.violations == [], [v.render() for v in result.violations]

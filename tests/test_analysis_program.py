@@ -543,7 +543,6 @@ def test_cli_json_format(tmp_path, capsys):
     })
     code = analysis_main([
         str(tmp_path), "--format", "json",
-        "--baseline", str(tmp_path / "baseline.json"),
     ])
     assert code == 1
     document = json.loads(capsys.readouterr().out)
@@ -563,7 +562,6 @@ def test_cli_github_format(tmp_path, capsys):
     })
     code = analysis_main([
         str(tmp_path), "--format", "github",
-        "--baseline", str(tmp_path / "baseline.json"),
     ])
     assert code == 1
     out = capsys.readouterr().out
@@ -573,9 +571,7 @@ def test_cli_github_format(tmp_path, capsys):
 
 def test_cli_text_format_still_default(tmp_path, capsys):
     write_tree(tmp_path, {"db/clean.py": "x = 1\n"})
-    code = analysis_main([
-        str(tmp_path), "--baseline", str(tmp_path / "baseline.json"),
-    ])
+    code = analysis_main([str(tmp_path)])
     assert code == 0
     assert "clean:" in capsys.readouterr().out
 

@@ -7,19 +7,26 @@ legitimate traffic it sits in front of would never be deployed.
 
 Also locked in here: the structured violation shape (machine-readable
 rule ids), config override precedence (default < database < tenant),
-the tenant-labeled blocked counter, eager config validation, and the
-executor's unconditional multi-statement rejection.
+the tenant-labeled blocked counter, eager config validation, the
+executor's unconditional multi-statement rejection, and the one SQL
+lexer the gate and the executor share: every statement end SQLite sees
+is a separator to both, and on generated SQL every verdict equals the
+one the old per-module scanners (``tests/legacy_scanners.py``) gave.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.baselines import HeuristicBaseline
 from repro.db.executor import (
     MultiStatementError,
     execute_with_budget,
+    gold_orders_rows,
     reject_multi_statement,
 )
 from repro.policy import (
@@ -30,11 +37,13 @@ from repro.policy import (
     PolicyEngine,
     PolicyViolationError,
     all_rules,
-    mask_strings,
     rule_catalog,
 )
 from repro.schema import Column, ColumnType, ForeignKey, Schema, Table
+from repro.spider import CorpusConfig, generate_corpus
+from repro.sql import TokenType, lex_sql
 from repro.metrics import MetricsRegistry
+from tests import legacy_scanners as legacy
 
 
 def rule_ids(engine, sql, schema=None, **kwargs):
@@ -391,13 +400,13 @@ class TestBlockedMetrics:
 class TestMaskStrings:
     def test_masks_preserve_length_and_structure(self):
         sql = "SELECT a FROM t WHERE b = 'x; DROP' AND c = \"d''e\""
-        masked = mask_strings(sql)
+        masked = lex_sql(sql).masked
         assert len(masked) == len(sql)
         assert "DROP" not in masked
         assert masked.startswith("SELECT a FROM t WHERE b = ")
 
     def test_unterminated_string_masks_to_end(self):
-        masked = mask_strings("SELECT a FROM t WHERE b = 'oops")
+        masked = lex_sql("SELECT a FROM t WHERE b = 'oops").masked
         assert "oops" not in masked
 
 
@@ -435,6 +444,133 @@ class TestExecutorMultiStatementGate:
             pets_db, "SELECT name FROM student", check_sql=engine.check_sql
         )
         assert len(rows) == 4
+
+
+def executor_rejects(sql: str) -> bool:
+    try:
+        reject_multi_statement(sql)
+    except MultiStatementError:
+        return True
+    return False
+
+
+def quote_in_comment(sql: str) -> bool:
+    """Does a comment hold a quote or bracket opener (which the old
+    scanners, knowing no comments, would have opened)?"""
+    return any(
+        token.type is TokenType.COMMENT
+        and any(opener in token.value for opener in "'\"`[")
+        for token in lex_sql(sql).tokens
+    )
+
+
+# SQLite's quote, bracket and comment characters; the two-character
+# comment markers are also pieces of their own so comments are common.
+PIECES = [
+    "a", " ", "\n", ";", "'", '"', "`", "[", "]", "-", "/", "*", "DROP",
+    "--", "/*", "*/",
+]
+sql_text = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+bracket_free_text = st.lists(
+    st.sampled_from([p for p in PIECES if p not in ("[", "]")] + ["SELECT", "select"]),
+    max_size=24,
+).map("".join)
+order_text = st.lists(
+    st.sampled_from(PIECES + ["(", ")", "ORDER BY", "order by", "xorder by"]),
+    max_size=24,
+).map("".join)
+
+
+class TestOneLexer:
+    """The policy gate, the executor and the accuracy check read SQL
+    through one lexer, the way SQLite reads it."""
+
+    @pytest.mark.parametrize("sql", [
+        # A quote inside brackets hid the separator from the policy.
+        "SELECT [it's] FROM pets; DROP TABLE pets",
+        # A quote inside a comment hid it from the policy and executor.
+        "SELECT 1 -- it's\n; DROP TABLE pets",
+    ])
+    def test_piggybacked_statement_behind_a_stray_quote(self, engine, sql):
+        assert {"multi-statement", "blocked-keyword"} <= rule_ids(engine, sql)
+        with pytest.raises(MultiStatementError):
+            reject_multi_statement(sql)
+
+    def test_quote_inside_comment_does_not_hide_order_by(self):
+        assert gold_orders_rows("SELECT a FROM t /* ' */ ORDER BY a")
+
+    @settings(max_examples=300)
+    @given(sql=sql_text)
+    def test_every_sqlite_statement_end_is_a_separator(self, sql):
+        # SQLite ends a statement at i when s[:i+1] is complete and
+        # s[:i] is not (this skips empty statements and a ";" inside a
+        # trailing comment).  Both gates must see a separator there.
+        engine = PolicyEngine()
+        masked = lex_sql(sql).masked
+        for i, ch in enumerate(sql):
+            if ch != ";" or not sqlite3.complete_statement(sql[: i + 1]):
+                continue
+            if sqlite3.complete_statement(sql[:i]):
+                continue
+            assert masked[i] == ";"
+            piggybacked = sql[: i + 1] + "x"
+            assert executor_rejects(piggybacked)
+            assert "multi-statement" in rule_ids(engine, piggybacked)
+
+    @settings(max_examples=300)
+    @given(sql=bracket_free_text)
+    def test_no_looser_than_the_old_scanners_without_brackets(self, sql):
+        assume(not quote_in_comment(sql))
+        assert legacy.raw_rule_ids(sql) <= rule_ids(PolicyEngine(), sql)
+        assert executor_rejects(sql) >= legacy.rejects_multi_statement(sql)
+
+    def test_quote_inside_comment_is_read_as_sqlite_reads_it(self, engine):
+        # The one bracket-free case where a verdict loosens: the old
+        # scanners paired the comment's quote with a later one and saw a
+        # ";" that SQLite reads inside the identifier "';a".
+        sql = "--'\n\"';a\""
+        assert legacy.rejects_multi_statement(sql)
+        assert "multi-statement" in legacy.raw_rule_ids(sql)
+        assert not any(
+            sqlite3.complete_statement(sql[: i + 1]) for i in range(len(sql))
+        )
+        assert not executor_rejects(sql)
+        assert "multi-statement" not in rule_ids(engine, sql)
+
+    @settings(max_examples=300)
+    @given(sql=order_text)
+    def test_gold_orders_rows_matches_the_old_scanner(self, sql):
+        if not quote_in_comment(sql):
+            assert gold_orders_rows(sql) == legacy.gold_orders_rows(sql)
+
+
+@pytest.fixture(scope="module")
+def generated_sql():
+    """Every gold query of the quick corpus and every heuristic-baseline
+    query for its questions."""
+    corpus = generate_corpus(CorpusConfig(train_per_domain=100, dev_per_domain=50))
+    baselines: dict[str, HeuristicBaseline] = {}
+    statements = []
+    for example in list(corpus.train) + list(corpus.dev):
+        statements.append(example.gold_sql)
+        if example.db_id not in baselines:
+            baselines[example.db_id] = HeuristicBaseline(
+                corpus.database(example.db_id)
+            )
+        sql = baselines[example.db_id].translate(example.question).sql
+        if sql:
+            statements.append(sql)
+    yield statements
+    corpus.close()
+
+
+def test_generated_sql_verdicts_are_unchanged(generated_sql):
+    engine = PolicyEngine()
+    assert len(generated_sql) > 2000
+    for sql in generated_sql:
+        assert rule_ids(engine, sql) == legacy.raw_rule_ids(sql), sql
+        assert executor_rejects(sql) == legacy.rejects_multi_statement(sql), sql
+        assert gold_orders_rows(sql) == legacy.gold_orders_rows(sql), sql
 
 
 class TestForeignKeyLintCheck:

@@ -177,7 +177,6 @@ class TestWarmupServer:
         thread.start()
         service = TranslationService(
             [DatabaseRuntime(pets_db, database_id="pets")], workers=2,
-            ready=False,
         ).start()
         yield server, service
         server.shutdown()
@@ -204,18 +203,18 @@ class TestWarmupServer:
         assert excinfo.value.code == 503
         assert json.loads(excinfo.value.read())["retriable"] is True
 
-    def test_attached_but_warming_service_not_ready(self, cold_server):
+    def test_attached_but_draining_service_not_ready(self, cold_server):
         server, service = cold_server
         server.attach(service)
+        assert service.drain(timeout=1.0)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(server.url + "/readyz")
         assert excinfo.value.code == 503
         assert json.loads(excinfo.value.read())["reason"] == "service is not ready"
 
-    def test_mark_ready_flips_readyz(self, cold_server):
+    def test_attach_flips_readyz(self, cold_server):
         server, service = cold_server
         server.attach(service)
-        service.mark_ready()
         status, body = get(server.url + "/readyz")
         assert status == 200
         assert json.loads(body) == {"ready": True}

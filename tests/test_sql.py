@@ -1,8 +1,9 @@
-"""Unit tests for repro.sql: tokenizer, parser, renderer, AST."""
+"""Unit tests for repro.sql: lexer, tokenizer, parser, renderer, AST."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SqlParseError
 from repro.sql import (
@@ -19,11 +20,13 @@ from repro.sql import (
     TokenType,
     iter_conditions,
     iter_literals,
+    lex_sql,
     parse_sql,
     quote_string,
     render_literal,
     tokenize_sql,
 )
+from tests import legacy_scanners as legacy
 
 
 class TestTokenizer:
@@ -55,6 +58,98 @@ class TestTokenizer:
 
     def test_end_token(self):
         assert tokenize_sql("x")[-1].type is TokenType.END
+
+
+class TestLexer:
+    """One pass splits SQL into SQLite's regions; the masked view blanks
+    quoted contents only."""
+
+    def test_regions(self):
+        sql = "SELECT 'a' \"b\" `c` [d] -- e\n/* f */ g;"
+        types = [t.type for t in lex_sql(sql).tokens]
+        assert types == [
+            TokenType.KEYWORD, TokenType.STRING, TokenType.STRING,
+            TokenType.QUOTED, TokenType.QUOTED, TokenType.COMMENT,
+            TokenType.COMMENT, TokenType.IDENTIFIER, TokenType.SEPARATOR,
+            TokenType.END,
+        ]
+
+    def test_masked_view_blanks_quoted_contents_only(self):
+        sql = "SELECT 'x;y' \"DROP\" `o''k` [a;b] -- c;d\n/* e;f */"
+        masked = lex_sql(sql).masked
+        assert masked == (
+            "SELECT '   ' \"    \" `    ` [   ] -- c;d\n/* e;f */"
+        )
+
+    @pytest.mark.parametrize("quote", ["'", '"', "`"])
+    def test_doubled_delimiter_escapes(self, quote):
+        sql = f"{quote}a{quote}{quote}; DROP{quote} x"
+        lexed = lex_sql(sql)
+        assert lexed.masked == f"{quote}{' ' * 9}{quote} x"
+        assert lexed.tokens[1].value == "x"
+
+    def test_bracket_has_no_escape(self):
+        lexed = lex_sql("[a]]")
+        assert [t.type for t in lexed.tokens] == [
+            TokenType.QUOTED, TokenType.OTHER, TokenType.END,
+        ]
+
+    @pytest.mark.parametrize("opener", ["'", '"', "`", "["])
+    def test_unterminated_quote_runs_to_the_end(self, opener):
+        lexed = lex_sql(f"SELECT {opener}a; DROP")
+        assert lexed.masked == f"SELECT {opener}       "
+        assert lexed.tokens[1].type is TokenType.QUOTED
+
+    def test_unterminated_block_comment_runs_to_the_end(self):
+        lexed = lex_sql("SELECT /* 'a")
+        assert [t.type for t in lexed.tokens] == [
+            TokenType.KEYWORD, TokenType.COMMENT, TokenType.END,
+        ]
+        assert lexed.masked == "SELECT /* 'a"
+
+    def test_quote_inside_comment_opens_nothing(self):
+        lexed = lex_sql("SELECT 1 -- it's\n; DROP")
+        assert lexed.masked == "SELECT 1 -- it's\n; DROP"
+        assert lexed.separator() == 17
+
+    def test_comment_marker_inside_quotes_is_quoted(self):
+        lexed = lex_sql("SELECT '--' ; x")
+        assert lexed.masked == "SELECT '  ' ; x"
+        assert lexed.separator() == 12
+
+    def test_trailing_separator_is_not_a_separator(self):
+        assert lex_sql("SELECT 1 ;  \n").separator() is None
+        assert lex_sql("SELECT ';x'").separator() is None
+
+    @given(sql=st.text(max_size=40))
+    def test_never_raises_and_keeps_length(self, sql):
+        lexed = lex_sql(sql)
+        assert len(lexed.masked) == len(sql)
+        positions = [t.position for t in lexed.tokens]
+        assert positions == sorted(positions)
+        assert lexed.tokens[-1] == (TokenType.END, "", len(sql))
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a -- c", "SELECT a /* c */", "SELECT `a` FROM t",
+        "SELECT [a] FROM t", "SELECT a FROM t;", "SELECT 'a",
+    ])
+    def test_strict_view_refuses_what_the_parser_cannot_read(self, sql):
+        with pytest.raises(SqlParseError):
+            tokenize_sql(sql)
+
+    @given(sql=st.lists(st.sampled_from([
+        "a", "1", "2.5", " ", "\n", "'", '"', "`", "[", "]", ";", "-", "/",
+        "*", "(", ")", ",", ".", "<", ">", "=", "!", "SELECT", "from", "@",
+    ]), max_size=20).map("".join))
+    def test_strict_view_matches_the_old_tokenizer(self, sql):
+        try:
+            expected = legacy.tokenize_sql(sql)
+        except SqlParseError as exc:
+            with pytest.raises(SqlParseError) as excinfo:
+                tokenize_sql(sql)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert list(tokenize_sql(sql)) == expected
 
 
 class TestParser:

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.db.executor import gold_orders_rows
-from repro.policy import mask_strings
 from repro.schema import Column, ColumnType, ForeignKey, Schema, SchemaGraph, Table
 from repro.spider import CorpusConfig, generate_corpus
 from repro.sql import (
     SqlRenderer,
+    TokenType,
     iter_literals,
+    lex_sql,
     parse_sql,
     quote_string,
 )
@@ -159,9 +160,12 @@ class TestInjectionLiterals:
     def test_payload_stays_contained(self, payload):
         rendered = quote_string(payload)
         sql = f"SELECT name FROM student WHERE name = {rendered}"
-        masked = mask_strings(sql)
+        lexed = lex_sql(sql)
+        masked = lexed.masked
         # Quote-aware masking must see ONE contained literal: no DROP /
         # PRAGMA / comment marker / statement separator escapes it.
+        assert [t.type for t in lexed.tokens].count(TokenType.STRING) == 1
+        assert TokenType.COMMENT not in {t.type for t in lexed.tokens}
         assert "DROP" not in masked
         assert "PRAGMA" not in masked
         assert ";" not in masked
@@ -188,7 +192,7 @@ class TestInjectionLiterals:
             "SELECT name FROM student WHERE name = "
             f"{quote_string(value)}"
         )
-        masked = mask_strings(sql)
+        masked = lex_sql(sql).masked
         assert ";" not in masked
         assert "ORDER BY" not in masked.replace(
             "SELECT name FROM student WHERE name = ", ""
