@@ -15,7 +15,6 @@ import pytest
 from _util import print_table
 from repro.candidates import ValidationConfig
 from repro.evaluation import evaluate_pipeline
-from repro.ner import ValueExtractor
 from repro.pipeline import ValueNetPipeline
 from repro.preprocessing import Preprocessor
 
@@ -42,11 +41,7 @@ def unvalidated_preprocessors(bench):
 
     wrapped = {}
     for db_id, preprocessor in bench.preprocessors.items():
-        clone = Preprocessor(
-            preprocessor.database,
-            extractor=bench.extractor,
-            index=preprocessor.index,
-        )
+        clone = Preprocessor(preprocessor.database, index=preprocessor.index)
         clone._validator = KeepAllValidator(preprocessor.index)
         wrapped[db_id] = clone
     return wrapped

@@ -24,11 +24,11 @@ from pathlib import Path
 import pytest
 
 from _util import print_table  # noqa: F401  (re-export for bench files)
+from e2e.fixture import source_hash
 
 from repro.config import ModelConfig, TrainingConfig
 from repro.evaluation import AccuracyReport, evaluate_pipeline
 from repro.model import ValueNetModel, build_preprocessors, train_valuenet
-from repro.ner import GazetteerRecognizer, PerceptronTagger, ValueExtractor
 from repro.pipeline import ValueNetLightPipeline, ValueNetPipeline
 from repro.spider import CorpusConfig, SpiderCorpus, generate_corpus
 
@@ -71,34 +71,12 @@ def active_profile() -> BenchProfile:
     return PROFILES[name]
 
 
-def _value_spans(example):
-    spans = []
-    for value in example.values:
-        text = str(value)
-        index = example.question.lower().find(text.lower())
-        if index >= 0:
-            spans.append((index, index + len(text)))
-    return spans
-
-
-def build_extractor(corpus: SpiderCorpus) -> ValueExtractor:
-    """Heuristics + gazetteer + a perceptron tagger trained on the train
-    split (the paper's 'custom NER model')."""
-    tagger = PerceptronTagger()
-    tagger.train(
-        [(e.question, _value_spans(e)) for e in corpus.train if e.values],
-        epochs=3,
-    )
-    return ValueExtractor(tagger=tagger, gazetteer=GazetteerRecognizer())
-
-
 @dataclass
 class BenchSetup:
     """Everything the benchmark files share."""
 
     profile: BenchProfile
     corpus: SpiderCorpus
-    extractor: ValueExtractor
     preprocessors: dict
     light_model: ValueNetModel
     valuenet_model: ValueNetModel
@@ -124,19 +102,18 @@ class BenchSetup:
 
 
 def build_setup(profile: BenchProfile, *, load: bool = True) -> BenchSetup:
-    """Corpus, extractor and both trained models for ``profile``.
+    """Corpus, preprocessors and both trained models for ``profile``.
 
     The cache's manifest records everything that decides the
-    checkpoints.  With ``load`` they are loaded when it matches;
-    otherwise both models are trained with :func:`train_valuenet` and
-    the cache is overwritten.
+    checkpoints, the sources that train them included.  With ``load``
+    they are loaded when it matches; otherwise both models are trained
+    with :func:`train_valuenet` and the cache is overwritten.
     """
     corpus = generate_corpus(CorpusConfig(
         train_per_domain=profile.train_per_domain,
         dev_per_domain=profile.dev_per_domain,
     ))
-    extractor = build_extractor(corpus)
-    preprocessors = build_preprocessors(corpus, extractor)
+    preprocessors = build_preprocessors(corpus)
     training = TrainingConfig(epochs=profile.epochs)
 
     cache = ARTIFACTS / profile.name
@@ -145,6 +122,9 @@ def build_setup(profile: BenchProfile, *, load: bool = True) -> BenchSetup:
         "profile": asdict(profile),
         "training": asdict(training),
         "vocabulary_domains": list(corpus.train_domains),
+        # The e2e fixture's key: the model-affecting ``repro`` sources
+        # (``MODEL_SOURCES``) and the fixture builder.
+        "sources": source_hash(),
     }
     if (load and manifest_path.exists()
             and json.loads(manifest_path.read_text()) == manifest):
@@ -170,7 +150,6 @@ def build_setup(profile: BenchProfile, *, load: bool = True) -> BenchSetup:
     return BenchSetup(
         profile=profile,
         corpus=corpus,
-        extractor=extractor,
         preprocessors=preprocessors,
         light_model=light_model,
         valuenet_model=valuenet_model,

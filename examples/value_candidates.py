@@ -16,7 +16,6 @@ Run:  python examples/value_candidates.py
 from __future__ import annotations
 
 from repro.db import Database
-from repro.ner import GazetteerRecognizer, ValueExtractor
 from repro.preprocessing import Preprocessor
 from repro.schema import Column, ColumnType, Schema, Table
 
@@ -63,9 +62,7 @@ QUESTIONS = [
 
 def main() -> None:
     db = build_demo_database()
-    preprocessor = Preprocessor(
-        db, extractor=ValueExtractor(gazetteer=GazetteerRecognizer())
-    )
+    preprocessor = Preprocessor(db)
 
     for question in QUESTIONS:
         pre = preprocessor.run(question)

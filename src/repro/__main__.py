@@ -160,14 +160,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.db import Database
-    from repro.ner import GazetteerRecognizer, ValueExtractor
     from repro.preprocessing import Preprocessor
 
     database = Database.open(args.database)
-    preprocessor = Preprocessor(
-        database, extractor=ValueExtractor(gazetteer=GazetteerRecognizer())
-    )
-    pre = preprocessor.run(args.question)
+    pre = Preprocessor(database).run(args.question)
     print("question hints:")
     for hinted in pre.hinted_tokens:
         if hinted.hint.name != "NONE":

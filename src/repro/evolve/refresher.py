@@ -73,7 +73,6 @@ class _WatchTarget:
 
     database_id: str     # external routing id (what services key runtimes by)
     path: str
-    database: Database   # the *serving* database whose schema gets swapped
     watcher: SchemaWatcher
     backoff: ExponentialBackoff
     retry_at: float = 0.0  # monotonic; 0 = not backing off
@@ -170,7 +169,6 @@ class KBRefresher:
         target = _WatchTarget(
             database_id=db_id,
             path=resolved,
-            database=database,
             watcher=SchemaWatcher(resolved),
             backoff=ExponentialBackoff(
                 initial=min(1.0, self.interval_s),

@@ -140,8 +140,9 @@ class ValueNetDecoder(Module):
         """Legal-production mask for the expected non-terminal.
 
         ``conserve_budget`` additionally disables recursive productions
-        (Filter and/or, sub-query expansions) so a decode nearing the step
-        cap is forced towards termination instead of aborting.
+        (Filter and/or, sub-query expansions; a Filter keeps its
+        sub-queries when the question has no values) so a decode nearing
+        the step cap is forced towards termination instead of aborting.
         ``in_subquery`` restricts SELECT to one projection — comparison
         operands must be scalar sub-queries.  ``required_arity`` pins the
         SELECT projection count (right branch of a compound query).
@@ -158,7 +159,10 @@ class ValueNetDecoder(Module):
                 continue  # unusable production: nothing to point at
             if conserve_budget and (
                 ActionType.FILTER in action.children
-                or ActionType.R in action.children
+                # Without a value to point at, a sub-query is the one
+                # way left to close a Filter.
+                or (ActionType.R in action.children
+                    and (num_values > 0 or expected is not ActionType.FILTER))
             ):
                 continue
             if (

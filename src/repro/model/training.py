@@ -6,6 +6,12 @@ deterministic per example, so it runs once up front
 (:func:`prepare_samples`); each epoch then shuffles them into minibatches
 of ``batch_size`` (the paper: 20), each one batched encode, one lockstep
 teacher-forced loss, one backward and one three-group Adam step.
+
+Full-mode samples are prepared with one more value source than any
+question is answered with: a perceptron tagger trained on the training
+split's gold value spans (the paper's custom NER model).  It keeps
+training examples whose gold value heuristics and gazetteer miss; it is
+never saved, and never runs at inference (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from repro.model.decoder import DecoderStep
 from repro.model.featurize import build_vocabulary
 from repro.model.supervision import tree_to_steps
 from repro.model.valuenet import ValueNetModel
-from repro.ner.extractor import ValueExtractor
+from repro.ner.extractor import ValueExtractor, merge_spans
+from repro.ner.heuristics import extract_heuristic_values
+from repro.ner.tagger import PerceptronTagger
+from repro.ner.types import ExtractedValue
 from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
 from repro.schema.model import Schema
 
@@ -62,15 +71,41 @@ class TrainingHistory:
         return self.epochs[-1].mean_loss if self.epochs else float("nan")
 
 
-def build_preprocessors(
-    corpus: SpiderCorpus,
-    extractor: ValueExtractor | None = None,
-) -> dict[str, Preprocessor]:
+def build_preprocessors(corpus: SpiderCorpus) -> dict[str, Preprocessor]:
     """One :class:`Preprocessor` per database (index built once each)."""
-    return {
-        db_id: Preprocessor(corpus.database(db_id), extractor)
-        for db_id in corpus.domains
-    }
+    return {db_id: Preprocessor(corpus.database(db_id)) for db_id in corpus.domains}
+
+
+class _TaggedExtractor(ValueExtractor):
+    """Heuristics + a tagger trained on ``examples``' gold value spans +
+    the gazetteer: the extractor full-mode training samples are prepared
+    with."""
+
+    def __init__(self, examples: list[Example]):
+        super().__init__()
+        self._tagger = PerceptronTagger()
+        self._tagger.train(
+            [(e.question, _value_spans(e)) for e in examples if e.values],
+            epochs=3,
+        )
+
+    def extract(self, question: str) -> list[ExtractedValue]:
+        return merge_spans(
+            extract_heuristic_values(question)
+            + self._tagger.extract(question)
+            + self._gazetteer.extract(question)
+        )
+
+
+def _value_spans(example: Example) -> list[tuple[int, int]]:
+    """Character spans of the gold values found verbatim in the question."""
+    spans = []
+    for value in example.values:
+        text = str(value)
+        index = example.question.lower().find(text.lower())
+        if index >= 0:
+            spans.append((index, index + len(text)))
+    return spans
 
 
 def prepare_samples(
@@ -184,8 +219,11 @@ def train_valuenet(
 
     The vocabulary comes from the training questions, values and
     ``corpus.train_domains``' schemas, so a dev database's words reach
-    the model only as subword pieces.  ``history.num_dropped`` counts
-    the examples :func:`prepare_samples` dropped.
+    the model only as subword pieces.  In ``valuenet`` mode the samples
+    are prepared over ``preprocessors``' indexes with the tagger added
+    to their extraction (:class:`_TaggedExtractor`).
+    ``history.num_dropped`` counts the examples :func:`prepare_samples`
+    dropped.
     """
     vocab = build_vocabulary(
         [e.question for e in corpus.train],
@@ -194,6 +232,15 @@ def train_valuenet(
         vocab_size=model_config.vocab_size,
     )
     model = ValueNetModel(vocab, model_config)
+    if mode == "valuenet":
+        extractor = _TaggedExtractor(corpus.train)
+        preprocessors = {
+            db_id: Preprocessor(
+                preprocessors[db_id].database, extractor=extractor,
+                index=preprocessors[db_id].index,
+            )
+            for db_id in corpus.train_domains
+        }
     samples, dropped = prepare_samples(corpus.train, preprocessors, model, mode=mode)
     history = Trainer(model, training_config).train(samples)
     history.num_dropped = dropped

@@ -1,4 +1,5 @@
-"""Value extraction: heuristics, trainable tagger, gazetteer, combiner."""
+"""Value extraction: heuristics + gazetteer answer every question; a
+trainable tagger joins them only where training samples are prepared."""
 
 from repro.ner.extractor import ValueExtractor, merge_spans
 from repro.ner.gazetteer import GazetteerRecognizer

@@ -1,46 +1,39 @@
-"""Combined value extractor.
+"""The value extractor every question is answered with.
 
-Paper Section IV-B1 runs *two* NER models (a custom trained model and a
-commercial API) plus deterministic heuristics, and unions their output.
-This module merges the three sources and resolves duplicates: spans with
-identical text are deduplicated, and a span fully contained in another
-from the *same* source is dropped (cross-source containment is kept —
-"John F Kennedy International Airport" from the gazetteer and "Kennedy"
-from the tagger both seed useful candidates).
+Paper Section IV-B1 runs deterministic heuristics plus *two* NER models
+(a custom trained model and a commercial API) and unions their output.
+Here the heuristics and the gazetteer (the "commercial API" stand-in)
+answer every question.  The trained tagger (the "custom model") runs
+only where :func:`repro.model.train_valuenet` prepares full-mode
+training samples: it keeps training examples whose gold value the other
+two miss, while at inference it adds at most 2 correct answers in 1 200
+(DESIGN.md §2).
+
+:func:`merge_spans` resolves duplicates: spans with identical text are
+deduplicated, and a span fully contained in another from the *same*
+source is dropped (cross-source containment is kept — "John F Kennedy
+International Airport" from the heuristics and "Kennedy" from the
+gazetteer both seed useful candidates).
 """
 
 from __future__ import annotations
 
 from repro.ner.gazetteer import GazetteerRecognizer
 from repro.ner.heuristics import extract_heuristic_values
-from repro.ner.tagger import PerceptronTagger
 from repro.ner.types import ExtractedValue, SpanKind
 
 
 class ValueExtractor:
-    """Runs heuristics + optional tagger + optional gazetteer."""
+    """Heuristics + gazetteer, merged."""
 
-    def __init__(
-        self,
-        tagger: PerceptronTagger | None = None,
-        gazetteer: GazetteerRecognizer | None = None,
-        *,
-        use_heuristics: bool = True,
-    ):
-        self._tagger = tagger
-        self._gazetteer = gazetteer
-        self._use_heuristics = use_heuristics
+    def __init__(self) -> None:
+        self._gazetteer = GazetteerRecognizer()
 
     def extract(self, question: str) -> list[ExtractedValue]:
         """All extracted value spans, position-sorted and deduplicated."""
-        spans: list[ExtractedValue] = []
-        if self._use_heuristics:
-            spans.extend(extract_heuristic_values(question))
-        if self._tagger is not None:
-            spans.extend(self._tagger.extract(question))
-        if self._gazetteer is not None:
-            spans.extend(self._gazetteer.extract(question))
-        return merge_spans(spans)
+        return merge_spans(
+            extract_heuristic_values(question) + self._gazetteer.extract(question)
+        )
 
 
 def merge_spans(spans: list[ExtractedValue]) -> list[ExtractedValue]:

@@ -11,8 +11,6 @@ sees the training data, so it cannot overfit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.ner.types import ExtractedValue, SpanKind
 from repro.text.tokenizer import tokenize
 
@@ -80,10 +78,10 @@ WEEKDAYS = [
 class GazetteerRecognizer:
     """Dictionary-driven recognizer with longest-match-first span finding."""
 
-    def __init__(self, extra_entries: Iterable[str] = ()):
+    def __init__(self) -> None:
         entries = (
             COUNTRIES + CITIES + GIVEN_NAMES + FAMILY_NAMES + AIRLINES
-            + MONTHS + WEEKDAYS + list(extra_entries)
+            + MONTHS + WEEKDAYS
         )
         # phrase (as word tuple) -> kind
         self._phrases: dict[tuple[str, ...], SpanKind] = {}

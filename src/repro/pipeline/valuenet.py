@@ -25,7 +25,6 @@ from repro.candidates.types import ValueCandidate
 from repro.db.database import Database
 from repro.errors import ExecutionError, ReproError
 from repro.model.valuenet import ValueNetModel
-from repro.ner.extractor import ValueExtractor
 from repro.pipeline.timing import StageTimings
 from repro.postprocessing.sql_builder import SqlBuilder
 from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
@@ -67,14 +66,13 @@ class _BasePipeline:
         self,
         model: ValueNetModel,
         database: Database,
-        extractor: ValueExtractor | None = None,
         preprocessor: Preprocessor | None = None,
         *,
         beam_size: int = 1,
     ):
         self.model = model
         self.database = database
-        self.preprocessor = preprocessor or Preprocessor(database, extractor)
+        self.preprocessor = preprocessor or Preprocessor(database)
         self.builder = SqlBuilder(database.schema)
         self.beam_size = beam_size
 

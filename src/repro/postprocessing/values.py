@@ -18,6 +18,9 @@ from repro.schema.model import Column, ColumnType, Schema
 from repro.semql.actions import ActionType, PRODUCTIONS
 from repro.semql.tree import SemQLNode
 
+# Aggregates whose result is a number whatever the column's type.
+_NUMERIC_AGGREGATES = ("count", "sum", "avg")
+
 
 def _production_name(node: SemQLNode) -> str:
     assert node.production is not None
@@ -54,7 +57,10 @@ def format_values(tree: SemQLNode, schema: Schema) -> SemQLNode:
     """Format every V payload in ``tree`` in place (returns the tree).
 
     Filter values are coerced to the type of the column in the sibling A
-    node; LIKE filters get wildcards; Superlative limits become ints.
+    node, or to a number when that node aggregates with ``count``,
+    ``sum`` or ``avg`` (``HAVING COUNT(*) > 4``, not ``> '4'``: SQLite
+    orders every number below every text value); LIKE filters get
+    wildcards; Superlative limits become ints.
     """
     for node in tree.walk():
         if node.action_type is ActionType.FILTER:
@@ -64,7 +70,10 @@ def format_values(tree: SemQLNode, schema: Schema) -> SemQLNode:
             a_node = node.children[0]
             column_node = a_node.children[0]
             assert column_node.column is not None
-            column = column_node.column
+            if _production_name(a_node) in _NUMERIC_AGGREGATES:
+                column = _number_column()
+            else:
+                column = column_node.column
             for value_node in node.children[1:]:
                 if value_node.action_type is not ActionType.V:
                     continue
@@ -74,11 +83,11 @@ def format_values(tree: SemQLNode, schema: Schema) -> SemQLNode:
                     value_node.value = coerce_for_column(value_node.value, column)
         elif node.action_type is ActionType.SUPERLATIVE:
             value_node = node.children[0]
-            coerced = coerce_for_column(value_node.value, _int_column())
-            value_node.value = coerced
+            value_node.value = coerce_for_column(value_node.value, _number_column())
     return tree
 
 
-def _int_column() -> Column:
-    """A synthetic NUMBER column used to coerce LIMIT payloads."""
+def _number_column() -> Column:
+    """A synthetic NUMBER column used to coerce LIMIT payloads and the
+    operands of numeric aggregates."""
     return Column("limit", "", ColumnType.NUMBER, natural_name="limit")

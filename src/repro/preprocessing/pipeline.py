@@ -65,14 +65,16 @@ class Preprocessor:
     runtime built with that registry shares one index), else from a
     private scan of ``database``.  Each call to :meth:`run` (ValueNet
     mode) or :meth:`run_light` (ValueNet light mode) is then
-    index-backed and fast.
+    index-backed and fast.  Values are extracted with
+    :class:`ValueExtractor`; only :func:`repro.model.train_valuenet`
+    passes another ``extractor``, to prepare training samples.
     """
 
     def __init__(
         self,
         database: Database,
-        extractor: ValueExtractor | None = None,
         *,
+        extractor: ValueExtractor | None = None,
         generation_config: GenerationConfig | None = None,
         validation_config: ValidationConfig | None = None,
         index: InvertedIndex | None = None,

@@ -133,7 +133,13 @@ def generate_corpus(config: CorpusConfig | None = None) -> SpiderCorpus:
                 )
             )
 
-    rng.shuffle(train)
+    # ``train`` is shuffled by an RNG of its own, so its order does not
+    # depend on how many dev examples drew from ``rng`` before it.  The
+    # throwaway same-length shuffle keeps the draws ``dev``'s shuffle
+    # sees: the dev split is the benchmarks' question pool, and stays
+    # byte-identical for every config.
+    random.Random(config.seed).shuffle(train)
+    rng.shuffle(list(train))
     rng.shuffle(dev)
     return SpiderCorpus(
         train=train,

@@ -24,7 +24,6 @@ from repro.model import (
     build_vocabulary,
     prepare_samples,
 )
-from repro.ner import GazetteerRecognizer, ValueExtractor
 from repro.pipeline import ValueNetLightPipeline, ValueNetPipeline
 from repro.spider import CorpusConfig, generate_corpus
 
@@ -37,8 +36,7 @@ MICRO = ModelConfig(
 @pytest.fixture(scope="module")
 def workbench():
     corpus = generate_corpus(CorpusConfig(train_per_domain=25, dev_per_domain=10))
-    extractor = ValueExtractor(gazetteer=GazetteerRecognizer())
-    preprocessors = build_preprocessors(corpus, extractor)
+    preprocessors = build_preprocessors(corpus)
     vocab = build_vocabulary(
         [e.question for e in corpus.train],
         [corpus.schema(d) for d in corpus.domains],

@@ -227,6 +227,15 @@ class TestModelForward:
         pets_db.execute(sql)  # grammar-constrained output is always valid SQL
 
 
+    def test_value_less_filter_closes_with_a_sub_query_near_the_step_cap(
+        self, model
+    ):
+        mask = model.decoder._grammar_mask(
+            ActionType.FILTER, 0, conserve_budget=True)
+        legal = [GRAMMAR_ACTION_LIST[i].name for i in np.flatnonzero(mask)]
+        assert legal and all(name.endswith("_r") for name in legal)
+
+
 class TestTraining:
     def test_single_example_overfits(self, vocab, pets_db):
         model = ValueNetModel(vocab, TINY)
@@ -342,6 +351,18 @@ class TestTraining:
             return [model.vocab.id_to_piece(i) for i in range(len(model.vocab))]
 
         assert pieces(tiny_corpus) == pieces(train_only)
+
+    def test_train_valuenet_prepares_full_mode_samples_with_the_tagger(
+        self, tiny_corpus
+    ):
+        # The tagger, trained on the training split's gold value spans,
+        # keeps examples that heuristics + gazetteer alone drop.
+        preprocessors = build_preprocessors(tiny_corpus)
+        model, history = train_valuenet(
+            tiny_corpus, "valuenet", preprocessors, TINY, TrainingConfig(epochs=0))
+        _, dropped = prepare_samples(
+            tiny_corpus.train, preprocessors, model, mode="valuenet")
+        assert history.num_dropped < dropped
 
 
 def _oracle_loss(decoder, encoded, steps):

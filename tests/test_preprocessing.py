@@ -6,7 +6,6 @@ import pytest
 
 from repro.candidates import ValueCandidate
 from repro.index import InvertedIndex, ValueLocation
-from repro.ner import GazetteerRecognizer, ValueExtractor
 from repro.pipeline import StageTimings
 from repro.preprocessing import (
     PreprocessedQuestion,
@@ -130,9 +129,7 @@ class TestSchemaHints:
 class TestPreprocessor:
     @pytest.fixture
     def preprocessor(self, pets_db):
-        return Preprocessor(
-            pets_db, extractor=ValueExtractor(gazetteer=GazetteerRecognizer())
-        )
+        return Preprocessor(pets_db)
 
     def test_full_run_paper_example(self, preprocessor):
         pre = preprocessor.run(QUESTION)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.db import Database
+from repro.db import Database, gold_orders_rows, rows_equal
 from repro.errors import DatasetError
 from repro.evaluation.difficulty import Hardness, ValueDifficulty
+from repro.postprocessing import SqlBuilder
 from repro.schema import SchemaGraph
 from repro.semql import query_to_semql, semql_to_query
 from repro.spider import (
@@ -118,6 +121,14 @@ class TestGeneratedExamples:
             assert key not in seen
             seen.add(key)
 
+    def test_train_split_does_not_depend_on_dev_size(self):
+        def train(dev_per_domain):
+            corpus = generate_corpus(CorpusConfig(
+                train_per_domain=4, dev_per_domain=dev_per_domain, seed=7))
+            return [(e.db_id, e.question) for e in corpus.train]
+
+        assert train(2) == train(6)
+
     def test_determinism(self):
         config = CorpusConfig(train_per_domain=10, dev_per_domain=5, seed=7)
         a = generate_corpus(config)
@@ -216,3 +227,25 @@ class TestDifficultyClassifier:
         from repro.evaluation.difficulty import classify_hardness
 
         assert classify_hardness(parse_sql(sql, pets_schema)) is expected
+
+
+class TestGoldRoundTrip:
+    def test_post_processed_gold_trees_return_gold_rows(self):
+        """Every gold SemQL tree of the quick corpus, train and dev, built
+        by ``SqlBuilder`` (value formatting included) returns the gold
+        query's rows."""
+        corpus = generate_corpus(
+            CorpusConfig(train_per_domain=100, dev_per_domain=50))
+        builders = {name: SqlBuilder(corpus.schema(name)) for name in corpus.domains}
+        failures = []
+        for example in corpus.train + corpus.dev:
+            database = corpus.database(example.db_id)
+            # build() formats the tree's values in place.
+            sql = builders[example.db_id].build(copy.deepcopy(example.gold_semql))
+            if not rows_equal(
+                database.execute(sql), database.execute(example.gold_sql),
+                order_matters=gold_orders_rows(example.gold_sql),
+            ):
+                failures.append((example.gold_sql, sql))
+        corpus.close()
+        assert failures == []
