@@ -80,7 +80,7 @@ class CandidateValidator:
                 if isinstance(value, str):
                     originals = self._index.original_forms(value)
                     if originals and value not in originals:
-                        value = sorted(originals)[0]
+                        value = min(originals)
                 validated.append(
                     ValueCandidate(value, candidate.source, locations)
                 )

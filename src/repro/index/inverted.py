@@ -7,9 +7,14 @@ tokens to the (table, column) locations where they occur, supports exact
 lookups for candidate *validation* and feeds the similarity search used
 for candidate *generation*.
 
-The index is built once per database and kept in memory; Table II of the
-paper shows value lookup is the dominant cost of translation, so the
-per-question work must not rescan base data.
+The index is built once per database and kept in memory, so the
+per-question work must not rescan base data.  Every serving process
+holds one per database, so its per-key shape is compact: a key maps to
+one *shared* ``frozenset`` of locations — values fall into a handful of
+column combinations, and every key of one combination points at the
+same object — and to a tuple of its original spellings (almost always
+one).  A cold build produces these shapes directly; a warm load from a
+persisted bundle produces the same ones.
 
 An index is immutable once built.  New database content arrives as a
 whole new index: the background refresher
@@ -20,7 +25,6 @@ serving runtime.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.db.database import Database
@@ -38,6 +42,10 @@ class ValueLocation:
         return f"{self.table}.{self.column}"
 
 
+#: Build-time memo: ``(combination, location) -> combination | {location}``.
+_Grown = dict[tuple[frozenset[ValueLocation], ValueLocation], frozenset[ValueLocation]]
+
+
 def normalize_value(value: object) -> str:
     """Canonical string form used as index key (lower-cased, trimmed)."""
     if isinstance(value, float) and value.is_integer():
@@ -48,6 +56,11 @@ def normalize_value(value: object) -> str:
 class InvertedIndex:
     """Exact-match index from normalized values to their locations.
 
+    Each key maps to the location set of its column combination, one
+    ``frozenset`` shared by every key found in exactly those columns, and
+    to a tuple of its original spellings.  Both are immutable, so queries
+    hand them out without copying.
+
     Also keeps a per-column list of distinct original values for the
     similarity scan (bounded by ``max_values_per_column`` to keep memory
     and scan time predictable on wide databases).
@@ -55,8 +68,8 @@ class InvertedIndex:
 
     def __init__(self, *, max_values_per_column: int = 5000):
         self._max_values_per_column = max_values_per_column
-        self._locations: dict[str, set[ValueLocation]] = defaultdict(set)
-        self._originals: dict[str, set[str] | list[str]] = defaultdict(set)
+        self._locations: dict[str, frozenset[ValueLocation]] = {}
+        self._originals: dict[str, tuple[str, ...]] = {}
         self._column_values: dict[ValueLocation, list[str]] = {}
         self._numeric_columns: set[ValueLocation] = set()
 
@@ -76,42 +89,68 @@ class InvertedIndex:
         (Section IV-B2).
         """
         index = cls(**kwargs)
+        grown: _Grown = {}
         for table in database.schema.tables:
             for column in table.columns:
-                index._index_column(database, column)
+                index._index_column(database, column, grown)
         return index
 
-    def _index_column(self, database: Database, column: Column) -> None:
+    def _index_column(
+        self, database: Database, column: Column, grown: _Grown
+    ) -> None:
+        """Add one column's values.
+
+        ``grown`` lives for the whole build, so every key of one column
+        combination shares one frozenset.  Columns are indexed one after
+        the other, so a combination is always reached along the same
+        path and the memo alone keeps it unique.
+        """
         location = ValueLocation(column.table, column.name)
         values = database.column_values(column, limit=self._max_values_per_column)
         if column.column_type in (ColumnType.NUMBER, ColumnType.BOOLEAN):
             self._numeric_columns.add(location)
+        locations, originals = self._locations, self._originals
+        alone = frozenset((location,))
         distinct: list[str] = []
-        seen: set[str] = set()
         for value in values:
             key = normalize_value(value)
             if not key:
                 continue
-            self._locations[key].add(location)
             original = str(value)
-            self._originals[key].add(original)
-            if key not in seen:
-                seen.add(key)
+            combination = locations.get(key)
+            if combination is None:
+                locations[key] = alone
+                originals[key] = (original,)
                 distinct.append(original)
+                continue
+            if location not in combination:  # first time in this column
+                step = (combination, location)
+                wider = grown.get(step)
+                if wider is None:
+                    wider = grown[step] = combination | alone
+                locations[key] = wider
+                distinct.append(original)
+            spellings = originals[key]
+            if original not in spellings:
+                originals[key] = spellings + (original,)
         self._column_values[location] = distinct
 
     # ------------------------------------------------------------- queries
 
-    def lookup(self, value: object) -> set[ValueLocation]:
-        """Exact (normalized) lookup: all locations containing ``value``."""
-        return set(self._locations.get(normalize_value(value), set()))
+    def lookup(self, value: object) -> frozenset[ValueLocation]:
+        """Exact (normalized) lookup: all locations containing ``value``.
+
+        The returned set is the index's own shared, immutable object.
+        """
+        return self._locations.get(normalize_value(value), frozenset())
 
     def contains(self, value: object) -> bool:
         return normalize_value(value) in self._locations
 
-    def original_forms(self, value: object) -> set[str]:
-        """Original-cased spellings of a normalized value."""
-        return set(self._originals.get(normalize_value(value), set()))
+    def original_forms(self, value: object) -> tuple[str, ...]:
+        """Original-cased spellings of a normalized value, in the order
+        the build first met them."""
+        return self._originals.get(normalize_value(value), ())
 
     def values_in_column(self, location: ValueLocation) -> list[str]:
         """Distinct original values indexed for a column."""
@@ -144,9 +183,8 @@ class InvertedIndex:
 
         Locations are flattened to a ``(table, column)`` id table (so the
         payload survives refactors of :class:`ValueLocation` itself) and
-        the per-key location sets are interned by distinct combination —
-        values share a handful of combinations, and a warm load rebuilds
-        one shared set per combination instead of one set per key.
+        each key refers to its combination by id; the combinations are
+        the index's shared frozensets, so each is flattened once.
         """
         loc_ids: dict[ValueLocation, int] = {}
         loc_table: list[tuple[str, str]] = []
@@ -159,25 +197,23 @@ class InvertedIndex:
                 loc_table.append((location.table, location.column))
             return lid
 
-        locset_ids: dict[tuple[int, ...], int] = {}
+        locset_ids: dict[frozenset[ValueLocation], int] = {}
         locset_table: list[tuple[int, ...]] = []
         locations: dict[str, int] = {}
-        for key, locs in self._locations.items():
-            combo = tuple(sorted(loc_id(loc) for loc in locs))
-            sid = locset_ids.get(combo)
+        for key, combination in self._locations.items():
+            sid = locset_ids.get(combination)
             if sid is None:
-                sid = len(locset_table)
-                locset_ids[combo] = sid
-                locset_table.append(combo)
+                sid = locset_ids[combination] = len(locset_table)
+                locset_table.append(
+                    tuple(sorted(loc_id(loc) for loc in combination))
+                )
             locations[key] = sid
         return {
             "max_values_per_column": self._max_values_per_column,
             "loc_table": loc_table,
             "locset_table": locset_table,
             "locations": locations,
-            "originals": {
-                key: sorted(originals) for key, originals in self._originals.items()
-            },
+            "originals": dict(self._originals),
             "column_values": [
                 (loc_id(loc), list(values))
                 for loc, values in self._column_values.items()
@@ -191,20 +227,21 @@ class InvertedIndex:
     def from_state(cls, state: dict) -> "InvertedIndex":
         """Rebuild an index from :meth:`state_dict`.
 
-        Adopts the snapshot structures wholesale: location sets are
-        shared per combination and original forms stay lists, so loading
-        stays proportional to the pickle size, not to a per-value Python
-        rebuild.
+        Produces the shapes of a cold build — one frozenset per location
+        combination, shared by its keys, and a tuple of spellings per key
+        (adopted as unpickled) — so loading stays proportional to the
+        pickle size, not to a per-value Python rebuild.
         """
         index = cls(max_values_per_column=int(state["max_values_per_column"]))
         loc_objs = [ValueLocation(table, column) for table, column in state["loc_table"]]
         locsets = [
-            {loc_objs[lid] for lid in combo} for combo in state["locset_table"]
+            frozenset(loc_objs[lid] for lid in combo)
+            for combo in state["locset_table"]
         ]
-        index._locations.update(
-            (key, locsets[sid]) for key, sid in state["locations"].items()
-        )
-        index._originals.update(state["originals"])
+        index._locations = {
+            key: locsets[sid] for key, sid in state["locations"].items()
+        }
+        index._originals = dict(state["originals"])
         for lid, values in state["column_values"]:
             index._column_values[loc_objs[lid]] = values
         index._numeric_columns = {loc_objs[lid] for lid in state["numeric_columns"]}

@@ -2,8 +2,9 @@
 
 Implements the paper's first candidate-generation method (Section IV-B2):
 scan the database for values whose Damerau-Levenshtein distance to a query
-span is below a threshold.  Table II shows this value lookup dominating
-translation time, so the scan is aggressively sub-linear:
+span is below a threshold.  The paper's Table II reports this value
+lookup as the largest stage of translation time, so the scan is
+aggressively sub-linear:
 
 * one **global pool** of distinct (case-folded) strings — a value like
   "USA" that appears in twenty columns is scored once per query, and the

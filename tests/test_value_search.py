@@ -12,11 +12,13 @@ scalar kernels of :mod:`repro.text.distance` for the batched verify, and
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 import random
 import sqlite3
 import threading
+import tracemalloc
 import urllib.request
 from array import array
 from collections import Counter
@@ -37,6 +39,7 @@ from repro.index import (
     SimilaritySearcher,
     ValueLocation,
     load_bundle,
+    normalize_value,
     save_bundle,
 )
 from repro.index.persistence import FORMAT_VERSION
@@ -434,6 +437,59 @@ class TestSearcherCacheAndStaleness:
         assert searcher.stats.dp_calls == len(
             searcher._pool.candidate_indices("frnace", max_distance=2)
         )
+
+
+# -------------------------------------------------------- compact index
+
+
+class TestCompactIndex:
+    def test_cold_build_and_round_trip_share_one_set_per_combination(self):
+        """A cold build and its ``from_state(state_dict())`` round trip
+        answer every key alike, and both hand out one location-set object
+        per distinct column combination."""
+        cells = [
+            ("Paris", 0), ("paris", 1), (" Paris ", 2),  # case clash, padding
+            ("Rome", 0), ("Rome", 1), ("Berlin", 0),
+            ("Oslo", 1), ("Oslo", 2), ("Lima", 1), ("LIMA", 2),
+            ("Quito", 2), ("Rome", 0),
+        ]
+        keys = sorted({normalize_value(value) for value, _ in cells})
+        cold = index_cells(cells)
+        warm = InvertedIndex.from_state(cold.state_dict())
+        assert cold.num_distinct_values == warm.num_distinct_values == len(keys)
+        for key in keys:
+            for probe in (key, key.upper(), f" {key.title()} "):
+                assert cold.lookup(probe) == warm.lookup(probe)
+                assert cold.original_forms(probe) == warm.original_forms(probe)
+                assert cold.contains(probe) and warm.contains(probe)
+            for location in cold.lookup(key):
+                assert cold.values_in_column(location) == warm.values_in_column(
+                    location
+                )
+        assert set(cold.original_forms("paris")) == {"Paris", "paris", " Paris "}
+        assert set(cold.original_forms("lima")) == {"Lima", "LIMA"}
+        assert cold.lookup("quito") == {ValueLocation("t", "c2")}
+
+        combinations = {frozenset(cold.lookup(key)) for key in keys}
+        assert len(combinations) == 5  # {c0,c1,c2} {c0,c1} {c0} {c1,c2} {c2}
+        for index in (cold, warm):
+            held = [index.lookup(key) for key in keys]
+            assert len({id(locations) for locations in held}) == len(combinations)
+
+    def test_build_memory_per_key_is_bounded(self):
+        """The traced bytes an index build keeps, per distinct key, stay
+        small: two Python sets per key (602 B on CPython 3.11) do not fit."""
+        cells = [(f"Value {i:05d}", i % 2) for i in range(20_000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index = index_cells(cells, columns=2, max_values_per_column=20_000)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.num_distinct_values == 20_000
+        assert kept / index.num_distinct_values < 350
 
 
 # ------------------------------------------------------------ persistence
