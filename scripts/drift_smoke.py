@@ -8,7 +8,8 @@ phases while client threads hammer /translate: first DDL (a new table)
 time), then one count-preserving UPDATE of a row past the table's first
 4096 rows.  Then it restarts twice over the same index cache: once as
 is, and once after a count-preserving UPDATE made while no server ran.
-Passes only if:
+Last, it starts once more and commits a new value after the stack's
+index scan and before ``refresher.watch``.  Passes only if:
 
 * zero requests fail (no 5xx — the swap is zero-downtime);
 * after each phase the background refresher bumps the index version
@@ -21,7 +22,9 @@ Passes only if:
   table;
 * the first restart loads the refresher's last bundle from the cache
   and still answers phase 2's value, and the second answers the value
-  the offline UPDATE wrote.
+  the offline UPDATE wrote;
+* the value committed before ``watch`` resolves after the next
+  scheduled poll swaps it in.
 
 Run with ``PYTHONPATH=src python scripts/drift_smoke.py``; exits 0 on
 success.
@@ -58,6 +61,8 @@ FILLER_STUDENTS = 5000
 UPDATED_STUID = 4600
 # The filler student the offline UPDATE (between two restarts) moves.
 OFFLINE_STUID = 4700
+# The filler student moved between the last start's scan and its watch().
+BEFORE_WATCH_STUID = 4800
 
 QUESTIONS = (
     "How many students are there?",
@@ -112,6 +117,16 @@ def post(url: str, route: str, body: dict) -> tuple[int, dict]:
 def get(url: str, route: str) -> str:
     with urllib.request.urlopen(url + route, timeout=10) as response:
         return response.read().decode("utf-8")
+
+
+def update_country(path: Path, stuid: int, country: str) -> None:
+    """Commit one count-preserving UPDATE through a separate writer."""
+    writer = sqlite3.connect(path)
+    writer.execute(
+        "UPDATE student SET home_country = ? WHERE stuid = ?", (country, stuid)
+    )
+    writer.commit()
+    writer.close()
 
 
 def index_version(url: str) -> int:
@@ -185,9 +200,13 @@ class LoadGenerator:
 class Stack:
     """The in-process serving stack over the pets file: runtime, service,
     background refresher and HTTP server, with the index registry's
-    bundles cached under ``cache_dir``."""
+    bundles cached under ``cache_dir``.  ``before_watch`` runs after the
+    runtime's index scan and before ``refresher.watch``."""
 
-    def __init__(self, path: Path, cache_dir: Path, corpus_path: Path):
+    def __init__(
+        self, path: Path, cache_dir: Path, corpus_path: Path,
+        before_watch=None,
+    ):
         self.registry = IndexRegistry(cache_dir=cache_dir)
         self.database = Database.open(path)
         self.service = TranslationService(
@@ -205,6 +224,8 @@ class Stack:
             metrics=self.service.metrics,
             corpus_path=corpus_path,
         )
+        if before_watch is not None:
+            before_watch()
         self.refresher.watch(self.database, database_id="pets")
         self.refresher.attach_service(self.service)
         self.refresher.start()
@@ -252,14 +273,8 @@ def main() -> int:
                 version_phase1 = wait_for_swap(stack.url, version_before)
 
                 # Phase 2: an in-place UPDATE past row 4096 keeps every
-                # row count; only SQLite's commit counter shows it.
-                writer = sqlite3.connect(path)
-                writer.execute(
-                    "UPDATE student SET home_country = 'Tuvalu' "
-                    "WHERE stuid = ?", (UPDATED_STUID,),
-                )
-                writer.commit()
-                writer.close()
+                # row count; only the file's commit state shows it.
+                update_country(path, UPDATED_STUID, "Tuvalu")
                 version_after = wait_for_swap(stack.url, version_phase1)
                 # Keep the load running across the post-swap window too.
                 time.sleep(max(0.0, LOAD_SECONDS - 2.0))
@@ -331,13 +346,7 @@ def main() -> int:
             stack.close()
         # A count-preserving UPDATE while no server runs: the restart
         # must not serve the cached bundle that predates it.
-        writer = sqlite3.connect(path)
-        writer.execute(
-            "UPDATE student SET home_country = 'Nauru' WHERE stuid = ?",
-            (OFFLINE_STUID,),
-        )
-        writer.commit()
-        writer.close()
+        update_country(path, OFFLINE_STUID, "Nauru")
         stack = Stack(path, cache_dir, corpus_path)
         try:
             assert_value_resolves(stack.url, "Nauru", f"Filler {OFFLINE_STUID}")
@@ -345,6 +354,25 @@ def main() -> int:
             stack.close()
         print("drift smoke OK: restarts over the index cache answer "
               "the refreshed and the offline-updated values")
+
+        # Phase 4: a commit between the stack's index scan and
+        # refresher.watch() is no baseline: the served bundle predates
+        # it, so the next scheduled poll swaps it in.
+        stack = Stack(
+            path, cache_dir, corpus_path,
+            before_watch=lambda: update_country(
+                path, BEFORE_WATCH_STUID, "Tonga"
+            ),
+        )
+        try:
+            wait_for_swap(stack.url, 0)
+            assert_value_resolves(
+                stack.url, "Tonga", f"Filler {BEFORE_WATCH_STUID}"
+            )
+        finally:
+            stack.close()
+        print("drift smoke OK: a commit made before watch() is served "
+              "after the next scheduled poll")
     return 0
 
 

@@ -25,6 +25,13 @@ from repro.concurrency import make_lock
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.model import Column, ColumnType, Schema
 
+
+def quote_identifier(name: str) -> str:
+    """``name`` as a double-quoted SQLite identifier, inner quotes doubled,
+    so a table or column name cannot break out of its quotes."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 _SQL_TYPES = {
     ColumnType.TEXT: "TEXT",
     ColumnType.NUMBER: "NUMERIC",
@@ -91,24 +98,28 @@ class Database:
             schema = introspect_schema(connection, name=Path(path).stem)
         return cls(schema, connection, path=path)
 
-    # taint: trusted (DDL is built from the logical Schema's quoted identifiers, never from request input)
+    # taint: trusted (DDL is built from the logical Schema's identifiers, each through quote_identifier, never from request input)
     def _create_tables(self) -> None:
         for table in self.schema.tables:
             column_defs = []
             for column in table.columns:
-                parts = [f'"{column.name}"', _SQL_TYPES[column.column_type]]
+                parts = [quote_identifier(column.name), _SQL_TYPES[column.column_type]]
                 column_defs.append(" ".join(parts))
             pk_columns = [c.name for c in table.columns if c.is_primary_key]
             if pk_columns:
-                quoted = ", ".join(f'"{name}"' for name in pk_columns)
+                quoted = ", ".join(quote_identifier(name) for name in pk_columns)
                 column_defs.append(f"PRIMARY KEY ({quoted})")
             for fk in self.schema.foreign_keys:
                 if fk.source_table.lower() == table.name.lower():
                     column_defs.append(
-                        f'FOREIGN KEY ("{fk.source_column}") REFERENCES '
-                        f'"{fk.target_table}" ("{fk.target_column}")'
+                        f"FOREIGN KEY ({quote_identifier(fk.source_column)}) "
+                        f"REFERENCES {quote_identifier(fk.target_table)} "
+                        f"({quote_identifier(fk.target_column)})"
                     )
-            ddl = f'CREATE TABLE "{table.name}" ({", ".join(column_defs)})'
+            ddl = (
+                f"CREATE TABLE {quote_identifier(table.name)} "
+                f"({', '.join(column_defs)})"
+            )
             self._connection.execute(ddl)
         self._connection.commit()
 
@@ -164,7 +175,9 @@ class Database:
         """Bulk-insert rows (each aligned with the table's column order)."""
         table = self.schema.table(table_name)
         placeholders = ", ".join("?" for _ in table.columns)
-        statement = f'INSERT INTO "{table.name}" VALUES ({placeholders})'
+        statement = (
+            f"INSERT INTO {quote_identifier(table.name)} VALUES ({placeholders})"
+        )
         rows = list(rows)
         connection = self.connection
         try:
@@ -198,14 +211,15 @@ class Database:
         except sqlite3.Error as exc:
             raise ExecutionError(f"query failed: {exc} -- {sql!r}") from exc
 
-    # taint: trusted (SQL is assembled from Column metadata; the only caller-controlled value is int-coerced)
+    # taint: trusted (SQL is assembled from Column metadata through quote_identifier; the only caller-controlled value is int-coerced)
     def column_values(self, column: Column, *, limit: int | None = None) -> list[object]:
         """All non-NULL values of a column (optionally limited)."""
         if column.is_star():
             raise SchemaError("cannot enumerate values of the '*' column")
+        name = quote_identifier(column.name)
         sql = (
-            f'SELECT "{column.name}" FROM "{column.table}" '
-            f'WHERE "{column.name}" IS NOT NULL'
+            f"SELECT {name} FROM {quote_identifier(column.table)} "
+            f"WHERE {name} IS NOT NULL"
         )
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
@@ -216,13 +230,14 @@ class Database:
         for strings, following how Spider's gold values behave in SQLite)."""
         if column.is_star():
             return False
+        name, table = quote_identifier(column.name), quote_identifier(column.table)
         if isinstance(value, str):
             sql = (
-                f'SELECT 1 FROM "{column.table}" '
-                f'WHERE LOWER(CAST("{column.name}" AS TEXT)) = LOWER(?) LIMIT 1'
+                f"SELECT 1 FROM {table} "
+                f"WHERE LOWER(CAST({name} AS TEXT)) = LOWER(?) LIMIT 1"
             )
         else:
-            sql = f'SELECT 1 FROM "{column.table}" WHERE "{column.name}" = ? LIMIT 1'
+            sql = f"SELECT 1 FROM {table} WHERE {name} = ? LIMIT 1"
         try:
             cursor = self.connection.execute(sql, (value,))
             return cursor.fetchone() is not None
@@ -231,7 +246,8 @@ class Database:
 
     def row_count(self, table_name: str) -> int:
         table = self.schema.table(table_name)
-        return self.execute(f'SELECT COUNT(*) FROM "{table.name}"')[0][0]
+        sql = f"SELECT COUNT(*) FROM {quote_identifier(table.name)}"
+        return self.execute(sql)[0][0]
 
     def close(self) -> None:
         if self._closed:

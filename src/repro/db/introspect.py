@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import sqlite3
 
+from repro.db.database import quote_identifier
 from repro.errors import SchemaError
 from repro.schema.model import Column, ColumnType, ForeignKey, Schema, Table
 
 
-# taint: trusted (PRAGMA targets come from the database's own sqlite_master listing, not from callers)
+# taint: trusted (PRAGMA targets are the file's own sqlite_master table names, escaped by quote_identifier: a hostile file may put a quote in one)
 def introspect_schema(connection: sqlite3.Connection, *, name: str = "database") -> Schema:
     """Build a :class:`Schema` from SQLite metadata.
 
@@ -35,8 +36,9 @@ def introspect_schema(connection: sqlite3.Connection, *, name: str = "database")
     tables: list[Table] = []
     foreign_keys: list[ForeignKey] = []
     for (table_name,) in table_rows:
+        quoted = quote_identifier(table_name)
         columns: list[Column] = []
-        for row in connection.execute(f'PRAGMA table_info("{table_name}")'):
+        for row in connection.execute(f"PRAGMA table_info({quoted})"):
             _, column_name, sql_type, _notnull, _default, pk = row
             columns.append(
                 Column(
@@ -47,7 +49,7 @@ def introspect_schema(connection: sqlite3.Connection, *, name: str = "database")
                 )
             )
         tables.append(Table(name=table_name, columns=tuple(columns)))
-        for row in connection.execute(f'PRAGMA foreign_key_list("{table_name}")'):
+        for row in connection.execute(f"PRAGMA foreign_key_list({quoted})"):
             _id, _seq, target_table, source_column, target_column = row[:5]
             if target_column is None:
                 # SQLite omits the target column when it is the PK; resolve

@@ -23,9 +23,9 @@ SNIPPETS.md snippet 1):
 
 :class:`CorpusWriter` appends examples incrementally to a JSONL file
 with cross-run dedup by ``(database_id, sql)``; the background refresher
-emits only the tables named by a schema diff, so a schema change yields
-exactly the new examples it enables, and regenerates every table on
-content drift, where the dedup keeps only the examples that are new.
+regenerates every table on each swap and the dedup keeps only the
+examples that are new, so a schema change yields exactly the new
+examples it enables.
 """
 
 from __future__ import annotations
@@ -249,9 +249,9 @@ def generate_examples(
             includes new tables/columns.
         database_id: external id stamped on examples (defaults to the
             schema name).
-        tables: restrict generation to these table names (the refresher
-            passes a schema diff's touched tables for incremental
-            growth); ``None`` generates for every table.
+        tables: restrict generation to these table names (``repro
+            corpus generate --tables``); ``None`` generates for every
+            table.
         policy: optional :class:`~repro.policy.engine.PolicyEngine`;
             examples its rules block are dropped.
         validate: execute every candidate under the budgeted executor

@@ -3,19 +3,26 @@
 The :class:`KBRefresher` is the only way new database content reaches a
 serving process: indexes are immutable once built, so drift arrives as
 a whole new bundle.  It is a supervised daemon thread that polls every
-watched database file through a
-:class:`~repro.evolve.watcher.SchemaWatcher` on a jittered interval, and
-when drift is detected it
+watched database on a jittered interval, and each poll asks one
+question: is the :class:`~repro.index.registry.IndexEntry` the attached
+service serves for that database still current?  The
+:class:`~repro.index.registry.IndexRegistry` answers it
+(:meth:`~repro.index.registry.IndexRegistry.is_current`: the file state
+taken before that bundle's scan against the file's state now), so the
+baseline is the served bundle itself and nothing else is snapshotted.
+When the bundle is not current (or no registry bundle is served), or
+the refresh is forced, the refresher
 
 1. opens a *fresh* :class:`~repro.db.database.Database` from the file
    (so DDL is re-introspected — new tables and columns appear in the
    schema object),
-2. builds a new :class:`~repro.index.inverted.InvertedIndex` /
-   :class:`~repro.index.similarity.SimilaritySearcher` bundle off the
-   request path through :meth:`IndexRegistry.rebuild
-   <repro.index.registry.IndexRegistry.rebuild>`, which also saves it to
-   the registry's disk cache and makes it what the registry answers for
-   that file — so a restart loads what was last swapped in,
+2. gets a bundle for the file's current state off the request path:
+   :meth:`IndexRegistry.get <repro.index.registry.IndexRegistry.get>`
+   when stale (memo → disk → build, so two routing ids over one file
+   move to one new bundle), :meth:`IndexRegistry.rebuild
+   <repro.index.registry.IndexRegistry.rebuild>` when forced; a build is
+   saved to the registry's disk cache and becomes what the registry
+   answers for that file — so a restart loads what was last swapped in,
 3. swaps the bundle into the attached
    :class:`~repro.serving.service.TranslationService` (whose runtime
    warms the new schema's features, then rebinds under the per-runtime
@@ -36,10 +43,9 @@ through :meth:`trigger` (async — SIGHUP handlers, the admin route's
 (synchronous — the ``POST /admin/refresh`` route's default).
 
 When a :class:`~repro.evolve.corpus.CorpusWriter` is configured, each
-swap also emits validated Q->SQL examples, so the training corpus grows
-with the schema: for the tables a schema diff names, or for every table
-when the drift named none (content drift, a forced refresh) — the
-writer drops examples it already holds.
+swap also emits validated Q->SQL examples for every table of the fresh
+schema, so the training corpus grows with the schema; the writer drops
+the examples it already holds, so only new ones are appended.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from repro.concurrency import ExponentialBackoff
 from repro.concurrency import make_lock
 from repro.db.database import Database
 from repro.evolve.corpus import CorpusWriter, generate_examples
-from repro.evolve.watcher import SchemaWatcher
 from repro.index.registry import IndexRegistry
 from repro.logs import get_logger
 from repro.metrics import MetricsRegistry
@@ -73,7 +78,6 @@ class _WatchTarget:
 
     database_id: str     # external routing id (what services key runtimes by)
     path: str
-    watcher: SchemaWatcher
     backoff: ExponentialBackoff
     retry_at: float = 0.0  # monotonic; 0 = not backing off
 
@@ -82,8 +86,9 @@ class KBRefresher:
     """Supervised background refresher for live schema evolution.
 
     Args:
-        registry: the index registry that rebuilds each drifted file's
-            bundle (and saves it, when it has a disk cache).
+        registry: the index registry that says whether a served bundle
+            is current and hands out the bundle for a drifted file
+            (saving a new build, when it has a disk cache).
         interval_s: base polling interval; each sleep is jittered by
             ±20 % so multiple refreshers never align.
         metrics: registry for the ``evolve_*`` instruments — pass the
@@ -113,7 +118,6 @@ class KBRefresher:
         self.corpus_policy = corpus_policy
         self._targets: dict[str, _WatchTarget] = {}  # guarded by: _lock
         self._service = None  # guarded by: _lock
-        self._last_verdicts: dict[str, str] = {}  # guarded by: _lock
         self._swaps: dict[str, int] = {}  # guarded by: _lock
         # Database ids with a pending trigger(); None forces all.
         self._forced: set[str | None] = set()  # guarded by: _lock
@@ -145,22 +149,13 @@ class KBRefresher:
 
     # ------------------------------------------------------------- wiring
 
-    def watch(
-        self,
-        database: Database,
-        *,
-        database_id: str | None = None,
-        path: str | Path | None = None,
-    ) -> None:
+    def watch(self, database: Database, *, database_id: str | None = None) -> None:
         """Put one served database under drift watch.
 
-        The database must be file-backed (or ``path`` given explicitly):
-        the watcher opens its own read-only connection and rebuilds are
-        re-introspected from the file, neither of which an in-memory
-        database supports.
+        The database must be file-backed: rebuilds are re-introspected
+        from the file, which an in-memory database does not support.
         """
-        resolved = str(path) if path is not None else database.path
-        if resolved is None:
+        if database.path is None:
             raise ValueError(
                 "KBRefresher requires a file-backed database "
                 "(in-memory databases cannot be re-opened for rebuilds)"
@@ -168,8 +163,7 @@ class KBRefresher:
         db_id = database_id if database_id is not None else database.schema.name
         target = _WatchTarget(
             database_id=db_id,
-            path=resolved,
-            watcher=SchemaWatcher(resolved),
+            path=database.path,
             backoff=ExponentialBackoff(
                 initial=min(1.0, self.interval_s),
                 max_delay=max(self.interval_s * 8, 10.0),
@@ -205,10 +199,6 @@ class KBRefresher:
         if thread is not None:
             thread.join(timeout=timeout)
         self._thread = None
-        with self._lock:
-            targets = list(self._targets.values())
-        for target in targets:
-            target.watcher.close()
 
     # ----------------------------------------------------------- triggers
 
@@ -225,8 +215,8 @@ class KBRefresher:
     ) -> list[dict]:
         """Run one refresh cycle synchronously on the caller's thread.
 
-        ``force=True`` rebuilds and swaps even when the watcher reports
-        no drift (the admin-route contract: "refresh" always refreshes).
+        ``force=True`` rebuilds and swaps even when the served bundle is
+        current (the admin-route contract: "refresh" always refreshes).
         Returns one info dict per database that was swapped.
         """
         return self._run_cycle(
@@ -259,7 +249,7 @@ class KBRefresher:
     ) -> list[dict]:
         """Poll the watched databases (only ``only``, when given); those
         in ``forced`` (all of them, when it holds None) rebuild even
-        without drift."""
+        when their served bundle is current."""
         with self._cycle_lock:
             with self._lock:
                 targets = [
@@ -294,18 +284,22 @@ class KBRefresher:
     # ------------------------------------------------------------ refresh
 
     def _refresh_one(self, target: _WatchTarget, *, force: bool) -> dict | None:
-        report = target.watcher.poll()
         with self._lock:
-            self._last_verdicts[target.database_id] = report.verdict.value
-        if not report.changed and not force:
-            return None
+            service = self._service
+        if not force:
+            served = (
+                service.served_entry(target.database_id)
+                if service is not None else None
+            )
+            if served is not None and self.registry.is_current(served):
+                return None
 
-        # ---- build (and publish to the registry) off the request path ----
+        # ---- the bundle for the file's current state, off the request path ----
         fresh = Database.open(target.path)
         try:
-            entry = self.registry.rebuild(fresh)
-            with self._lock:
-                service = self._service
+            entry = (
+                self.registry.rebuild(fresh) if force else self.registry.get(fresh)
+            )
 
             # ---- the swap: attribute rebinds in the runtime ----
             start = time.perf_counter()
@@ -319,33 +313,28 @@ class KBRefresher:
                 version = self._swaps.get(target.database_id, 0) + 1
                 self._swaps[target.database_id] = version
 
-            examples_added = self._grow_corpus(fresh, target, report)
+            examples_added = self._grow_corpus(fresh, target)
         finally:
             fresh.close()
 
-        info = {
+        _LOG.info(
+            "swapped index for %r (version=%d, %.2fms)",
+            target.database_id, version, 1000.0 * swap_s,
+        )
+        return {
             "database_id": target.database_id,
-            "verdict": report.verdict.value,
             "version": version,
             "swap_ms": round(1000.0 * swap_s, 3),
             "corpus_examples": examples_added,
-            **report.as_dict(),
         }
-        _LOG.info(
-            "swapped index for %r (verdict=%s, version=%d, %.2fms)",
-            target.database_id, report.verdict.value, version, 1000.0 * swap_s,
-        )
-        return info
 
-    def _grow_corpus(self, fresh: Database, target: _WatchTarget, report) -> int:
+    def _grow_corpus(self, fresh: Database, target: _WatchTarget) -> int:
         if self.corpus is None:
             return 0
+        # Every table, every time: the writer drops the repeats.
         examples = generate_examples(
             fresh,
             database_id=target.database_id,
-            # Content drift and a quiet forced refresh name no tables:
-            # sweep them all (the writer drops repeats).
-            tables=list(report.touched_tables) or None,
             policy=self.corpus_policy,
             validate=True,
         )
@@ -359,14 +348,12 @@ class KBRefresher:
     def stats(self) -> dict:
         with self._lock:
             watched = sorted(self._targets)
-            verdicts = dict(self._last_verdicts)
             swaps = dict(self._swaps)
         return {
             "running": self._thread is not None and self._thread.is_alive(),
             "interval_s": self.interval_s,
             "watched": watched,
             "swaps": sum(swaps.values()),
-            "last_verdicts": verdicts,
             # Swaps per watched database.
             "versions": {db_id: swaps.get(db_id, 0) for db_id in watched},
             "corpus_examples": self.corpus.written if self.corpus else None,

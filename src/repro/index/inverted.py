@@ -61,17 +61,18 @@ class InvertedIndex:
     to a tuple of its original spellings.  Both are immutable, so queries
     hand them out without copying.
 
-    Also keeps a per-column list of distinct original values for the
-    similarity scan (bounded by ``max_values_per_column`` to keep memory
-    and scan time predictable on wide databases).
+    Also keeps, for each text-like column, a list of its distinct
+    original values for the similarity scan (bounded by
+    ``max_values_per_column`` to keep memory and scan time predictable on
+    wide databases).
     """
 
     def __init__(self, *, max_values_per_column: int = 5000):
         self._max_values_per_column = max_values_per_column
         self._locations: dict[str, frozenset[ValueLocation]] = {}
         self._originals: dict[str, tuple[str, ...]] = {}
+        # Text-like columns only: nothing scans a numeric column's values.
         self._column_values: dict[ValueLocation, list[str]] = {}
-        self._numeric_columns: set[ValueLocation] = set()
 
     @property
     def max_values_per_column(self) -> int:
@@ -83,10 +84,10 @@ class InvertedIndex:
     def build(cls, database: Database, **kwargs: int) -> "InvertedIndex":
         """Index every text-like column of ``database``.
 
-        Numeric columns are recorded (so numeric candidates can be located)
-        but their values are not enumerated into the similarity pool — a
-        number extracted from the question is its own best candidate
-        (Section IV-B2).
+        Numeric columns' values are indexed (so numeric candidates can be
+        located) but not listed for the similarity pool — a number
+        extracted from the question is its own best candidate (Section
+        IV-B2).
         """
         index = cls(**kwargs)
         grown: _Grown = {}
@@ -107,8 +108,7 @@ class InvertedIndex:
         """
         location = ValueLocation(column.table, column.name)
         values = database.column_values(column, limit=self._max_values_per_column)
-        if column.column_type in (ColumnType.NUMBER, ColumnType.BOOLEAN):
-            self._numeric_columns.add(location)
+        numeric = column.column_type in (ColumnType.NUMBER, ColumnType.BOOLEAN)
         locations, originals = self._locations, self._originals
         alone = frozenset((location,))
         distinct: list[str] = []
@@ -133,7 +133,8 @@ class InvertedIndex:
             spellings = originals[key]
             if original not in spellings:
                 originals[key] = spellings + (original,)
-        self._column_values[location] = distinct
+        if not numeric:
+            self._column_values[location] = distinct
 
     # ------------------------------------------------------------- queries
 
@@ -152,28 +153,19 @@ class InvertedIndex:
         the build first met them."""
         return self._originals.get(normalize_value(value), ())
 
-    def values_in_column(self, location: ValueLocation) -> list[str]:
-        """Distinct original values indexed for a column."""
-        return list(self._column_values.get(location, []))
-
     def text_locations(self) -> list[ValueLocation]:
         """All indexed columns that hold text-like values."""
-        return [
-            location for location in self._column_values
-            if location not in self._numeric_columns
-        ]
-
-    def is_numeric_column(self, location: ValueLocation) -> bool:
-        return location in self._numeric_columns
+        return list(self._column_values)
 
     @property
     def num_distinct_values(self) -> int:
         return len(self._locations)
 
     def iter_text_values(self):
-        """Yield ``(original_value, location)`` pairs for text columns."""
-        for location in self.text_locations():
-            for value in self._column_values[location]:
+        """Yield ``(original_value, location)`` pairs for text columns,
+        each column's distinct values in the order the build met them."""
+        for location, values in self._column_values.items():
+            for value in values:
                 yield value, location
 
     # -------------------------------------------------------- persistence
@@ -218,9 +210,6 @@ class InvertedIndex:
                 (loc_id(loc), list(values))
                 for loc, values in self._column_values.items()
             ],
-            "numeric_columns": sorted(
-                loc_id(loc) for loc in self._numeric_columns
-            ),
         }
 
     @classmethod
@@ -244,5 +233,4 @@ class InvertedIndex:
         index._originals = dict(state["originals"])
         for lid, values in state["column_values"]:
             index._column_values[loc_objs[lid]] = values
-        index._numeric_columns = {loc_objs[lid] for lid in state["numeric_columns"]}
         return index

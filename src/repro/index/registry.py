@@ -12,14 +12,18 @@ serving runtime that asks for it:
 * **freshness** — an entry holds ``(st_size, st_mtime_ns)`` of the file
   and of its ``-wal``, taken before the scan, with the few header bytes
   SQLite rewrites on every commit (so a same-size commit inside one
-  coarse timestamp tick still shows).  It is fresh while all of them
+  coarse timestamp tick still shows).  It is current while all of them
   are unchanged, i.e. while SQLite has committed nothing since the scan
-  began;
+  began.  :meth:`IndexRegistry.is_current` is the one place this is
+  decided: :meth:`~IndexRegistry.get` asks it of the memo, and the
+  background refresher (:mod:`repro.evolve.refresher`) asks it of the
+  bundle a runtime serves;
 * **two entry points** — :meth:`IndexRegistry.get` answers memo → disk →
-  build and is what startup and failover adoption call;
-  :meth:`IndexRegistry.rebuild` answers build → save → memo and is what
-  the background refresher (:mod:`repro.evolve.refresher`) calls on
-  drift, so the memo and the disk cache follow every swap;
+  build and is what startup, failover adoption and the refresher (for a
+  served bundle that is no longer current) call, so two routing ids over
+  one file move to one new bundle; :meth:`IndexRegistry.rebuild` answers
+  build → save → memo and is what a forced refresh calls, so the memo
+  and the disk cache follow every swap;
 * **thread safety** — one build per file even under concurrent first use
   (per-file build locks; readers of other files never wait);
 * **persistence** — with a ``cache_dir`` every build is saved through
@@ -102,17 +106,24 @@ class IndexRegistry:
         self.load_count = 0  # guarded by: _lock
         self.hit_count = 0  # guarded by: _lock
 
+    @staticmethod
+    def is_current(entry: IndexEntry) -> bool:
+        """Whether ``entry`` still matches its file: SQLite has committed
+        nothing to it since the entry's scan began."""
+        return entry.state == _file_state(entry.path)
+
     def get(self, database: Database) -> IndexEntry:
-        """The bundle for ``database``'s file: the memo while the file is
-        unchanged, else the disk cache's, else a new build."""
+        """The bundle for ``database``'s file: the memo while it is
+        current, else the disk cache's, else a new build."""
         path = _database_file(database)
         with self._key_lock(path):
-            state = _file_state(path)
             with self._lock:
                 entry = self._entries.get(path)
-                if entry is not None and entry.state == state:
+            if entry is not None and self.is_current(entry):
+                with self._lock:
                     self.hit_count += 1
-                    return entry
+                return entry
+            state = _file_state(path)
             loaded = self._load(path, state)
             if loaded is None:
                 return self._build(database, path, state)

@@ -26,7 +26,7 @@ from repro.candidates.types import ValueCandidate, dedupe_candidates
 from repro.candidates.validation import CandidateValidator, ValidationConfig
 from repro.db.database import Database
 from repro.index.inverted import InvertedIndex
-from repro.index.registry import IndexRegistry
+from repro.index.registry import IndexEntry, IndexRegistry
 from repro.index.similarity import SimilaritySearcher
 from repro.ner.extractor import ValueExtractor
 from repro.ner.types import ExtractedValue, SpanKind
@@ -63,9 +63,12 @@ class Preprocessor:
     from ``index`` when given, else from the ``registry``'s bundle for
     the database file (so every preprocessor, pipeline and serving
     runtime built with that registry shares one index), else from a
-    private scan of ``database``.  Each call to :meth:`run` (ValueNet
-    mode) or :meth:`run_light` (ValueNet light mode) is then
-    index-backed and fast.  Values are extracted with
+    private scan of ``database``.  A registry bundle is kept as
+    :attr:`entry` — the bundle this preprocessor serves, with the file
+    state taken before its scan, which the background refresher checks
+    for staleness.  Each call to :meth:`run` (ValueNet mode) or
+    :meth:`run_light` (ValueNet light mode) is then index-backed and
+    fast.  Values are extracted with
     :class:`ValueExtractor`; only :func:`repro.model.train_valuenet`
     passes another ``extractor``, to prepare training samples.
     """
@@ -82,9 +85,10 @@ class Preprocessor:
     ):
         self.database = database
         self.schema: Schema = database.schema
+        self.entry: IndexEntry | None = None
         if index is None and registry is not None:
-            entry = registry.get(database)
-            self.index, self._searcher = entry.index, entry.searcher
+            self.entry = registry.get(database)
+            self.index, self._searcher = self.entry.index, self.entry.searcher
         else:
             self.index = index if index is not None else InvertedIndex.build(database)
             self._searcher = SimilaritySearcher(self.index)
@@ -100,8 +104,8 @@ class Preprocessor:
         ``/healthz`` and the benchmark)."""
         return self._searcher
 
-    def rebind(self, index: InvertedIndex, searcher: SimilaritySearcher) -> None:
-        """Adopt a freshly built index/searcher bundle (background refresh).
+    def rebind(self, entry: IndexEntry) -> None:
+        """Adopt a registry bundle from the background refresh.
 
         Re-reads ``database.schema`` as well, so a refresher that swapped
         a re-introspected schema onto the shared :class:`Database` gets
@@ -109,8 +113,8 @@ class Preprocessor:
         responsible for serializing against in-flight :meth:`run` calls
         (the serving runtime rebinds under its per-runtime lock).
         """
-        self.index = index
-        self._searcher = searcher
+        self.entry = entry
+        self.index, self._searcher = entry.index, entry.searcher
         self.schema = self.database.schema
         self._generator = CandidateGenerator(self._searcher, self._generation_config)
         self._validator = CandidateValidator(self.index, self._validation_config)

@@ -158,7 +158,8 @@ class DatabaseRuntime:
         * ``database.schema`` is replaced on the shared object (the
           pipeline passes it to the model per call, so pointer networks
           see the new tables/columns immediately);
-        * the preprocessor rebinds index, searcher, generator, validator;
+        * the preprocessor rebinds the entry (index and searcher),
+          generator and validator;
         * the pipeline's SQL builder and the heuristic fallback are
           rebuilt against the new schema;
         * the cached PK/FK graph is reset.
@@ -175,7 +176,7 @@ class DatabaseRuntime:
             retired = self.database.schema
             if schema is not None:
                 self.database.schema = schema
-            self.preprocessor.rebind(entry.index, entry.searcher)
+            self.preprocessor.rebind(entry)
             if self.pipeline is not None and hasattr(self.pipeline, "builder"):
                 self.pipeline.builder = SqlBuilder(self.database.schema)
             self.fallback = HeuristicBaseline(

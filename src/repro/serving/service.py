@@ -385,6 +385,15 @@ class TranslationService:
                 raise ValueError(f"duplicate database id {runtime.database_id!r}")
             self.runtimes[runtime.database_id] = runtime
 
+    def served_entry(self, database_id: str):
+        """The registry bundle the runtime for ``database_id`` answers
+        from — None when no runtime here serves one (not hosted, or
+        built over a private index).  The KB refresher asks the registry
+        whether it is still current."""
+        with self._runtime_lock:
+            runtime = self.runtimes.get(database_id)
+        return None if runtime is None else runtime.preprocessor.entry
+
     def on_index_swap(self, database_id: str, entry, *, schema=None) -> bool:
         """Adopt a background-rebuilt index bundle for one database.
 

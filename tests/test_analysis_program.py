@@ -579,13 +579,26 @@ def test_cli_text_format_still_default(tmp_path, capsys):
 # -------------------------------------------- refactor regression coverage
 
 
-def test_watcher_snapshots_table_names_containing_quotes(tmp_path):
-    from repro.evolve.watcher import snapshot_connection
+def test_db_layer_opens_and_indexes_names_containing_quotes(tmp_path):
+    """The db layer's `taint: trusted` SQL escapes the identifiers a
+    hostile file supplies: a quote in a table or column name."""
+    from repro.db import Database
+    from repro.index import InvertedIndex, ValueLocation
 
-    connection = sqlite3.connect(":memory:")
-    connection.execute('CREATE TABLE "we""ird" (x INTEGER)')
-    connection.execute('INSERT INTO "we""ird" VALUES (1)')
-    snapshot = snapshot_connection(connection)
-    [table] = snapshot.tables
-    assert table.name == 'we"ird'
-    assert table.columns == (("x", "INTEGER"),)
+    path = tmp_path / "weird.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute('CREATE TABLE "we""ird" (x INTEGER, "na""me" TEXT)')
+    connection.execute('INSERT INTO "we""ird" VALUES (1, \'Paris\')')
+    connection.commit()
+    connection.close()
+    database = Database.open(path)
+    try:
+        [table] = database.schema.tables
+        assert table.name == 'we"ird'
+        assert [column.name for column in table.columns] == ["x", 'na"me']
+        index = InvertedIndex.build(database)
+        assert index.lookup("paris") == {ValueLocation('we"ird', 'na"me')}
+        assert database.row_count('we"ird') == 1
+        assert database.contains_value(table.columns[1], "PARIS")
+    finally:
+        database.close()

@@ -1,11 +1,15 @@
-"""Tests for repro.evolve: drift watching, background refresh with
+"""Tests for repro.evolve: freshness polls, background refresh with
 zero-downtime index swap, and schema-driven corpus growth.
 
-The watcher tests mutate a file-backed SQLite database through a
-*separate* writer connection — exactly how drift arrives in production —
-and assert the verdict taxonomy: no-op polls, row inserts,
-count-preserving UPDATEs (anywhere in a table), and DDL each classify
-correctly.
+Drift is made through a *separate* writer connection — exactly how it
+arrives in production — and every poll is a non-forced refresher poll:
+the refresher asks the index registry whether the bundle the runtime
+serves still matches its file.  A quiet database (DELETE or WAL journal)
+never swaps; a row insert, a count-preserving UPDATE (anywhere in a
+table), a commit that lands between the served scan and ``watch()``,
+and DDL each reach serving after one poll.  ``TestSchemaWatcher``
+checks the detector on its own: a commit makes the registry entry
+built before it stale.
 
 The refresher tests run the real serving stack (DatabaseRuntime +
 TranslationService) and prove the swap contract end to end — the swap
@@ -13,9 +17,10 @@ is the only way new content reaches serving, since a built index is
 never mutated: a per-database swap count, pre-swap answers unreadable
 through the generation cache key, and a post-drift value query
 resolving against content that did not exist at index-build time.  A
-finished swap triggers no other, swaps leave one cached schema feature
-set per served database, and a refresh asked for one database (sync or
-async) swaps only that one.
+finished swap triggers no other, two routing ids over one file swap to
+one new build, swaps leave one cached schema feature set per served
+database, and a refresh asked for one database (sync or async) swaps
+only that one.
 """
 
 from __future__ import annotations
@@ -29,13 +34,7 @@ from hypothesis import strategies as st
 
 from repro.config import ModelConfig
 from repro.db import Database
-from repro.evolve import (
-    CorpusWriter,
-    DriftVerdict,
-    KBRefresher,
-    SchemaWatcher,
-    generate_examples,
-)
+from repro.evolve import CorpusWriter, KBRefresher, generate_examples
 from repro.index.registry import IndexRegistry
 from repro.model import ValueNetModel, build_vocabulary
 from repro.preprocessing import Preprocessor
@@ -112,89 +111,6 @@ def _writer(path) -> sqlite3.Connection:
     return sqlite3.connect(str(path))
 
 
-# ----------------------------------------------------------------- watcher
-
-
-class TestSchemaWatcher:
-    def test_noop_poll_is_unchanged(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        assert watcher.poll().verdict is DriftVerdict.UNCHANGED
-        watcher.close()
-
-    def test_row_insert_is_content_changed(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute(
-                "INSERT INTO student VALUES (5,'Eve Okoro',23,'Nigeria','F')"
-            )
-        report = watcher.poll()
-        assert report.verdict is DriftVerdict.CONTENT_CHANGED
-        # Content drift names no tables: the counters do not say which.
-        assert report.touched_tables == ()
-        # Settled: the next poll is quiet again.
-        assert watcher.poll().verdict is DriftVerdict.UNCHANGED
-        watcher.close()
-
-    def test_count_preserving_update_is_content_changed(self, pets_file):
-        """Every row count stays the same; the commit still shows."""
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute(
-                "UPDATE student SET home_country='Japan' WHERE stuid=1"
-            )
-        report = watcher.poll()
-        assert report.verdict is DriftVerdict.CONTENT_CHANGED
-        watcher.close()
-
-    def test_update_past_row_4096_is_content_changed(self, people_file):
-        """A count-preserving UPDATE far into a table is seen, and
-        settles: the next poll is quiet again."""
-        watcher = SchemaWatcher(people_file)
-        with _writer(people_file) as conn:
-            conn.execute(
-                "UPDATE person SET country='Zanzibar' WHERE personid=4500"
-            )
-        assert watcher.poll().verdict is DriftVerdict.CONTENT_CHANGED
-        assert watcher.poll().verdict is DriftVerdict.UNCHANGED
-        watcher.close()
-
-    def test_new_table_is_schema_changed(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute("CREATE TABLE vet (vetid INTEGER, city TEXT)")
-        report = watcher.poll()
-        assert report.verdict is DriftVerdict.SCHEMA_CHANGED
-        assert report.tables_added == ("vet",)
-        assert "vet" in report.touched_tables
-        watcher.close()
-
-    def test_new_column_is_schema_changed(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute("ALTER TABLE student ADD COLUMN nickname TEXT")
-        report = watcher.poll()
-        assert report.verdict is DriftVerdict.SCHEMA_CHANGED
-        assert ("student", "nickname") in report.columns_added
-        watcher.close()
-
-    def test_dropped_table_is_schema_changed(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute("DROP TABLE has_pet")
-        report = watcher.poll()
-        assert report.verdict is DriftVerdict.SCHEMA_CHANGED
-        assert report.tables_removed == ("has_pet",)
-        watcher.close()
-
-    def test_report_as_dict_round_trips_to_json(self, pets_file):
-        watcher = SchemaWatcher(pets_file)
-        with _writer(pets_file) as conn:
-            conn.execute("CREATE TABLE vet (vetid INTEGER)")
-        payload = watcher.poll().as_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        watcher.close()
-
-
 # ------------------------------------------------------ refresher lifecycle
 
 # An untrained model is enough to exercise the model's schema features.
@@ -204,8 +120,15 @@ _TINY = ModelConfig(
 )
 
 
-def _serving_stack(path, *, database_id="pets", model=None, **refresher_kwargs):
-    """A real single-database serving stack plus an (unstarted) refresher."""
+def _serving_stack(
+    path, *, database_id="pets", model=None, before_watch=None,
+    **refresher_kwargs,
+):
+    """A real single-database serving stack plus an (unstarted) refresher.
+
+    ``before_watch`` runs after the runtime's index scan and before
+    ``watch()``, the window a commit can land in at startup.
+    """
     registry = IndexRegistry()
     database = Database.open(path)
     runtime = DatabaseRuntime(
@@ -214,6 +137,8 @@ def _serving_stack(path, *, database_id="pets", model=None, **refresher_kwargs):
     )
     cache = TranslationCache(capacity=64, ttl_s=300.0)
     service = TranslationService([runtime], workers=2, cache=cache).start()
+    if before_watch is not None:
+        before_watch()
     refresher = KBRefresher(registry, interval_s=60.0, **refresher_kwargs)
     refresher.watch(database, database_id=database_id)
     refresher.attach_service(service)
@@ -224,6 +149,213 @@ def _teardown_stack(database, service, refresher):
     refresher.stop()
     service.stop()
     database.close()
+
+
+# ------------------------------------------------------------ freshness
+
+
+def _table_names(database) -> set[str]:
+    return {table.name for table in database.schema.tables}
+
+
+def _column_names(database, table: str) -> set[str]:
+    return {column.name for column in database.schema.table(table).columns}
+
+
+# (id, statements a writer commits, what serving must see after one poll)
+_DRIFT_CASES = [
+    (
+        "insert",
+        ["INSERT INTO student VALUES (5,'Eve Okoro',23,'Nigeria','F')"],
+        lambda database, index: index.contains("Nigeria"),
+    ),
+    (
+        # Every row count stays the same; the commit still shows.
+        "count-preserving-update",
+        ["UPDATE student SET home_country='Japan' WHERE stuid=1"],
+        lambda database, index: index.contains("Japan"),
+    ),
+    (
+        "new-table",
+        ["CREATE TABLE vet (vetid INTEGER, city TEXT)",
+         "INSERT INTO vet VALUES (1, 'Oslo')"],
+        lambda database, index: (
+            "vet" in _table_names(database) and index.contains("Oslo")
+        ),
+    ),
+    (
+        "new-column",
+        ["ALTER TABLE student ADD COLUMN nickname TEXT",
+         "UPDATE student SET nickname='Annie' WHERE stuid=1"],
+        lambda database, index: (
+            "nickname" in _column_names(database, "student")
+            and index.contains("Annie")
+        ),
+    ),
+    (
+        "dropped-table",
+        ["DROP TABLE has_pet"],
+        lambda database, index: "has_pet" not in _table_names(database),
+    ),
+]
+
+
+class TestFreshnessPolls:
+    """Non-forced polls: the refresher swaps exactly when the bundle the
+    runtime serves no longer matches its file."""
+
+    @pytest.mark.parametrize("journal_mode", ["delete", "wal"])
+    def test_quiet_database_never_swaps(self, pets_file, journal_mode):
+        with _writer(pets_file) as conn:
+            conn.execute(f"PRAGMA journal_mode={journal_mode}")
+        database, service, cache, refresher = _serving_stack(pets_file)
+        try:
+            builds = refresher.registry.build_count
+            for question in _QUESTIONS[:3]:
+                # Reads (translations that execute) between polls.
+                assert service.translate(question, execute=True).ok
+                assert refresher.refresh_now(force=False) == []
+            assert refresher.registry.build_count == builds
+            assert refresher.stats()["swaps"] == 0
+        finally:
+            _teardown_stack(database, service, refresher)
+
+    @pytest.mark.parametrize(
+        "statements,served",
+        [case[1:] for case in _DRIFT_CASES],
+        ids=[case[0] for case in _DRIFT_CASES],
+    )
+    def test_commit_is_served_after_a_non_forced_poll(
+        self, pets_file, statements, served
+    ):
+        database, service, cache, refresher = _serving_stack(pets_file)
+        try:
+            with _writer(pets_file) as conn:
+                for statement in statements:
+                    conn.execute(statement)
+            [info] = refresher.refresh_now(force=False)
+            assert info["database_id"] == "pets"
+            assert json.loads(json.dumps(info)) == info
+            assert served(database, service.runtimes["pets"].preprocessor.index)
+            # Settled: the next poll finds the served bundle current.
+            assert refresher.refresh_now(force=False) == []
+        finally:
+            _teardown_stack(database, service, refresher)
+
+    def test_commit_between_served_scan_and_watch_is_served(self, pets_file):
+        """The baseline is the served bundle's own pre-scan file state, so
+        a commit before ``watch()`` is not mistaken for the baseline."""
+
+        def commit():
+            with _writer(pets_file) as conn:
+                conn.execute(
+                    "INSERT INTO student VALUES (7,'Gil Tembo',24,'Zambia','M')"
+                )
+
+        database, service, cache, refresher = _serving_stack(
+            pets_file, before_watch=commit
+        )
+        try:
+            assert not service.runtimes["pets"].preprocessor.index.contains(
+                "Zambia"
+            )
+            assert len(refresher.refresh_now(force=False)) == 1
+            assert service.runtimes["pets"].preprocessor.index.contains("Zambia")
+            assert refresher.refresh_now(force=False) == []
+        finally:
+            _teardown_stack(database, service, refresher)
+
+    def test_two_routing_ids_over_one_file_swap_with_one_build(self, pets_file):
+        registry = IndexRegistry()
+        databases = {db_id: Database.open(pets_file) for db_id in ("a", "b")}
+        service = TranslationService([
+            DatabaseRuntime(
+                database, database_id=db_id,
+                preprocessor=Preprocessor(database, registry=registry),
+            )
+            for db_id, database in databases.items()
+        ], workers=1).start()
+        refresher = KBRefresher(registry, interval_s=60.0)
+        for db_id, database in databases.items():
+            refresher.watch(database, database_id=db_id)
+        refresher.attach_service(service)
+        try:
+            assert registry.build_count == 1
+            with _writer(pets_file) as conn:
+                conn.execute(
+                    "INSERT INTO student VALUES (5,'Eve Okoro',23,'Nigeria','F')"
+                )
+            swapped = refresher.refresh_now(force=False)
+            assert [info["database_id"] for info in swapped] == ["a", "b"]
+            assert registry.build_count == 2
+            entries = {
+                db_id: runtime.preprocessor.entry
+                for db_id, runtime in service.runtimes.items()
+            }
+            assert entries["a"] is entries["b"]
+            assert entries["a"].index.contains("Nigeria")
+        finally:
+            refresher.stop()
+            service.stop()
+            for database in databases.values():
+                database.close()
+
+
+class TestSchemaWatcher:
+    """Drift detection itself: a writer's commit makes the registry
+    entry built before it stale (``IndexRegistry.is_current``), and the
+    entry the registry answers next is current again."""
+
+    def test_update_past_row_4096_is_content_changed(self, people_file):
+        """A count-preserving UPDATE far into a table is seen, and
+        settles: the entry built after it is current."""
+        registry = IndexRegistry()
+        database = Database.open(people_file)
+        try:
+            entry = registry.get(database)
+            assert registry.is_current(entry)
+            with _writer(people_file) as conn:
+                conn.execute(
+                    "UPDATE person SET country='Zanzibar' WHERE personid=4500"
+                )
+            assert not registry.is_current(entry)
+            fresh = registry.get(database)
+            assert fresh is not entry
+            assert registry.is_current(fresh)
+            assert fresh.index.contains("Zanzibar")
+        finally:
+            database.close()
+
+    def test_new_table_is_schema_changed(self, pets_file):
+        registry = IndexRegistry()
+        database = Database.open(pets_file)
+        try:
+            entry = registry.get(database)
+            with _writer(pets_file) as conn:
+                conn.execute("CREATE TABLE vet (vetid INTEGER, city TEXT)")
+            assert not registry.is_current(entry)
+            # A fresh open re-introspects the schema; the open one is as
+            # it was introspected.
+            assert "vet" not in _table_names(database)
+            fresh = Database.open(pets_file)
+            try:
+                assert _table_names(fresh) - _table_names(database) == {"vet"}
+            finally:
+                fresh.close()
+        finally:
+            database.close()
+
+    def test_report_as_dict_round_trips_to_json(self, pets_file):
+        database, service, cache, refresher = _serving_stack(pets_file)
+        try:
+            with _writer(pets_file) as conn:
+                conn.execute("CREATE TABLE vet (vetid INTEGER)")
+            [info] = refresher.refresh_now(force=False)
+            assert json.loads(json.dumps(info)) == info
+            stats = refresher.stats()
+            assert json.loads(json.dumps(stats)) == stats
+        finally:
+            _teardown_stack(database, service, refresher)
 
 
 class TestKBRefresher:
@@ -259,7 +391,6 @@ class TestKBRefresher:
             assert len(swapped) == 1
             info = swapped[0]
             assert info["database_id"] == "pets"
-            assert info["verdict"] == DriftVerdict.CONTENT_CHANGED.value
             assert info["version"] == 1
             assert refresher.stats()["versions"] == {"pets": 1}
             # The registry answers the swapped-in bundle from now on.
@@ -291,11 +422,11 @@ class TestKBRefresher:
                     "UPDATE person SET country='Zanzibar' WHERE personid=4500"
                 )
             swapped = refresher.refresh_now(force=False)
-            assert [info["verdict"] for info in swapped] == [
-                DriftVerdict.CONTENT_CHANGED.value
-            ]
+            assert [info["database_id"] for info in swapped] == ["people"]
             runtime = service.runtimes["people"]
             assert runtime.preprocessor.index.contains("Zanzibar")
+            # Settled: the next poll finds the served bundle current.
+            assert refresher.refresh_now(force=False) == []
             after = service.translate(question, execute=True)
             assert after.ok, after.error
             assert "WHERE person.country = 'Zanzibar'" in after.sql
@@ -305,7 +436,7 @@ class TestKBRefresher:
 
     def test_a_finished_swap_triggers_no_other(self, pets_file, tmp_path):
         """Neither the rebuild's reads nor the corpus validation queries
-        commit anything the watcher could mistake for drift."""
+        change the file state the registry compares."""
         database, service, cache, refresher = _serving_stack(
             pets_file, corpus_path=tmp_path / "grown.jsonl"
         )
@@ -350,9 +481,7 @@ class TestKBRefresher:
                     "city TEXT)"
                 )
                 conn.execute("INSERT INTO clinic VALUES (1, 'Zurich')")
-            swapped = refresher.refresh_now()
-            assert swapped[0]["verdict"] == DriftVerdict.SCHEMA_CHANGED.value
-            assert "clinic" in swapped[0]["tables_added"]
+            assert len(refresher.refresh_now()) == 1
             # The serving runtime now sees the new table: the shared
             # Database's schema object was swapped in place.
             assert "clinic" in {t.name for t in database.schema.tables}
@@ -580,11 +709,16 @@ class TestCorpusGrowth:
         database.close()
 
     def test_refresher_grows_corpus_for_new_table_only(self, pets_file, tmp_path):
+        """Each swap regrows every table; the writer keeps only the new
+        examples, so DDL appends the new table's and nothing else."""
         corpus_path = tmp_path / "grown.jsonl"
         database, service, cache, refresher = _serving_stack(
             pets_file, corpus_path=corpus_path
         )
         try:
+            [first] = refresher.refresh_now(force=True)
+            assert first["corpus_examples"] > 0
+            grown = len(corpus_path.read_text().splitlines())
             with _writer(pets_file) as conn:
                 conn.execute(
                     "CREATE TABLE shelter (shelterid INTEGER PRIMARY KEY, "
@@ -592,14 +726,15 @@ class TestCorpusGrowth:
                 )
                 conn.execute("INSERT INTO shelter VALUES (1,'Geneva',40)")
                 conn.execute("INSERT INTO shelter VALUES (2,'Basel',25)")
-            swapped = refresher.refresh_now()
-            assert swapped[0]["corpus_examples"] > 0
+            [info] = refresher.refresh_now(force=False)
             lines = [
                 json.loads(line)
                 for line in corpus_path.read_text().splitlines()
             ]
+            added = lines[grown:]
+            assert info["corpus_examples"] == len(added) > 0
             # Incremental growth: only the drifted table's examples.
-            assert {line["table"] for line in lines} == {"shelter"}
+            assert {line["table"] for line in added} == {"shelter"}
             assert all(line["validated"] for line in lines)
             snapshot = refresher.metrics.snapshot()
             assert snapshot["evolve_corpus_examples_total"] == len(lines)

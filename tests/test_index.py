@@ -51,16 +51,19 @@ class TestInvertedIndex:
         assert "France" in index.original_forms("france")
 
     def test_numeric_columns_tracked(self, index):
+        # Indexed for lookup, never listed for the similarity pool.
         age = ValueLocation("student", "age")
-        assert index.is_numeric_column(age)
+        assert age in index.lookup(22)
         assert age not in index.text_locations()
+        assert all(location != age for _, location in index.iter_text_values())
 
     def test_numeric_values_indexed_for_lookup(self, index):
         # numbers are findable (validation) even if not in the text pool
         assert index.lookup(22)
 
     def test_values_in_column_distinct(self, index):
-        values = index.values_in_column(ValueLocation("pet", "pet_type"))
+        pet_type = ValueLocation("pet", "pet_type")
+        values = [v for v, loc in index.iter_text_values() if loc == pet_type]
         assert sorted(values) == ["Cat", "Dog"]  # distinct, original case
 
     def test_iter_text_values(self, index):

@@ -71,6 +71,11 @@ def index_cells(
         database.close()
 
 
+def column_values(index: InvertedIndex, location: ValueLocation) -> list[str]:
+    """The distinct original values the index lists for one text column."""
+    return [value for value, at in index.iter_text_values() if at == location]
+
+
 def naive_search(index: InvertedIndex, query: str, max_distance: int):
     """Reference: full DP against every indexed text value, no blocking."""
     lowered = query.lower()
@@ -392,9 +397,9 @@ class TestDifferentialAgainstNaive:
         cells = [("Paris", 0), ("paris", 0), (" Paris ", 0), ("   ", 0)]
         cells += [(f"value{i}", 1) for i in range(10)]
         index = index_cells(cells, columns=2, max_values_per_column=5)
-        assert index.values_in_column(ValueLocation("t", "c0")) == ["Paris"]
+        assert column_values(index, ValueLocation("t", "c0")) == ["Paris"]
         assert index.lookup("PARIS") == {ValueLocation("t", "c0")}
-        assert len(index.values_in_column(ValueLocation("t", "c1"))) == 5
+        assert len(column_values(index, ValueLocation("t", "c1"))) == 5
         assert index.num_distinct_values == 1 + 5
 
 
@@ -463,8 +468,8 @@ class TestCompactIndex:
                 assert cold.original_forms(probe) == warm.original_forms(probe)
                 assert cold.contains(probe) and warm.contains(probe)
             for location in cold.lookup(key):
-                assert cold.values_in_column(location) == warm.values_in_column(
-                    location
+                assert column_values(cold, location) == column_values(
+                    warm, location
                 )
         assert set(cold.original_forms("paris")) == {"Paris", "paris", " Paris "}
         assert set(cold.original_forms("lima")) == {"Lima", "LIMA"}
@@ -696,6 +701,18 @@ class TestRegistry:
         after = registry.get(pets_file)
         assert after is not before and after.state != before.state
         assert after.index.contains("Gabon") and not before.index.contains("Gabon")
+
+    def test_is_current_until_a_commit(self, pets_file):
+        """``is_current`` is the check ``get`` and the KB refresher share:
+        a bundle stays current under reads and goes stale on a commit."""
+        registry = IndexRegistry()
+        entry = registry.get(pets_file)
+        pets_file.execute("SELECT * FROM student")
+        assert registry.is_current(entry)
+        with pets_file.connection as conn:
+            conn.execute("UPDATE student SET age=age+1 WHERE stuid=1")
+        assert not registry.is_current(entry)
+        assert registry.is_current(registry.get(pets_file))
 
     def test_serving_builds_exactly_one_index_per_database(self, pets_file):
         """Acceptance: the runtime, its pipeline, and its fallback share
