@@ -33,8 +33,10 @@ plus the bag filter, so recall is guaranteed for every configuration.
 The pool is **columnar**: the strings live as one flat ``uint32``
 code-point array with offsets and lengths, and both posting indexes are
 CSR arrays (sorted unique gram keys, row pointers, value index,
-multiplicity) built in bulk by one stable argsort.  A search is therefore
-a fixed number of array operations, not a Python loop per value: the
+multiplicity), each built in bulk by one sort: of its ``(key, value)``
+pairs packed into ``uint64`` words when a key fits 32 bits, else a
+stable argsort by key.  A search is therefore a fixed number of array
+operations, not a Python loop per value: the
 filter is one ``np.bincount`` over the gathered posting slices plus
 boolean masks, and :meth:`BlockedValuePool.distances` runs the banded
 Damerau-Levenshtein recurrence once across every survivor.  The scalar
@@ -90,10 +92,24 @@ class _Postings(NamedTuple):
     def build(cls, keys: np.ndarray, owner: np.ndarray) -> "_Postings":
         """Index one ``(gram key, owning value)`` pair per gram occurrence;
         ``owner`` must be ascending, so a stable sort by key leaves each
-        (key, owner) run contiguous."""
-        order = np.argsort(keys, kind="stable")
-        keys, owner = keys[order], owner[order]
-        del order
+        (key, owner) run contiguous.
+
+        A key of at most 32 bits and its owner pack into one ``uint64``
+        whose plain sort is that stable sort by key: a key's pairs tie on
+        the high half and fall in owner order.  Wider keys take the
+        stable argsort.
+        """
+        if keys.dtype.itemsize <= 4:
+            packed = keys.astype(np.uint64) << np.uint64(32)
+            packed |= owner.astype(np.uint64)
+            packed.sort()
+            keys = (packed >> np.uint64(32)).astype(keys.dtype)
+            owner = packed.astype(np.uint32).astype(np.int32)
+            del packed
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys, owner = keys[order], owner[order]
+            del order
         key_starts = np.ones(keys.size, dtype=bool)
         key_starts[1:] = keys[1:] != keys[:-1]
         pair_starts = key_starts.copy()

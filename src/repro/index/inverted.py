@@ -12,9 +12,11 @@ per-question work must not rescan base data.  Every serving process
 holds one per database, so its per-key shape is compact: a key maps to
 one *shared* ``frozenset`` of locations — values fall into a handful of
 column combinations, and every key of one combination points at the
-same object — and to a tuple of its original spellings (almost always
-one).  A cold build produces these shapes directly; a warm load from a
-persisted bundle produces the same ones.
+same object — and to its original spelling, a plain string (a tuple only
+for the rare key spelled several ways; an integer's key *is* its
+spelling).  A cold build produces these shapes directly, a column at a
+time from its distinct values rather than a call per cell; a warm load
+from a persisted bundle produces the same ones.
 
 An index is immutable once built.  New database content arrives as a
 whole new index: the background refresher
@@ -58,8 +60,8 @@ class InvertedIndex:
 
     Each key maps to the location set of its column combination, one
     ``frozenset`` shared by every key found in exactly those columns, and
-    to a tuple of its original spellings.  Both are immutable, so queries
-    hand them out without copying.
+    to its original spelling (a tuple of them when there are several).
+    Both are immutable, so queries hand them out without copying.
 
     Also keeps, for each text-like column, a list of its distinct
     original values for the similarity scan (bounded by
@@ -70,9 +72,12 @@ class InvertedIndex:
     def __init__(self, *, max_values_per_column: int = 5000):
         self._max_values_per_column = max_values_per_column
         self._locations: dict[str, frozenset[ValueLocation]] = {}
-        self._originals: dict[str, tuple[str, ...]] = {}
+        # A key's one spelling as itself, two or more as a tuple.
+        self._originals: dict[str, str | tuple[str, ...]] = {}
         # Text-like columns only: nothing scans a numeric column's values.
         self._column_values: dict[ValueLocation, list[str]] = {}
+        # Every indexed column in build order: numbers the state's locations.
+        self._indexed: list[ValueLocation] = []
 
     @property
     def max_values_per_column(self) -> int:
@@ -101,39 +106,57 @@ class InvertedIndex:
     ) -> None:
         """Add one column's values.
 
+        The column is walked as its distinct ``(key, spelling)`` pairs in
+        first-met order, keyed per value type in one pass: a column of
+        strings keys each distinct string as ``strip().lower()``, a column
+        of integers uses ``str(value)`` as key and spelling alike, and
+        anything mixed goes through :func:`normalize_value`.
+
         ``grown`` lives for the whole build, so every key of one column
         combination shares one frozenset.  Columns are indexed one after
         the other, so a combination is always reached along the same
         path and the memo alone keeps it unique.
         """
         location = ValueLocation(column.table, column.name)
+        self._indexed.append(location)
         values = database.column_values(column, limit=self._max_values_per_column)
-        numeric = column.column_type in (ColumnType.NUMBER, ColumnType.BOOLEAN)
+        kinds = set(map(type, values))
+        if kinds == {str}:
+            spellings = dict.fromkeys(values)
+            pairs = zip([value.strip().lower() for value in spellings], spellings)
+        elif kinds == {int}:
+            spellings = [str(value) for value in dict.fromkeys(values)]
+            pairs = zip(spellings, spellings)
+        else:
+            pairs = dict.fromkeys(zip(map(normalize_value, values), map(str, values)))
+        del values
         locations, originals = self._locations, self._originals
         alone = frozenset((location,))
         distinct: list[str] = []
-        for value in values:
-            key = normalize_value(value)
+        for key, original in pairs:
             if not key:
                 continue
-            original = str(value)
             combination = locations.get(key)
             if combination is None:
                 locations[key] = alone
-                originals[key] = (original,)
+                originals[key] = original
                 distinct.append(original)
                 continue
-            if location not in combination:  # first time in this column
+            if combination is not alone and location not in combination:
+                # first time in this column
                 step = (combination, location)
                 wider = grown.get(step)
                 if wider is None:
                     wider = grown[step] = combination | alone
                 locations[key] = wider
                 distinct.append(original)
-            spellings = originals[key]
-            if original not in spellings:
-                originals[key] = spellings + (original,)
-        if not numeric:
+            held = originals[key]
+            if type(held) is str:
+                if held != original:
+                    originals[key] = (held, original)
+            elif original not in held:
+                originals[key] = held + (original,)
+        if column.column_type not in (ColumnType.NUMBER, ColumnType.BOOLEAN):
             self._column_values[location] = distinct
 
     # ------------------------------------------------------------- queries
@@ -151,7 +174,8 @@ class InvertedIndex:
     def original_forms(self, value: object) -> tuple[str, ...]:
         """Original-cased spellings of a normalized value, in the order
         the build first met them."""
-        return self._originals.get(normalize_value(value), ())
+        spellings = self._originals.get(normalize_value(value), ())
+        return (spellings,) if type(spellings) is str else spellings
 
     def text_locations(self) -> list[ValueLocation]:
         """All indexed columns that hold text-like values."""
@@ -168,27 +192,25 @@ class InvertedIndex:
             for value in values:
                 yield value, location
 
+    def text_columns(self):
+        """Yield ``(location, values)`` per text column: the distinct
+        values :meth:`iter_text_values` yields for it, as the index's own
+        list (read it, do not change it)."""
+        yield from self._column_values.items()
+
     # -------------------------------------------------------- persistence
 
     def state_dict(self) -> dict:
         """Plain-structure snapshot for on-disk persistence.
 
         Locations are flattened to a ``(table, column)`` id table (so the
-        payload survives refactors of :class:`ValueLocation` itself) and
-        each key refers to its combination by id; the combinations are
-        the index's shared frozensets, so each is flattened once.
+        payload survives refactors of :class:`ValueLocation` itself),
+        numbered in build order, and each key refers to its combination
+        by id; the combinations are the index's shared frozensets, so each
+        is flattened once.  Nothing depends on set iteration order, so one
+        database always gives the same snapshot.
         """
-        loc_ids: dict[ValueLocation, int] = {}
-        loc_table: list[tuple[str, str]] = []
-
-        def loc_id(location: ValueLocation) -> int:
-            lid = loc_ids.get(location)
-            if lid is None:
-                lid = len(loc_table)
-                loc_ids[location] = lid
-                loc_table.append((location.table, location.column))
-            return lid
-
+        loc_ids = {location: lid for lid, location in enumerate(self._indexed)}
         locset_ids: dict[frozenset[ValueLocation], int] = {}
         locset_table: list[tuple[int, ...]] = []
         locations: dict[str, int] = {}
@@ -196,18 +218,16 @@ class InvertedIndex:
             sid = locset_ids.get(combination)
             if sid is None:
                 sid = locset_ids[combination] = len(locset_table)
-                locset_table.append(
-                    tuple(sorted(loc_id(loc) for loc in combination))
-                )
+                locset_table.append(tuple(sorted(loc_ids[loc] for loc in combination)))
             locations[key] = sid
         return {
             "max_values_per_column": self._max_values_per_column,
-            "loc_table": loc_table,
+            "loc_table": [(loc.table, loc.column) for loc in self._indexed],
             "locset_table": locset_table,
             "locations": locations,
             "originals": dict(self._originals),
             "column_values": [
-                (loc_id(loc), list(values))
+                (loc_ids[loc], list(values))
                 for loc, values in self._column_values.items()
             ],
         }
@@ -217,9 +237,10 @@ class InvertedIndex:
         """Rebuild an index from :meth:`state_dict`.
 
         Produces the shapes of a cold build — one frozenset per location
-        combination, shared by its keys, and a tuple of spellings per key
-        (adopted as unpickled) — so loading stays proportional to the
-        pickle size, not to a per-value Python rebuild.
+        combination, shared by its keys, and a key's spelling as a string,
+        or a tuple when it has several (adopted as unpickled) — so loading
+        stays proportional to the pickle size, not to a per-value Python
+        rebuild.
         """
         index = cls(max_values_per_column=int(state["max_values_per_column"]))
         loc_objs = [ValueLocation(table, column) for table, column in state["loc_table"]]
@@ -233,4 +254,5 @@ class InvertedIndex:
         index._originals = dict(state["originals"])
         for lid, values in state["column_values"]:
             index._column_values[loc_objs[lid]] = values
+        index._indexed = loc_objs
         return index

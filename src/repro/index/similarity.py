@@ -21,8 +21,9 @@ aggressively sub-linear:
 
 The fan-out data (original spellings and locations per pooled string) is
 held in flat parallel arrays indexed by pool position — compact in
-memory, and a warm load (:meth:`SimilaritySearcher.from_state`) adopts
-the arrays without any per-value rebuild.
+memory, derived from the index by one array group-by rather than a dict
+of lists, and adopted by a warm load
+(:meth:`SimilaritySearcher.from_state`) without any per-value rebuild.
 
 The pool is derived once, in the constructor, and never mutated (the
 index it reads is immutable), so scans read it without a lock; the one
@@ -37,6 +38,9 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
+
+import numpy as np
 
 from repro.concurrency import make_lock
 from repro.index.blocking import BlockedValuePool
@@ -101,37 +105,37 @@ class SimilaritySearcher:
 
         Fan-out state per pool index ``i``: the ``(original, location)``
         pairs live at flat positions ``offsets[i]:offsets[i+1]`` of
-        ``_originals`` / ``_location_ids``.
+        ``_originals`` / ``_location_ids``, in the order
+        :meth:`InvertedIndex.iter_text_values` yields them.  Built as an
+        array group-by: every text value gets its column's location id
+        and its pool index (case-folded strings numbered in first-met
+        order), and one stable sort by pool index groups them.
         """
         loc_table: list[ValueLocation] = []
-        loc_ids: dict[ValueLocation, int] = {}
-        position: dict[str, int] = {}
-        per_value: list[list] = []  # [[original, lid, original, lid, ...]]
-        for value, location in index.iter_text_values():
-            lowered = value.lower()
-            i = position.get(lowered)
-            if i is None:
-                i = len(per_value)
-                position[lowered] = i
-                per_value.append([])
-            lid = loc_ids.get(location)
-            if lid is None:
-                lid = len(loc_table)
-                loc_ids[location] = lid
+        values: list[str] = []
+        sizes: list[int] = []
+        for location, column in index.text_columns():
+            if column:
                 loc_table.append(location)
-            per_value[i] += (value, lid)
-        offsets = array("I", [0])
-        originals: list[str] = []
-        location_ids = array("I")
-        for flat in per_value:
-            originals.extend(flat[0::2])
-            location_ids.extend(flat[1::2])
-            offsets.append(len(originals))
+                values += column
+                sizes.append(len(column))
+        lowered = [value.lower() for value in values]
+        position = dict(zip(dict.fromkeys(lowered), count()))  # == pool index
+        group = np.fromiter(
+            map(position.__getitem__, lowered), dtype=np.intp, count=len(lowered)
+        )
+        del lowered
+        order = np.argsort(group, kind="stable")
+        offsets = np.zeros(len(position) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(group, minlength=len(position)), out=offsets[1:])
+        location_ids = np.repeat(
+            np.arange(len(loc_table), dtype=np.uintc), np.array(sizes, dtype=np.intp)
+        )
         self._pool = BlockedValuePool(position)  # dict order == pool index
         self._loc_table = loc_table
-        self._offsets = offsets
-        self._originals = originals
-        self._location_ids = location_ids
+        self._offsets = array("I", offsets.astype(np.uintc).tobytes())
+        self._originals = list(map(values.__getitem__, order.tolist()))
+        self._location_ids = array("I", location_ids[order].tobytes())
 
     # ------------------------------------------------------------- queries
 

@@ -14,14 +14,19 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import pickle
 import random
 import sqlite3
+import subprocess
+import sys
 import threading
 import tracemalloc
 import urllib.request
 from array import array
 from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +54,9 @@ from repro.serving import DatabaseRuntime, ServingServer, TranslationService
 from repro.spider import CorpusConfig, generate_corpus
 from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
 from repro.text.ngrams import padded_qgrams
+from tests.reference_index import reference_build, reference_fanout, reference_pool
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def index_cells(
@@ -480,10 +488,29 @@ class TestCompactIndex:
         for index in (cold, warm):
             held = [index.lookup(key) for key in keys]
             assert len({id(locations) for locations in held}) == len(combinations)
+            # one string per single-spelling key, a tuple only for several
+            assert isinstance(index._originals["quito"], str)
+            assert isinstance(index._originals["paris"], tuple)
+        assert [type(held) for held in warm._originals.values()] == [
+            type(held) for held in cold._originals.values()
+        ]
+        assert warm.state_dict() == cold.state_dict()
+
+    def test_integer_key_is_its_spelling(self):
+        """An integer column's key and spelling are one string object."""
+        table = Table("t", (Column("n", "t", ColumnType.NUMBER),))
+        database = Database.create(Schema("numbers", [table]))
+        database.insert_rows("t", [(12,), (7,), (12,)])
+        index = InvertedIndex.build(database)
+        database.close()
+        assert index.original_forms(12) == ("12",)
+        assert all(key is spelling for key, spelling in index._originals.items())
 
     def test_build_memory_per_key_is_bounded(self):
         """The traced bytes an index build keeps, per distinct key, stay
-        small: two Python sets per key (602 B on CPython 3.11) do not fit."""
+        small: 170 B on CPython 3.11, bounded at 195 (15 % over).  A
+        1-tuple of spellings per key (218 B) or two Python sets per key
+        (602 B) do not fit."""
         cells = [(f"Value {i:05d}", i % 2) for i in range(20_000)]
         gc.collect()
         tracemalloc.start()
@@ -494,7 +521,197 @@ class TestCompactIndex:
         finally:
             tracemalloc.stop()
         assert index.num_distinct_values == 20_000
-        assert kept / index.num_distinct_values < 350
+        assert kept / index.num_distinct_values < 195
+
+
+# ----------------------------------------- bulk build against per-value
+
+
+def untyped_database(columns: list[tuple[ColumnType, list[object]]]) -> Database:
+    """One in-memory table ``t``: column ``c<i>`` has the logical type and
+    the cells (``None`` for NULL) of ``columns[i]``, shorter columns
+    padded with NULL.  The SQL columns carry no declared type, so SQLite
+    hands every cell back as the Python type it went in as."""
+    names = [f"c{i}" for i in range(len(columns))]
+    table = Table("t", tuple(
+        Column(name, "t", kind) for name, (kind, _) in zip(names, columns)
+    ))
+    connection = sqlite3.connect(":memory:", check_same_thread=False)
+    connection.execute(f"CREATE TABLE t ({', '.join(names)})")
+    connection.executemany(
+        f"INSERT INTO t VALUES ({', '.join('?' * len(names))})",
+        zip_longest(*(cells for _, cells in columns)),
+    )
+    return Database(Schema("mixed", [table]), connection)
+
+
+def assert_build_matches_reference(database: Database, **kwargs: int) -> None:
+    """The bulk build yields what the per-value build does: keys, location
+    sets and spellings in order, column value lists, the searcher's
+    fan-out arrays and the pool's arrays with their dtypes."""
+    index = InvertedIndex.build(database, **kwargs)
+    reference = reference_build(database, **kwargs)
+    assert list(index.state_dict()["locations"]) == list(reference.locations)
+    for key, locations in reference.locations.items():
+        assert index.lookup(key) == locations
+        assert index.original_forms(key) == reference.originals[key]
+    for table in database.schema.tables:
+        for column in table.columns:
+            for value in database.column_values(column):
+                key = normalize_value(value)
+                assert index.lookup(value) == reference.locations.get(key, frozenset())
+    assert list(index.iter_text_values()) == list(reference.iter_text_values())
+
+    state = SimilaritySearcher(index).state_dict()
+    values, loc_table, offsets, originals, location_ids = reference_fanout(reference)
+    assert state["loc_table"] == [(loc.table, loc.column) for loc in loc_table]
+    for got, expected in ((state["offsets"], offsets), (state["location_ids"], location_ids)):
+        assert (got.typecode, got) == (expected.typecode, expected)
+    assert state["originals"] == originals
+    assert pool_fields(state["pool"]) == pool_fields(reference_pool(values).state_dict())
+
+
+def pool_fields(state: dict) -> list[tuple]:
+    """A pool state's fields, each array as its dtype and values."""
+    return [
+        (name, part.dtype, part.tolist()) if isinstance(part, np.ndarray) else (name, part)
+        for name, field in state.items()
+        for part in (field if isinstance(field, tuple) else (field,))
+    ]
+
+
+#: cells of every kind a column may hand back: case clashes, padding and
+#: blanks, NULL, integers, integral and non-integral floats (``1e16`` is
+#: integral but prints as ``1e+16``), and strings that read as numbers
+_CELL_TEXT = st.text(alphabet="abAB \t", max_size=5)
+_CELL = st.one_of(
+    st.none(),
+    _CELL_TEXT,
+    st.sampled_from(["7", "7.0", " 7 "]),
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(float),
+    st.sampled_from([0.5, -2.25, 1e16, 3e-07]),
+)
+#: a column of strings, of integers, or of anything
+_COLUMN_CELLS = st.one_of(
+    st.lists(st.one_of(st.none(), _CELL_TEXT), max_size=24),
+    st.lists(st.one_of(st.none(), st.integers(-3, 12)), max_size=24),
+    st.lists(_CELL, max_size=24),
+)
+
+
+class TestBulkBuildAgainstReference:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(list(ColumnType)), _COLUMN_CELLS),
+            min_size=1, max_size=4,
+        ),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(
+        columns=[
+            (ColumnType.TEXT, ["Rome", "  ", "Paris", None, "paris", " Paris ", "Oslo"]),
+            (ColumnType.NUMBER, [3, 3.0, 2.5, 1e16, 7, "7", None]),
+            (ColumnType.OTHERS, ["ROME", 3, "rome", "x", "y", "oslo"]),
+        ],
+        max_values=5,
+    )
+    def test_mixed_cells_match_the_per_value_build(self, columns, max_values):
+        database = untyped_database(columns)
+        try:
+            assert_build_matches_reference(database, max_values_per_column=max_values)
+        finally:
+            database.close()
+
+    @pytest.mark.slow
+    def test_generated_database_matches_the_per_value_build(self):
+        """5 000 rows of five columns, a fifth of the cells NULL: about
+        20 000 values with every cell kind, repeats across columns, and
+        two columns past ``max_values_per_column``."""
+        rng = random.Random(44)
+
+        def name() -> str:
+            text = " ".join(
+                "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 2))
+            )
+            text = rng.choice((str.lower, str.title, str.upper))(text)
+            return f" {text}" if rng.random() < 0.05 else text
+
+        def cells(make) -> list[object]:
+            return [None if rng.random() < 0.2 else make() for _ in range(5_000)]
+
+        def anything() -> object:
+            return rng.choice((
+                name, lambda: rng.randint(0, 500), lambda: rng.randint(0, 50) / 2,
+                lambda: str(rng.randint(0, 500)), lambda: "",
+            ))()
+
+        names = [name() for _ in range(1_500)]
+        database = untyped_database([
+            (ColumnType.TEXT, cells(name)),
+            (ColumnType.TEXT, cells(lambda: rng.choice(names))),
+            (ColumnType.NUMBER, cells(lambda: rng.randint(0, 3_000))),
+            (ColumnType.OTHERS, cells(anything)),
+            (ColumnType.TIME, cells(lambda: rng.choice(names).upper())),
+        ])
+        try:
+            assert_build_matches_reference(database, max_values_per_column=3_800)
+        finally:
+            database.close()
+
+    def test_wide_gram_keys_match_the_stated_conditions(self):
+        """1 700 distinct CJK characters make a q = 3 gram key wider than
+        32 bits: the postings are built by the stable argsort, fit
+        together, and filter exactly as the stated conditions say."""
+        rng = random.Random(3)
+        alphabet = [chr(0x4E00 + i) for i in range(1_700)]
+        values = ["".join(alphabet[i:i + 4]) for i in range(0, len(alphabet), 4)]
+        values += [
+            "".join(rng.choice(alphabet[:40]) for _ in range(rng.randint(1, 12)))
+            for _ in range(200)
+        ]
+        pool = BlockedValuePool(values)
+        assert pool._key_dtype == np.uint64
+        for postings in (pool._grams, pool._chars):
+            assert postings.keys.dtype == np.uint64
+            postings.check(pool._key_dtype, len(pool))
+        expected = reference_pool(values)
+        for got, want in zip((*pool._grams, *pool._chars), (*expected._grams, *expected._chars)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        queries = [value[1:] + value[0] for value in values[::40]]
+        queries += [value[:-1] + "\u3042" for value in values[5::40]]
+        for query in queries:
+            for k in (0, 1, 2, 4):
+                assert pool.candidate_indices(query, max_distance=k).tolist() == (
+                    reference_candidates(values, query, k)
+                )
+
+
+_SNAPSHOT_BYTES = """
+import pickle, sys
+from repro.db import Database
+from repro.index import InvertedIndex, SimilaritySearcher
+index = InvertedIndex.build(Database.open(sys.argv[1]))
+print(pickle.dumps(index.state_dict()).hex())
+print(pickle.dumps(SimilaritySearcher(index).state_dict()).hex())
+"""
+
+
+def test_snapshots_do_not_depend_on_the_hash_seed(pets_file):
+    """One database gives byte-equal index and searcher snapshots under
+    two string-hash seeds: nothing in them follows set iteration order."""
+    dumps = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _SNAPSHOT_BYTES, pets_file.path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        dumps.append(done.stdout)
+    assert dumps[0] == dumps[1]
 
 
 # ------------------------------------------------------------ persistence
