@@ -30,13 +30,16 @@ Distance bounds above ``q`` (where the count threshold is no longer a
 safe necessary condition) drop the q-gram filter and use the length band
 plus the bag filter, so recall is guaranteed for every configuration.
 
-The pool is **columnar**: the strings live as one flat ``uint32``
-code-point array with offsets and lengths, and both posting indexes are
-CSR arrays (sorted unique gram keys, row pointers, value index,
-multiplicity), each built in bulk by one sort: of its ``(key, value)``
-pairs packed into ``uint64`` words when a key fits 32 bits, else a
-stable argsort by key.  A search is therefore a fixed number of array
-operations, not a Python loop per value: the
+The pool is **columnar**: the strings live as one flat array of
+per-pool character ids (ids into the pool's sorted alphabet, in the
+narrowest unsigned dtype that holds them, ``uint8`` for most databases)
+with offsets and lengths, and both posting indexes are CSR arrays
+(sorted unique gram keys, row pointers, value index, multiplicity).
+Each is built in bulk, in place, by one sort: of its ``(key, value)``
+pairs packed into ``uint64`` words when a key fits 32 bits, read back
+through ``uint32`` views of the sorted words, else a stable argsort by
+key.  A search is therefore a fixed number of array operations, not a
+Python loop per value: the
 filter is one ``np.bincount`` over the gathered posting slices plus
 boolean masks, and :meth:`BlockedValuePool.distances` runs the banded
 Damerau-Levenshtein recurrence once across every survivor.  The scalar
@@ -46,6 +49,7 @@ this module to.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -60,9 +64,6 @@ DEFAULT_Q = 3
 #: The gram pad's code point.  It is 0, the smallest there is, so the pad
 #: sorts first in every alphabet and is always character id 0.
 _PAD_CODE = ord(QGRAM_PAD)
-
-#: Fills code-matrix cells outside a value; equals no code point.
-_NO_CHAR = 0xFFFFFFFF
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -89,38 +90,54 @@ class _Postings(NamedTuple):
     mult: np.ndarray  # occurrences of the gram in that value
 
     @classmethod
-    def build(cls, keys: np.ndarray, owner: np.ndarray) -> "_Postings":
-        """Index one ``(gram key, owning value)`` pair per gram occurrence;
-        ``owner`` must be ascending, so a stable sort by key leaves each
-        (key, owner) run contiguous.
+    def build(cls, keys: np.ndarray, counts: np.ndarray) -> "_Postings":
+        """Index one ``(gram key, owning value)`` pair per gram occurrence:
+        value ``i`` owns the next ``counts[i]`` keys.  Owners ascend along
+        ``keys``, so a stable sort by key leaves each (key, owner) run
+        contiguous.
 
         A key of at most 32 bits and its owner pack into one ``uint64``
-        whose plain sort is that stable sort by key: a key's pairs tie on
-        the high half and fall in owner order.  Wider keys take the
-        stable argsort.
+        word, key high and owner low, whose plain sort is that stable sort
+        by key: a key's pairs tie on the high half and fall in owner order.
+        The sorted keys and owners are then read as ``uint32`` views of
+        those words, with no copy.  Wider keys take the stable argsort.
+        Pass a fresh ``keys``: it is let go as soon as it is packed.
         """
-        if keys.dtype.itemsize <= 4:
-            packed = keys.astype(np.uint64) << np.uint64(32)
-            packed |= owner.astype(np.uint64)
+        dtype = keys.dtype
+        if dtype.itemsize <= 4:
+            packed = keys.astype(np.uint64)
+            del keys
+            packed <<= np.uint64(32)
+            packed |= np.repeat(np.arange(counts.size, dtype=np.uint32), counts)
             packed.sort()
-            keys = (packed >> np.uint64(32)).astype(keys.dtype)
-            owner = packed.astype(np.uint32).astype(np.int32)
+            halves = packed.view(np.uint32)  # (low, high) words in memory order
             del packed
+            low = 0 if sys.byteorder == "little" else 1
+            keys, owner = halves[1 - low::2], halves[low::2].view(np.int32)
+            del halves
         else:
+            owner = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
             order = np.argsort(keys, kind="stable")
             keys, owner = keys[order], owner[order]
             del order
-        key_starts = np.ones(keys.size, dtype=bool)
-        key_starts[1:] = keys[1:] != keys[:-1]
+        size = keys.size
+        key_starts = np.ones(size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=key_starts[1:])
         pair_starts = key_starts.copy()
         pair_starts[1:] |= owner[1:] != owner[:-1]
-        pairs = np.flatnonzero(pair_starts)
-        mult = np.diff(pairs, append=keys.size)
-        rows = np.flatnonzero(key_starts[pairs])
+        keys, idx = keys[key_starts].astype(dtype, copy=False), owner[pair_starts]
+        del owner  # the sorted words go with the last view of them
+        rows = np.flatnonzero(key_starts[pair_starts])
+        del key_starts
+        pairs = np.flatnonzero(pair_starts).astype(
+            np.int32 if size <= np.iinfo(np.int32).max else np.int64
+        )
+        del pair_starts
+        mult = np.diff(pairs, append=pairs.dtype.type(size))
         return cls(
-            keys[pairs[rows]],
+            keys,
             np.append(rows, pairs.size).astype(np.int64),
-            owner[pairs].astype(np.int32),
+            idx,
             # the dtype follows the data: a clamped count would under-count
             # min(query count, value count) and drop a true match
             mult.astype(np.min_scalar_type(int(mult.max(initial=1)))),
@@ -160,43 +177,61 @@ class BlockedValuePool:
     """
 
     def __init__(self, values: Iterable[str] = (), *, q: int = DEFAULT_Q):
+        self._build([value.lower() for value in values], q)
+
+    @classmethod
+    def from_folded(cls, folded: list[str], *, q: int = DEFAULT_Q) -> "BlockedValuePool":
+        """A pool of strings that are already case-folded.  The list is
+        taken over: it is emptied once its strings are joined, so they can
+        be freed before the postings are built."""
+        pool = cls.__new__(cls)
+        pool._build(folded, q)
+        return pool
+
+    def _build(self, folded: list[str], q: int) -> None:
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
         self._q = q
-        lowered = [value.lower() for value in values]
-        count = len(lowered)
-        lengths = np.fromiter(map(len, lowered), dtype=np.int32, count=count)
+        count = len(folded)
+        lengths = np.fromiter(map(len, folded), dtype=np.int32, count=count)
         self._lengths = lengths
         self._offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._offsets[1:])
-        self._codes = _code_points("".join(lowered))
-        del lowered
-        # Dense per-pool character ids keep a gram key in 32 bits for any
-        # realistic alphabet; id 0 is the pad, id ``alphabet.size`` is
-        # reserved for query characters the pool has never seen.
-        self._alphabet = np.union1d(self._codes, [_PAD_CODE]).astype(np.uint32)
+        code_points = _code_points("".join(folded))
+        folded.clear()
+        # Dense per-pool character ids, in code point order, keep a gram
+        # key in 32 bits for any realistic alphabet and a stored character
+        # in one byte for most; id 0 is the pad.  One lookup table over
+        # the code points present maps each character to its id.
+        present = np.zeros(int(code_points.max(initial=_PAD_CODE)) + 1, dtype=bool)
+        present[code_points] = True
+        present[_PAD_CODE] = True
+        self._alphabet = np.flatnonzero(present).astype(np.uint32)
+        del present
+        lookup = np.zeros(int(self._alphabet[-1]) + 1, dtype=self._code_dtype)
+        lookup[self._alphabet] = np.arange(self._alphabet.size)
+        self._codes = lookup[code_points]
+        del lookup, code_points
         self._key_dtype = self._pick_key_dtype()
-        ids = self._char_ids(self._codes)
-        owner = np.repeat(np.arange(count, dtype=np.int32), lengths)
 
         # Character postings cover every value short enough for the
         # q-gram threshold to be vacuous at some valid bound (k <= q).
-        short = np.repeat(lengths <= self._short_cap, lengths)
-        self._chars = _Postings.build(ids[short], owner[short])
+        short = lengths <= self._short_cap
+        self._chars = _Postings.build(
+            self._codes[np.repeat(short, lengths)].astype(self._key_dtype),
+            np.where(short, lengths, 0),
+        )
         del short
 
-        # Lay every value out padded by q - 1 pad ids on both sides, key
-        # the window at every position, keep the windows inside one value.
+        # Lay the values out with q - 1 pad ids before each and after the
+        # last.  A value's padded grams are then exactly the windows that
+        # start in the gap before it or at one of its characters, in
+        # order, and none of them reaches past the gap after it.
         pad = q - 1
-        padded = np.zeros(ids.size + 2 * pad * count, dtype=self._key_dtype)
-        padded[np.arange(ids.size) + (2 * owner.astype(np.int64) + 1) * pad] = ids
-        del ids, owner
-        windows = self._gram_keys(padded)
-        del padded
-        owner = np.repeat(np.arange(count, dtype=np.int32), lengths + pad)
-        keys = windows[np.arange(owner.size) + owner.astype(np.int64) * pad]
-        del windows
-        self._grams = _Postings.build(keys, owner)
+        self._grams = _Postings.build(
+            self._gram_keys(np.insert(self._codes, np.repeat(self._offsets, pad), 0)),
+            lengths + pad,
+        )
 
     def __len__(self) -> int:
         return self._lengths.size
@@ -204,6 +239,18 @@ class BlockedValuePool:
     @property
     def _short_cap(self) -> int:
         return 1 + self._q * self._q
+
+    @property
+    def _code_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype holding every character id, the
+        id of characters outside the alphabet and the filler id."""
+        return np.min_scalar_type(self._filler)
+
+    @property
+    def _filler(self) -> int:
+        """Fills code-matrix cells outside a value; equals no character
+        id, not even that of a character outside the alphabet."""
+        return self._alphabet.size + 1
 
     def _pick_key_dtype(self) -> np.dtype:
         keyspace = (self._alphabet.size + 1) ** self._q
@@ -214,16 +261,18 @@ class BlockedValuePool:
         raise ValueError(f"q={self._q} grams over this alphabet overflow 64 bits")
 
     def _char_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Dense character ids of ``codes`` in the gram-key dtype."""
+        """Character ids of the code points ``codes``; a code point the
+        pool has never seen gets id ``alphabet.size``."""
         alphabet = self._alphabet
         ids = np.minimum(np.searchsorted(alphabet, codes), alphabet.size - 1)
         return np.where(alphabet[ids] == codes, ids, alphabet.size).astype(
-            self._key_dtype
+            self._code_dtype
         )
 
     def _gram_keys(self, ids: np.ndarray) -> np.ndarray:
-        """Key of the q-gram starting at each position of ``ids``: its
-        characters read as digits in base ``alphabet.size + 1``."""
+        """Key of the q-gram starting at each position of ``ids``, in the
+        key dtype: its characters read as digits in base
+        ``alphabet.size + 1``."""
         count = max(ids.size - self._q + 1, 0)
         keys = np.zeros(count, dtype=self._key_dtype)
         for shift in range(self._q):
@@ -330,7 +379,7 @@ class BlockedValuePool:
         if k < 0:
             raise ValueError(f"max_distance must be >= 0, got {max_distance}")
         cap = k + 1
-        a = _code_points(query.lower())
+        a = self._char_ids(_code_points(query.lower()))
         rows = a.size
         candidates = np.asarray(candidates, dtype=np.intp)
         out = np.full(candidates.size, cap, dtype=np.int32)
@@ -343,9 +392,9 @@ class BlockedValuePool:
         count, width = band.size, 2 * k + 1
 
         # Code matrix, one column per candidate: k filler rows, then the
-        # value's code points in |query| + k rows, filler past its end.
+        # value's character ids in |query| + k rows, filler past its end.
         positions = np.arange(rows + k)[:, None]
-        codes = np.full((k + rows + k, count), _NO_CHAR, dtype=np.uint32)
+        codes = np.full((k + rows + k, count), self._filler, dtype=self._codes.dtype)
         inside = positions < lengths
         starts = self._offsets[candidates[band]]
         codes[k:][inside] = self._codes[(starts + positions)[inside]]
@@ -410,10 +459,17 @@ class BlockedValuePool:
         pool._offsets = state["offsets"]
         pool._lengths = state["lengths"]
         pool._alphabet = state["alphabet"]
-        _check_array(pool._codes, np.uint32)
         _check_array(pool._offsets, np.int64)
         _check_array(pool._lengths, np.int32)
         _check_array(pool._alphabet, np.uint32)
+        alphabet = pool._alphabet
+        if not alphabet.size or alphabet[0] != _PAD_CODE or np.any(
+            alphabet[1:] <= alphabet[:-1]
+        ):
+            raise ValueError("alphabet must be increasing and start at the pad")
+        _check_array(pool._codes, pool._code_dtype)
+        if pool._codes.size and pool._codes.max() >= alphabet.size:
+            raise ValueError("character id outside the alphabet")
         if (
             pool._offsets.size != pool._lengths.size + 1
             or pool._offsets[0] != 0
@@ -421,12 +477,7 @@ class BlockedValuePool:
             or np.any(pool._lengths < 0)
             or not np.array_equal(np.diff(pool._offsets), pool._lengths)
         ):
-            raise ValueError("offsets, lengths and code points disagree")
-        alphabet = pool._alphabet
-        if not alphabet.size or alphabet[0] != _PAD_CODE or np.any(
-            alphabet[1:] <= alphabet[:-1]
-        ):
-            raise ValueError("alphabet must be increasing and start at the pad")
+            raise ValueError("offsets, lengths and character ids disagree")
         pool._key_dtype = pool._pick_key_dtype()
         pool._grams = _Postings(*state["grams"])
         pool._chars = _Postings(*state["chars"])

@@ -31,7 +31,7 @@ from repro.index.similarity import SimilaritySearcher
 
 #: Bump whenever the state_dict layout of the index, the searcher, or the
 #: blocked pool changes; old files are then rebuilt instead of misread.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _MAGIC = "repro-index-bundle"
 

@@ -38,7 +38,6 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -120,22 +119,30 @@ class SimilaritySearcher:
                 values += column
                 sizes.append(len(column))
         lowered = [value.lower() for value in values]
-        position = dict(zip(dict.fromkeys(lowered), count()))  # == pool index
+        position = dict.fromkeys(lowered)  # first-met order == pool index
+        for i, key in enumerate(position):
+            position[key] = i
         group = np.fromiter(
             map(position.__getitem__, lowered), dtype=np.intp, count=len(lowered)
         )
         del lowered
+        folded = list(position)
+        del position
         order = np.argsort(group, kind="stable")
-        offsets = np.zeros(len(position) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(group, minlength=len(position)), out=offsets[1:])
+        offsets = np.zeros(len(folded) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(group, minlength=len(folded)), out=offsets[1:])
+        del group
         location_ids = np.repeat(
             np.arange(len(loc_table), dtype=np.uintc), np.array(sizes, dtype=np.intp)
         )
-        self._pool = BlockedValuePool(position)  # dict order == pool index
         self._loc_table = loc_table
         self._offsets = array("I", offsets.astype(np.uintc).tobytes())
         self._originals = list(map(values.__getitem__, order.tolist()))
         self._location_ids = array("I", location_ids[order].tobytes())
+        del values, order, location_ids
+        # last, with the fan-out's temporaries gone; the pool empties
+        # ``folded`` once joined, freeing the case-folded strings
+        self._pool = BlockedValuePool.from_folded(folded)
 
     # ------------------------------------------------------------- queries
 

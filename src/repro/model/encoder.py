@@ -3,9 +3,11 @@
 A transformer runs over the flat featurized sequence (question ⊕ columns ⊕
 tables ⊕ value candidates with their locations); each input piece embeds
 its WordPiece id plus segment, hint and column-type features and a
-sinusoidal position.  Item encodings are then produced by summarizing each
-item's piece span with a BiLSTM (the paper: "bi-directional LSTM networks
-to summarize multi-token columns/tables/values").
+sinusoidal position, read from one table that grows with the longest
+sequence seen rather than cached once per length.  Item encodings are
+then produced by summarizing each item's piece span with a BiLSTM (the
+paper: "bi-directional LSTM networks to summarize multi-token
+columns/tables/values").
 """
 
 from __future__ import annotations
@@ -84,15 +86,20 @@ class ValueNetEncoder(Module):
         self.output_column_hint = Embedding(16, dim, rng)  # column x table hints
         self.output_table_hint = Embedding(4, dim, rng)
         self.output_value_located = Embedding(2, dim, rng)
-        self._position_cache: dict[int, Tensor] = {}
+        self._position_table = np.empty((0, dim))
         self._word_dropout_rng = np.random.default_rng(config.seed + 1)
 
     def _positions(self, length: int) -> Tensor:
-        cached = self._position_cache.get(length)
-        if cached is None:
-            cached = Tensor(sinusoidal_positions(length, self.config.dim) * 0.1)
-            self._position_cache[length] = cached
-        return cached
+        """The first ``length`` rows of one scaled sinusoidal table, which
+        doubles when a longer sequence arrives.  A row does not depend on
+        the table's length, and a regrow only replaces the reference, so
+        concurrent readers always slice a complete table."""
+        table = self._position_table
+        if len(table) < length:
+            table = sinusoidal_positions(max(length, 2 * len(table)), self.config.dim)
+            table *= 0.1
+            self._position_table = table
+        return Tensor(table[:length])
 
     def encode_batch(self, inputs: list[EncoderInput]) -> list[EncodedExample]:
         """Encode a micro-batch — the one forward, for training and serving.

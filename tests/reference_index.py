@@ -6,24 +6,25 @@ group-by for the similarity pool's fan-out, one packed sort per posting
 list.  This module is the build those replaced, one Python step per cell
 or per value: :func:`reference_build` indexes every cell through
 :func:`~repro.index.inverted.normalize_value`, :func:`reference_fanout`
-groups the pool with a dict of lists, and :func:`reference_pool` sorts
-each posting list with a stable argsort by key.  The tests hold the bulk
-build to it: the same keys, location sets, spellings, column value
-lists, fan-out arrays and pool arrays, in the same order and dtypes.
+groups the pool with a dict of lists, and :func:`reference_pool` numbers
+each character and keys each padded q-gram of each value in turn.  The
+tests hold the bulk build to it: the same keys, location sets,
+spellings, column value lists, fan-out arrays and pool arrays, in the
+same order and dtypes.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from unittest import mock
 
 import numpy as np
 
 from repro.db.database import Database
-from repro.index.blocking import BlockedValuePool, _Postings
+from repro.index.blocking import DEFAULT_Q, BlockedValuePool
 from repro.index.inverted import ValueLocation, normalize_value
 from repro.schema.model import ColumnType
+from repro.text.ngrams import QGRAM_PAD, padded_qgrams
 
 
 @dataclass
@@ -98,27 +99,56 @@ def reference_fanout(index) -> tuple[list[str], list[ValueLocation], array, list
     return list(position), loc_table, offsets, originals, location_ids
 
 
-def _argsort_postings(cls, keys: np.ndarray, owner: np.ndarray) -> _Postings:
-    """CSR postings of ``(key, owner)`` pairs by one stable argsort by key."""
-    order = np.argsort(keys, kind="stable")
-    keys, owner = keys[order], owner[order]
-    key_starts = np.ones(keys.size, dtype=bool)
-    key_starts[1:] = keys[1:] != keys[:-1]
-    pair_starts = key_starts.copy()
-    pair_starts[1:] |= owner[1:] != owner[:-1]
-    pairs = np.flatnonzero(pair_starts)
-    mult = np.diff(pairs, append=keys.size)
-    rows = np.flatnonzero(key_starts[pairs])
-    return cls(
-        keys[pairs[rows]],
-        np.append(rows, pairs.size).astype(np.int64),
-        owner[pairs].astype(np.int32),
-        mult.astype(np.min_scalar_type(int(mult.max(initial=1)))),
+def _postings(table: dict[int, dict[int, int]], key_dtype: np.dtype) -> tuple:
+    """CSR arrays of ``{key: {value index: occurrences}}``, keys ascending
+    and each key's values in the order they were met."""
+    keys = sorted(table)
+    idx = [i for key in keys for i in table[key]]
+    mult = [n for key in keys for n in table[key].values()]
+    ptr = np.cumsum([0] + [len(table[key]) for key in keys], dtype=np.int64)
+    return (
+        np.array(keys, dtype=key_dtype),
+        ptr,
+        np.array(idx, dtype=np.int32),
+        np.array(mult, dtype=np.min_scalar_type(max(mult, default=1))),
     )
 
 
-def reference_pool(values, **kwargs: int) -> BlockedValuePool:
-    """A :class:`BlockedValuePool` whose posting lists are built by the
-    stable argsort instead of the packed sort."""
-    with mock.patch.object(_Postings, "build", classmethod(_argsort_postings)):
-        return BlockedValuePool(values, **kwargs)
+def reference_pool(values, q: int = DEFAULT_Q) -> BlockedValuePool:
+    """A :class:`BlockedValuePool` adopted from arrays built one value and
+    one gram at a time: the alphabet as a sorted set of code points, each
+    pooled character as its index in that alphabet (in the narrowest
+    unsigned dtype that leaves room for two more ids: a query character
+    outside the alphabet and the distance kernel's filler), and the
+    posting lists as dicts of :func:`~repro.text.ngrams.padded_qgrams`."""
+    folded = [value.lower() for value in values]
+    alphabet = sorted({ord(QGRAM_PAD)}.union(*(map(ord, value) for value in folded)))
+    char_id = {chr(code): i for i, code in enumerate(alphabet)}
+    base = len(alphabet) + 1
+    key_dtype = np.dtype(np.uint32 if base**q <= 2**32 else np.uint64)
+    grams: dict[int, dict[int, int]] = {}
+    chars: dict[int, dict[int, int]] = {}
+    for i, value in enumerate(folded):
+        for gram in padded_qgrams(value, q):
+            key = 0
+            for char in gram:
+                key = key * base + char_id[char]
+            owners = grams.setdefault(key, {})
+            owners[i] = owners.get(i, 0) + 1
+        if len(value) <= 1 + q * q:  # short enough for the bag filter
+            for char in value:
+                owners = chars.setdefault(char_id[char], {})
+                owners[i] = owners.get(i, 0) + 1
+    lengths = np.array([len(value) for value in folded], dtype=np.int32)
+    return BlockedValuePool.from_state({
+        "q": q,
+        "codes": np.array(
+            [char_id[char] for value in folded for char in value],
+            dtype=np.min_scalar_type(len(alphabet) + 1),
+        ),
+        "offsets": np.cumsum(np.append(0, lengths), dtype=np.int64),
+        "lengths": lengths,
+        "alphabet": np.array(alphabet, dtype=np.uint32),
+        "grams": _postings(grams, key_dtype),
+        "chars": _postings(chars, key_dtype),
+    })

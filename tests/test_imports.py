@@ -99,7 +99,10 @@ def test_every_module_imports_first():
 
 
 def test_serving_stack_leaves_training_and_networkx_unloaded(tmp_path):
-    watched = ["networkx", "repro.evaluation", "repro.model.training", "repro.spider"]
+    watched = [
+        "networkx", "numpy.ma", "repro.evaluation", "repro.model.training",
+        "repro.spider",
+    ]
     result = _python(
         SERVE, str(tmp_path / "pets.sqlite"), str(tmp_path / "policy.json"), *watched
     )

@@ -5,7 +5,11 @@ and checkpointing."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from repro.model import (
 )
 from repro.model.featurize import SEG_COLUMN, SEG_QUESTION, SEG_TABLE, SEG_VALUE
 from repro.nn import log_softmax, masked_log_softmax
+from repro.nn.transformer import sinusoidal_positions
 from repro.preprocessing import Preprocessor
 from repro.semql import ActionType, GRAMMAR_ACTION_LIST, GrammarState, query_to_semql
 from repro.spider import CorpusConfig, Example, generate_corpus
@@ -234,6 +239,57 @@ class TestModelForward:
             ActionType.FILTER, 0, conserve_budget=True)
         legal = [GRAMMAR_ACTION_LIST[i].name for i in np.flatnonzero(mask)]
         assert legal and all(name.endswith("_r") for name in legal)
+
+
+class TestPositionTable:
+    def test_one_table_holds_every_length(self):
+        """Encoding lengths 1..200 keeps one table of at most twice the
+        longest length, not one array per length (a per-length cache
+        keeps 1 + ... + 200 rows, 50x more), and each length's rows are
+        bit for bit the sinusoidal encoding of that length, scaled."""
+        encoder = ValueNetEncoder(50, TINY, np.random.default_rng(0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for length in range(1, 201):
+                assert encoder._positions(length).shape == (length, TINY.dim)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_bytes = TINY.dim * np.dtype(np.float64).itemsize
+        assert kept <= 2 * 200 * row_bytes + 4096
+        for length in (1, 2, 3, 64, 65, 128, 129, 200):
+            assert np.array_equal(
+                encoder._positions(length).data,
+                sinusoidal_positions(length, TINY.dim) * 0.1,
+            )
+
+    def test_concurrent_regrows_hand_out_complete_rows(self):
+        """Serving threads share one encoder: while others regrow the
+        table, every thread still reads the exact rows it asked for."""
+        encoder = ValueNetEncoder(50, TINY, np.random.default_rng(0))
+        expected = sinusoidal_positions(400, TINY.dim) * 0.1
+        wrong: list[int] = []
+
+        def read(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for length in rng.integers(1, 401, size=300):
+                if not np.array_equal(encoder._positions(length).data, expected[:length]):
+                    wrong.append(int(length))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestTraining:

@@ -324,6 +324,75 @@ class TestBatchedDistances:
             BlockedValuePool(["a"]).distances("a", [0], max_distance=-1)
 
 
+#: (first code point, alphabet size, character-id dtype) of pools whose
+#: ids fit one byte, need two and need four: a byte holds the pad, 253
+#: characters and the two reserved ids ("outside the alphabet" and the
+#: distance kernel's filler), two bytes the pad, 65 533 and those two
+_CODE_WIDTHS = [
+    (ord("a"), 26, np.uint8),
+    (0x4E00, 400, np.uint16),
+    (0x20000, 70_000, np.uint32),
+]
+
+
+class TestCharacterIdWidths:
+    @pytest.fixture(scope="class", params=_CODE_WIDTHS, ids=["uint8", "uint16", "uint32"])
+    def coded(self, request):
+        """Every character of the alphabet once, in 10-character values,
+        then 300 short values over its first 30 characters; queries are
+        values, typos, and characters outside the alphabet."""
+        first, size, dtype = request.param
+        alphabet = [chr(first + i) for i in range(size)]
+        outside = chr(first + size)  # in no value
+        rng = random.Random(size)
+        values = ["".join(alphabet[i:i + 10]) for i in range(0, size, 10)]
+        values += [
+            "".join(rng.choice(alphabet[:30]) for _ in range(rng.randint(0, 12)))
+            for _ in range(300)
+        ]
+        queries = [
+            values[3], values[3][1:] + values[3][0], values[-5] + outside,
+            outside + values[7][:-1], values[-9][:2] + outside + values[-9][3:],
+            outside * 3, "",
+        ]
+        return values, queries, dtype
+
+    def test_ids_take_the_narrowest_dtype_and_match_the_reference(self, coded):
+        values, _, dtype = coded
+        pool = BlockedValuePool(values)
+        assert pool._codes.dtype == dtype
+        assert pool_fields(pool.state_dict()) == pool_fields(
+            reference_pool(values).state_dict()
+        )
+        restored = BlockedValuePool.from_state(pickle.loads(pickle.dumps(pool.state_dict())))
+        assert restored._codes.dtype == dtype
+
+    @pytest.mark.parametrize("size, dtype", [(253, np.uint8), (254, np.uint16)])
+    def test_a_byte_holds_253_characters(self, size, dtype):
+        values = [chr(0x4E00 + i) for i in range(size)]
+        pool = BlockedValuePool(values)
+        assert pool._codes.dtype == dtype
+        # the last character's id and the unseen one's sit next to the filler
+        query = values[-1] + chr(0x4E00 + size)
+        assert pool.distances(query, np.arange(size), max_distance=1).tolist() == [
+            damerau_levenshtein_banded(query, value, max_distance=1) for value in values
+        ]
+
+    def test_filter_and_distances_equal_the_scalar_kernels(self, coded):
+        values, queries, _ = coded
+        pool = BlockedValuePool(values)
+        everything = np.arange(len(values))
+        for query in queries:
+            for k in (0, 1, 2, 4):
+                assert pool.candidate_indices(query, max_distance=k).tolist() == (
+                    reference_candidates(values, query, k)
+                )
+                assert pool.distances(query, everything, max_distance=k).tolist() == [
+                    damerau_levenshtein_banded(query, value, max_distance=k)
+                    for value in values
+                ]
+
+
 # -------------------------------------------------- differential searcher
 
 
@@ -522,6 +591,35 @@ class TestCompactIndex:
             tracemalloc.stop()
         assert index.num_distinct_values == 20_000
         assert kept / index.num_distinct_values < 195
+
+    def test_pool_build_memory_is_bounded(self):
+        """A 20 000-value pool (270 067 characters) keeps 8.3 traced bytes
+        per pooled character on CPython 3.11 and numpy 2.4, bounded at 9.2
+        (10 % over), and its build peaks 13.8 bytes per character above
+        what it keeps, bounded at 16 (15 % over).  Four-byte code points
+        (11.3 B kept) or the build's former int64 index arithmetic and
+        second lower-cased copy of every value (41.9 B above) do not
+        fit."""
+        rng = random.Random(46)
+        values: set[str] = set()
+        while len(values) < 20_000:
+            values.add(" ".join(
+                "".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(2, 4)))
+                for _ in range(rng.randint(1, 2))
+            ).title())
+        characters = sum(map(len, values))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            pool = BlockedValuePool(sorted(values))
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 20_000
+        assert (kept - base) / characters < 9.2
+        assert (peak - kept) / characters < 16
 
 
 # ----------------------------------------- bulk build against per-value
@@ -779,7 +877,7 @@ class TestPersistence:
     @pytest.mark.parametrize("damage", [
         "ptr_past_postings", "ptr_not_monotone", "idx_wrong_dtype",
         "idx_outside_pool", "keys_wrong_dtype", "lengths_disagree",
-        "fanout_disagrees",
+        "fanout_disagrees", "char_id_outside_alphabet", "char_ids_wrong_dtype",
     ])
     def test_inconsistent_arrays_return_none(self, pets_db, tmp_path, damage):
         """A bundle that unpickles but whose arrays do not fit together is
@@ -806,6 +904,11 @@ class TestPersistence:
             pool["lengths"] = pool["lengths"] + 1
         elif damage == "fanout_disagrees":
             payload["searcher"]["offsets"] = payload["searcher"]["offsets"][:-1]
+        elif damage == "char_id_outside_alphabet":
+            pool["codes"] = pool["codes"].copy()
+            pool["codes"][0] = pool["alphabet"].size  # the id of an unseen character
+        elif damage == "char_ids_wrong_dtype":
+            pool["codes"] = pool["codes"].astype(np.uint32)
         pool["grams"] = (keys, ptr, idx, mult)
         path.write_bytes(pickle.dumps(payload))
         assert load_bundle(path, fingerprint="fp") is None
@@ -1076,12 +1179,12 @@ class TestRegistry:
             monkeypatch.setattr(owner, name, spy)
 
         count_calls(Database, "column_values")
-        count_calls(BlockedValuePool, "__init__")
+        count_calls(BlockedValuePool, "_build")  # behind both constructors
         databases = list(spider_files.values())[:2]
         cache = tmp_path / "cache"
         cold = [IndexRegistry(cache_dir=cache).get(db) for db in databases]
         assert [entry.source for entry in cold] == ["built", "built"]
-        assert calls["column_values"] > 0 and calls["__init__"] == 2
+        assert calls["column_values"] > 0 and calls["_build"] == 2
 
         calls.clear()
         warm = [IndexRegistry(cache_dir=cache).get(db) for db in databases]
