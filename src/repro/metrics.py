@@ -126,26 +126,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Estimated value at quantile ``q`` (0 < q <= 1); 0.0 when empty."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q * self._count
-            cumulative = 0
-            for index, bucket_count in enumerate(self._counts):
-                previous = cumulative
-                cumulative += bucket_count
-                if cumulative >= target:
-                    if index >= len(self.bounds):
-                        return self._max  # +Inf bucket: best estimate is max
-                    lower = self.bounds[index - 1] if index > 0 else 0.0
-                    upper = self.bounds[index]
-                    if bucket_count == 0:  # pragma: no cover - defensive
-                        return upper
-                    fraction = (target - previous) / bucket_count
-                    return min(lower + fraction * (upper - lower), self._max)
-            return self._max  # pragma: no cover - unreachable
+        return quantile_from_snapshot(self.snapshot(), q)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -247,8 +228,8 @@ class LabeledHistogram(_LabeledFamily):
 
 
 def quantile_from_snapshot(data: dict, q: float) -> float:
-    """Quantile estimate from a histogram *snapshot* (mirrors
-    :meth:`Histogram.quantile`, including the linear interpolation)."""
+    """Quantile estimate from a histogram *snapshot*: linear interpolation
+    within the bucket that holds the target rank, capped at ``max``."""
     if not 0.0 < q <= 1.0:
         raise ValueError("quantile must be in (0, 1]")
     count = data.get("count", 0)
@@ -430,9 +411,9 @@ class MetricsRegistry:
     def _snapshot_one(metric) -> object:
         if isinstance(metric, Histogram):
             data = metric.snapshot()
-            data["p50"] = metric.quantile(0.50)
-            data["p95"] = metric.quantile(0.95)
-            data["p99"] = metric.quantile(0.99)
+            data["p50"] = quantile_from_snapshot(data, 0.50)
+            data["p95"] = quantile_from_snapshot(data, 0.95)
+            data["p99"] = quantile_from_snapshot(data, 0.99)
             return data
         return metric.value
 

@@ -32,12 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ModelError
-from repro.model.decoder import STAR_COLUMN, DecoderStep, ValueNetDecoder
+from repro.model.decoder import DecoderStep, Partial, ValueNetDecoder
 from repro.model.encoder import EncodedExample
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
-from repro.nn.functional import NEG_INF
-from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST, POINTER_TYPES
-from repro.semql.tree import GrammarState
+from repro.model.stepcache import ReferenceOps, StepCache
+from repro.semql.actions import POINTER_TYPES
 
 
 @dataclass
@@ -46,22 +44,17 @@ class _Hypothesis:
 
     ``row`` indexes its ``(h, c)`` in the latest lockstep step's output;
     ``prev`` is the feed embedding of its last action (a Tensor on the
-    reference path, a numpy array on the cached path).  ``recursive``
-    counts emitted recursive productions incrementally so the budget
-    policy does not rescan ``steps``.
+    reference path, a numpy array on the cached path).
     """
 
     score: float
     row: int
     prev: object
-    grammar: GrammarState
-    steps: list[DecoderStep] = field(default_factory=list)
-    last_column: int | None = None
-    recursive: int = 0
+    partial: Partial
 
     def normalized_score(self) -> float:
         # Length normalization keeps short queries from always winning.
-        return self.score / max(len(self.steps), 1) ** 0.7
+        return self.score / max(len(self.partial.steps), 1) ** 0.7
 
 
 @dataclass
@@ -73,10 +66,12 @@ class _Search:
     completed: list[_Hypothesis] = field(default_factory=list)
 
     def result(self) -> list[DecoderStep] | ModelError:
-        completed = self.completed + [h for h in self.beam if h.grammar.finished]
+        completed = self.completed + [
+            h for h in self.beam if h.partial.grammar.finished
+        ]
         if not completed:
             return ModelError("beam search found no complete hypothesis")
-        return max(completed, key=_Hypothesis.normalized_score).steps
+        return max(completed, key=_Hypothesis.normalized_score).partial.steps
 
 
 def beam_decode(
@@ -105,7 +100,7 @@ def beam_decode(
     h, c = ops.initial_rows()
     start = ops.start()
     active = [
-        _Search(q, [_Hypothesis(0.0, q, start, GrammarState())])
+        _Search(q, [_Hypothesis(0.0, q, start, Partial())])
         for q in range(len(encodeds))
     ]
     results: list = [None] * len(encodeds)
@@ -117,8 +112,8 @@ def beam_decode(
         owners: list[int] = []
         running = []
         for search in active:
-            search.completed += [hyp for hyp in search.beam if hyp.grammar.finished]
-            search.beam = [hyp for hyp in search.beam if not hyp.grammar.finished]
+            search.completed += [h for h in search.beam if h.partial.grammar.finished]
+            search.beam = [h for h in search.beam if not h.partial.grammar.finished]
             if search.beam:
                 running.append(search)
                 rows += search.beam
@@ -150,10 +145,11 @@ def beam_decode(
                 results[search.question] = search.result()
                 continue
             candidates.sort(key=lambda candidate: candidate[0], reverse=True)
-            search.beam = [
-                _extend(ops, rows[r], r, expected[r], i, score, search.question)
-                for score, r, i in candidates[:beam_size]
-            ]
+            search.beam = []
+            for score, r, i in candidates[:beam_size]:
+                partial = rows[r].partial.extended(expected[r], i)
+                prev = ops.feed(partial.steps[-1].kind, i, search.question)
+                search.beam.append(_Hypothesis(score, r, prev, partial))
             if len(search.completed) >= beam_size:
                 results[search.question] = search.result()
             else:
@@ -167,7 +163,7 @@ def beam_decode(
 def _expansions(ops, rows, owners, h, beam_size, column_to_table, max_steps):
     """Each row's expected type and its best ``beam_size`` legal
     expansions as ``(score, index)`` pairs, best first."""
-    expected = [hyp.grammar.expected_type() for hyp in rows]
+    expected = [hyp.partial.grammar.expected_type() for hyp in rows]
     groups: dict[str, list[int]] = {}
     for r, action_type in enumerate(expected):
         kind = action_type.value if action_type in POINTER_TYPES else "grammar"
@@ -178,43 +174,20 @@ def _expansions(ops, rows, owners, h, beam_size, column_to_table, max_steps):
     expansions: list[list[tuple[float, int]]] = [[] for _ in rows]
     for kind, group in groups.items():
         if kind == "grammar":
-            masks = []
-            for r in group:
-                hyp = rows[r]
-                grammar = hyp.grammar
-                remaining = max_steps - len(hyp.steps)
-                # Mirror the greedy decoder's budget policy exactly,
-                # including its hard cap on recursive expansions —
-                # beam_size=1 must reproduce greedy decoding step for step.
-                masks.append(ops.grammar_mask(
-                    expected[r],
-                    question=owners[r],
-                    conserve_budget=(
-                        remaining < 6 * grammar.pending + 12 or hyp.recursive >= 8
-                    ),
-                    in_subquery=grammar.expected_in_subquery(),
-                    in_compound=grammar.expected_in_compound_branch(),
-                    required_arity=grammar.required_select_arity(),
-                ))
+            masks = [
+                ops.grammar_mask(
+                    expected[r], question=owners[r],
+                    **rows[r].partial.mask_flags(max_steps),
+                )
+                for r in group
+            ]
             log_probs = ops.sketch_log_prob_rows(h[group], masks)
         else:
             log_probs = ops.pointer_log_prob_rows(
                 kind, h[group], np.array([owners[r] for r in group])
             )
             for k, r in enumerate(group):
-                hyp = rows[r]
-                if kind == "C" and hyp.grammar.expects_bare_filter_column():
-                    log_probs[k, STAR_COLUMN] = NEG_INF
-                if (
-                    kind == "T"
-                    and column_to_table is not None
-                    and hyp.last_column is not None
-                    and column_to_table[hyp.last_column] is not None
-                ):
-                    forced = column_to_table[hyp.last_column]
-                    keep = log_probs[k, forced]
-                    log_probs[k] = NEG_INF
-                    log_probs[k, forced] = keep
+                rows[r].partial.constrain(expected[r], log_probs[k], column_to_table)
         # Stable descending sort: ties resolve to the lowest index, the
         # same choice np.argmax makes in the greedy decoder.
         order = np.argsort(-log_probs, axis=1, kind="stable")[:, :beam_size]
@@ -227,29 +200,3 @@ def _expansions(ops, rows, owners, h, beam_size, column_to_table, max_steps):
                 if not value < -1e20  # masked, forced out, or padding
             ]
     return expected, expansions
-
-
-def _extend(ops, hyp, row, expected, index, score, question) -> _Hypothesis:
-    """The survivor ``hyp`` + action ``index`` (state at ``row``)."""
-    grammar = hyp.grammar.clone()
-    last_column, recursive = hyp.last_column, hyp.recursive
-    if expected in POINTER_TYPES:
-        kind = expected.value
-        grammar.advance_pointer(expected)
-        if expected is ActionType.C:
-            last_column = index
-        elif expected is ActionType.T:
-            last_column = None
-    else:
-        kind = "grammar"
-        grammar.advance_grammar(GRAMMAR_ACTION_LIST[index])
-        recursive += int(RECURSIVE_ACTION[index])
-    return _Hypothesis(
-        score=score,
-        row=row,
-        prev=ops.feed(kind, index, question),
-        grammar=grammar,
-        steps=hyp.steps + [DecoderStep(kind, index)],
-        last_column=last_column,
-        recursive=recursive,
-    )

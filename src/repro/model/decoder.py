@@ -12,14 +12,14 @@ action, and routes its hidden state to the head the grammar expects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.config import ModelConfig
 from repro.errors import ModelError
 from repro.model.encoder import EncodedExample
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
+from repro.model.stepcache import ReferenceOps, StepCache
 from repro.nn.attention import BilinearAttention, PointerNetwork
 from repro.nn.functional import NEG_INF, attention_pool, masked_log_softmax, softmax
 from repro.nn.layers import Dropout, Embedding, Linear, Module
@@ -29,14 +29,10 @@ from repro.semql.actions import (
     ActionType,
     GRAMMAR_ACTION_LIST,
     NUM_GRAMMAR_ACTIONS,
+    POINTER_TYPES,
     actions_for_type,
 )
 from repro.semql.tree import GrammarState
-
-# Pointer index of the schema's ``*`` column (featurize encodes
-# ``Schema.all_columns()``, which lists it first).  Decoding never picks
-# it where GrammarState.expects_bare_filter_column() holds.
-STAR_COLUMN = 0
 
 
 def _padded(banks: list[Tensor | None], rows: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -59,6 +55,109 @@ class DecoderStep:
 
     kind: str
     target: int
+
+
+# Pointer index of the schema's ``*`` column (featurize encodes
+# ``Schema.all_columns()``, which lists it first).  Decoding never picks
+# it as a bare filter operand (see Partial.constrain).
+STAR_COLUMN = 0
+
+# Grammar actions that expand recursively (Filter and/or conjunctions,
+# sub-query productions): the decode budget policy caps how many may be
+# emitted.  Request-independent, so computed once at import.
+RECURSIVE_ACTION = np.array([
+    ActionType.FILTER in action.children or ActionType.R in action.children
+    for action in GRAMMAR_ACTION_LIST
+])
+assert RECURSIVE_ACTION.shape == (NUM_GRAMMAR_ACTIONS,)
+
+
+@dataclass
+class Partial:
+    """One partial decode and the decode-time rules over it.
+
+    Greedy decoding and beam search are two drivers over this type: they
+    ask it which actions are legal next and tell it which one they chose.
+    Training masks are flag-free by design and do not go through it.
+    """
+
+    grammar: GrammarState = field(default_factory=GrammarState)
+    steps: list[DecoderStep] = field(default_factory=list)
+    # The column of a C not yet followed by its T.
+    last_column: int | None = None
+    # Recursive productions emitted so far, counted as they are emitted
+    # so the budget rule never rescans ``steps``.
+    recursive: int = 0
+
+    def mask_flags(self, max_steps: int) -> dict:
+        """The decode-time flags of ``ValueNetDecoder._grammar_mask``.
+
+        A pending non-terminal costs up to ~6 further steps (Filter -> A
+        -> C, T plus a value/sub-query); once the remaining budget cannot
+        cover that, stop recursing.  A hard cap on recursive expansions
+        (no real query nests eight conjunctions or sub-queries)
+        backstops the estimate.
+        """
+        grammar = self.grammar
+        remaining = max_steps - len(self.steps)
+        return {
+            "conserve_budget": (
+                remaining < 6 * grammar.pending + 12 or self.recursive >= 8
+            ),
+            "in_subquery": grammar.expected_in_subquery(),
+            "in_compound": grammar.expected_in_compound_branch(),
+            "required_arity": grammar.required_select_arity(),
+        }
+
+    def constrain(
+        self,
+        expected: ActionType,
+        scores: np.ndarray,
+        column_to_table: list[int | None] | None,
+    ) -> None:
+        """Set the scores of excluded pointer actions to ``NEG_INF``, in place.
+
+        ``*`` is never a bare filter operand, and when ``column_to_table``
+        (column index -> owning table index, None for ``*``) is given, the
+        T after a C is its column's table: every gold tree satisfies both,
+        so they only remove inconsistent predictions.
+        """
+        if expected is ActionType.C and self.grammar.expects_bare_filter_column():
+            scores[STAR_COLUMN] = NEG_INF
+        elif (
+            expected is ActionType.T
+            and column_to_table is not None
+            and self.last_column is not None
+            and column_to_table[self.last_column] is not None
+        ):
+            forced = column_to_table[self.last_column]
+            keep = scores[forced]
+            scores[:] = NEG_INF
+            scores[forced] = keep
+
+    def advance(self, expected: ActionType, index: int) -> DecoderStep:
+        """Emit action ``index`` of the ``expected`` type; returns its step."""
+        if expected in POINTER_TYPES:
+            step = DecoderStep(expected.value, index)
+            self.grammar.advance_pointer(expected)
+            if expected is ActionType.C:
+                self.last_column = index
+            elif expected is ActionType.T:
+                self.last_column = None
+        else:
+            step = DecoderStep("grammar", index)
+            self.grammar.advance_grammar(GRAMMAR_ACTION_LIST[index])
+            self.recursive += int(RECURSIVE_ACTION[index])
+        self.steps.append(step)
+        return step
+
+    def extended(self, expected: ActionType, index: int) -> Partial:
+        """A copy that has emitted action ``index`` (beam search forks)."""
+        copy = Partial(
+            self.grammar.clone(), list(self.steps), self.last_column, self.recursive
+        )
+        copy.advance(expected, index)
+        return copy
 
 
 class ValueNetDecoder(Module):
@@ -311,78 +410,30 @@ class ValueNetDecoder(Module):
         Args:
             encoded: encoder output.
             column_to_table: optional mapping from column index to owning
-                table index (None for the ``*`` column).  When given, the
-                T pointer that follows a C pointer is constrained to the
-                chosen column's table — every gold tree satisfies this, so
-                the constraint only removes inconsistent predictions.
+                table index (None for the ``*`` column), which pins the T
+                after each C to its column's table (:meth:`Partial.constrain`).
             ops: the ops over this one question: a :class:`StepCache`,
                 or the :class:`ReferenceOps` oracle (same predictions).
         """
         state = ops.initial_state()
         prev = ops.start()
-        grammar = GrammarState()
-        steps: list[DecoderStep] = []
-        last_column: int | None = None
-        # Recursive-production count, maintained incrementally (the budget
-        # policy below caps it; recomputing it per step was O(steps^2)).
-        recursive_so_far = 0
+        partial = Partial()
+        max_steps = self.config.max_decode_steps
 
-        while not grammar.finished and len(steps) < self.config.max_decode_steps:
+        while not partial.grammar.finished and len(partial.steps) < max_steps:
             h, state = ops.step(prev, state)
-            expected = grammar.expected_type()
-            if expected in (ActionType.C, ActionType.T, ActionType.V):
-                kind = expected.value
+            expected = partial.grammar.expected_type()
+            if expected in POINTER_TYPES:
                 if expected is ActionType.V and encoded.num_values == 0:
                     raise ModelError("grammar requires a value but no candidates exist")
-                scores = ops.pointer_scores(kind, h)
-                if expected is ActionType.C and grammar.expects_bare_filter_column():
-                    scores = scores.copy()
-                    scores[STAR_COLUMN] = NEG_INF
-                if (
-                    expected is ActionType.T
-                    and column_to_table is not None
-                    and last_column is not None
-                    and column_to_table[last_column] is not None
-                ):
-                    forced = column_to_table[last_column]
-                    masked = np.full_like(scores, -1e30)
-                    masked[forced] = scores[forced]
-                    scores = masked
-                index = int(np.argmax(scores))
-                if expected is ActionType.C:
-                    last_column = index
-                elif expected is ActionType.T:
-                    last_column = None
-                steps.append(DecoderStep(kind, index))
-                grammar.advance_pointer(expected)
-                prev = ops.feed(kind, index)
+                scores = ops.pointer_scores(expected.value, h)
+                partial.constrain(expected, scores, column_to_table)
             else:
-                # A pending non-terminal costs up to ~6 further steps
-                # (Filter -> A -> C, T plus a value/sub-query); once the
-                # remaining budget cannot cover that, stop recursing.  A
-                # hard cap on recursive expansions (no real query nests six
-                # conjunctions or sub-queries) backstops the estimate.
-                remaining = self.config.max_decode_steps - len(steps)
-                mask = ops.grammar_mask(
-                    expected,
-                    conserve_budget=(
-                        remaining < 6 * grammar.pending + 12
-                        or recursive_so_far >= 8
-                    ),
-                    in_subquery=grammar.expected_in_subquery(),
-                    in_compound=grammar.expected_in_compound_branch(),
-                    required_arity=grammar.required_select_arity(),
-                )
-                log_probs = ops.sketch_log_probs(h, mask)
-                action_id = int(np.argmax(log_probs))
-                steps.append(DecoderStep("grammar", action_id))
-                grammar.advance_grammar(GRAMMAR_ACTION_LIST[action_id])
-                if RECURSIVE_ACTION[action_id]:
-                    recursive_so_far += 1
-                prev = ops.feed("grammar", action_id)
+                mask = ops.grammar_mask(expected, **partial.mask_flags(max_steps))
+                scores = ops.sketch_log_probs(h, mask)
+            step = partial.advance(expected, int(np.argmax(scores)))
+            prev = ops.feed(step.kind, step.target)
 
-        if not grammar.finished:
-            raise ModelError(
-                f"decoding exceeded {self.config.max_decode_steps} steps"
-            )
-        return steps
+        if not partial.grammar.finished:
+            raise ModelError(f"decoding exceeded {max_steps} steps")
+        return partial.steps

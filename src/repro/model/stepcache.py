@@ -50,16 +50,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.nn.functional import NEG_INF, log_softmax, masked_log_softmax
 from repro.nn.tensor import Tensor
-from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST, NUM_GRAMMAR_ACTIONS
-
-# Grammar actions that expand recursively (Filter and/or conjunctions,
-# sub-query productions): the decode budget policy caps how many may be
-# emitted.  Request-independent, so computed once at import.
-RECURSIVE_ACTION = np.array([
-    ActionType.FILTER in action.children or ActionType.R in action.children
-    for action in GRAMMAR_ACTION_LIST
-])
-assert RECURSIVE_ACTION.shape == (NUM_GRAMMAR_ACTIONS,)
+from repro.semql.actions import NUM_GRAMMAR_ACTIONS
 
 
 def _initial_rows(decoder, encodeds) -> tuple[np.ndarray, np.ndarray]:

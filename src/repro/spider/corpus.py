@@ -38,10 +38,6 @@ class Example:
     pattern: str = ""
 
     @property
-    def has_values(self) -> bool:
-        return bool(self.values)
-
-    @property
     def value_difficulty(self) -> ValueDifficulty | None:
         from repro.evaluation.difficulty import combine_value_difficulty
 

@@ -22,7 +22,8 @@ import pytest
 from repro.config import ModelConfig
 from repro.errors import ModelError
 from repro.model import ValueNetModel, beam_decode, build_vocabulary
-from repro.model.stepcache import RECURSIVE_ACTION, ReferenceOps, StepCache
+from repro.model.decoder import RECURSIVE_ACTION
+from repro.model.stepcache import ReferenceOps, StepCache
 from repro.preprocessing import Preprocessor
 from repro.semql.actions import ActionType, GRAMMAR_ACTION_LIST
 from repro.semql.tree import GrammarState

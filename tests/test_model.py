@@ -34,6 +34,7 @@ from repro.model import (
     train_valuenet,
     tree_to_steps,
 )
+from repro.model.decoder import Partial
 from repro.model.featurize import SEG_COLUMN, SEG_QUESTION, SEG_TABLE, SEG_VALUE
 from repro.nn import log_softmax, masked_log_softmax
 from repro.nn.transformer import sinusoidal_positions
@@ -142,28 +143,50 @@ class TestSupervision:
         column_steps = [s for s in steps if s.kind == "C"]
         assert column_steps[0].target == 0  # '*' is column index 0
 
-    def test_no_gold_tree_needs_star_as_a_bare_filter_operand(self):
+    def test_no_gold_tree_needs_star_as_a_bare_filter_operand(self, model):
         """The decoders never point at '*' under Filter -> A(none); no
-        supervision target does either, on the benchmark-sized corpus."""
+        supervision target does either, on the benchmark-sized corpus.
+        Nor does any other decode-time rule exclude a gold step: each one
+        is replayed through Partial, grammar steps against the mask with
+        its flags at the default step budget, pointer steps against
+        ``constrain`` with the schema's column -> table map."""
+        max_steps = ModelConfig().max_decode_steps
         corpus = generate_corpus(CorpusConfig(train_per_domain=40, dev_per_domain=300))
         try:
             bare = star_elsewhere = 0
             for example in corpus.train + corpus.dev:
                 schema = corpus.schema(example.db_id)
+                column_to_table = model._column_to_table(schema)
                 candidates = [ValueCandidate(v, "gold") for v in example.values]
+                sizes = {
+                    ActionType.C: len(column_to_table),
+                    ActionType.T: len(schema.tables),
+                    ActionType.V: len(candidates),
+                }
                 steps = tree_to_steps(example.gold_semql, schema, candidates)
                 assert steps is not None, example.question
-                grammar = GrammarState()
+                partial = Partial()
                 for step in steps:
+                    expected = partial.grammar.expected_type()
+                    where = (example.gold_sql, len(partial.steps))
                     if step.kind == "grammar":
-                        grammar.advance_grammar(GRAMMAR_ACTION_LIST[step.target])
-                        continue
-                    if step.kind == "C" and grammar.expects_bare_filter_column():
-                        bare += 1
-                        assert step.target != 0, example.gold_sql
-                    elif step.kind == "C" and step.target == 0:
-                        star_elsewhere += 1
-                    grammar.advance_pointer(ActionType(step.kind))
+                        mask = model.decoder._grammar_mask(
+                            expected, len(candidates),
+                            **partial.mask_flags(max_steps),
+                        )
+                        assert mask[step.target], where
+                    else:
+                        grammar = partial.grammar
+                        if step.kind == "C" and grammar.expects_bare_filter_column():
+                            bare += 1
+                            assert step.target != 0, example.gold_sql
+                        elif step.kind == "C" and step.target == 0:
+                            star_elsewhere += 1
+                        scores = np.zeros(sizes[expected])
+                        partial.constrain(expected, scores, column_to_table)
+                        assert scores[step.target] == 0.0, where
+                    assert partial.advance(expected, step.target) == step, where
+                assert partial.grammar.finished, example.gold_sql
             assert bare > 100 and star_elsewhere > 100  # both positions occur
         finally:
             corpus.close()
