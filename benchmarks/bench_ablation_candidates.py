@@ -13,14 +13,9 @@ from __future__ import annotations
 import pytest
 
 from _util import print_table
-from repro.candidates import ValidationConfig
 from repro.evaluation import evaluate_pipeline
 from repro.pipeline import ValueNetPipeline
 from repro.preprocessing import Preprocessor
-
-
-class _NoValidationConfig(ValidationConfig):
-    pass
 
 
 @pytest.fixture()

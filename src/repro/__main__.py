@@ -286,6 +286,21 @@ def _print_endpoints(tenancy) -> None:
           + ("  GET /tenants /tenants/<id>/usage" if tenancy else ""))
 
 
+def _check_serve_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject ``serve`` flags the stack cannot serve (exit 2), before
+    the port is bound."""
+    from repro.serving.routes import MAX_BEAM_SIZE
+
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    if args.workers < 0:
+        parser.error("--workers must be 0 (one process) or more")
+    if not 1 <= args.beam <= MAX_BEAM_SIZE:
+        parser.error(f"--beam must be in 1..{MAX_BEAM_SIZE}")
+    if args.kb_corpus is not None and args.kb_refresh_interval is None:
+        parser.error("--kb-corpus requires --kb-refresh-interval")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
@@ -511,6 +526,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
+    if args.command == "serve":
+        _check_serve_args(serve, args)
     # Library modules report progress through logging (training epochs,
     # cluster supervisor events); surface them on the CLI.
     configure_cli_logging()

@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.candidates.generation import CandidateGenerator, GenerationConfig
+from repro.candidates.generation import CandidateGenerator
 from repro.candidates.types import ValueCandidate, dedupe_candidates
-from repro.candidates.validation import CandidateValidator, ValidationConfig
+from repro.candidates.validation import CandidateValidator
 from repro.db.database import Database
 from repro.index.inverted import InvertedIndex
 from repro.index.registry import IndexEntry, IndexRegistry
@@ -78,8 +78,6 @@ class Preprocessor:
         database: Database,
         *,
         extractor: ValueExtractor | None = None,
-        generation_config: GenerationConfig | None = None,
-        validation_config: ValidationConfig | None = None,
         index: InvertedIndex | None = None,
         registry: IndexRegistry | None = None,
     ):
@@ -93,10 +91,8 @@ class Preprocessor:
             self.index = index if index is not None else InvertedIndex.build(database)
             self._searcher = SimilaritySearcher(self.index)
         self._extractor = extractor or ValueExtractor()
-        self._generation_config = generation_config
-        self._validation_config = validation_config
-        self._generator = CandidateGenerator(self._searcher, generation_config)
-        self._validator = CandidateValidator(self.index, validation_config)
+        self._generator = CandidateGenerator(self._searcher)
+        self._validator = CandidateValidator(self.index)
 
     @property
     def searcher(self) -> SimilaritySearcher:
@@ -116,8 +112,8 @@ class Preprocessor:
         self.entry = entry
         self.index, self._searcher = entry.index, entry.searcher
         self.schema = self.database.schema
-        self._generator = CandidateGenerator(self._searcher, self._generation_config)
-        self._validator = CandidateValidator(self.index, self._validation_config)
+        self._generator = CandidateGenerator(self._searcher)
+        self._validator = CandidateValidator(self.index)
 
     # ------------------------------------------------------ ValueNet mode
 

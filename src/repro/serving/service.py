@@ -233,6 +233,8 @@ class TranslationService:
     ):
         if not runtimes and not allow_empty:
             raise ValueError("need at least one DatabaseRuntime")
+        if workers < 1:
+            raise ValueError("need at least one serving thread")
         self.runtimes: dict[str, DatabaseRuntime] = {}
         for runtime in runtimes:
             if runtime.database_id in self.runtimes:

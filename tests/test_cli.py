@@ -6,6 +6,7 @@ import sqlite3
 
 import pytest
 
+import repro.serving
 from repro.__main__ import main
 from repro.model import ValueNetModel
 
@@ -89,3 +90,29 @@ class TestTrainCommand:
         # never saw it, so it reaches the model as subword pieces.
         vocab = ValueNetModel.load(output).vocab
         assert len(vocab.encode_word("airline")) > 1
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threads", "0"],
+            ["--workers", "-1"],
+            ["--beam", "0"],
+            ["--beam", "9"],
+            ["--kb-corpus", "corpus.jsonl"],
+        ],
+        ids=["threads-0", "workers-negative", "beam-0", "beam-9",
+             "kb-corpus-without-refresh"],
+    )
+    def test_unservable_flags_exit_2_before_binding(
+        self, sqlite_file, monkeypatch, capsys, flags
+    ):
+        def no_bind(*args, **kwargs):
+            raise AssertionError("the port was bound")
+
+        monkeypatch.setattr(repro.serving, "ServingServer", no_bind)
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--database", str(sqlite_file), "--port", "0", *flags])
+        assert info.value.code == 2
+        assert flags[0] in capsys.readouterr().err

@@ -265,6 +265,35 @@ class TestFreshnessPolls:
         finally:
             _teardown_stack(database, service, refresher)
 
+    def test_update_past_row_4096_between_scan_and_watch_is_served(
+        self, people_file
+    ):
+        """A count-preserving UPDATE deep in a table, committed before
+        ``watch()``, is answered after the next scheduled poll."""
+
+        def commit():
+            with _writer(people_file) as conn:
+                conn.execute(
+                    "UPDATE person SET country='Tonga' WHERE personid=4800"
+                )
+
+        database, service, cache, refresher = _serving_stack(
+            people_file, database_id="people", before_watch=commit
+        )
+        try:
+            assert not service.runtimes["people"].preprocessor.index.contains(
+                "Tonga"
+            )
+            assert len(refresher.refresh_now(force=False)) == 1
+            response = service.translate(
+                "Which persons are from Tonga?", execute=True
+            )
+            assert response.ok, response.error
+            assert "Tonga" in response.sql
+            assert ("Person 4800",) in response.rows
+        finally:
+            _teardown_stack(database, service, refresher)
+
     def test_two_routing_ids_over_one_file_swap_with_one_build(self, pets_file):
         registry = IndexRegistry()
         databases = {db_id: Database.open(pets_file) for db_id in ("a", "b")}

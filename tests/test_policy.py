@@ -299,6 +299,53 @@ class TestViolationShape:
         engine.check_sql("SELECT name FROM student", schema=pets_schema)
 
 
+# (forbidden statement, rule id that must fire, legitimate quiet twin)
+_FORBIDDEN_CORPUS = [
+    ("DROP TABLE city", "blocked-keyword",
+     "SELECT city_name FROM city WHERE country = 'DROP TABLE'"),
+    ("PRAGMA writable_schema = 1", "blocked-keyword",
+     "SELECT city_name FROM city"),
+    ("UPDATE city SET population = 0", "blocked-keyword",
+     "SELECT population FROM city"),
+    ("SELECT city_name FROM city; DELETE FROM city", "multi-statement",
+     "SELECT city_name FROM city;"),
+    ("VACUUM", "read-only",
+     "SELECT COUNT(*) FROM city"),
+]
+
+
+class TestForbiddenCorpus:
+    """Raw forbidden statements block with the named rule under a served
+    config; each one's closest legitimate twin passes the whole gate."""
+
+    @pytest.fixture
+    def city_schema(self) -> Schema:
+        columns = (
+            Column("city_id", "city", ColumnType.NUMBER, is_primary_key=True),
+            Column("city_name", "city", ColumnType.TEXT),
+            Column("country", "city", ColumnType.TEXT),
+            Column("population", "city", ColumnType.NUMBER),
+        )
+        return Schema("smoke", [Table("city", columns)], [])
+
+    @pytest.mark.parametrize(
+        "forbidden,rule_id,twin", _FORBIDDEN_CORPUS,
+        ids=[case[1] + ":" + case[0] for case in _FORBIDDEN_CORPUS],
+    )
+    def test_blocks_with_rule_id_and_passes_twin(
+        self, city_schema, forbidden, rule_id, twin
+    ):
+        engine = PolicyEngine(PolicyConfigStore.from_dict({
+            "version": 1,
+            "default": {"read_only": True},
+            "databases": {"locked": {"max_tables": 0}},
+        }))
+        with pytest.raises(PolicyViolationError) as info:
+            engine.check_sql(forbidden, database_id="open", schema=city_schema)
+        assert rule_id in {v.rule_id for v in info.value.violations}
+        engine.check_sql(twin, database_id="open", schema=city_schema)
+
+
 class TestConfigPrecedence:
     @pytest.fixture
     def store(self):

@@ -105,6 +105,13 @@ class TestBasicServing:
         with pytest.raises(UnknownDatabaseError):
             heuristic_service.translate("q", "nope")
 
+    def test_zero_serving_threads_rejected(self, pets_db):
+        # No thread would ever take a queued request off the queue.
+        with pytest.raises(ValueError):
+            TranslationService(
+                [DatabaseRuntime(pets_db, database_id="pets")], workers=0
+            )
+
     def test_model_engine_used_when_present(self, pets_db):
         pipeline = FakePipeline()
         with make_model_service(pets_db, pipeline) as service:
