@@ -297,6 +297,10 @@ def _check_serve_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--workers must be 0 (one process) or more")
     if not 1 <= args.beam <= MAX_BEAM_SIZE:
         parser.error(f"--beam must be in 1..{MAX_BEAM_SIZE}")
+    if args.queue_size < 1:
+        parser.error("--queue-size must be at least 1")
+    if args.per_tenant_depth is not None and args.per_tenant_depth < 1:
+        parser.error("--per-tenant-depth must be at least 1")
     if args.kb_corpus is not None and args.kb_refresh_interval is None:
         parser.error("--kb-corpus requires --kb-refresh-interval")
 
@@ -471,7 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         help="graceful-shutdown budget: seconds to finish accepted "
              "requests after SIGTERM/SIGINT before stopping hard",
     )
-    serve.add_argument("--queue-size", type=int, default=64)
+    serve.add_argument(
+        "--queue-size", type=int, default=64,
+        help="requests waiting for a serving thread beyond this get a 503",
+    )
     serve.add_argument("--cache-size", type=int, default=256)
     serve.add_argument("--cache-ttl", type=float, default=300.0)
     serve.add_argument(

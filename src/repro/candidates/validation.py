@@ -69,21 +69,19 @@ class CandidateValidator:
         """
         validated: list[ValueCandidate] = []
         for candidate in candidates:
-            locations = tuple(sorted(
-                self._index.lookup(candidate.value),
-                key=lambda loc: (loc.table, loc.column),
-            ))
-            if locations:
+            found = self._index.find(candidate.value)
+            if found is not None:
+                locations, originals = found
                 # Prefer the database's own spelling when the normalized
                 # match differs in case ('france' -> 'France').
                 value = candidate.value
-                if isinstance(value, str):
-                    originals = self._index.original_forms(value)
-                    if originals and value not in originals:
-                        value = min(originals)
-                validated.append(
-                    ValueCandidate(value, candidate.source, locations)
-                )
+                if isinstance(value, str) and value not in originals:
+                    value = min(originals)
+                validated.append(ValueCandidate(
+                    value,
+                    candidate.source,
+                    tuple(sorted(locations, key=lambda loc: (loc.table, loc.column))),
+                ))
                 continue
             if self._config.keep_numeric and _is_numeric(candidate):
                 validated.append(candidate)

@@ -33,8 +33,9 @@ plus the bag filter, so recall is guaranteed for every configuration.
 The pool is **columnar**: the strings live as one flat array of
 per-pool character ids (ids into the pool's sorted alphabet, in the
 narrowest unsigned dtype that holds them, ``uint8`` for most databases)
-with offsets and lengths, and both posting indexes are CSR arrays
-(sorted unique gram keys, row pointers, value index, multiplicity).
+with their lengths, and both posting indexes are CSR arrays (sorted
+unique gram keys, row pointers, value index in the narrowest unsigned
+dtype that numbers the pool, multiplicity).
 Each is built in bulk, in place, by one sort: of its ``(key, value)``
 pairs packed into ``uint64`` words when a key fits 32 bits, read back
 through ``uint32`` views of the sorted words, else a stable argsort by
@@ -80,13 +81,18 @@ def _check_array(array: object, dtype: type | np.dtype | None) -> None:
         raise ValueError(f"unexpected array dtype {array.dtype}")
 
 
+def _index_dtype(count: int) -> np.dtype:
+    """The narrowest unsigned dtype numbering ``count`` pooled values."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 class _Postings(NamedTuple):
     """CSR inverted index: the postings of ``keys[r]`` are the pairs
     ``(idx[p], mult[p])`` for ``p`` in ``ptr[r]:ptr[r + 1]``."""
 
     keys: np.ndarray  # sorted unique gram keys
     ptr: np.ndarray  # int64 row pointers, one more than keys
-    idx: np.ndarray  # int32 value index, ascending within a row
+    idx: np.ndarray  # value index (narrowest unsigned), ascending within a row
     mult: np.ndarray  # occurrences of the gram in that value
 
     @classmethod
@@ -103,7 +109,7 @@ class _Postings(NamedTuple):
         those words, with no copy.  Wider keys take the stable argsort.
         Pass a fresh ``keys``: it is let go as soon as it is packed.
         """
-        dtype = keys.dtype
+        dtype, index_dtype = keys.dtype, _index_dtype(counts.size)
         if dtype.itemsize <= 4:
             packed = keys.astype(np.uint64)
             del keys
@@ -113,10 +119,10 @@ class _Postings(NamedTuple):
             halves = packed.view(np.uint32)  # (low, high) words in memory order
             del packed
             low = 0 if sys.byteorder == "little" else 1
-            keys, owner = halves[1 - low::2], halves[low::2].view(np.int32)
+            keys, owner = halves[1 - low::2], halves[low::2]
             del halves
         else:
-            owner = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+            owner = np.repeat(np.arange(counts.size, dtype=index_dtype), counts)
             order = np.argsort(keys, kind="stable")
             keys, owner = keys[order], owner[order]
             del order
@@ -127,6 +133,7 @@ class _Postings(NamedTuple):
         pair_starts[1:] |= owner[1:] != owner[:-1]
         keys, idx = keys[key_starts].astype(dtype, copy=False), owner[pair_starts]
         del owner  # the sorted words go with the last view of them
+        idx = idx.astype(index_dtype, copy=False)  # narrowed once they are gone
         rows = np.flatnonzero(key_starts[pair_starts])
         del key_starts
         pairs = np.flatnonzero(pair_starts).astype(
@@ -150,7 +157,7 @@ class _Postings(NamedTuple):
         keys, ptr, idx, mult = self
         _check_array(keys, key_dtype)
         _check_array(ptr, np.int64)
-        _check_array(idx, np.int32)
+        _check_array(idx, _index_dtype(pool_size))
         _check_array(mult, None)
         if ptr.size != keys.size + 1 or ptr[0] != 0 or ptr[-1] != idx.size:
             raise ValueError("row pointers do not span the postings")
@@ -158,7 +165,7 @@ class _Postings(NamedTuple):
             raise ValueError("gram keys or row pointers are not increasing")
         if mult.size != idx.size:
             raise ValueError("one multiplicity per posting required")
-        if idx.size and (idx.min() < 0 or idx.max() >= pool_size):
+        if idx.size and idx.max() >= pool_size:
             raise ValueError("posting refers to a value outside the pool")
 
 
@@ -195,8 +202,6 @@ class BlockedValuePool:
         count = len(folded)
         lengths = np.fromiter(map(len, folded), dtype=np.int32, count=count)
         self._lengths = lengths
-        self._offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._offsets[1:])
         code_points = _code_points("".join(folded))
         folded.clear()
         # Dense per-pool character ids, in code point order, keep a gram
@@ -228,8 +233,10 @@ class BlockedValuePool:
         # start in the gap before it or at one of its characters, in
         # order, and none of them reaches past the gap after it.
         pad = q - 1
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
         self._grams = _Postings.build(
-            self._gram_keys(np.insert(self._codes, np.repeat(self._offsets, pad), 0)),
+            self._gram_keys(np.insert(self._codes, np.repeat(offsets, pad), 0)),
             lengths + pad,
         )
 
@@ -396,7 +403,9 @@ class BlockedValuePool:
         positions = np.arange(rows + k)[:, None]
         codes = np.full((k + rows + k, count), self._filler, dtype=self._codes.dtype)
         inside = positions < lengths
-        starts = self._offsets[candidates[band]]
+        # the pool keeps lengths only: a value starts where the ones
+        # before it end
+        starts = np.cumsum(self._lengths, dtype=np.int64)[candidates[band]] - lengths
         codes[k:][inside] = self._codes[(starts + positions)[inside]]
         # window[i - 1, d] is the value character under cell d of row i
         window = sliding_window_view(codes, width, axis=0).transpose(0, 2, 1)
@@ -439,7 +448,6 @@ class BlockedValuePool:
         return {
             "q": self._q,
             "codes": self._codes,
-            "offsets": self._offsets,
             "lengths": self._lengths,
             "alphabet": self._alphabet,
             "grams": tuple(self._grams),
@@ -456,10 +464,8 @@ class BlockedValuePool:
         if pool._q <= 0:
             raise ValueError(f"q must be positive, got {pool._q}")
         pool._codes = state["codes"]
-        pool._offsets = state["offsets"]
         pool._lengths = state["lengths"]
         pool._alphabet = state["alphabet"]
-        _check_array(pool._offsets, np.int64)
         _check_array(pool._lengths, np.int32)
         _check_array(pool._alphabet, np.uint32)
         alphabet = pool._alphabet
@@ -470,14 +476,10 @@ class BlockedValuePool:
         _check_array(pool._codes, pool._code_dtype)
         if pool._codes.size and pool._codes.max() >= alphabet.size:
             raise ValueError("character id outside the alphabet")
-        if (
-            pool._offsets.size != pool._lengths.size + 1
-            or pool._offsets[0] != 0
-            or pool._offsets[-1] != pool._codes.size
-            or np.any(pool._lengths < 0)
-            or not np.array_equal(np.diff(pool._offsets), pool._lengths)
+        if np.any(pool._lengths < 0) or pool._lengths.sum(dtype=np.int64) != (
+            pool._codes.size
         ):
-            raise ValueError("offsets, lengths and character ids disagree")
+            raise ValueError("lengths and character ids disagree")
         pool._key_dtype = pool._pick_key_dtype()
         pool._grams = _Postings(*state["grams"])
         pool._chars = _Postings(*state["chars"])

@@ -31,7 +31,7 @@ from repro.index.similarity import SimilaritySearcher
 
 #: Bump whenever the state_dict layout of the index, the searcher, or the
 #: blocked pool changes; old files are then rebuilt instead of misread.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _MAGIC = "repro-index-bundle"
 
@@ -93,7 +93,7 @@ def load_bundle(
         return None
     try:
         index = InvertedIndex.from_state(payload["index"])
-        searcher = SimilaritySearcher.from_state(payload["searcher"])
-    except (KeyError, TypeError, ValueError):
+        searcher = SimilaritySearcher.from_state(payload["searcher"], index)
+    except (KeyError, IndexError, TypeError, ValueError):
         return None
     return index, searcher

@@ -20,9 +20,11 @@ aggressively sub-linear:
   questions.
 
 The fan-out data (original spellings and locations per pooled string) is
-held in flat parallel arrays indexed by pool position — compact in
-memory, derived from the index by one array group-by rather than a dict
-of lists, and adopted by a warm load
+held in flat parallel ``uint32`` arrays indexed by pool position: ids into
+the index's one spelling list (:mod:`repro.index.inverted`), so a match
+hands out the index's own string, and into a location table.  They are
+derived from the index's column value ids by one array group-by that
+case-folds each distinct spelling once, and adopted by a warm load
 (:meth:`SimilaritySearcher.from_state`) without any per-value rebuild.
 
 The pool is derived once, in the constructor, and never mutated (the
@@ -102,47 +104,56 @@ class SimilaritySearcher:
     def _build_pool(self, index: InvertedIndex) -> None:
         """Derive the global dedup pool from the index (constructor only).
 
-        Fan-out state per pool index ``i``: the ``(original, location)``
-        pairs live at flat positions ``offsets[i]:offsets[i+1]`` of
-        ``_originals`` / ``_location_ids``, in the order
+        Fan-out state per pool index ``i``: the ``(spelling, location)``
+        pairs at flat positions ``offsets[i]:offsets[i+1]`` of
+        ``_spelling_ids`` (ids into the index's spelling list) and
+        ``_location_ids``, in the order
         :meth:`InvertedIndex.iter_text_values` yields them.  Built as an
-        array group-by: every text value gets its column's location id
-        and its pool index (case-folded strings numbered in first-met
-        order), and one stable sort by pool index groups them.
+        array group-by over the index's column value ids: each distinct
+        spelling is case-folded once, the folded strings are numbered in
+        first-met order (the pool index), and one stable sort by pool
+        index groups the values.
         """
-        loc_table: list[ValueLocation] = []
-        values: list[str] = []
-        sizes: list[int] = []
-        for location, column in index.text_columns():
-            if column:
-                loc_table.append(location)
-                values += column
-                sizes.append(len(column))
-        lowered = [value.lower() for value in values]
-        position = dict.fromkeys(lowered)  # first-met order == pool index
+        locations, column_offsets, ids = index.text_value_ids()
+        spellings = index.spellings
+        sizes = np.diff(column_offsets.astype(np.intp))
+        filled = sizes > 0
+        loc_table = [loc for loc, kept in zip(locations, filled.tolist()) if kept]
+        location_ids = np.repeat(
+            np.arange(len(loc_table), dtype=np.uint32), sizes[filled]
+        )
+        # every spelling the columns list, once, in first-met order
+        steps = np.arange(ids.size)
+        first = np.full(len(spellings), ids.size, dtype=np.intp)
+        np.minimum.at(first, ids, steps)
+        met = ids[first[ids] == steps]
+        del steps, first
+        folded = list(map(str.lower, map(spellings.__getitem__, met.tolist())))
+        position = dict.fromkeys(folded)  # first-met order == pool index
         for i, key in enumerate(position):
             position[key] = i
-        group = np.fromiter(
-            map(position.__getitem__, lowered), dtype=np.intp, count=len(lowered)
+        group_of = np.empty(len(spellings), dtype=np.uint32)
+        group_of[met] = np.fromiter(
+            map(position.__getitem__, folded), dtype=np.uint32, count=met.size
         )
-        del lowered
-        folded = list(position)
-        del position
+        del folded, met
+        group = group_of[ids]
+        del group_of
         order = np.argsort(group, kind="stable")
-        offsets = np.zeros(len(folded) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(group, minlength=len(folded)), out=offsets[1:])
+        offsets = np.zeros(len(position) + 1, dtype=np.uint32)
+        np.cumsum(np.bincount(group, minlength=len(position)), out=offsets[1:])
         del group
-        location_ids = np.repeat(
-            np.arange(len(loc_table), dtype=np.uintc), np.array(sizes, dtype=np.intp)
-        )
         self._loc_table = loc_table
-        self._offsets = array("I", offsets.astype(np.uintc).tobytes())
-        self._originals = list(map(values.__getitem__, order.tolist()))
+        self._spellings = spellings
+        self._offsets = array("I", offsets.tobytes())
+        self._spelling_ids = array("I", ids[order].tobytes())
         self._location_ids = array("I", location_ids[order].tobytes())
-        del values, order, location_ids
+        del order, location_ids
         # last, with the fan-out's temporaries gone; the pool empties
-        # ``folded`` once joined, freeing the case-folded strings
-        self._pool = BlockedValuePool.from_folded(folded)
+        # ``pooled`` once joined, freeing the case-folded strings
+        pooled = list(position)
+        del position
+        self._pool = BlockedValuePool.from_folded(pooled)
 
     # ------------------------------------------------------------- queries
 
@@ -192,8 +203,8 @@ class SimilaritySearcher:
         and never mutated.
         """
         pool = self._pool
-        loc_table = self._loc_table
-        offsets, originals = self._offsets, self._originals
+        loc_table, spellings = self._loc_table, self._spellings
+        offsets, spelling_ids = self._offsets, self._spelling_ids
         location_ids = self._location_ids
         candidates = pool.candidate_indices(lowered, max_distance=max_distance)
         distances = pool.distances(lowered, candidates, max_distance=max_distance)
@@ -204,7 +215,7 @@ class SimilaritySearcher:
         ):
             for j in range(offsets[i], offsets[i + 1]):
                 matches.append(SimilarValue(
-                    originals[j], loc_table[location_ids[j]], distance
+                    spellings[spelling_ids[j]], loc_table[location_ids[j]], distance
                 ))
         matches.sort(key=lambda m: (m.distance, m.value.lower(), str(m.location)))
         return matches, len(candidates)
@@ -226,20 +237,24 @@ class SimilaritySearcher:
         """Plain-structure snapshot (pool included, so a warm load skips
         the expensive q-gram derivation entirely).  Locations are
         flattened to ``(table, column)`` tuples so the payload survives
-        refactors of :class:`ValueLocation` itself."""
+        refactors of :class:`ValueLocation` itself; spellings are ids
+        into the index's list, which the index's own snapshot carries."""
         return {
             "loc_table": [(loc.table, loc.column) for loc in self._loc_table],
             "offsets": self._offsets,
-            "originals": self._originals,
+            "spelling_ids": self._spelling_ids,
             "location_ids": self._location_ids,
             "pool": self._pool.state_dict(),
         }
 
     @classmethod
     def from_state(  # lint: disable=LOCK-GUARD (fresh instance; not shared until returned)
-        cls, state: dict, *, cache_size: int = 2048
+        cls, state: dict, index: InvertedIndex, *, cache_size: int = 2048
     ) -> "SimilaritySearcher":
-        """Rebuild a searcher from :meth:`state_dict`."""
+        """Rebuild a searcher from :meth:`state_dict` over ``index``, the
+        index it was built from, whose spelling list it shares.  Raises
+        ``ValueError`` when the fan-out does not fit the pool, its
+        location table or that list."""
         searcher = cls.__new__(cls)
         searcher._cache_size = cache_size
         searcher._cache = OrderedDict()
@@ -248,10 +263,25 @@ class SimilaritySearcher:
         searcher._loc_table = [
             ValueLocation(table, column) for table, column in state["loc_table"]
         ]
+        searcher._spellings = index.spellings
         searcher._offsets = array("I", state["offsets"])
-        searcher._originals = list(state["originals"])
+        searcher._spelling_ids = array("I", state["spelling_ids"])
         searcher._location_ids = array("I", state["location_ids"])
         searcher._pool = BlockedValuePool.from_state(state["pool"])
-        if len(searcher._pool) != len(searcher._offsets) - 1:
+        offsets = np.frombuffer(searcher._offsets, dtype=np.uint32).astype(np.int64)
+        spelling_ids = np.frombuffer(searcher._spelling_ids, dtype=np.uint32)
+        location_ids = np.frombuffer(searcher._location_ids, dtype=np.uint32)
+        if (
+            offsets.size != len(searcher._pool) + 1
+            or offsets[0] != 0
+            or np.any(np.diff(offsets) <= 0)
+            or offsets[-1] != spelling_ids.size
+            or location_ids.size != spelling_ids.size
+        ):
             raise ValueError("pool and fan-out arrays disagree on the value count")
+        if spelling_ids.size and (
+            spelling_ids.max() >= len(searcher._spellings)
+            or location_ids.max() >= len(searcher._loc_table)
+        ):
+            raise ValueError("fan-out refers to a spelling or location it lacks")
         return searcher

@@ -235,6 +235,10 @@ class TranslationService:
             raise ValueError("need at least one DatabaseRuntime")
         if workers < 1:
             raise ValueError("need at least one serving thread")
+        if queue_size < 1:
+            raise ValueError("queue_size must be at least 1")
+        if per_tenant_depth is not None and per_tenant_depth < 1:
+            raise ValueError("per_tenant_depth must be at least 1")
         self.runtimes: dict[str, DatabaseRuntime] = {}
         for runtime in runtimes:
             if runtime.database_id in self.runtimes:

@@ -68,6 +68,16 @@ def reference_build(
     return index
 
 
+def packed_keys(state: dict) -> list[str]:
+    """The keys of an :meth:`InvertedIndex.state_dict`, decoded from its
+    blob in table order."""
+    blob, offsets = state["keys"], state["key_offsets"].tolist()
+    return [
+        blob[start:end].decode("utf-8", "surrogatepass")
+        for start, end in zip(offsets, offsets[1:])
+    ]
+
+
 def reference_fanout(index) -> tuple[list[str], list[ValueLocation], array, list[str], array]:
     """The similarity pool's values (case-folded, first-met order) and
     fan-out arrays ``(loc_table, offsets, originals, location_ids)``, one
@@ -99,7 +109,9 @@ def reference_fanout(index) -> tuple[list[str], list[ValueLocation], array, list
     return list(position), loc_table, offsets, originals, location_ids
 
 
-def _postings(table: dict[int, dict[int, int]], key_dtype: np.dtype) -> tuple:
+def _postings(
+    table: dict[int, dict[int, int]], key_dtype: np.dtype, index_dtype: np.dtype
+) -> tuple:
     """CSR arrays of ``{key: {value index: occurrences}}``, keys ascending
     and each key's values in the order they were met."""
     keys = sorted(table)
@@ -109,7 +121,7 @@ def _postings(table: dict[int, dict[int, int]], key_dtype: np.dtype) -> tuple:
     return (
         np.array(keys, dtype=key_dtype),
         ptr,
-        np.array(idx, dtype=np.int32),
+        np.array(idx, dtype=index_dtype),
         np.array(mult, dtype=np.min_scalar_type(max(mult, default=1))),
     )
 
@@ -120,7 +132,9 @@ def reference_pool(values, q: int = DEFAULT_Q) -> BlockedValuePool:
     pooled character as its index in that alphabet (in the narrowest
     unsigned dtype that leaves room for two more ids: a query character
     outside the alphabet and the distance kernel's filler), and the
-    posting lists as dicts of :func:`~repro.text.ngrams.padded_qgrams`."""
+    posting lists as dicts of :func:`~repro.text.ngrams.padded_qgrams`,
+    their value index in the narrowest unsigned dtype numbering the
+    pool."""
     folded = [value.lower() for value in values]
     alphabet = sorted({ord(QGRAM_PAD)}.union(*(map(ord, value) for value in folded)))
     char_id = {chr(code): i for i, code in enumerate(alphabet)}
@@ -139,16 +153,15 @@ def reference_pool(values, q: int = DEFAULT_Q) -> BlockedValuePool:
             for char in value:
                 owners = chars.setdefault(char_id[char], {})
                 owners[i] = owners.get(i, 0) + 1
-    lengths = np.array([len(value) for value in folded], dtype=np.int32)
+    index_dtype = np.min_scalar_type(max(len(folded) - 1, 0))
     return BlockedValuePool.from_state({
         "q": q,
         "codes": np.array(
             [char_id[char] for value in folded for char in value],
             dtype=np.min_scalar_type(len(alphabet) + 1),
         ),
-        "offsets": np.cumsum(np.append(0, lengths), dtype=np.int64),
-        "lengths": lengths,
+        "lengths": np.array([len(value) for value in folded], dtype=np.int32),
         "alphabet": np.array(alphabet, dtype=np.uint32),
-        "grams": _postings(grams, key_dtype),
-        "chars": _postings(chars, key_dtype),
+        "grams": _postings(grams, key_dtype, index_dtype),
+        "chars": _postings(chars, key_dtype, index_dtype),
     })

@@ -101,9 +101,13 @@ class TestServeFlags:
             ["--beam", "0"],
             ["--beam", "9"],
             ["--kb-corpus", "corpus.jsonl"],
+            ["--queue-size", "0"],
+            ["--queue-size", "-3"],
+            ["--per-tenant-depth", "0"],
         ],
         ids=["threads-0", "workers-negative", "beam-0", "beam-9",
-             "kb-corpus-without-refresh"],
+             "kb-corpus-without-refresh", "queue-size-0", "queue-size-negative",
+             "per-tenant-depth-0"],
     )
     def test_unservable_flags_exit_2_before_binding(
         self, sqlite_file, monkeypatch, capsys, flags

@@ -10,6 +10,7 @@ import logging
 import sys
 import threading
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -593,6 +594,29 @@ class TestCheckpointing:
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(ModelError):
             ValueNetModel.load(tmp_path / "nothing")
+
+    def test_weights_are_stored_and_deflated_checkpoints_still_load(
+        self, model, tmp_path
+    ):
+        """``save`` writes its weights as stored zip members (nothing to
+        inflate at load), and a checkpoint written with
+        ``np.savez_compressed`` loads to equal parameters."""
+        model.save(tmp_path / "ckpt")
+        with zipfile.ZipFile(tmp_path / "ckpt" / "weights.npz") as archive:
+            members = archive.infolist()
+        assert members
+        assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
+
+        np.savez_compressed(
+            tmp_path / "ckpt" / "weights.npz",
+            **{name: param.data for name, param in model.named_parameters()},
+        )
+        with zipfile.ZipFile(tmp_path / "ckpt" / "weights.npz") as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        loaded = ValueNetModel.load(tmp_path / "ckpt")
+        expected = dict(model.named_parameters())
+        for name, param in loaded.named_parameters():
+            assert np.array_equal(param.data, expected[name].data)
 
     def test_optimizer_groups(self, model):
         optimizer = model.build_optimizer(

@@ -112,6 +112,19 @@ class TestBasicServing:
                 [DatabaseRuntime(pets_db, database_id="pets")], workers=0
             )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"queue_size": 0}, {"queue_size": -5}, {"per_tenant_depth": 0}],
+        ids=["queue-0", "queue-negative", "per-tenant-depth-0"],
+    )
+    def test_bounds_below_one_rejected(self, pets_db, bounds):
+        # A queue bound of 0 or less would admit without limit (no 503
+        # shedding); a per-tenant depth of 0 would shed every request.
+        with pytest.raises(ValueError):
+            TranslationService(
+                [DatabaseRuntime(pets_db, database_id="pets")], **bounds
+            )
+
     def test_model_engine_used_when_present(self, pets_db):
         pipeline = FakePipeline()
         with make_model_service(pets_db, pipeline) as service:

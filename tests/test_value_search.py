@@ -23,6 +23,7 @@ import sys
 import threading
 import tracemalloc
 import urllib.request
+import zlib
 from array import array
 from collections import Counter
 from itertools import zip_longest
@@ -54,7 +55,12 @@ from repro.serving import DatabaseRuntime, ServingServer, TranslationService
 from repro.spider import CorpusConfig, generate_corpus
 from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
 from repro.text.ngrams import padded_qgrams
-from tests.reference_index import reference_build, reference_fanout, reference_pool
+from tests.reference_index import (
+    packed_keys,
+    reference_build,
+    reference_fanout,
+    reference_pool,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -528,7 +534,7 @@ class TestCompactIndex:
     def test_cold_build_and_round_trip_share_one_set_per_combination(self):
         """A cold build and its ``from_state(state_dict())`` round trip
         answer every key alike, and both hand out one location-set object
-        per distinct column combination."""
+        per distinct column combination, held once in the set table."""
         cells = [
             ("Paris", 0), ("paris", 1), (" Paris ", 2),  # case clash, padding
             ("Rome", 0), ("Rome", 1), ("Berlin", 0),
@@ -548,8 +554,8 @@ class TestCompactIndex:
                 assert column_values(cold, location) == column_values(
                     warm, location
                 )
-        assert set(cold.original_forms("paris")) == {"Paris", "paris", " Paris "}
-        assert set(cold.original_forms("lima")) == {"Lima", "LIMA"}
+        assert cold.original_forms("paris") == ("Paris", "paris", " Paris ")
+        assert cold.original_forms("lima") == ("Lima", "LIMA")
         assert cold.lookup("quito") == {ValueLocation("t", "c2")}
 
         combinations = {frozenset(cold.lookup(key)) for key in keys}
@@ -557,29 +563,33 @@ class TestCompactIndex:
         for index in (cold, warm):
             held = [index.lookup(key) for key in keys]
             assert len({id(locations) for locations in held}) == len(combinations)
-            # one string per single-spelling key, a tuple only for several
-            assert isinstance(index._originals["quito"], str)
-            assert isinstance(index._originals["paris"], tuple)
-        assert [type(held) for held in warm._originals.values()] == [
-            type(held) for held in cold._originals.values()
-        ]
-        assert warm.state_dict() == cold.state_dict()
+            # the set table holds the combinations in use, no more
+            assert len(index.state_dict()["locset_table"]) == len(combinations)
+            # one string per distinct spelling, however many columns hold it
+            assert sorted(index.spellings) == sorted({value for value, _ in cells})
+        assert pickle.dumps(warm.state_dict()) == pickle.dumps(cold.state_dict())
 
-    def test_integer_key_is_its_spelling(self):
-        """An integer column's key and spelling are one string object."""
-        table = Table("t", (Column("n", "t", ColumnType.NUMBER),))
+    def test_integer_key_is_stored_once(self):
+        """An integer met in several rows and columns is one key in the
+        blob and one string in the spelling list."""
+        table = Table("t", (
+            Column("n", "t", ColumnType.NUMBER), Column("m", "t", ColumnType.NUMBER),
+        ))
         database = Database.create(Schema("numbers", [table]))
-        database.insert_rows("t", [(12,), (7,), (12,)])
+        database.insert_rows("t", [(12, 7), (7, None), (12, 12)])
         index = InvertedIndex.build(database)
         database.close()
         assert index.original_forms(12) == ("12",)
-        assert all(key is spelling for key, spelling in index._originals.items())
+        assert index.lookup(7.0) == {ValueLocation("t", "n"), ValueLocation("t", "m")}
+        assert sorted(index.spellings) == ["12", "7"]
+        assert sorted(packed_keys(index.state_dict())) == ["12", "7"]
 
     def test_build_memory_per_key_is_bounded(self):
         """The traced bytes an index build keeps, per distinct key, stay
-        small: 170 B on CPython 3.11, bounded at 195 (15 % over).  A
-        1-tuple of spellings per key (218 B) or two Python sets per key
-        (602 B) do not fit."""
+        small: 102.8 B on CPython 3.11 and numpy 2.4, bounded at 118
+        (15 % over), of which 60 are the key's spelling string.  The
+        dict-per-key layout the packed table replaced (170 B: a key
+        string and two dict entries per key) does not fit."""
         cells = [(f"Value {i:05d}", i % 2) for i in range(20_000)]
         gc.collect()
         tracemalloc.start()
@@ -590,16 +600,17 @@ class TestCompactIndex:
         finally:
             tracemalloc.stop()
         assert index.num_distinct_values == 20_000
-        assert kept / index.num_distinct_values < 195
+        assert kept / index.num_distinct_values < 118
 
     def test_pool_build_memory_is_bounded(self):
-        """A 20 000-value pool (270 067 characters) keeps 8.3 traced bytes
-        per pooled character on CPython 3.11 and numpy 2.4, bounded at 9.2
-        (10 % over), and its build peaks 13.8 bytes per character above
-        what it keeps, bounded at 16 (15 % over).  Four-byte code points
-        (11.3 B kept) or the build's former int64 index arithmetic and
-        second lower-cased copy of every value (41.9 B above) do not
-        fit."""
+        """A 20 000-value pool (289 464 characters) keeps 5.0 traced bytes
+        per pooled character on CPython 3.11 and numpy 2.4, bounded at 5.6
+        (10 % over), and its build peaks 14.8 bytes per character above
+        what it keeps, bounded at 16 (8 % over).  ``int32`` posting value
+        indexes with an ``int64`` offset array beside the lengths (8.0 B
+        kept), four-byte code points (11.3 B) or the build's former int64
+        index arithmetic and second lower-cased copy of every value
+        (41.9 B above) do not fit."""
         rng = random.Random(46)
         values: set[str] = set()
         while len(values) < 20_000:
@@ -618,7 +629,7 @@ class TestCompactIndex:
         finally:
             tracemalloc.stop()
         assert len(pool) == 20_000
-        assert (kept - base) / characters < 9.2
+        assert (kept - base) / characters < 5.6
         assert (peak - kept) / characters < 16
 
 
@@ -649,10 +660,11 @@ def assert_build_matches_reference(database: Database, **kwargs: int) -> None:
     fan-out arrays and the pool's arrays with their dtypes."""
     index = InvertedIndex.build(database, **kwargs)
     reference = reference_build(database, **kwargs)
-    assert list(index.state_dict()["locations"]) == list(reference.locations)
+    assert sorted(packed_keys(index.state_dict())) == sorted(reference.locations)
     for key, locations in reference.locations.items():
         assert index.lookup(key) == locations
         assert index.original_forms(key) == reference.originals[key]
+        assert index.find(key) == (locations, reference.originals[key])
     for table in database.schema.tables:
         for column in table.columns:
             for value in database.column_values(column):
@@ -665,7 +677,7 @@ def assert_build_matches_reference(database: Database, **kwargs: int) -> None:
     assert state["loc_table"] == [(loc.table, loc.column) for loc in loc_table]
     for got, expected in ((state["offsets"], offsets), (state["location_ids"], location_ids)):
         assert (got.typecode, got) == (expected.typecode, expected)
-    assert state["originals"] == originals
+    assert [index.spellings[i] for i in state["spelling_ids"]] == originals
     assert pool_fields(state["pool"]) == pool_fields(reference_pool(values).state_dict())
 
 
@@ -787,6 +799,99 @@ class TestBulkBuildAgainstReference:
                 )
 
 
+#: text cells beyond ASCII: two-byte (é, ß), three-byte (İ lower-cases
+#: to two characters, Σ to σ or a final ς) and astral characters (𐐀
+#: lower-cases to 𐐨), with case clashes, padding and tabs
+_UNICODE_TEXT = st.text(alphabet="aAéÉßİΣσ𐐀𐐨😀 \t", max_size=5)
+_UNICODE_CELL = st.one_of(
+    st.none(),
+    _UNICODE_TEXT,
+    st.integers(-3, 12),
+    st.integers(-3, 12).map(float),
+    st.sampled_from([0.5, 1e16, "7", "7.0", " 7 "]),
+)
+
+
+def assert_probes_match_reference(index: InvertedIndex, reference, probes) -> None:
+    """Every probe — present or absent — answers what the per-value build
+    holds for its normalized key, through each query and ``find``."""
+    for probe in probes:
+        key = normalize_value(probe)
+        locations = reference.locations.get(key, frozenset())
+        spellings = reference.originals.get(key, ())
+        assert index.lookup(probe) == locations
+        assert index.contains(probe) == bool(locations)
+        assert index.original_forms(probe) == spellings
+        assert index.find(probe) == ((locations, spellings) if locations else None)
+
+
+class TestPackedTable:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(list(ColumnType)), st.lists(_UNICODE_CELL, max_size=20)),
+            min_size=1, max_size=4,
+        ),
+        st.lists(st.one_of(_UNICODE_TEXT, st.integers(-5, 20)), max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(
+        columns=[
+            (ColumnType.TEXT, ["İstanbul", "i̇stanbul", "ΟΔΟΣ", "οδος", " Ünï ", "𐐀x"]),
+            (ColumnType.OTHERS, ["𐐨X", 3.0, "3", 1e16, "ÜNÏ", "😀"]),
+        ],
+        absent=["istanbul", "οδοσ", "𐐀y", "😀😀", 4, "ü"],
+    )
+    def test_unicode_cells_and_absent_keys_match_the_per_value_build(
+        self, columns, absent
+    ):
+        """Keys with multi-byte and astral characters, case clashes that
+        lower-case to one key with several spellings, padding and
+        integral floats: the packed table, and its round trip through
+        :meth:`InvertedIndex.state_dict`, answer as the per-value build
+        does for every cell and for keys it does not hold."""
+        database = untyped_database(columns)
+        try:
+            assert_build_matches_reference(database)
+            index = InvertedIndex.build(database)
+            reference = reference_build(database)
+            cells = [cell for _, column in columns for cell in column if cell is not None]
+            for built in (index, InvertedIndex.from_state(index.state_dict())):
+                assert_probes_match_reference(built, reference, cells + absent)
+        finally:
+            database.close()
+
+    def test_many_keys_in_one_bucket(self):
+        """Sixteen of 64 keys share their low six hash bits, so they fill
+        one of the 64 buckets: each is still found with its own column,
+        and absent keys hashing into that bucket miss."""
+        by_bucket: dict[int, list[str]] = {}
+        for i in range(100_000):
+            text = f"key {i}"
+            by_bucket.setdefault(zlib.crc32(text.encode()) & 63, []).append(text)
+        bucket, crowded = max(by_bucket.items(), key=lambda item: len(item[1]))
+        assert len(crowded) >= 16 + 8
+        keys, strangers = crowded[:16], crowded[16:24]
+        keys += [text for b, texts in sorted(by_bucket.items()) if b != bucket for text in texts][:48]
+        index = index_cells([(key.title(), i % 3) for i, key in enumerate(keys)])
+        starts = index.state_dict()["bucket_starts"]
+        assert starts.size == 64 + 1
+        assert starts[bucket + 1] - starts[bucket] >= 16
+        for i, key in enumerate(keys):
+            assert index.lookup(key) == {ValueLocation("t", f"c{i % 3}")}
+            assert index.original_forms(key) == (key.title(),)
+        for stranger in strangers:
+            assert not index.contains(stranger)
+            assert index.find(stranger) is None
+
+    def test_a_lone_surrogate_probe_misses(self):
+        """A question may carry a lone surrogate (JSON allows ``\\ud800``);
+        probing with one misses instead of raising."""
+        index = index_cells([("Paris", 0)])
+        assert index.lookup("\ud800") == frozenset()
+        assert not index.contains("pa\udc80ris")
+        assert index.find("\ud800") is None
+
+
 _SNAPSHOT_BYTES = """
 import pickle, sys
 from repro.db import Database
@@ -878,6 +983,12 @@ class TestPersistence:
         "ptr_past_postings", "ptr_not_monotone", "idx_wrong_dtype",
         "idx_outside_pool", "keys_wrong_dtype", "lengths_disagree",
         "fanout_disagrees", "char_id_outside_alphabet", "char_ids_wrong_dtype",
+        "key_offsets_past_blob", "key_offsets_not_increasing", "key_hash_outside_bucket",
+        "bucket_count_not_power_of_two", "locset_id_outside_table",
+        "locset_ids_wrong_dtype", "spelling_offsets_past_list", "spellings_not_a_list",
+        "text_value_outside_spellings", "text_offsets_past_values",
+        "fanout_spelling_outside_list", "fanout_location_outside_table",
+        "fanout_offsets_not_increasing",
     ])
     def test_inconsistent_arrays_return_none(self, pets_db, tmp_path, damage):
         """A bundle that unpickles but whose arrays do not fit together is
@@ -888,7 +999,8 @@ class TestPersistence:
             path, fingerprint="fp", index=index, searcher=SimilaritySearcher(index)
         )
         payload = pickle.loads(path.read_bytes())
-        pool = payload["searcher"]["pool"]
+        table, searcher = payload["index"], payload["searcher"]
+        pool = searcher["pool"]
         keys, ptr, idx, mult = (a.copy() for a in pool["grams"])
         if damage == "ptr_past_postings":
             ptr[-1] += 1
@@ -909,6 +1021,32 @@ class TestPersistence:
             pool["codes"][0] = pool["alphabet"].size  # the id of an unseen character
         elif damage == "char_ids_wrong_dtype":
             pool["codes"] = pool["codes"].astype(np.uint32)
+        elif damage == "key_offsets_past_blob":
+            table["keys"] = table["keys"][:-1]
+        elif damage == "key_offsets_not_increasing":
+            table["key_offsets"][1] = 0  # an empty first key
+        elif damage == "key_hash_outside_bucket":
+            table["hashes"][0] += 1
+        elif damage == "bucket_count_not_power_of_two":
+            table["bucket_starts"] = np.append(table["bucket_starts"], table["bucket_starts"][-1])
+        elif damage == "locset_id_outside_table":
+            table["locset_ids"][0] = len(table["locset_table"])
+        elif damage == "locset_ids_wrong_dtype":
+            table["locset_ids"] = table["locset_ids"].astype(np.uint32)
+        elif damage == "spelling_offsets_past_list":
+            table["spellings"] = table["spellings"][:-1]
+        elif damage == "spellings_not_a_list":
+            table["spellings"] = tuple(table["spellings"])
+        elif damage == "text_value_outside_spellings":
+            table["text_values"][0] = len(table["spellings"])
+        elif damage == "text_offsets_past_values":
+            table["text_values"] = table["text_values"][:-1]
+        elif damage == "fanout_spelling_outside_list":
+            searcher["spelling_ids"][0] = len(table["spellings"])
+        elif damage == "fanout_location_outside_table":
+            searcher["location_ids"][0] = len(searcher["loc_table"])
+        elif damage == "fanout_offsets_not_increasing":
+            searcher["offsets"][1] = 0
         pool["grams"] = (keys, ptr, idx, mult)
         path.write_bytes(pickle.dumps(payload))
         assert load_bundle(path, fingerprint="fp") is None
