@@ -33,9 +33,10 @@ plus the bag filter, so recall is guaranteed for every configuration.
 The pool is **columnar**: the strings live as one flat array of
 per-pool character ids (ids into the pool's sorted alphabet, in the
 narrowest unsigned dtype that holds them, ``uint8`` for most databases)
-with their lengths, and both posting indexes are CSR arrays (sorted
-unique gram keys, row pointers, value index in the narrowest unsigned
-dtype that numbers the pool, multiplicity).
+with their lengths and ``uint32`` start offsets (persisted as lengths
+only; a load derives the starts), and both posting indexes are CSR
+arrays (sorted unique gram keys, row pointers, value index in the
+narrowest unsigned dtype that numbers the pool, multiplicity).
 Each is built in bulk, in place, by one sort: of its ``(key, value)``
 pairs packed into ``uint64`` words when a key fits 32 bits, read back
 through ``uint32`` views of the sorted words, else a stable argsort by
@@ -140,7 +141,9 @@ class _Postings(NamedTuple):
             np.int32 if size <= np.iinfo(np.int32).max else np.int64
         )
         del pair_starts
-        mult = np.diff(pairs, append=pairs.dtype.type(size))
+        mult = np.empty_like(pairs)  # each pair's run: to the next pair or the end
+        np.subtract(pairs[1:], pairs[:-1], out=mult[:-1])
+        mult[-1:] = size - pairs[-1:]
         return cls(
             keys,
             np.append(rows, pairs.size).astype(np.int64),
@@ -235,6 +238,9 @@ class BlockedValuePool:
         pad = q - 1
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        if offsets[-1] >= 2**32:
+            raise ValueError("values exceed the 4 Gi characters a uint32 start addresses")
+        self._starts = offsets[:-1].astype(np.uint32)
         self._grams = _Postings.build(
             self._gram_keys(np.insert(self._codes, np.repeat(offsets, pad), 0)),
             lengths + pad,
@@ -403,9 +409,7 @@ class BlockedValuePool:
         positions = np.arange(rows + k)[:, None]
         codes = np.full((k + rows + k, count), self._filler, dtype=self._codes.dtype)
         inside = positions < lengths
-        # the pool keeps lengths only: a value starts where the ones
-        # before it end
-        starts = np.cumsum(self._lengths, dtype=np.int64)[candidates[band]] - lengths
+        starts = self._starts[candidates[band]].astype(np.intp)
         codes[k:][inside] = self._codes[(starts + positions)[inside]]
         # window[i - 1, d] is the value character under cell d of row i
         window = sliding_window_view(codes, width, axis=0).transpose(0, 2, 1)
@@ -480,6 +484,11 @@ class BlockedValuePool:
             pool._codes.size
         ):
             raise ValueError("lengths and character ids disagree")
+        if pool._codes.size >= 2**32:
+            raise ValueError("values exceed the 4 Gi characters a uint32 start addresses")
+        # where each value starts, one past the end of the one before
+        pool._starts = np.zeros(pool._lengths.size, dtype=np.uint32)
+        np.cumsum(pool._lengths[:-1], dtype=np.uint32, out=pool._starts[1:])
         pool._key_dtype = pool._pick_key_dtype()
         pool._grams = _Postings(*state["grams"])
         pool._chars = _Postings(*state["chars"])

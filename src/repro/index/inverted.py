@@ -21,11 +21,16 @@ objects per key:
 * per key, the narrow id of its location ``frozenset`` — values fall
   into a handful of column combinations, and every key of one
   combination hands out the same shared object;
-* per key, a range into one list of spelling strings (original-cased
-  forms, in the order the build met them).  Each text column's distinct
-  values are ``uint32`` ids into that same list, and so is the
-  similarity searcher's fan-out (:mod:`repro.index.similarity`), so a
-  spelling is one Python string however many columns hold it.
+* per key, a range of spelling ids (original-cased forms, in the order
+  the build met them).  The spellings are a second UTF-8 ``bytes`` blob
+  with ``uint32`` offsets, laid out as the keys are; each text column's
+  distinct values are ``uint32`` ids into it, and so is the similarity
+  searcher's fan-out (:mod:`repro.index.similarity`), so a spelling is
+  stored once however many columns hold it.  Only what a reader hands
+  out is decoded: the spellings :meth:`InvertedIndex.find` returns, the
+  values :meth:`InvertedIndex.iter_text_values` yields and a search's
+  matches; the searcher's build folds all the spellings it pools in one
+  decode (:meth:`InvertedIndex.folded_spellings`).
 
 A cold build walks each column as its distinct ``(key, spelling)``
 pairs through a transient key → row dict, then packs the whole database
@@ -45,7 +50,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -88,8 +93,31 @@ def _check_offsets(offsets: np.ndarray, end: int, *, empty: bool) -> None:
         raise ValueError("offsets do not span their data")
 
 
+def _pack_utf8(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """``strings`` encoded back to back as one UTF-8 blob, and the
+    ``uint32`` byte offset of each one's start and of the blob's end.
+    One join and one encode, whatever the string count."""
+    count = len(strings)
+    offsets = np.zeros(count + 1, dtype=np.intp)  # in characters
+    np.cumsum(np.fromiter(map(len, strings), dtype=np.intp, count=count), out=offsets[1:])
+    blob = "".join(strings).encode()
+    if len(blob) >= 2**32:
+        raise ValueError("strings exceed the 4 GiB a uint32 offset addresses")
+    if len(blob) > offsets[-1]:
+        # some string is not ASCII: a character starts at each byte that
+        # does not continue a UTF-8 sequence (0b10xxxxxx)
+        codes = np.frombuffer(blob, dtype=np.uint8)
+        char_starts = np.flatnonzero(codes & 0xC0 != 0x80)
+        offsets = np.append(char_starts, len(blob))[offsets]
+        del codes, char_starts
+    return blob, offsets.astype(np.uint32)
+
+
 #: Marks a build-time spelling id as a key's second or later spelling.
 _LATER = 1 << 31
+
+#: Spellings gathered per step when folding: bounds the index arrays.
+_GATHER = 4096
 
 
 class _Build:
@@ -122,12 +150,13 @@ class _Build:
         alone = len(locsets)
         locsets.append(frozenset((location,)))
         column = self.text_ids if text else array("I")
+        new = len(spellings)  # the row a key not met yet takes
         for key, spelling in pairs:
             if not key:
                 continue
-            row = rows.get(key)
-            if row is None:
-                rows[key] = row = len(spellings)
+            row = rows.setdefault(key, new)
+            if row == new:
+                new += 1
                 spellings.append(spelling)
                 combo.append(alone)
                 column.append(row)
@@ -167,8 +196,9 @@ class _Build:
         each key's spellings contiguous in that order (its first, then
         its later ones in met order), and location sets numbered by
         creation among those still in use.  A key is encoded on its own
-        only for its hash, and the blob in one piece, so no per-key
-        ``bytes`` object outlives its hash.
+        only for its hash, and each blob in one piece, so no per-key
+        ``bytes`` object outlives its hash and no spelling string
+        outlives the build.
         """
         keys = list(self.rows)
         self.rows = {}
@@ -184,23 +214,10 @@ class _Build:
         bucket_starts = np.zeros(buckets + 1, dtype=np.uint32)
         np.cumsum(np.bincount(bucket, minlength=buckets), out=bucket_starts[1:])
         del bucket
-        key_offsets = np.zeros(count + 1, dtype=np.intp)  # in characters
-        np.cumsum(
-            np.fromiter(map(len, keys), dtype=np.intp, count=count)[order],
-            out=key_offsets[1:],
+        blob, key_offsets = _pack_utf8(
+            np.fromiter(keys, dtype=object, count=count)[order].tolist()
         )
-        blob = "".join(np.fromiter(keys, dtype=object, count=count)[order]).encode()
         del keys
-        if len(blob) >= 2**32:
-            raise ValueError("keys exceed the 4 GiB a uint32 offset addresses")
-        if len(blob) > key_offsets[-1]:
-            # some key is not ASCII: a character starts at each byte that
-            # does not continue a UTF-8 sequence (0b10xxxxxx)
-            codes = np.frombuffer(blob, dtype=np.uint8)
-            char_starts = np.flatnonzero(codes & 0xC0 != 0x80)
-            key_offsets = np.append(char_starts, len(blob))[key_offsets]
-            del codes, char_starts
-        key_offsets = key_offsets.astype(np.uint32)
 
         combo = np.array(self.combo, dtype=np.intp)
         used = np.flatnonzero(np.bincount(combo, minlength=len(self.locsets)))
@@ -234,9 +251,10 @@ class _Build:
             )
         moved = np.empty(count + later, dtype=np.intp)
         moved[dest] = np.arange(count + later)
-        spellings = np.fromiter(
+        spellings, spelling_bytes = _pack_utf8(np.fromiter(
             chain(self.spellings, self.later_spellings), dtype=object, count=count + later
-        )[moved].tolist()
+        )[moved].tolist())
+        del moved
         text_ids = np.frombuffer(self.text_ids, dtype=np.uint32)
         return {
             "keys": blob,
@@ -246,6 +264,7 @@ class _Build:
             "locset_ids": renumber[combo[order]],
             "locsets": locsets,
             "spellings": spellings,
+            "spelling_bytes": spelling_bytes,
             "spelling_offsets": spelling_offsets,
             "text_offsets": np.array(self.text_offsets, dtype=np.uint32),
             "text_values": dest[
@@ -263,13 +282,13 @@ class InvertedIndex:
 
     Each key maps to the location set of its column combination, one
     ``frozenset`` shared by every key found in exactly those columns, and
-    to its original spellings.  Both are immutable (the spellings are
-    handed out as a fresh tuple), so queries never copy the table.
+    to its original spellings, decoded from the spelling blob into a
+    fresh tuple on each query; the table itself is never copied.
 
     Also lists, for each text-like column, its distinct original values
     for the similarity scan (bounded by ``max_values_per_column`` to keep
-    memory and scan time predictable on wide databases), as ids into the
-    spelling list.
+    memory and scan time predictable on wide databases), as spelling
+    ids.
     """
 
     def __init__(self, *, max_values_per_column: int = 5000):
@@ -296,6 +315,7 @@ class InvertedIndex:
         self._locset_ids = memoryview(table["locset_ids"])
         self._locsets = table["locsets"]
         self._spellings = table["spellings"]
+        self._spelling_bytes = memoryview(table["spelling_bytes"])
         self._spelling_offsets = memoryview(table["spelling_offsets"])
 
     # ------------------------------------------------------------ building
@@ -372,11 +392,7 @@ class InvertedIndex:
         position = self._probe(value)
         if position < 0:
             return None
-        offsets = self._spelling_offsets
-        return (
-            self._locsets[self._locset_ids[position]],
-            tuple(self._spellings[offsets[position]:offsets[position + 1]]),
-        )
+        return self._locsets[self._locset_ids[position]], self._spelled(position)
 
     def lookup(self, value: object) -> frozenset[ValueLocation]:
         """Exact (normalized) lookup: all locations containing ``value``.
@@ -395,10 +411,17 @@ class InvertedIndex:
         """Original-cased spellings of a normalized value, in the order
         the build first met them."""
         position = self._probe(value)
-        if position < 0:
-            return ()
+        return self._spelled(position) if position >= 0 else ()
+
+    def _spelled(self, position: int) -> tuple[str, ...]:
+        """The spellings of the key at table ``position``, decoded."""
         offsets = self._spelling_offsets
-        return tuple(self._spellings[offsets[position]:offsets[position + 1]])
+        return tuple(map(self.spelling, range(offsets[position], offsets[position + 1])))
+
+    def spelling(self, sid: int) -> str:
+        """Spelling ``sid`` (an id of :meth:`text_value_ids`), decoded."""
+        bounds = self._spelling_bytes
+        return self._spellings[bounds[sid]:bounds[sid + 1]].decode()
 
     def text_locations(self) -> list[ValueLocation]:
         """All indexed columns that hold text-like values."""
@@ -409,10 +432,54 @@ class InvertedIndex:
         return len(self._hashes)
 
     @property
-    def spellings(self) -> list[str]:
-        """Every key's original spellings, one string each: the list the
-        ids of :meth:`text_value_ids` refer to (read it, do not change it)."""
-        return self._spellings
+    def num_spellings(self) -> int:
+        """How many spellings the table holds: ids run below this."""
+        return len(self._spelling_bytes) - 1
+
+    def folded_spellings(self, ids: np.ndarray) -> list[str]:
+        """The spellings ``ids`` (an integer array), lower-cased, in order.
+
+        Decoded and lower-cased in one piece, not one call per spelling:
+        their bytes are gathered from the blob with a NUL after each (a
+        bounded number of spellings at a time, so the gather's index
+        arrays stay small), and the text is split at those NULs.  A NUL
+        is neither cased nor case-ignorable, so no spelling's
+        lower-casing (a final ``ς``) depends on its neighbours.  A
+        spelling holding a NUL itself splits into one more piece per
+        NUL, which are joined back.
+        """
+        if not ids.size:
+            return []
+        bounds = self._table["spelling_bytes"]
+        blob = np.frombuffer(self._spellings, dtype=np.uint8)
+        starts = bounds[ids].astype(np.intp)
+        sizes = bounds[1:][ids] - starts + 1  # each with its NUL
+        ends = np.cumsum(sizes)  # one past each NUL
+        data = np.empty(ends[-1], dtype=np.uint8)
+        for lo in range(0, ids.size, _GATHER):
+            hi = min(lo + _GATHER, ids.size)
+            first = ends[lo - 1] if lo else 0
+            # the blob position of each byte; a NUL's place reads past
+            # its spelling, clipped to the blob and overwritten below
+            source = np.repeat(starts[lo:hi] - ends[lo:hi] + sizes[lo:hi], sizes[lo:hi])
+            source += np.arange(first, ends[hi - 1])
+            blob.take(source, mode="clip", out=data[first:ends[hi - 1]])
+        del starts, sizes, source
+        data[ends - 1] = 0
+        nul_free = b"\0" not in self._spellings
+        if not nul_free:  # each NUL belongs to the first spelling ending after it
+            pieces_of = np.bincount(
+                np.searchsorted(ends, np.flatnonzero(data == 0), side="right"),
+                minlength=ids.size,
+            )
+        text = data.tobytes().decode().lower()
+        del data, ends
+        pieces = text.split("\0")
+        pieces.pop()  # after the last NUL
+        if nul_free:
+            return pieces
+        rest = iter(pieces)
+        return ["\0".join(islice(rest, n)) for n in pieces_of.tolist()]
 
     def text_value_ids(self) -> tuple[list[ValueLocation], np.ndarray, np.ndarray]:
         """``(locations, offsets, ids)``: text column ``locations[c]``
@@ -426,17 +493,17 @@ class InvertedIndex:
         """Yield ``(original_value, location)`` pairs for text columns,
         each column's distinct values in the order the build met them."""
         locations, offsets, ids = self.text_value_ids()
-        spellings = self._spellings
+        spelling = self.spelling
         for c, location in enumerate(locations):
             for sid in ids[offsets[c]:offsets[c + 1]].tolist():
-                yield spellings[sid], location
+                yield spelling(sid), location
 
     # -------------------------------------------------------- persistence
 
     def state_dict(self) -> dict:
         """Plain-structure snapshot for on-disk persistence: the packed
-        arrays, blob and spelling list as they are (shared, not copied:
-        snapshots are taken for immediate serialization).
+        arrays and both blobs as they are (shared, not copied: snapshots
+        are taken for immediate serialization).
 
         Locations are flattened to a ``(table, column)`` id table (so the
         payload survives refactors of :class:`ValueLocation` itself),
@@ -474,7 +541,8 @@ class InvertedIndex:
             name: state[name]
             for name in (
                 "keys", "key_offsets", "hashes", "bucket_starts", "locset_ids",
-                "spellings", "spelling_offsets", "text_offsets", "text_values",
+                "spellings", "spelling_bytes", "spelling_offsets", "text_offsets",
+                "text_values",
             )
         }
         table["locsets"] = [
@@ -491,8 +559,8 @@ class InvertedIndex:
 def _check_table(table: dict, text_columns: int) -> None:
     """``ValueError`` unless a persisted packed table fits together."""
     keys, spellings = table["keys"], table["spellings"]
-    if type(keys) is not bytes or type(spellings) is not list:
-        raise ValueError("keys must be bytes and spellings a list")
+    if type(keys) is not bytes or type(spellings) is not bytes:
+        raise ValueError("keys and spellings must be bytes")
     hashes, starts = table["hashes"], table["bucket_starts"]
     count = hashes.size if isinstance(hashes, np.ndarray) else -1
     _check_array(hashes, np.dtype(np.uint32), count)
@@ -512,12 +580,21 @@ def _check_table(table: dict, text_columns: int) -> None:
     )
     if count and table["locset_ids"].max() >= len(locsets):
         raise ValueError("a key refers to a location set outside the table")
+    bounds = table["spelling_bytes"]
+    spelled = bounds.size - 1 if isinstance(bounds, np.ndarray) else -1
+    _check_array(bounds, np.dtype(np.uint32), spelled + 1)
+    _check_offsets(bounds, len(spellings), empty=False)
+    # each spelling decodes on its own: the blob is UTF-8 and no spelling
+    # starts on a byte that continues a sequence (0b10xxxxxx)
+    spellings.decode()
+    if np.any(np.frombuffer(spellings, dtype=np.uint8)[bounds[:-1]] & 0xC0 == 0x80):
+        raise ValueError("a spelling starts inside a UTF-8 sequence")
     _check_array(table["spelling_offsets"], np.dtype(np.uint32), count + 1)
-    _check_offsets(table["spelling_offsets"], len(spellings), empty=False)
+    _check_offsets(table["spelling_offsets"], spelled, empty=False)
     values = table["text_values"]
     size = values.size if isinstance(values, np.ndarray) else -1
     _check_array(values, np.dtype(np.uint32), size)
     _check_array(table["text_offsets"], np.dtype(np.uint32), text_columns + 1)
     _check_offsets(table["text_offsets"], size, empty=True)
-    if size and values.max() >= len(spellings):
-        raise ValueError("a column value refers to a spelling outside the list")
+    if size and values.max() >= spelled:
+        raise ValueError("a column value refers to a spelling outside the table")

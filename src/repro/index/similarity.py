@@ -21,10 +21,10 @@ aggressively sub-linear:
 
 The fan-out data (original spellings and locations per pooled string) is
 held in flat parallel ``uint32`` arrays indexed by pool position: ids into
-the index's one spelling list (:mod:`repro.index.inverted`), so a match
-hands out the index's own string, and into a location table.  They are
-derived from the index's column value ids by one array group-by that
-case-folds each distinct spelling once, and adopted by a warm load
+the index's packed spelling table (:mod:`repro.index.inverted`), decoded
+only for the matches a scan hands out, and into a location table.  They
+are derived from the index's column value ids by one array group-by over
+their spellings, case-folded in one decode, and adopted by a warm load
 (:meth:`SimilaritySearcher.from_state`) without any per-value rebuild.
 
 The pool is derived once, in the constructor, and never mutated (the
@@ -106,45 +106,36 @@ class SimilaritySearcher:
 
         Fan-out state per pool index ``i``: the ``(spelling, location)``
         pairs at flat positions ``offsets[i]:offsets[i+1]`` of
-        ``_spelling_ids`` (ids into the index's spelling list) and
+        ``_spelling_ids`` (the index's spelling ids) and
         ``_location_ids``, in the order
         :meth:`InvertedIndex.iter_text_values` yields them.  Built as an
-        array group-by over the index's column value ids: each distinct
-        spelling is case-folded once, the folded strings are numbered in
-        first-met order (the pool index), and one stable sort by pool
-        index groups the values.
+        array group-by over the index's column value ids: their
+        spellings are case-folded in one decode
+        (:meth:`InvertedIndex.folded_spellings`), the folded strings are
+        numbered in first-met order (the pool index), and one stable sort
+        by pool index groups the values.
         """
         locations, column_offsets, ids = index.text_value_ids()
-        spellings = index.spellings
-        sizes = np.diff(column_offsets.astype(np.intp))
+        sizes = column_offsets[1:].astype(np.intp) - column_offsets[:-1]
         filled = sizes > 0
         loc_table = [loc for loc, kept in zip(locations, filled.tolist()) if kept]
         location_ids = np.repeat(
             np.arange(len(loc_table), dtype=np.uint32), sizes[filled]
         )
-        # every spelling the columns list, once, in first-met order
-        steps = np.arange(ids.size)
-        first = np.full(len(spellings), ids.size, dtype=np.intp)
-        np.minimum.at(first, ids, steps)
-        met = ids[first[ids] == steps]
-        del steps, first
-        folded = list(map(str.lower, map(spellings.__getitem__, met.tolist())))
+        folded = index.folded_spellings(ids)
         position = dict.fromkeys(folded)  # first-met order == pool index
         for i, key in enumerate(position):
             position[key] = i
-        group_of = np.empty(len(spellings), dtype=np.uint32)
-        group_of[met] = np.fromiter(
-            map(position.__getitem__, folded), dtype=np.uint32, count=met.size
+        group = np.fromiter(
+            map(position.__getitem__, folded), dtype=np.uint32, count=ids.size
         )
-        del folded, met
-        group = group_of[ids]
-        del group_of
+        del folded
         order = np.argsort(group, kind="stable")
         offsets = np.zeros(len(position) + 1, dtype=np.uint32)
         np.cumsum(np.bincount(group, minlength=len(position)), out=offsets[1:])
         del group
         self._loc_table = loc_table
-        self._spellings = spellings
+        self._spelling = index.spelling
         self._offsets = array("I", offsets.tobytes())
         self._spelling_ids = array("I", ids[order].tobytes())
         self._location_ids = array("I", location_ids[order].tobytes())
@@ -203,7 +194,7 @@ class SimilaritySearcher:
         and never mutated.
         """
         pool = self._pool
-        loc_table, spellings = self._loc_table, self._spellings
+        loc_table, spelling = self._loc_table, self._spelling
         offsets, spelling_ids = self._offsets, self._spelling_ids
         location_ids = self._location_ids
         candidates = pool.candidate_indices(lowered, max_distance=max_distance)
@@ -215,7 +206,7 @@ class SimilaritySearcher:
         ):
             for j in range(offsets[i], offsets[i + 1]):
                 matches.append(SimilarValue(
-                    spellings[spelling_ids[j]], loc_table[location_ids[j]], distance
+                    spelling(spelling_ids[j]), loc_table[location_ids[j]], distance
                 ))
         matches.sort(key=lambda m: (m.distance, m.value.lower(), str(m.location)))
         return matches, len(candidates)
@@ -238,7 +229,7 @@ class SimilaritySearcher:
         the expensive q-gram derivation entirely).  Locations are
         flattened to ``(table, column)`` tuples so the payload survives
         refactors of :class:`ValueLocation` itself; spellings are ids
-        into the index's list, which the index's own snapshot carries."""
+        into the index's table, which the index's own snapshot carries."""
         return {
             "loc_table": [(loc.table, loc.column) for loc in self._loc_table],
             "offsets": self._offsets,
@@ -252,9 +243,9 @@ class SimilaritySearcher:
         cls, state: dict, index: InvertedIndex, *, cache_size: int = 2048
     ) -> "SimilaritySearcher":
         """Rebuild a searcher from :meth:`state_dict` over ``index``, the
-        index it was built from, whose spelling list it shares.  Raises
+        index it was built from, whose spelling table it reads.  Raises
         ``ValueError`` when the fan-out does not fit the pool, its
-        location table or that list."""
+        location table or that spelling table."""
         searcher = cls.__new__(cls)
         searcher._cache_size = cache_size
         searcher._cache = OrderedDict()
@@ -263,7 +254,7 @@ class SimilaritySearcher:
         searcher._loc_table = [
             ValueLocation(table, column) for table, column in state["loc_table"]
         ]
-        searcher._spellings = index.spellings
+        searcher._spelling = index.spelling
         searcher._offsets = array("I", state["offsets"])
         searcher._spelling_ids = array("I", state["spelling_ids"])
         searcher._location_ids = array("I", state["location_ids"])
@@ -280,7 +271,7 @@ class SimilaritySearcher:
         ):
             raise ValueError("pool and fan-out arrays disagree on the value count")
         if spelling_ids.size and (
-            spelling_ids.max() >= len(searcher._spellings)
+            spelling_ids.max() >= index.num_spellings
             or location_ids.max() >= len(searcher._loc_table)
         ):
             raise ValueError("fan-out refers to a spelling or location it lacks")

@@ -33,6 +33,7 @@ from repro.ner.tagger import PerceptronTagger
 from repro.ner.types import ExtractedValue
 from repro.preprocessing.pipeline import PreprocessedQuestion, Preprocessor
 from repro.schema.model import Schema
+from repro.text.tokenizer import Token, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spider.corpus import Example, SpiderCorpus
@@ -89,11 +90,15 @@ class _TaggedExtractor(ValueExtractor):
             epochs=3,
         )
 
-    def extract(self, question: str) -> list[ExtractedValue]:
+    def extract(
+        self, question: str, tokens: list[Token] | None = None
+    ) -> list[ExtractedValue]:
+        if tokens is None:
+            tokens = tokenize(question)
         return merge_spans(
-            extract_heuristic_values(question)
+            extract_heuristic_values(question, tokens)
             + self._tagger.extract(question)
-            + self._gazetteer.extract(question)
+            + self._gazetteer.extract(question, tokens)
         )
 
 

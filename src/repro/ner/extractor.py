@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.ner.gazetteer import GazetteerRecognizer
 from repro.ner.heuristics import extract_heuristic_values
 from repro.ner.types import ExtractedValue, SpanKind
+from repro.text.tokenizer import Token, tokenize
 
 
 class ValueExtractor:
@@ -29,10 +30,20 @@ class ValueExtractor:
     def __init__(self) -> None:
         self._gazetteer = GazetteerRecognizer()
 
-    def extract(self, question: str) -> list[ExtractedValue]:
-        """All extracted value spans, position-sorted and deduplicated."""
+    def extract(
+        self, question: str, tokens: list[Token] | None = None
+    ) -> list[ExtractedValue]:
+        """All extracted value spans, position-sorted and deduplicated.
+
+        The question is tokenized once for every extractor, unless
+        ``tokens`` already holds ``tokenize(question)`` (pre-processing
+        passes the tokens it has).
+        """
+        if tokens is None:
+            tokens = tokenize(question)
         return merge_spans(
-            extract_heuristic_values(question) + self._gazetteer.extract(question)
+            extract_heuristic_values(question, tokens)
+            + self._gazetteer.extract(question, tokens)
         )
 
 

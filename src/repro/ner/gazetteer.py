@@ -12,7 +12,7 @@ sees the training data, so it cannot overfit.
 from __future__ import annotations
 
 from repro.ner.types import ExtractedValue, SpanKind
-from repro.text.tokenizer import tokenize
+from repro.text.tokenizer import Token, tokenize
 
 COUNTRIES = [
     "france", "germany", "italy", "spain", "portugal", "switzerland",
@@ -91,9 +91,13 @@ class GazetteerRecognizer:
             self._phrases[words] = kind
         self._max_len = max((len(p) for p in self._phrases), default=1)
 
-    def extract(self, question: str) -> list[ExtractedValue]:
-        """Longest-match-first scan for gazetteer phrases."""
-        tokens = tokenize(question)
+    def extract(
+        self, question: str, tokens: list[Token] | None = None
+    ) -> list[ExtractedValue]:
+        """Longest-match-first scan for gazetteer phrases; ``tokens`` is
+        ``tokenize(question)`` when the caller holds it already."""
+        if tokens is None:
+            tokens = tokenize(question)
         words = [t.lower for t in tokens]
         spans: list[ExtractedValue] = []
         i = 0

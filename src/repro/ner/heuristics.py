@@ -69,13 +69,18 @@ def extract_quoted(question: str) -> list[ExtractedValue]:
     return values
 
 
-def extract_capitalized(question: str) -> list[ExtractedValue]:
+def extract_capitalized(
+    question: str, tokens: list[Token] | None = None
+) -> list[ExtractedValue]:
     """Heuristic 2: maximal runs of capitalized tokens.
 
     The sentence-initial token only joins a run when the following token is
     capitalized too, so 'Show all flights ...' does not produce 'Show'.
+    ``tokens``, when the caller holds them, are ``tokenize(question)``;
+    the other token-based extractors here take them too.
     """
-    tokens = tokenize(question)
+    if tokens is None:
+        tokens = tokenize(question)
     values: list[ExtractedValue] = []
     run: list[Token] = []
 
@@ -131,11 +136,13 @@ def extract_single_letters(question: str) -> list[ExtractedValue]:
     return values
 
 
-def extract_numbers(question: str) -> list[ExtractedValue]:
+def extract_numbers(
+    question: str, tokens: list[Token] | None = None
+) -> list[ExtractedValue]:
     """Numbers and 4-digit years (years get their own kind so date
     heuristics can treat them specially)."""
     values = []
-    for token in tokenize(question):
+    for token in tokenize(question) if tokens is None else tokens:
         if not token.is_number():
             continue
         kind = SpanKind.NUMBER
@@ -153,10 +160,12 @@ def extract_numbers(question: str) -> list[ExtractedValue]:
     return values
 
 
-def extract_ordinals(question: str) -> list[ExtractedValue]:
+def extract_ordinals(
+    question: str, tokens: list[Token] | None = None
+) -> list[ExtractedValue]:
     """Ordinal words and suffixed ordinals ('fourth', '9th')."""
     values = []
-    for token in tokenize(question):
+    for token in tokenize(question) if tokens is None else tokens:
         if token.lower in ORDINAL_WORDS:
             values.append(
                 ExtractedValue(
@@ -180,10 +189,12 @@ def extract_ordinals(question: str) -> list[ExtractedValue]:
     return values
 
 
-def extract_months(question: str) -> list[ExtractedValue]:
+def extract_months(
+    question: str, tokens: list[Token] | None = None
+) -> list[ExtractedValue]:
     """Month names ('August' -> month 8, Section IV-B2 heuristic 4)."""
     values = []
-    for token in tokenize(question):
+    for token in tokenize(question) if tokens is None else tokens:
         if token.lower in MONTHS:
             values.append(
                 ExtractedValue(
@@ -197,20 +208,26 @@ def extract_months(question: str) -> list[ExtractedValue]:
     return values
 
 
-def extract_heuristic_values(question: str) -> list[ExtractedValue]:
+def extract_heuristic_values(
+    question: str, tokens: list[Token] | None = None
+) -> list[ExtractedValue]:
     """Run all heuristics and return spans sorted by position.
 
-    Overlap resolution happens later in the combined extractor (quoted
-    spans may legitimately cover capitalized spans, and both are useful
-    candidate seeds).
+    The question is tokenized once (unless ``tokens`` already holds
+    ``tokenize(question)``) for the four token-based heuristics.  Overlap
+    resolution happens later in the combined extractor (quoted spans may
+    legitimately cover capitalized spans, and both are useful candidate
+    seeds).
     """
+    if tokens is None:
+        tokens = tokenize(question)
     values: list[ExtractedValue] = []
     values.extend(extract_quoted(question))
-    values.extend(extract_capitalized(question))
+    values.extend(extract_capitalized(question, tokens))
     values.extend(extract_single_letters(question))
-    values.extend(extract_numbers(question))
-    values.extend(extract_ordinals(question))
-    values.extend(extract_months(question))
+    values.extend(extract_numbers(question, tokens))
+    values.extend(extract_ordinals(question, tokens))
+    values.extend(extract_months(question, tokens))
     values.sort(key=lambda v: (v.start, -v.length))
     return values
 

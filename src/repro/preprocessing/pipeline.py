@@ -156,7 +156,7 @@ class Preprocessor:
         in the index.
         """
         return self._run(
-            question, timings, lambda _: [], lambda *_: self._locate(gold_values)
+            question, timings, lambda *_: [], lambda *_: self._locate(gold_values)
         )
 
     def _locate(self, gold_values: list[object]) -> list[ValueCandidate]:
@@ -174,10 +174,11 @@ class Preprocessor:
 
     def _run(self, question: str, timings, extract, lookup) -> PreprocessedQuestion:
         """The one pre-processing sequence; the two modes differ only in
-        where spans (``extract``) and candidates (``lookup``) come from."""
+        where spans (``extract``, handed the question's tokens) and
+        candidates (``lookup``) come from."""
         t0 = time.perf_counter()
         tokens = tokenize(question)
-        extracted = extract(question)
+        extracted = extract(question, tokens)
         words = [token.text for token in tokens]
         t1 = time.perf_counter()
         candidates = lookup(words, extracted)

@@ -71,7 +71,17 @@ def reference_build(
 def packed_keys(state: dict) -> list[str]:
     """The keys of an :meth:`InvertedIndex.state_dict`, decoded from its
     blob in table order."""
-    blob, offsets = state["keys"], state["key_offsets"].tolist()
+    return _decoded(state["keys"], state["key_offsets"])
+
+
+def packed_spellings(state: dict) -> list[str]:
+    """The spellings of an :meth:`InvertedIndex.state_dict`, decoded from
+    its spelling blob in id order."""
+    return _decoded(state["spellings"], state["spelling_bytes"])
+
+
+def _decoded(blob: bytes, offsets: np.ndarray) -> list[str]:
+    offsets = offsets.tolist()
     return [
         blob[start:end].decode("utf-8", "surrogatepass")
         for start, end in zip(offsets, offsets[1:])

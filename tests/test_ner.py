@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.ner.extractor as extractor_module
+import repro.ner.gazetteer as gazetteer_module
+import repro.ner.heuristics as heuristics
+import repro.preprocessing.pipeline as pipeline
 from repro.ner import (
     ExtractedValue,
     GazetteerRecognizer,
@@ -20,6 +24,9 @@ from repro.ner import (
     merge_spans,
     ordinal_to_int,
 )
+from repro.preprocessing import Preprocessor
+from repro.spider import CorpusConfig, generate_corpus
+from repro.text import tokenize
 
 
 class TestHeuristics:
@@ -195,3 +202,46 @@ class TestValueExtractor:
         extractor = ValueExtractor()
         spans = extractor.extract("all female students from france")  # lower case!
         assert any(s.text == "france" for s in spans)
+
+    def test_tokens_handed_down_extract_what_each_extractor_finds_alone(self):
+        """The 1 200 questions the benchmark's small pool asks (corpus seed
+        7, 300 dev questions per domain): :meth:`ValueExtractor.extract`,
+        tokenizing once for every extractor, returns what the extractors
+        return each tokenizing the question itself."""
+        corpus = generate_corpus(
+            CorpusConfig(train_per_domain=40, dev_per_domain=300, seed=7)
+        )
+        questions = [example.question for example in corpus.dev]
+        corpus.close()
+        assert len(questions) == 1_200
+        extractor, gazetteer = ValueExtractor(), GazetteerRecognizer()
+        for question in questions:
+            alone = sorted(
+                extract_quoted(question)
+                + extract_capitalized(question)
+                + extract_single_letters(question)
+                + extract_numbers(question)
+                + extract_ordinals(question)
+                + extract_months(question),
+                key=lambda v: (v.start, -v.length),
+            )
+            expected = merge_spans(alone + gazetteer.extract(question))
+            assert extractor.extract(question) == expected
+            assert extractor.extract(question, tokenize(question)) == expected
+
+    def test_preprocessing_tokenizes_a_question_once(self, pets_db, monkeypatch):
+        """Pre-processing hands its tokens to the extractors, so no
+        extractor tokenizes the question again."""
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (pipeline, extractor_module, heuristics, gazetteer_module):
+            monkeypatch.setattr(module, "tokenize", counted)
+        preprocessor = Preprocessor(pets_db)
+        questions = ["Which pets from France are older than 3?", "List the 2nd dog in May"]
+        for question in questions:
+            preprocessor.run(question)
+        assert calls == questions

@@ -57,6 +57,7 @@ from repro.text.distance import damerau_levenshtein, damerau_levenshtein_banded
 from repro.text.ngrams import padded_qgrams
 from tests.reference_index import (
     packed_keys,
+    packed_spellings,
     reference_build,
     reference_fanout,
     reference_pool,
@@ -240,6 +241,11 @@ class TestQGramPool:
             pickle.loads(pickle.dumps(pool.state_dict()))
         )
         assert len(restored) == len(pool) == 5
+        # the start offsets are not persisted: the load derives them
+        assert "starts" not in pool.state_dict()
+        for built in (pool, restored):
+            assert built._starts.dtype == np.uint32
+            assert built._starts.tolist() == [0, 6, 13, 19, 20]
         everything = np.arange(len(pool))
         for query in ("france", "grece", "", "q"):
             for k in (0, 1, 2, 4):
@@ -565,13 +571,15 @@ class TestCompactIndex:
             assert len({id(locations) for locations in held}) == len(combinations)
             # the set table holds the combinations in use, no more
             assert len(index.state_dict()["locset_table"]) == len(combinations)
-            # one string per distinct spelling, however many columns hold it
-            assert sorted(index.spellings) == sorted({value for value, _ in cells})
+            # each distinct spelling stored once, however many columns hold it
+            assert sorted(packed_spellings(index.state_dict())) == sorted(
+                {value for value, _ in cells}
+            )
         assert pickle.dumps(warm.state_dict()) == pickle.dumps(cold.state_dict())
 
     def test_integer_key_is_stored_once(self):
         """An integer met in several rows and columns is one key in the
-        blob and one string in the spelling list."""
+        key blob and one spelling in the spelling blob."""
         table = Table("t", (
             Column("n", "t", ColumnType.NUMBER), Column("m", "t", ColumnType.NUMBER),
         ))
@@ -581,15 +589,17 @@ class TestCompactIndex:
         database.close()
         assert index.original_forms(12) == ("12",)
         assert index.lookup(7.0) == {ValueLocation("t", "n"), ValueLocation("t", "m")}
-        assert sorted(index.spellings) == ["12", "7"]
+        assert sorted(packed_spellings(index.state_dict())) == ["12", "7"]
         assert sorted(packed_keys(index.state_dict())) == ["12", "7"]
 
     def test_build_memory_per_key_is_bounded(self):
         """The traced bytes an index build keeps, per distinct key, stay
-        small: 102.8 B on CPython 3.11 and numpy 2.4, bounded at 118
-        (15 % over), of which 60 are the key's spelling string.  The
-        dict-per-key layout the packed table replaced (170 B: a key
-        string and two dict entries per key) does not fit."""
+        small: 49.8 B on CPython 3.11 and numpy 2.4, bounded at 57 (15 %
+        over), of which 15 are the key's spelling (its 11 bytes in the
+        spelling blob and their offset).  A spelling string per key
+        (102.8 B, the spelling list the blob replaced) and the
+        dict-per-key layout before it (170 B: a key string and two dict
+        entries per key) do not fit."""
         cells = [(f"Value {i:05d}", i % 2) for i in range(20_000)]
         gc.collect()
         tracemalloc.start()
@@ -600,15 +610,16 @@ class TestCompactIndex:
         finally:
             tracemalloc.stop()
         assert index.num_distinct_values == 20_000
-        assert kept / index.num_distinct_values < 118
+        assert kept / index.num_distinct_values < 57
 
     def test_pool_build_memory_is_bounded(self):
-        """A 20 000-value pool (289 464 characters) keeps 5.0 traced bytes
-        per pooled character on CPython 3.11 and numpy 2.4, bounded at 5.6
-        (10 % over), and its build peaks 14.8 bytes per character above
-        what it keeps, bounded at 16 (8 % over).  ``int32`` posting value
-        indexes with an ``int64`` offset array beside the lengths (8.0 B
-        kept), four-byte code points (11.3 B) or the build's former int64
+        """A 20 000-value pool (289 464 characters) keeps 5.3 traced bytes
+        per pooled character on CPython 3.11 and numpy 2.4 (0.28 of them
+        the ``uint32`` start offsets), bounded at 5.6 (6 % over), and its
+        build peaks 14.8 bytes per character above what it keeps, bounded
+        at 16 (8 % over).  ``int32`` posting value indexes with an
+        ``int64`` offset array beside the lengths (8.0 B kept), four-byte
+        code points (11.3 B) or the build's former int64
         index arithmetic and second lower-cased copy of every value
         (41.9 B above) do not fit."""
         rng = random.Random(46)
@@ -677,7 +688,7 @@ def assert_build_matches_reference(database: Database, **kwargs: int) -> None:
     assert state["loc_table"] == [(loc.table, loc.column) for loc in loc_table]
     for got, expected in ((state["offsets"], offsets), (state["location_ids"], location_ids)):
         assert (got.typecode, got) == (expected.typecode, expected)
-    assert [index.spellings[i] for i in state["spelling_ids"]] == originals
+    assert [index.spelling(i) for i in state["spelling_ids"]] == originals
     assert pool_fields(state["pool"]) == pool_fields(reference_pool(values).state_dict())
 
 
@@ -801,8 +812,9 @@ class TestBulkBuildAgainstReference:
 
 #: text cells beyond ASCII: two-byte (é, ß), three-byte (İ lower-cases
 #: to two characters, Σ to σ or a final ς) and astral characters (𐐀
-#: lower-cases to 𐐨), with case clashes, padding and tabs
-_UNICODE_TEXT = st.text(alphabet="aAéÉßİΣσ𐐀𐐨😀 \t", max_size=5)
+#: lower-cases to 𐐨), with case clashes, padding, tabs and NULs (the
+#: character the spelling fold splits at)
+_UNICODE_TEXT = st.text(alphabet="aAéÉßİΣσ𐐀𐐨😀 \t\0", max_size=5)
 _UNICODE_CELL = st.one_of(
     st.none(),
     _UNICODE_TEXT,
@@ -825,6 +837,22 @@ def assert_probes_match_reference(index: InvertedIndex, reference, probes) -> No
         assert index.find(probe) == ((locations, spellings) if locations else None)
 
 
+def assert_spellings_match_reference(index: InvertedIndex, reference) -> None:
+    """The spelling blob holds each key's spellings contiguously, in the
+    per-value build's order, and hands them out decoded: one at a time,
+    folded in one piece (as ``str.lower`` folds each) and per column."""
+    state = index.state_dict()
+    ranges = state["spelling_offsets"].tolist()
+    spellings = packed_spellings(state)
+    assert [tuple(spellings[a:b]) for a, b in zip(ranges, ranges[1:])] == [
+        reference.originals[key] for key in packed_keys(state)
+    ]
+    assert [index.spelling(i) for i in range(len(spellings))] == spellings
+    ids = np.arange(len(spellings), dtype=np.uint32)[::-1]
+    assert index.folded_spellings(ids) == [spellings[i].lower() for i in ids]
+    assert list(index.iter_text_values()) == list(reference.iter_text_values())
+
+
 class TestPackedTable:
     @given(
         st.lists(
@@ -841,14 +869,22 @@ class TestPackedTable:
         ],
         absent=["istanbul", "οδοσ", "𐐀y", "😀😀", 4, "ü"],
     )
+    @example(
+        columns=[
+            (ColumnType.TEXT, ["ΑΣ", "Σα", "ΑΣ\0Σ", "\0", " aΣ ", "aσ", "AΣ"]),
+            (ColumnType.TIME, ["ΑΣ\0", "ας", "😀Σ", "İ\0İ"]),
+        ],
+        absent=["ασ", "α", "\0\0"],
+    )
     def test_unicode_cells_and_absent_keys_match_the_per_value_build(
         self, columns, absent
     ):
         """Keys with multi-byte and astral characters, case clashes that
-        lower-case to one key with several spellings, padding and
+        lower-case to one key with several spellings, padding, NULs and
         integral floats: the packed table, and its round trip through
         :meth:`InvertedIndex.state_dict`, answer as the per-value build
-        does for every cell and for keys it does not hold."""
+        does for every cell and for keys it does not hold, and hold the
+        same spellings in the same order."""
         database = untyped_database(columns)
         try:
             assert_build_matches_reference(database)
@@ -857,6 +893,7 @@ class TestPackedTable:
             cells = [cell for _, column in columns for cell in column if cell is not None]
             for built in (index, InvertedIndex.from_state(index.state_dict())):
                 assert_probes_match_reference(built, reference, cells + absent)
+                assert_spellings_match_reference(built, reference)
         finally:
             database.close()
 
@@ -882,6 +919,20 @@ class TestPackedTable:
         for stranger in strangers:
             assert not index.contains(stranger)
             assert index.find(stranger) is None
+
+    def test_folding_spans_gather_steps(self):
+        """Folding more spellings than one gather step takes, in an order
+        unlike the blob's, with final sigmas and NULs on either side of
+        each step's end, gives what lower-casing each one does."""
+        words = [
+            f"{'ΟΔΟΣ' if i % 3 else 'ΑΣ'}\0{i}" if i % 7 == 0 else f"Ab Σ{i}Σ"
+            for i in range(9_000)
+        ]
+        index = index_cells([(word, i % 2) for i, word in enumerate(words)], columns=2)
+        assert index.num_spellings == len(words)
+        ids = np.random.default_rng(5).permutation(len(words)).astype(np.uint32)
+        assert index.folded_spellings(ids) == [index.spelling(i).lower() for i in ids]
+        assert index.folded_spellings(ids[:0]) == []
 
     def test_a_lone_surrogate_probe_misses(self):
         """A question may carry a lone surrogate (JSON allows ``\\ud800``);
@@ -985,7 +1036,9 @@ class TestPersistence:
         "fanout_disagrees", "char_id_outside_alphabet", "char_ids_wrong_dtype",
         "key_offsets_past_blob", "key_offsets_not_increasing", "key_hash_outside_bucket",
         "bucket_count_not_power_of_two", "locset_id_outside_table",
-        "locset_ids_wrong_dtype", "spelling_offsets_past_list", "spellings_not_a_list",
+        "locset_ids_wrong_dtype", "spelling_offsets_past_list", "spellings_not_bytes",
+        "spellings_not_utf8", "spelling_bytes_past_blob", "spelling_bytes_not_increasing",
+        "spelling_bytes_inside_utf8_sequence",
         "text_value_outside_spellings", "text_offsets_past_values",
         "fanout_spelling_outside_list", "fanout_location_outside_table",
         "fanout_offsets_not_increasing",
@@ -1034,15 +1087,27 @@ class TestPersistence:
         elif damage == "locset_ids_wrong_dtype":
             table["locset_ids"] = table["locset_ids"].astype(np.uint32)
         elif damage == "spelling_offsets_past_list":
+            table["spelling_offsets"][-1] += 1  # the last key's range
+        elif damage == "spellings_not_bytes":
+            table["spellings"] = bytearray(table["spellings"])
+        elif damage == "spellings_not_utf8":
+            table["spellings"] = b"\xff" + table["spellings"][1:]
+        elif damage == "spelling_bytes_past_blob":
             table["spellings"] = table["spellings"][:-1]
-        elif damage == "spellings_not_a_list":
-            table["spellings"] = tuple(table["spellings"])
+        elif damage == "spelling_bytes_not_increasing":
+            table["spelling_bytes"][1] = 0  # an empty first spelling
+        elif damage == "spelling_bytes_inside_utf8_sequence":
+            # the blob stays UTF-8, but "é" now spans the second
+            # spelling's start, which falls on its continuation byte
+            start, blob = int(table["spelling_bytes"][1]), table["spellings"]
+            assert blob.isascii()
+            table["spellings"] = blob[:start - 1] + "é".encode() + blob[start + 1:]
         elif damage == "text_value_outside_spellings":
-            table["text_values"][0] = len(table["spellings"])
+            table["text_values"][0] = table["spelling_bytes"].size - 1
         elif damage == "text_offsets_past_values":
             table["text_values"] = table["text_values"][:-1]
         elif damage == "fanout_spelling_outside_list":
-            searcher["spelling_ids"][0] = len(table["spellings"])
+            searcher["spelling_ids"][0] = table["spelling_bytes"].size - 1
         elif damage == "fanout_location_outside_table":
             searcher["location_ids"][0] = len(searcher["loc_table"])
         elif damage == "fanout_offsets_not_increasing":
